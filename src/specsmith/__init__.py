@@ -30,8 +30,6 @@ from .mutation import (
     Variant,
     WeightTable,
     enumerate_variants,
-    select_by_heuristic,
-    select_random,
 )
 from .pipeline import run_batch, run_pipeline, write_report
 from .repair import (
@@ -100,8 +98,6 @@ __all__ = [
     "run_batch",
     "run_conversation",
     "run_pipeline",
-    "select_by_heuristic",
-    "select_random",
     "spec_mutation",
     "spec_selection",
     "write_report",

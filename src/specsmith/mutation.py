@@ -1,18 +1,19 @@
-"""Mutation operators, exhaustive variant enumeration, and weighted selection.
+"""Mutation operators, weighted scoring, and best-first family enumeration.
 
 Each clause yields a fixed list of mutation sites (one per mutable operator
 occurrence). A variant is the clause with some subset of sites rewritten,
 carrying the per-kind count vector used for scoring. The family of a template
 is every such variant, deduplicated by canonical text and ordered by score
-(descending), then text (ascending).
+(descending), then text (ascending). Families stream: members are built one
+score level at a time, only as far as a reader asks.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .clauses import Clause, render_clause
 from .errors import SitePathInvalid
@@ -106,15 +107,71 @@ class Variant:
         return sum(n for _, n in self.counts)
 
 
-@dataclass
 class Family:
-    """All variants of one template clause, scored and ordered."""
+    """The variants of one template clause, built best-first on demand.
 
-    template: Clause
-    template_id: str
-    variants: list[Variant] = field(default_factory=list)
-    truncated: bool = False
-    raw_count: int = 1
+    Members are ordered by score (descending), then text (ascending). The
+    enumeration advances one score level at a time and only as far as a
+    reader asks: ``get(i)`` and ``at_least(n)`` build just enough levels,
+    while ``variants``, ``len()`` and ``truncated`` build the whole family.
+    A family whose raw combinations fit the cap is never truncated, so its
+    flag costs no enumeration.
+    """
+
+    def __init__(
+        self,
+        template: Clause,
+        template_id: str,
+        raw_count: int,
+        cap: int,
+        template_variant: Variant,
+        levels: Iterator[None],
+        built: list[Variant],
+    ):
+        self.template = template
+        self.template_id = template_id
+        self.template_variant = template_variant  # the zero-mutation member
+        self.raw_count = raw_count
+        self.cap = cap
+        self._levels: Iterator[None] | None = levels  # appends to ``built``
+        self._built = built
+        self._truncated = False
+
+    def _advance(self) -> bool:
+        """Build the next score level; False once the family is complete."""
+        if self._levels is None:
+            return False
+        try:
+            next(self._levels)
+        except StopIteration as stop:
+            self._truncated = stop.value
+            self._levels = None
+            return False
+        return True
+
+    def get(self, index: int) -> Variant | None:
+        """The member at ``index`` in family order, or None past the end."""
+        while index >= len(self._built) and self._advance():
+            pass
+        return self._built[index] if index < len(self._built) else None
+
+    def at_least(self, count: int) -> bool:
+        """Whether the family has ``count`` or more members."""
+        return count <= 0 or self.get(count - 1) is not None
+
+    @property
+    def variants(self) -> list[Variant]:
+        while self._advance():
+            pass
+        return self._built
+
+    @property
+    def truncated(self) -> bool:
+        if self.raw_count <= self.cap:
+            return False
+        while self._advance():
+            pass
+        return self._truncated
 
     def __len__(self) -> int:
         return len(self.variants)
@@ -229,13 +286,14 @@ def enumerate_variants(
     cap: int = 4096,
     weights: WeightTable | None = None,
 ) -> Family:
-    """Exhaust every combination of per-site replacements into a family.
+    """The family of every combination of per-site replacements.
 
     The zero-mutation template variant is always a member. Duplicates by
     canonical text are merged keeping the first (maximum-score) occurrence.
-    When the raw combination count exceeds ``cap``, variants are produced in
-    descending score order (ties by text, ascending) and the family is
-    truncated at ``cap`` with its flag set.
+    Variants come in descending score order (ties by text, ascending); when
+    more than ``cap`` distinct variants exist the family keeps the first
+    ``cap`` and has its truncated flag set. Nothing is built until a reader
+    asks for members (see :class:`Family`).
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -256,7 +314,29 @@ def enumerate_variants(
         options.append(site_options)
         raw_count *= len(site_options)
 
-    family = Family(template=template, template_id=template_id, raw_count=raw_count)
+    template_variant = _build_variant(template, template_id, ())
+    built: list[Variant] = []
+    levels = _walk_levels(template, template_variant, sites, options, cap, weights, built)
+    family = Family(template, template_id, raw_count, cap, template_variant, levels, built)
+    template_leads = all(delta < 0 for site_options in options for delta, _ in site_options[1:])
+    if raw_count > cap and not template_leads:
+        # Unless every rewrite lowers the score, the template can miss the
+        # cap; it then evicts the worst member and reorders the tail. Build
+        # it all now, so no reader ever sees a member that is later moved.
+        family.variants
+    return family
+
+
+def _walk_levels(
+    template: Clause,
+    template_variant: Variant,
+    sites: list[MutationSite],
+    options: list[list[tuple[int, str | None]]],
+    cap: int,
+    weights: WeightTable,
+    built: list[Variant],
+) -> Generator[None, None, bool]:
+    """Append one score level to ``built`` per step; return the truncated flag."""
     seen: set[str] = set()
 
     def assignment_variant(assignment: tuple[int, ...]) -> Variant:
@@ -265,12 +345,13 @@ def enumerate_variants(
             for i, idx in enumerate(assignment)
             if options[i][idx][1] is not None
         )
-        return _build_variant(template, template_id, choices)
+        return _build_variant(template, template_variant.template_id, choices)
 
     # Best-first walk over assignments: pop everything at one score, order
     # that batch by text, emit, then descend to the next score. A neighbor
     # (one site bumped to its next option) never scores higher than its
-    # parent, so the heap yields scores in non-increasing order.
+    # parent, so the heap yields scores in non-increasing order and the
+    # emitted members are already in family order.
     start = tuple(0 for _ in sites)
     heap: list[tuple[int, tuple[int, ...]]] = [(-_assignment_score(options, start), start)]
     visited = {start}
@@ -299,42 +380,22 @@ def enumerate_variants(
         for variant in sorted((assignment_variant(a) for a in batch), key=lambda v: v.text):
             if variant.text in seen:
                 continue
-            if len(family.variants) >= cap:
+            if len(built) >= cap:
                 stopped_early = True
                 break
             seen.add(variant.text)
-            family.variants.append(variant)
-    family.truncated = stopped_early
+            built.append(variant)
+        yield
 
-    template_variant = _build_variant(template, template_id, ())
     if template_variant.text not in seen:
         # Only reachable under exotic weight tables where positive weights
         # push the template below the cap; the template is a family member
         # by definition, so evict the worst variant to make room.
-        if len(family.variants) >= cap:
-            family.variants.pop()
-        family.variants.append(template_variant)
-        seen.add(template_variant.text)
-
-    family.variants.sort(key=lambda v: (-score_variant(v, weights), v.text))
-    return family
+        if len(built) >= cap:
+            built.pop()
+        bisect.insort(built, template_variant, key=lambda v: (-score_variant(v, weights), v.text))
+    return stopped_early
 
 
 def _assignment_score(options: list[list[tuple[int, str | None]]], assignment: tuple[int, ...]) -> int:
     return sum(options[i][idx][0] for i, idx in enumerate(assignment))
-
-
-def select_by_heuristic(variants: Sequence[Variant], weights: WeightTable) -> Variant | None:
-    """Argmax by score; ties broken by ascending canonical text."""
-    if not variants:
-        return None
-    return min(variants, key=lambda v: (-score_variant(v, weights), v.text))
-
-
-def select_random(variants: Sequence[Variant], rng: random.Random | int) -> Variant | None:
-    """Uniform choice among the remaining variants; None when exhausted."""
-    if not variants:
-        return None
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    return rng.choice(list(variants))

@@ -120,7 +120,7 @@ def build_strategy(config: PipelineConfig, attempt: int = 0) -> SelectionStrateg
     if config.strategy.name == "random":
         # Each attempt explores with its own deterministic stream.
         return RandomStrategy(config.strategy.seed + attempt)
-    return HeuristicStrategy(config.weights)
+    return HeuristicStrategy()
 
 
 @dataclass

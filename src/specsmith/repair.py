@@ -1,10 +1,16 @@
 """Iterative verify-and-replace repair over mutated clause families.
 
 Templates start out selected verbatim. Each iteration verifies the currently
-selected clause set with one verifier call; refuted variants are permanently
-removed from their family and replaced by the strategy's next pick. A family
-that runs dry drops its slot. The multiset of live variants shrinks on every
-refutation, so the loop performs at most 1 + sum(family sizes) calls.
+selected clause set with one verifier call; a refuted variant is recorded in
+its slot and never selected again, and the strategy picks its replacement
+from the family's unrefuted members. A family that runs dry drops its slot.
+Every refutation marks one more family member, so the loop performs at most
+1 + sum(family sizes) calls.
+
+Families are streams (see :class:`~specsmith.mutation.Family`): the heuristic
+reads them in order through a per-slot cursor, so a repair builds only the
+variants it reaches, plus what the thrash check needs to compare the
+replacement count against the family size.
 """
 from __future__ import annotations
 
@@ -17,52 +23,54 @@ from .clauses import AnnotatedProgram, Clause
 from .errors import TimeoutBudgetExceeded, UnknownClause
 from .mutation import (
     ALL_KINDS,
-    DEFAULT_WEIGHTS,
     Family,
     MutationKind,
     Variant,
     WeightTable,
     enumerate_variants,
-    select_by_heuristic,
 )
 from .verifier import Outcome, Verifier, VerifierVerdict
-
-
-class SelectionStrategy(Protocol):
-    def pick(self, variants: Sequence[Variant]) -> Variant | None: ...
-
-
-@dataclass
-class HeuristicStrategy:
-    """Argmax of the weighted mutation-count score, ties by text."""
-
-    weights: WeightTable = DEFAULT_WEIGHTS
-
-    def pick(self, variants: Sequence[Variant]) -> Variant | None:
-        return select_by_heuristic(variants, self.weights)
-
-
-class RandomStrategy:
-    """Uniform choice with a private deterministic generator."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._rng = random.Random(seed)
-
-    def pick(self, variants: Sequence[Variant]) -> Variant | None:
-        if not variants:
-            return None
-        return self._rng.choice(list(variants))
 
 
 @dataclass
 class FamilySlot:
     family: Family
-    live: list[Variant]  # not yet refuted; includes the selected variant
     selected: Variant | None
+    refuted: set[str] = field(default_factory=set)  # texts, never selected again
+    cursor: int = 0  # heuristic: every family member before it is refuted
     dropped: bool = False
     replacements: int = 0
     warned: bool = False
+
+
+class SelectionStrategy(Protocol):
+    def pick(self, slot: FamilySlot) -> Variant | None: ...
+
+
+class HeuristicStrategy:
+    """The best unrefuted variant: the family's own order is the argmax of
+    the weighted mutation-count score, ties by text."""
+
+    def pick(self, slot: FamilySlot) -> Variant | None:
+        family = slot.family
+        while (variant := family.get(slot.cursor)) is not None and variant.text in slot.refuted:
+            slot.cursor += 1
+        return variant
+
+
+class RandomStrategy:
+    """Uniform choice among the unrefuted variants, with a private
+    deterministic generator."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._rng = random.Random(seed)
+
+    def pick(self, slot: FamilySlot) -> Variant | None:
+        candidates = [v for v in slot.family.variants if v.text not in slot.refuted]
+        if not candidates:
+            return None
+        return self._rng.choice(candidates)
 
 
 @dataclass
@@ -127,22 +135,8 @@ def init_state(families: dict[str, Family]) -> SelectionState:
     """Start with every template's zero-mutation variant selected."""
     slots: dict[str, FamilySlot] = {}
     for template_id, family in families.items():
-        template_variant = next(
-            v for v in family.variants if v.total_mutations == 0
-        )
-        slots[template_id] = FamilySlot(
-            family=family,
-            live=list(family.variants),
-            selected=template_variant,
-        )
+        slots[template_id] = FamilySlot(family=family, selected=family.template_variant)
     return SelectionState(slots=slots)
-
-
-def get_family_of(state: SelectionState, clause_id: str) -> list[Variant]:
-    """Live (not yet refuted) members of the clause's family."""
-    if clause_id not in state.slots:
-        raise UnknownClause(f"no family for clause id {clause_id!r}")
-    return list(state.slots[clause_id].live)
 
 
 def re_select(
@@ -151,10 +145,12 @@ def re_select(
     strategy: SelectionStrategy,
     iteration: int,
 ) -> None:
-    """Remove each refuted selected variant and pick replacements.
+    """Refute each named slot's selected variant and pick replacements.
 
-    The refuted variant leaves its family permanently. When nothing is left,
-    the slot drops: that template contributes no clause from now on.
+    A refuted variant is never selected again. When its family has no
+    unrefuted member left, the slot drops: that template contributes no
+    clause from now on. A slot that has been refuted more than half its
+    family size records a thrash warning, once.
     """
     for clause_id in refuted_ids:
         if clause_id not in state.slots:
@@ -166,16 +162,17 @@ def re_select(
         state.refuted_history.append(
             RefutationEvent(iteration=iteration, clause_id=clause_id, text=refuted.text)
         )
-        slot.live.remove(refuted)
+        slot.refuted.add(refuted.text)
         slot.replacements += 1
-        if slot.replacements > len(slot.family.variants) / 2 and not slot.warned:
+        # replacements > size / 2, asking only for 2 x replacements members.
+        if not slot.warned and not slot.family.at_least(2 * slot.replacements):
             slot.warned = True
             state.thrash_warnings.append(
                 f"template {clause_id} replaced {slot.replacements} times "
-                f"(family size {len(slot.family.variants)}); "
+                f"(family size {len(slot.family)}); "
                 "verifier attribution may be thrashing"
             )
-        replacement = strategy.pick(slot.live)
+        replacement = strategy.pick(slot)
         if replacement is None:
             slot.selected = None
             slot.dropped = True

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from specsmith.clauses import AnnotatedProgram, render_clause
 from specsmith.errors import (
     DivisionByZero,
     EvalError,
@@ -32,6 +33,8 @@ from specsmith.expr import (
     Var,
     render_expr,
 )
+from specsmith.mutation import score_variant
+from specsmith.verifier import FailureCategory, FailureReport, Outcome, VerifierVerdict
 
 # ---------------------------------------------------------------------------
 # Seeded random expression generators (plain `random`, no hypothesis).
@@ -93,6 +96,34 @@ def gen_mutation_clause(rng: random.Random, max_sites: int = 4) -> Expr:
         expr = gen_bool_expr(rng, rng.randrange(1, 4))
         if 1 <= len(enumerate_sites(expr)) <= max_sites:
             return expr
+
+
+# ---------------------------------------------------------------------------
+# Randomized verifier for repair-loop properties.
+
+
+class RandomizedVerifier:
+    """Passes with probability 0.15; otherwise refutes a random subset of
+    the clauses it was shown, occasionally blaming a nonexistent clause."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.calls: list[list[tuple[str, str]]] = []
+
+    def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
+        pairs = [(c.id, render_clause(c)) for c in program.clauses]
+        self.calls.append(pairs)
+        if not pairs or self.rng.random() < 0.15:
+            return VerifierVerdict(Outcome.PASS)
+        ids = [cid for cid, _ in pairs]
+        chosen = self.rng.sample(ids, self.rng.randrange(1, len(ids) + 1))
+        if self.rng.random() < 0.10:
+            chosen[0] = "method:ghost/requires/9"  # unattributable blame
+        failures = tuple(
+            FailureReport(f"rejected {cid}", FailureCategory.UNKNOWN, cid)
+            for cid in chosen
+        )
+        return VerifierVerdict(Outcome.FAIL, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +195,13 @@ def _oracle_apply(expr: Expr, path: tuple[int, ...], replacement: str) -> Expr:
     return expr.replace_child(path[0], children[path[0]])
 
 
-def oracle_family(expr: Expr) -> dict[str, int]:
+def oracle_family(expr: Expr, weights: dict[str, int] = ORACLE_WEIGHTS) -> dict[str, int]:
     """Every distinct variant text mapped to its best (maximum) score."""
     sites = oracle_sites(expr)
     per_site: list[list[tuple[str | None, int]]] = []
     for _, op in sites:
         kind, repls = ORACLE_TABLE[op]
-        per_site.append([(None, 0)] + [(r, ORACLE_WEIGHTS[kind]) for r in repls])
+        per_site.append([(None, 0)] + [(r, weights[kind]) for r in repls])
 
     best: dict[str, int] = {}
     for combo in itertools.product(*per_site):
@@ -189,6 +220,13 @@ def oracle_family(expr: Expr) -> dict[str, int]:
         if text not in best or score > best[text]:
             best[text] = score
     return best
+
+
+def select_by_heuristic(variants, weights):
+    """Selection oracle: argmax by rescored weight, ties by ascending text."""
+    if not variants:
+        return None
+    return min(variants, key=lambda v: (-score_variant(v, weights), v.text))
 
 
 # ---------------------------------------------------------------------------

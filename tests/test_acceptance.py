@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 from conftest import (
+    RandomizedVerifier,
     eval_outcome,
     gen_eval_case,
     gen_mutation_clause,
@@ -18,7 +19,7 @@ from conftest import (
 )
 
 from specsmith.bench import run_benchmark
-from specsmith.clauses import parse_clause, render_clause
+from specsmith.clauses import parse_clause
 from specsmith.config import config_from_dict
 from specsmith.conversation import (
     EndpointConfig,
@@ -202,30 +203,6 @@ def make_repair_program(*exprs: str) -> AnnotatedProgram:
         for i, text in enumerate(exprs)
     )
     return AnnotatedProgram(REPAIR_SOURCE, clauses)
-
-
-class RandomizedVerifier:
-    """Passes with probability 0.15; otherwise refutes a random subset of
-    the clauses it was shown, occasionally blaming a nonexistent clause."""
-
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-        self.calls: list[list[tuple[str, str]]] = []
-
-    def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
-        pairs = [(c.id, render_clause(c)) for c in program.clauses]
-        self.calls.append(pairs)
-        if not pairs or self.rng.random() < 0.15:
-            return VerifierVerdict(Outcome.PASS)
-        ids = [cid for cid, _ in pairs]
-        chosen = self.rng.sample(ids, self.rng.randrange(1, len(ids) + 1))
-        if self.rng.random() < 0.10:
-            chosen[0] = "method:ghost/requires/9"  # unattributable blame
-        failures = tuple(
-            FailureReport(f"rejected {cid}", FailureCategory.UNKNOWN, cid)
-            for cid in chosen
-        )
-        return VerifierVerdict(Outcome.FAIL, failures)
 
 
 def test_criterion_4_repair_loop_invariants():

@@ -2,9 +2,11 @@
 import random
 
 import pytest
+from conftest import gen_mutation_clause, oracle_family, select_by_heuristic
 
 from specsmith.clauses import parse_clause
 from specsmith.errors import SitePathInvalid
+from specsmith.expr import render_expr
 from specsmith.mutation import (
     ALL_KINDS,
     DEFAULT_WEIGHTS,
@@ -16,15 +18,19 @@ from specsmith.mutation import (
     enumerate_sites,
     enumerate_variants,
     score_variant,
-    select_by_heuristic,
-    select_random,
 )
 from specsmith.parser import parse_expr
+from specsmith.repair import FamilySlot, HeuristicStrategy, RandomStrategy
 
 
 def texts(clause_text, **kwargs):
     family = enumerate_variants(parse_clause(clause_text), **kwargs)
     return {v.text for v in family.variants}
+
+
+def refuted_template_slot(family):
+    """A repair slot whose template has just been refuted."""
+    return FamilySlot(family=family, selected=None, refuted={family.template_variant.text})
 
 
 def body(text):
@@ -181,11 +187,13 @@ class TestScoring:
         assert variant.total_mutations == 2
 
     def test_scaled_weights_keep_argmax(self):
-        family = enumerate_variants(parse_clause("//@ requires a + 1 <= b && b < n;"))
+        clause = parse_clause("//@ requires a + 1 <= b && b < n;")
+        family = enumerate_variants(clause)
         candidates = [v for v in family.variants if v.total_mutations >= 1]
-        assert select_by_heuristic(candidates, DEFAULT_WEIGHTS) == select_by_heuristic(
-            candidates, DEFAULT_WEIGHTS.scaled(7)
-        )
+        best = select_by_heuristic(candidates, DEFAULT_WEIGHTS)
+        assert best == select_by_heuristic(candidates, DEFAULT_WEIGHTS.scaled(7))
+        scaled = enumerate_variants(clause, weights=DEFAULT_WEIGHTS.scaled(7))
+        assert HeuristicStrategy().pick(refuted_template_slot(scaled)) == best
 
 
 class TestEnumerationOrder:
@@ -200,6 +208,8 @@ class TestEnumerationOrder:
             [v for v in family.variants if v.total_mutations >= 1], DEFAULT_WEIGHTS
         )
         assert body(pick.text) == "a - 1 <= b"
+        fresh = enumerate_variants(parse_clause("//@ requires a <= b;"))
+        assert HeuristicStrategy().pick(refuted_template_slot(fresh)) == pick
 
     def test_cap_truncates_best_first(self):
         clause = parse_clause("//@ requires a <= b && c >= d;")
@@ -230,20 +240,100 @@ class TestEnumerationOrder:
             assert reparsed.expr == variant.expr
 
 
+def oracle_members(expr, cap, weights=DEFAULT_WEIGHTS):
+    """The oracle's family: member texts in family order, and the flag."""
+    scores = oracle_family(expr, {kind.value: weights[kind] for kind in MutationKind})
+    order = lambda text: (-scores[text], text)  # noqa: E731
+    members = sorted(scores, key=order)[:cap]
+    template = render_expr(expr)
+    if template not in members:  # it evicts the worst member
+        members = sorted(members[:-1] + [template], key=order)
+    return [f"//@ requires {text};" for text in members], len(scores) > cap
+
+
+class TestStream:
+    """A family read partway and then in full is exactly the eager family."""
+
+    def check(self, rng, clause, cap, weights=DEFAULT_WEIGHTS, **kwargs):
+        eager = enumerate_variants(clause, cap=cap, weights=weights, **kwargs)
+        members, truncated = list(eager.variants), eager.truncated
+        lazy = enumerate_variants(clause, cap=cap, weights=weights, **kwargs)
+        k = rng.randrange(0, len(members) + 2)
+        assert [lazy.get(i) for i in range(k)] == (members + [None, None])[:k]
+        assert lazy.at_least(k) == (k <= len(members))
+        assert lazy.variants == members
+        assert lazy.truncated == truncated
+        assert len(lazy) == len(members) and lazy.template_variant in members
+        return eager
+
+    @pytest.mark.parametrize("cap", [1, 8, 64, 4096])
+    def test_partial_reads_match_eager_and_oracle(self, cap):
+        rng = random.Random(cap)
+        for _ in range(60):
+            expr = gen_mutation_clause(rng, max_sites=5)
+            eager = self.check(rng, parse_clause(f"//@ requires {render_expr(expr)};"), cap)
+            assert ([v.text for v in eager.variants], eager.truncated) == oracle_members(expr, cap)
+
+    def test_truncated_clause(self):
+        clause = parse_clause("//@ requires a + b + c + d + e + f + g + h + i + j + k + l + m <= n;")
+        eager = self.check(random.Random(1), clause, 4096)
+        assert eager.truncated and eager.raw_count == 12288
+        assert ([v.text for v in eager.variants], True) == oracle_members(clause.expr, 4096)
+
+    def test_unflagged_family_builds_nothing_for_its_flag(self):
+        family = enumerate_variants(parse_clause("//@ requires a <= b && c >= d;"))
+        assert not family.truncated and family._built == []
+        assert family.get(0) == family.template_variant and len(family._built) == 1
+
+    @pytest.mark.parametrize(
+        "weights",
+        [WeightTable(comparative=1), WeightTable(logical=2, arithmetic=1), WeightTable(comparative=0)],
+    )
+    def test_template_not_first(self, weights):
+        rng = random.Random(7)
+        displaced = 0
+        for _ in range(60):
+            expr = gen_mutation_clause(rng, max_sites=5)
+            clause = parse_clause(f"//@ requires {render_expr(expr)};")
+            for cap in (1, 8, 64):
+                eager = self.check(rng, clause, cap, weights)
+                assert ([v.text for v in eager.variants], eager.truncated) == oracle_members(
+                    expr, cap, weights
+                )
+                displaced += eager.variants[0] != eager.template_variant
+        assert displaced > 0
+
+    def test_batch_limit(self):
+        # 3**9 assignments all score 0: one level wider than the batch limit.
+        clause = parse_clause(
+            "//@ requires a <= b && c <= d && e <= f && g <= h && i <= j"
+            " && k <= l && m <= n && o <= p && q <= r;"
+        )
+        eager = self.check(
+            random.Random(2), clause, 8, WeightTable(comparative=0), kinds={MutationKind.COMPARATIVE}
+        )
+        assert eager.truncated and eager.raw_count == 19683 and len(eager) == 8
+
+
 class TestSelectRandom:
     def test_deterministic_with_seed(self):
         family = enumerate_variants(parse_clause("//@ requires a + b <= c;"))
-        assert select_random(family.variants, 99) == select_random(family.variants, 99)
+        slot = refuted_template_slot(family)
+        assert RandomStrategy(99).pick(slot) == RandomStrategy(99).pick(slot)
 
     def test_rng_instance_advances(self):
         family = enumerate_variants(parse_clause("//@ requires a + b <= c;"))
-        rng = random.Random(3)
-        picks = {select_random(family.variants, rng).text for _ in range(20)}
+        slot = refuted_template_slot(family)
+        strategy = RandomStrategy(3)
+        picks = {strategy.pick(slot).text for _ in range(20)}
         assert len(picks) > 1
 
     def test_empty_returns_none(self):
-        assert select_random([], 0) is None
+        family = enumerate_variants(parse_clause("//@ requires x;"))
+        exhausted = refuted_template_slot(family)
+        assert RandomStrategy(0).pick(exhausted) is None
         assert select_by_heuristic([], DEFAULT_WEIGHTS) is None
+        assert HeuristicStrategy().pick(exhausted) is None
 
 
 class TestWeightTable:

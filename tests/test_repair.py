@@ -1,16 +1,27 @@
 """The verify-and-replace loop: refutation, replacement, drop-out, bounds."""
+import random
+
 import pytest
+from conftest import RandomizedVerifier, gen_mutation_clause, select_by_heuristic
 
 from specsmith.clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, render_clause
 from specsmith.errors import TimeoutBudgetExceeded, UnknownClause
-from specsmith.mutation import MutationKind
+from specsmith.expr import render_expr
+from specsmith.mutation import (
+    DEFAULT_WEIGHTS,
+    MutationKind,
+    WeightTable,
+    enumerate_variants,
+    score_variant,
+)
 from specsmith.parser import parse_expr
 from specsmith.repair import (
+    FamilySlot,
     HeuristicStrategy,
     RandomStrategy,
-    get_family_of,
     init_state,
     mutation_based_gen,
+    re_select,
     spec_mutation,
     spec_selection,
 )
@@ -183,11 +194,11 @@ class TestStateMechanics:
         assert clause.anchor == ANCHOR
         assert clause.kind is ClauseKind.REQUIRES
 
-    def test_get_family_of_unknown_id(self):
+    def test_re_select_unknown_id(self):
         program = make_program("a <= b")
         state = init_state(spec_mutation(program.clauses))
         with pytest.raises(UnknownClause):
-            get_family_of(state, "method:check/ensures/0")
+            re_select(state, ["method:check/ensures/0"], HeuristicStrategy(), iteration=1)
 
     def test_kind_filter_threads_through(self):
         program = make_program("a + 1 <= b")
@@ -206,6 +217,119 @@ class TestThrashWarning:
         warnings = [w for w in result.state.thrash_warnings]
         assert len(warnings) == 1
         assert "method:check/requires/0" in warnings[0]
+
+    @pytest.mark.parametrize(
+        "kwargs, expected",
+        [
+            # Truncated at 11 members; the 10 built before the firing
+            # refutation end on a score-level boundary.
+            ({"cap": 11}, (6, 10, 11)),
+            # Positive weight: the template is the last member, refuted long
+            # before the cursor reaches it.
+            (
+                {"kinds": {MutationKind.COMPARATIVE}, "weights": WeightTable(comparative=1)},
+                (5, 8, 9),
+            ),
+        ],
+    )
+    def test_warning_on_partly_built_family(self, kwargs, expected):
+        program = make_program("a <= b && c >= d")
+        state = init_state(spec_mutation(program.clauses, **kwargs))
+        slot = state.slots["method:check/requires/0"]
+        built_before = []
+        while not state.thrash_warnings:
+            built_before.append(len(slot.family._built))
+            re_select(state, [slot.family.template_id], HeuristicStrategy(), len(built_before))
+        fired_at, built, size = expected
+        assert (slot.replacements, built_before[-1], len(slot.family)) == expected
+        assert state.thrash_warnings == [
+            f"template method:check/requires/0 replaced {fired_at} times "
+            f"(family size {size}); verifier attribution may be thrashing"
+        ]
+
+
+def level_prefix(members, weights, count):
+    """Members in the fewest whole score levels that hold ``count`` of them."""
+    if count <= 0:
+        return 0
+    scores = [score_variant(v, weights) for v in members]
+    for end in range(count, len(members)):
+        if scores[end] != scores[end - 1]:
+            return end
+    return len(members)
+
+
+class TestLazySelection:
+    WEIGHTS = [DEFAULT_WEIGHTS, DEFAULT_WEIGHTS.scaled(3), WeightTable(comparative=1), WeightTable(logical=0)]
+
+    def test_pick_is_oracle_argmax_in_any_refutation_order(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            clause = make_program(render_expr(gen_mutation_clause(rng, max_sites=4))).clauses[0]
+            weights, cap = rng.choice(self.WEIGHTS), rng.choice((2, 8, 64))
+            live = list(enumerate_variants(clause, cap=cap, weights=weights).variants)
+            slot = FamilySlot(enumerate_variants(clause, cap=cap, weights=weights), selected=None)
+            order = live[:]
+            rng.shuffle(order)
+            for variant in order:
+                live.remove(variant)
+                slot.refuted.add(variant.text)
+                assert HeuristicStrategy().pick(slot) == select_by_heuristic(live, weights)
+
+    def test_repair_picks_match_oracle_over_live_list(self):
+        class Checked:
+            """The heuristic, checked on every pick against the argmax over
+            the live list: the eager family minus each refuted variant."""
+
+            def __init__(self, families, weights):
+                self.live = {tid: list(f.variants) for tid, f in families.items()}
+                self.weights = weights
+                self.picks = 0
+
+            def pick(self, slot):
+                live = self.live[slot.family.template_id]
+                live.remove(slot.selected)  # the variant just refuted
+                got = HeuristicStrategy().pick(slot)
+                assert got == select_by_heuristic(live, self.weights)
+                self.picks += 1
+                return got
+
+        rng = random.Random(4000)
+        picks = 0
+        for _ in range(300):
+            program = make_program(
+                *(render_expr(gen_mutation_clause(rng, max_sites=2)) for _ in range(rng.randrange(1, 4)))
+            )
+            weights, cap = rng.choice(self.WEIGHTS), rng.choice((2, 8, 64))
+            strategy = Checked(spec_mutation(program.clauses, cap=cap, weights=weights), weights)
+            result = mutation_based_gen(
+                program, RandomizedVerifier(rng), strategy, cap=cap, weights=weights
+            )
+            assert result.passed
+            picks += strategy.picks
+        assert picks > 300
+
+    def test_repair_builds_only_the_levels_it_reads(self):
+        # k picks read at most index k, and the thrash check asks whether the
+        # family holds 2k members; levels are built whole.
+        rng = random.Random(77)
+        built_total = eager_total = 0
+        for _ in range(200):
+            program = make_program(
+                *(render_expr(gen_mutation_clause(rng, max_sites=5)) for _ in range(rng.randrange(1, 4)))
+            )
+            cap = rng.choice((8, 64, 4096))
+            eager = {c.id: enumerate_variants(c, cap=cap).variants for c in program.clauses}
+            truth = frozenset(
+                rng.choice(members).text for members in eager.values() if rng.random() < 0.8
+            )
+            result = mutation_based_gen(program, MockVerifier(truth=truth), HeuristicStrategy(), cap=cap)
+            for tid, slot in result.state.slots.items():
+                bound = level_prefix(eager[tid], DEFAULT_WEIGHTS, 2 * slot.replacements)
+                assert len(slot.family._built) <= bound
+                built_total += len(slot.family._built)
+                eager_total += len(eager[tid])
+        assert built_total < eager_total
 
 
 class TestBudget:
