@@ -37,7 +37,7 @@ def main() -> None:
     print("== conversation phase ==")
     verified, transcript = run_conversation(
         program,
-        config.endpoint.to_endpoint_config(),
+        config.endpoint,
         context.verifier,
         build_client(config),
         shots=context.shots,

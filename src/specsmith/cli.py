@@ -40,6 +40,16 @@ def _print_verdict(verdict: VerifierVerdict) -> None:
         print(f"  {failure.category.value}{where}: {failure.raw_message}")
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config)
     strategy = config.strategy
@@ -160,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     mutate = sub.add_parser("mutate", help="enumerate the mutation family of one clause")
     mutate.add_argument("clause", help='clause line, e.g. "requires a <= b;"')
-    mutate.add_argument("--cap", type=int, default=4096, help="family size cap")
+    mutate.add_argument("--cap", type=_at_least_one, default=4096, help="family size cap")
     mutate.add_argument("--limit", type=int, default=None, help="show at most N variants")
     mutate.set_defaults(func=cmd_mutate)
 

@@ -6,6 +6,7 @@ key, read at request time from the variable named by ``endpoint.api_key_env``.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
@@ -19,40 +20,13 @@ from .verifier import DEFAULT_RULES, FailureCategory, Rule, make_rules
 
 
 @dataclass(frozen=True)
-class EndpointSettings:
-    """Endpoint block: chat parameters plus the client mode."""
+class EndpointSettings(EndpointConfig):
+    """Endpoint block: the chat parameters plus how the client is built."""
 
-    base_url: str = "http://localhost:8000/v1"
-    model: str = "local-model"
-    temperature: float = 0.4
-    max_rounds: int = 10
-    shot_count: int = 4
-    api_key_env: str = "SPECSMITH_API_KEY"
-    request_timeout: float = 120.0
-    retries: int = 2
-    retry_backoff: float = 1.0
-    history_token_budget: int = 64000
     mode: str = "live"  # "live" | "scripted"
     script: str | None = None  # scripted mode: path to the response fixture
     shot_selection: str = "corpus-order"  # "corpus-order" | "random"
     shot_seed: int = 0  # only consulted when shot_selection is random
-
-    def to_endpoint_config(self) -> EndpointConfig:
-        try:
-            return EndpointConfig(
-                base_url=self.base_url,
-                model=self.model,
-                temperature=self.temperature,
-                max_rounds=self.max_rounds,
-                shot_count=self.shot_count,
-                api_key_env=self.api_key_env,
-                request_timeout=self.request_timeout,
-                retries=self.retries,
-                retry_backoff=self.retry_backoff,
-                history_token_budget=self.history_token_budget,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"endpoint: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -114,49 +88,6 @@ class PipelineConfig:
     report: ReportSettings = field(default_factory=ReportSettings)
 
 
-_SCALARS = (str, int, float, bool)
-
-
-def _coerce_scalar(value: Any, target: type, path: str) -> Any:
-    if target is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if target is int and isinstance(value, bool):
-        raise ConfigError(f"{path}: expected an integer, got a boolean")
-    if not isinstance(value, target):
-        raise ConfigError(f"{path}: expected {target.__name__}, got {type(value).__name__}")
-    return value
-
-
-def _load_section(cls, data: Any, path: str):
-    if data is None:
-        return cls()
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown configuration key: {path}.{sorted(unknown)[0]}")
-    kwargs: dict[str, Any] = {}
-    instance = cls()
-    for name, value in data.items():
-        current = getattr(instance, name)
-        key_path = f"{path}.{name}"
-        if value is None:
-            kwargs[name] = None
-            continue
-        if isinstance(current, bool):
-            kwargs[name] = _coerce_scalar(value, bool, key_path)
-        elif isinstance(current, int) and not isinstance(current, bool):
-            kwargs[name] = _coerce_scalar(value, int, key_path)
-        elif isinstance(current, float):
-            kwargs[name] = _coerce_scalar(value, float, key_path)
-        elif isinstance(current, str) or current is None:
-            kwargs[name] = _coerce_scalar(value, str, key_path) if not isinstance(value, (list, dict)) else value
-        else:
-            kwargs[name] = value
-    return replace(instance, **kwargs)
-
-
 def _parse_kinds(raw: Any) -> frozenset[MutationKind]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("mutation.kinds: expected a non-empty list of kind names")
@@ -186,20 +117,65 @@ def _parse_rules(raw: Any) -> tuple[Rule, ...]:
             raise ConfigError(
                 f"verifier.rules[{i}].category: {item['category']!r} is not one of {names}"
             ) from None
+        try:
+            re.compile(item["pattern"])
+        except (TypeError, re.error) as exc:
+            raise ConfigError(f"verifier.rules[{i}].pattern: {exc}") from None
         entries.append((item["pattern"], category))
     return make_rules(entries)
 
 
-_SECTIONS = {
-    "endpoint": EndpointSettings,
-    "verifier": VerifierSettings,
-    "weights": WeightTable,
-    "mutation": MutationSettings,
-    "strategy": StrategySettings,
-    "budgets": BudgetSettings,
-    "paths": PathSettings,
-    "report": ReportSettings,
+def _parse_truth(raw: Any) -> tuple[str, ...]:
+    if not isinstance(raw, list) or not all(isinstance(t, str) for t in raw):
+        raise ConfigError("verifier.mock_truth: expected a list of clause strings")
+    return tuple(raw)
+
+
+# Fields whose YAML form differs from their value: dotted path -> parser.
+_PARSERS = {
+    "mutation.kinds": _parse_kinds,
+    "verifier.rules": _parse_rules,
+    "verifier.mock_truth": _parse_truth,
 }
+
+
+def _load_value(default: Any, value: Any, path: str) -> Any:
+    """One field: null only where the default is null, else the default's type."""
+    if value is None and default is None:
+        return None
+    if path in _PARSERS:
+        return _PARSERS[path](value)
+    target = str if default is None else type(default)
+    if target is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if target is int and isinstance(value, bool):
+        raise ConfigError(f"{path}: expected an integer, got a boolean")
+    if not isinstance(value, target):
+        got = "null" if value is None else type(value).__name__
+        raise ConfigError(f"{path}: expected {target.__name__}, got {got}")
+    return value
+
+
+def _load_section(cls, data: Any, path: str):
+    if data is None:
+        return cls()
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    defaults = cls()
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown configuration key: {path}.{sorted(map(str, unknown))[0]}")
+    values = {
+        name: _load_value(getattr(defaults, name), value, f"{path}.{name}")
+        for name, value in data.items()
+    }
+    try:
+        return replace(defaults, **values)
+    except ValueError as exc:  # a range check in the section's own constructor
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+_SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)}
 
 
 def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
@@ -207,38 +183,15 @@ def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
         raise ConfigError("configuration root must be a mapping")
     unknown = set(data) - set(_SECTIONS)
     if unknown:
-        raise ConfigError(f"unknown configuration key: {sorted(unknown)[0]}")
-
-    sections: dict[str, Any] = {}
-    for name, cls in _SECTIONS.items():
-        raw = data.get(name)
-        if name == "mutation" and isinstance(raw, dict) and "kinds" in raw:
-            raw = dict(raw)
-            kinds = _parse_kinds(raw.pop("kinds"))
-            sections[name] = replace(_load_section(cls, raw, name), kinds=kinds)
-        elif name == "verifier" and isinstance(raw, dict):
-            raw = dict(raw)
-            rules = _parse_rules(raw.pop("rules")) if "rules" in raw else None
-            truth = raw.pop("mock_truth", None)
-            if truth is not None:
-                if not isinstance(truth, list) or not all(isinstance(t, str) for t in truth):
-                    raise ConfigError("verifier.mock_truth: expected a list of clause strings")
-                truth = tuple(truth)
-            section = _load_section(cls, raw, name)
-            if rules is not None:
-                section = replace(section, rules=rules)
-            section = replace(section, mock_truth=truth)
-            sections[name] = section
-        else:
-            sections[name] = _load_section(cls, raw, name)
-
-    config = PipelineConfig(**sections)
+        raise ConfigError(f"unknown configuration key: {sorted(map(str, unknown))[0]}")
+    config = PipelineConfig(
+        **{name: _load_section(cls, data.get(name), name) for name, cls in _SECTIONS.items()}
+    )
     _validate(config)
     return config
 
 
 def _validate(config: PipelineConfig) -> None:
-    config.endpoint.to_endpoint_config()  # rechecks temperature and rounds
     if config.endpoint.mode not in ("live", "scripted"):
         raise ConfigError("endpoint.mode: must be live or scripted")
     if config.endpoint.shot_selection not in ("corpus-order", "random"):
@@ -255,15 +208,16 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("budgets.pipeline_seconds: must be positive")
 
 
+def _read_yaml(path: str) -> Any:
+    try:
+        return yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
+
+
 def load_config(path: str | None) -> PipelineConfig:
     """Load the YAML config file; None yields the defaults."""
-    if path is None:
-        return PipelineConfig()
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
+    data = None if path is None else _read_yaml(path)
     if data is None:
         return PipelineConfig()
     if not isinstance(data, dict):
@@ -273,11 +227,7 @@ def load_config(path: str | None) -> PipelineConfig:
 
 def load_guidance_file(path: str) -> dict[FailureCategory, str]:
     """Category -> guidance text mapping from a YAML file."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
+    data = _read_yaml(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping of category to guidance text")
     guidance: dict[FailureCategory, str] = {}

@@ -8,7 +8,6 @@ last successfully extracted clause set is handed to the mutation phase.
 """
 from __future__ import annotations
 
-import json
 import os
 import re
 import time
@@ -110,14 +109,6 @@ class ScriptedChatClient:
         self.responses = list(responses)
         self.calls: list[list[Message]] = []
         self._next = 0
-
-    @classmethod
-    def from_file(cls, path: str) -> ScriptedChatClient:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, list) or not all(isinstance(r, str) for r in data):
-            raise ValueError(f"{path}: expected a JSON array of response strings")
-        return cls(data)
 
     def complete(self, messages: Sequence[Message], cfg: EndpointConfig) -> str:
         self.calls.append([dict(m) for m in messages])

@@ -28,10 +28,6 @@ class TypeMismatch(SpecError):
     """Clause kind and expression type disagree (e.g. a boolean decreases)."""
 
 
-class OrphanAnnotation(SpecError):
-    """An annotation line precedes neither a method header nor a loop."""
-
-
 class AnchorNotFound(SpecError):
     """A clause anchor does not resolve in the program source."""
 

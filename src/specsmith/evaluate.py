@@ -14,6 +14,7 @@ from typing import Any, Union
 
 from .clauses import Anchor
 from .errors import (
+    ConfigError,
     DivisionByZero,
     EvalTypeError,
     IndexOutOfRange,
@@ -340,6 +341,8 @@ def _encode_value(value: Value) -> Any:
 
 
 def record_from_dict(obj: dict[str, Any], context: str = "trace record") -> TraceRecord:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{context}: expected a JSON object")
     known = {"anchor", "phase", "bindings", "result", "old"}
     unknown = set(obj) - known
     if unknown:
@@ -347,7 +350,7 @@ def record_from_dict(obj: dict[str, Any], context: str = "trace record") -> Trac
     try:
         anchor = Anchor.from_key(obj["anchor"])
         phase = Phase(obj["phase"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, AttributeError) as exc:  # AttributeError: non-string anchor
         raise ValueError(f"{context}: {exc}") from exc
     bindings_raw = obj.get("bindings", {})
     if not isinstance(bindings_raw, dict):
@@ -383,16 +386,19 @@ def record_to_dict(record: TraceRecord) -> dict[str, Any]:
 
 
 def load_trace_file(path: str) -> list[TraceRecord]:
+    """One record per non-blank line; a bad line raises ConfigError naming it."""
     records: list[TraceRecord] = []
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            context = f"{path}:{line_no}"
             try:
-                obj = json.loads(line)
+                records.append(record_from_dict(json.loads(line), context=context))
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: bad JSON: {exc}") from exc
-            records.append(record_from_dict(obj, context=f"{path}:{line_no}"))
+                raise ConfigError(f"{context}: bad JSON: {exc}") from exc
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
     return records
 
 

@@ -17,7 +17,7 @@ from typing import Generator, Iterable, Iterator, Sequence
 
 from .clauses import Clause, render_clause
 from .errors import SitePathInvalid
-from .expr import Binary, Expr, IntLit, Quantifier, node_at, walk
+from .expr import Binary, Expr, IntLit, Quantifier, node_at, replace_at, walk
 
 
 class MutationKind(Enum):
@@ -94,7 +94,6 @@ class MutationChoice:
 @dataclass(frozen=True)
 class Variant:
     expr: Expr
-    template_id: str
     counts: tuple[tuple[MutationKind, int], ...]  # all four kinds, fixed order
     choices: tuple[MutationChoice, ...]
     text: str  # canonical rendered clause line
@@ -121,7 +120,6 @@ class Family:
     def __init__(
         self,
         template: Clause,
-        template_id: str,
         raw_count: int,
         cap: int,
         template_variant: Variant,
@@ -129,7 +127,6 @@ class Family:
         built: list[Variant],
     ):
         self.template = template
-        self.template_id = template_id
         self.template_variant = template_variant  # the zero-mutation member
         self.raw_count = raw_count
         self.cap = cap
@@ -204,7 +201,7 @@ def apply_choice(expr: Expr, choice: MutationChoice) -> Expr:
     except IndexError as exc:
         raise SitePathInvalid(f"path {site.path} does not resolve") from exc
     rewritten = _rewrite(node, site, choice.replacement)
-    return _replace_at(expr, site.path, rewritten)
+    return replace_at(expr, site.path, rewritten)
 
 
 def _rewrite(node: Expr, site: MutationSite, replacement: str) -> Expr:
@@ -222,13 +219,6 @@ def _rewrite(node: Expr, site: MutationSite, replacement: str) -> Expr:
     if replacement == INC_LHS:
         return Binary(">=", Binary("+", node.lhs, IntLit(1)), node.rhs)
     return Binary(replacement, node.lhs, node.rhs)
-
-
-def _replace_at(expr: Expr, path: tuple[int, ...], new_node: Expr) -> Expr:
-    if not path:
-        return new_node
-    child = _replace_at(expr.children()[path[0]], path[1:], new_node)
-    return expr.replace_child(path[0], child)
 
 
 def _apply_combination(
@@ -267,13 +257,12 @@ def _make_counts(choices: Sequence[MutationChoice]) -> tuple[tuple[MutationKind,
     return tuple((kind, tally[kind]) for kind in MutationKind)
 
 
-def _build_variant(template: Clause, template_id: str, choices: tuple[MutationChoice, ...]) -> Variant:
+def _build_variant(template: Clause, choices: tuple[MutationChoice, ...]) -> Variant:
     chosen = {c.site.path: (c.site, c.replacement) for c in choices}
     expr = _apply_combination(template.expr, chosen) if chosen else template.expr
     clause = template.with_expr(expr)
     return Variant(
         expr=expr,
-        template_id=template_id,
         counts=_make_counts(choices),
         choices=choices,
         text=render_clause(clause),
@@ -299,7 +288,6 @@ def enumerate_variants(
         raise ValueError("cap must be at least 1")
     weights = weights or DEFAULT_WEIGHTS
     enabled = set(kinds)
-    template_id = template.id or f"unanchored/{template.kind.value}/0"
     sites = [s for s in enumerate_sites(template.expr) if s.kind in enabled]
 
     # Per-site options ordered best score first: (score delta, replacement).
@@ -314,10 +302,10 @@ def enumerate_variants(
         options.append(site_options)
         raw_count *= len(site_options)
 
-    template_variant = _build_variant(template, template_id, ())
+    template_variant = _build_variant(template, ())
     built: list[Variant] = []
     levels = _walk_levels(template, template_variant, sites, options, cap, weights, built)
-    family = Family(template, template_id, raw_count, cap, template_variant, levels, built)
+    family = Family(template, raw_count, cap, template_variant, levels, built)
     template_leads = all(delta < 0 for site_options in options for delta, _ in site_options[1:])
     if raw_count > cap and not template_leads:
         # Unless every rewrite lowers the score, the template can miss the
@@ -345,7 +333,7 @@ def _walk_levels(
             for i, idx in enumerate(assignment)
             if options[i][idx][1] is not None
         )
-        return _build_variant(template, template_variant.template_id, choices)
+        return _build_variant(template, choices)
 
     # Best-first walk over assignments: pop everything at one score, order
     # that batch by text, emit, then descend to the next score. A neighbor

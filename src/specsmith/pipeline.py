@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
 
-from .clauses import render_clause
+from .clauses import extract_annotations, render_clause
 from .config import PipelineConfig, load_guidance_file
 from .conversation import (
     ChatClient,
@@ -39,24 +39,20 @@ def load_corpus(corpus_dir: str | None = None) -> list[tuple[str, str]]:
     Reads ``*.java`` files (each stored annotated) in filename order;
     the bare program is recovered by stripping the annotations.
     """
-    from .clauses import extract_annotations
-
+    root = (
+        resources.files("specsmith").joinpath("corpus")
+        if corpus_dir is None
+        else Path(corpus_dir)
+    )
     pairs: list[tuple[str, str]] = []
-    if corpus_dir is not None:
-        paths = sorted(Path(corpus_dir).glob("*.java"))
-        texts = [(p.name, p.read_text(encoding="utf-8")) for p in paths]
-    else:
-        root = resources.files("specsmith").joinpath("corpus")
-        texts = sorted(
-            (entry.name, entry.read_text(encoding="utf-8"))
-            for entry in root.iterdir()
-            if entry.name.endswith(".java")
-        )
-    for name, annotated in texts:
+    for entry in sorted(root.iterdir(), key=lambda e: e.name):
+        if not entry.name.endswith(".java"):
+            continue
+        annotated = entry.read_text(encoding="utf-8")
         try:
             program = extract_annotations(annotated).source
         except SpecError as exc:
-            raise ConfigError(f"corpus example {name} is not extractable: {exc}") from exc
+            raise ConfigError(f"corpus example {entry.name} is not extractable: {exc}") from exc
         pairs.append((program, annotated))
     return pairs
 
@@ -91,18 +87,18 @@ def load_script(path: str) -> list[list[str]]:
     same responses) or an array of such arrays (attempt i uses entry i,
     cycling when there are more attempts than entries).
     """
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if isinstance(data, list) and all(isinstance(r, str) for r in data):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+
+    def string_list(item) -> bool:
+        return isinstance(item, list) and all(isinstance(r, str) for r in item)
+
+    if string_list(data):
         return [data]
-    if (
-        isinstance(data, list)
-        and data
-        and all(
-            isinstance(attempt, list) and all(isinstance(r, str) for r in attempt)
-            for attempt in data
-        )
-    ):
+    if isinstance(data, list) and data and all(string_list(attempt) for attempt in data):
         return data
     raise ConfigError(f"{path}: expected a JSON array of strings or array of arrays")
 
@@ -180,7 +176,7 @@ def run_pipeline(
     try:
         verified, transcript = run_conversation(
             program,
-            config.endpoint.to_endpoint_config(),
+            config.endpoint,
             context.verifier,
             client,
             shots=context.shots,

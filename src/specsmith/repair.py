@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
-from .clauses import AnnotatedProgram, Clause
-from .errors import TimeoutBudgetExceeded, UnknownClause
+from .clauses import AnnotatedProgram, Clause, render_clause
+from .errors import SpecError, TimeoutBudgetExceeded, UnknownClause
 from .mutation import (
     ALL_KINDS,
     Family,
@@ -123,12 +123,22 @@ def spec_mutation(
     cap: int = 4096,
     weights: WeightTable | None = None,
 ) -> dict[str, Family]:
-    """Enumerate one family per template, keyed by template id."""
-    families: dict[str, Family] = {}
+    """Enumerate one family per template, keyed by template id.
+
+    Every template needs its own non-empty id (extraction assigns them), so
+    that no two templates share a family and every refutation finds its slot.
+    """
+    seen: set[str] = set()
     for template in templates:
-        family = enumerate_variants(template, kinds=kinds, cap=cap, weights=weights)
-        families[family.template_id] = family
-    return families
+        if not template.id:
+            raise SpecError(f"template {render_clause(template)!r} has an empty clause id")
+        if template.id in seen:
+            raise SpecError(f"clause id {template.id!r} is repeated across templates")
+        seen.add(template.id)
+    return {
+        template.id: enumerate_variants(template, kinds=kinds, cap=cap, weights=weights)
+        for template in templates
+    }
 
 
 def init_state(families: dict[str, Family]) -> SelectionState:

@@ -204,6 +204,12 @@ class TestMutate:
         assert code == 0
         assert "note: enumeration truncated at cap 2" in captured.out
 
+    def test_cap_below_one_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["mutate", "requires a <= b;", "--cap", "0"])
+        assert info.value.code == 2
+        assert "--cap: must be at least 1" in capsys.readouterr().err
+
     def test_syntax_error_exits_one(self, capsys):
         code = main(["mutate", "requires a + ;"])
         assert code == 1
@@ -252,6 +258,20 @@ class TestVerify:
         assert code == 0
         assert "holds only for the recorded executions" in captured.out
 
+    def test_null_config_value_is_one_error_line(self, workspace, capsys):
+        config = workspace / "config.yaml"
+        data = yaml.safe_load(config.read_text(encoding="utf-8"))
+        data["endpoint"]["max_rounds"] = None
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        code = main(
+            ["verify", str(workspace / "AbsAnnotated.java"), "--config", str(config)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.splitlines() == [
+            "error: endpoint.max_rounds: expected int, got null"
+        ]
+
 
 class TestEval:
     def test_pass(self, workspace, capsys):
@@ -285,6 +305,18 @@ class TestEval:
             ]
         )
         assert code == 2
+
+    def test_malformed_record_names_its_line(self, workspace, capsys):
+        trace = workspace / "trace.jsonl"
+        bogus = dict(TRACE_RECORDS[0], phase="bogus")
+        trace.write_text(
+            trace.read_text(encoding="utf-8") + json.dumps(bogus) + "\n", encoding="utf-8"
+        )
+        code = main(["eval", str(workspace / "AbsAnnotated.java"), str(trace)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {trace}:3: ")
+        assert "'bogus' is not a valid Phase" in err
 
 
 class TestRepair:

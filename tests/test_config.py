@@ -3,13 +3,13 @@ import pytest
 import yaml
 
 from specsmith.config import (
-    EndpointSettings,
     PipelineConfig,
     VerifierSettings,
     config_from_dict,
     load_config,
     load_guidance_file,
 )
+from specsmith.conversation import EndpointConfig
 from specsmith.errors import ConfigError
 from specsmith.mutation import ALL_KINDS, MutationKind
 from specsmith.verifier import DEFAULT_RULES, FailureCategory
@@ -203,6 +203,33 @@ class TestRejection:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("endpoint", "max_rounds", None),
+            ("endpoint", "temperature", None),
+            ("mutation", "variant_cap", None),
+            ("budgets", "pipeline_seconds", None),
+            ("weights", "comparative", None),
+            ("strategy", "seed", None),
+            ("report", "deterministic_clock", None),
+            ("paths", "corpus_dir", {"a": 1}),
+            ("endpoint", "script", [1, 2]),
+            ("paths", "output_dir", ["x"]),
+            ("verifier", "rules", [{"pattern": "(", "category": "syntax-error"}]),
+            ("verifier", "rules", [{"pattern": 5, "category": "syntax-error"}]),
+        ],
+    )
+    def test_wrong_type_names_dotted_path(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}\b"):
+            config_from_dict({section: {key: value}})
+
+    def test_null_allowed_where_default_is_null(self):
+        config = config_from_dict(
+            {"endpoint": {"script": None}, "verifier": {"mock_truth": None}}
+        )
+        assert config == PipelineConfig()
+
     def test_mock_truth_must_be_string_list(self):
         with pytest.raises(ConfigError, match="mock_truth: expected a list"):
             config_from_dict({"verifier": {"adapter": "mock", "mock_truth": [1]}})
@@ -281,18 +308,13 @@ class TestEffectiveFailuresPerCall:
         assert settings.effective_failures_per_call() == "all"
 
 
-class TestEndpointBridge:
-    def test_settings_map_onto_chat_config(self):
-        settings = EndpointSettings(model="m", max_rounds=3, shot_count=1)
-        cfg = settings.to_endpoint_config()
-        assert cfg.model == "m"
-        assert cfg.max_rounds == 3
-        assert cfg.shot_count == 1
-
-    def test_mode_fields_stay_behind(self):
-        cfg = EndpointSettings(mode="scripted", script="x.json").to_endpoint_config()
-        assert not hasattr(cfg, "mode")
-        assert not hasattr(cfg, "script")
+class TestEndpointBlock:
+    def test_loaded_block_is_the_chat_config(self):
+        endpoint = config_from_dict(
+            {"endpoint": {"model": "m", "max_rounds": 3, "mode": "scripted"}}
+        ).endpoint
+        assert isinstance(endpoint, EndpointConfig)
+        assert (endpoint.model, endpoint.max_rounds, endpoint.mode) == ("m", 3, "scripted")
 
 
 class TestGuidanceFile:

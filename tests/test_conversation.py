@@ -378,23 +378,6 @@ class TestScriptedChatClient:
         with pytest.raises(ScriptExhausted):
             client.complete([], EndpointConfig())
 
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "responses.json"
-        path.write_text(json.dumps(["alpha", "beta"]), encoding="utf-8")
-        client = ScriptedChatClient.from_file(str(path))
-        assert client.responses == ["alpha", "beta"]
-
-    def test_from_file_rejects_non_array(self, tmp_path):
-        path = tmp_path / "responses.json"
-        path.write_text(json.dumps({"responses": []}), encoding="utf-8")
-        with pytest.raises(ValueError, match="JSON array"):
-            ScriptedChatClient.from_file(str(path))
-
-    def test_from_file_rejects_non_string_entries(self, tmp_path):
-        path = tmp_path / "responses.json"
-        path.write_text(json.dumps(["ok", 7]), encoding="utf-8")
-        with pytest.raises(ValueError, match="JSON array"):
-            ScriptedChatClient.from_file(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Expression evaluation against trace records, and trace file round trips."""
 import json
 import random
+import re
 
 import pytest
 
 from specsmith.errors import (
+    ConfigError,
     DivisionByZero,
     EvalTypeError,
     IndexOutOfRange,
@@ -203,6 +205,22 @@ class TestTraceIO:
         dump_trace_file(str(path), records)
         loaded = load_trace_file(str(path))
         assert loaded == records
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "bad JSON"),
+            ('{"anchor": "method:f", "phase": "bogus", "bindings": {}}', "not a valid Phase"),
+            ("[1, 2]", "expected a JSON object"),
+            ('{"anchor": 5, "phase": "pre", "bindings": {}}', "'int' object"),
+        ],
+    )
+    def test_malformed_line_is_config_error_naming_it(self, tmp_path, line, message):
+        path = tmp_path / "trace.jsonl"
+        good = json.dumps({"anchor": "method:f", "phase": "pre", "bindings": {}})
+        path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:3: .*{message}"):
+            load_trace_file(str(path))
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):

@@ -204,8 +204,15 @@ class TestLoadScript:
 
     def test_rejects_mixed_entries(self, tmp_path):
         path = tmp_path / "script.json"
-        path.write_text(json.dumps(["a", ["b"]]), encoding="utf-8")
-        with pytest.raises(ConfigError):
+        for data in (["a", ["b"]], ["ok", 7]):
+            path.write_text(json.dumps(data), encoding="utf-8")
+            with pytest.raises(ConfigError):
+                load_script(str(path))
+
+    def test_bad_json_names_the_file(self, tmp_path):
+        path = tmp_path / "script.json"
+        path.write_text('["a", ', encoding="utf-8")
+        with pytest.raises(ConfigError, match="script.json: not valid JSON"):
             load_script(str(path))
 
 

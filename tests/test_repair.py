@@ -4,8 +4,8 @@ import random
 import pytest
 from conftest import RandomizedVerifier, gen_mutation_clause, select_by_heuristic
 
-from specsmith.clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, render_clause
-from specsmith.errors import TimeoutBudgetExceeded, UnknownClause
+from specsmith.clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, parse_clause, render_clause
+from specsmith.errors import SpecError, TimeoutBudgetExceeded, UnknownClause
 from specsmith.expr import render_expr
 from specsmith.mutation import (
     DEFAULT_WEIGHTS,
@@ -200,6 +200,26 @@ class TestStateMechanics:
         with pytest.raises(UnknownClause):
             re_select(state, ["method:check/ensures/0"], HeuristicStrategy(), iteration=1)
 
+    def test_id_less_templates_are_rejected(self):
+        # Both used to land in one family keyed "unanchored/requires/0".
+        templates = [parse_clause("requires a < b;"), parse_clause("requires b < c;")]
+        with pytest.raises(SpecError, match="'//@ requires a < b;' has an empty clause id"):
+            spec_mutation(templates)
+
+    def test_id_less_template_fails_before_any_verifier_call(self):
+        # Used to raise UnknownClause at the first refutation.
+        program = AnnotatedProgram(SOURCE, (parse_clause("requires a < b;"),))
+        verifier = MockVerifier(truth=frozenset())
+        with pytest.raises(SpecError, match="empty clause id") as info:
+            mutation_based_gen(program, verifier, HeuristicStrategy())
+        assert not isinstance(info.value, UnknownClause)
+        assert verifier.calls == []
+
+    def test_repeated_ids_are_rejected(self):
+        clause = make_program("a <= b").clauses[0]
+        with pytest.raises(SpecError, match="'method:check/requires/0' is repeated"):
+            spec_mutation([clause, clause.with_expr(parse_expr("b <= c"))])
+
     def test_kind_filter_threads_through(self):
         program = make_program("a + 1 <= b")
         families = spec_mutation(program.clauses, kinds={MutationKind.ARITHMETIC})
@@ -239,7 +259,7 @@ class TestThrashWarning:
         built_before = []
         while not state.thrash_warnings:
             built_before.append(len(slot.family._built))
-            re_select(state, [slot.family.template_id], HeuristicStrategy(), len(built_before))
+            re_select(state, [slot.family.template.id], HeuristicStrategy(), len(built_before))
         fired_at, built, size = expected
         assert (slot.replacements, built_before[-1], len(slot.family)) == expected
         assert state.thrash_warnings == [
@@ -287,7 +307,7 @@ class TestLazySelection:
                 self.picks = 0
 
             def pick(self, slot):
-                live = self.live[slot.family.template_id]
+                live = self.live[slot.family.template.id]
                 live.remove(slot.selected)  # the variant just refuted
                 got = HeuristicStrategy().pick(slot)
                 assert got == select_by_heuristic(live, self.weights)
