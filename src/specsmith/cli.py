@@ -21,6 +21,7 @@ from .pipeline import (
     aggregate_entries,
     build_strategy,
     build_verifier,
+    load_entries,
     run_batch,
     summary_table,
     write_report,
@@ -50,6 +51,13 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
 def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config)
     strategy = config.strategy
@@ -64,7 +72,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args)
     programs = []
     for path in args.files:
-        programs.append((Path(path).stem, Path(path).read_text(encoding="utf-8")))
+        programs.append((Path(path).stem, _read_text(path)))
     entries, summary = run_batch(programs, config, attempts=args.attempts)
     out_dir = args.out or config.paths.output_dir
     entries_path, summary_path = write_report(out_dir, entries, summary)
@@ -93,7 +101,7 @@ def cmd_mutate(args: argparse.Namespace) -> int:
 
 def cmd_repair(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args)
-    program = extract_annotations(Path(args.file).read_text(encoding="utf-8"))
+    program = extract_annotations(_read_text(args.file))
     result = mutation_based_gen(
         program,
         build_verifier(config),
@@ -120,14 +128,14 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args)
-    program = extract_annotations(Path(args.file).read_text(encoding="utf-8"))
+    program = extract_annotations(_read_text(args.file))
     verdict = build_verifier(config).verify(program)
     _print_verdict(verdict)
     return 0 if verdict.outcome is Outcome.PASS else 1
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    program = extract_annotations(Path(args.file).read_text(encoding="utf-8"))
+    program = extract_annotations(_read_text(args.file))
     verifier = TraceVerifier(load_trace_file(args.trace))
     verdict = verifier.verify(program)
     _print_verdict(verdict)
@@ -135,13 +143,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    entries_path = Path(args.dir) / "entries.jsonl"
-    entries = []
-    with open(entries_path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                entries.append(json.loads(line))
-    summary = aggregate_entries(entries)
+    summary = aggregate_entries(load_entries(Path(args.dir) / "entries.jsonl"))
     if args.json:
         print(json.dumps(summary, sort_keys=True, indent=2))
     else:

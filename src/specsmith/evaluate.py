@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Union
+from pathlib import Path
+from typing import Any, Iterator, Union
 
 from .clauses import Anchor
 from .errors import (
@@ -385,20 +386,35 @@ def record_to_dict(record: TraceRecord) -> dict[str, Any]:
     return obj
 
 
+def read_json_lines(path: str | Path) -> Iterator[tuple[str, Any]]:
+    """(``path:line``, value) for each non-blank line of a JSON-lines file.
+
+    A line that is not UTF-8 or not JSON raises ConfigError naming it.
+    """
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            context = f"{path}:{line_no}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{context}: not valid UTF-8: {exc}") from exc
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{context}: bad JSON: {exc}") from exc
+            yield context, value
+
+
 def load_trace_file(path: str) -> list[TraceRecord]:
     """One record per non-blank line; a bad line raises ConfigError naming it."""
     records: list[TraceRecord] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            context = f"{path}:{line_no}"
-            try:
-                records.append(record_from_dict(json.loads(line), context=context))
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{context}: bad JSON: {exc}") from exc
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+    for context, obj in read_json_lines(path):
+        try:
+            records.append(record_from_dict(obj, context=context))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return records
 
 

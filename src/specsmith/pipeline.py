@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .clauses import extract_annotations, render_clause
 from .config import PipelineConfig, load_guidance_file
@@ -25,7 +25,7 @@ from .conversation import (
     run_conversation,
 )
 from .errors import ConfigError, SpecError
-from .evaluate import load_trace_file
+from .evaluate import load_trace_file, read_json_lines
 from .repair import HeuristicStrategy, RandomStrategy, SelectionStrategy, mutation_based_gen
 from .verifier import ExecConfig, ExecVerifier, MockVerifier, TraceVerifier, Verifier
 
@@ -48,10 +48,10 @@ def load_corpus(corpus_dir: str | None = None) -> list[tuple[str, str]]:
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if not entry.name.endswith(".java"):
             continue
-        annotated = entry.read_text(encoding="utf-8")
         try:
+            annotated = entry.read_text(encoding="utf-8")
             program = extract_annotations(annotated).source
-        except SpecError as exc:
+        except (SpecError, UnicodeDecodeError) as exc:
             raise ConfigError(f"corpus example {entry.name} is not extractable: {exc}") from exc
         pairs.append((program, annotated))
     return pairs
@@ -103,13 +103,18 @@ def load_script(path: str) -> list[list[str]]:
     raise ConfigError(f"{path}: expected a JSON array of strings or array of arrays")
 
 
+def client_factory(config: PipelineConfig) -> Callable[[int], ChatClient]:
+    """attempt -> chat client; a scripted endpoint's file is read once, here."""
+    if config.endpoint.mode != "scripted":
+        return lambda attempt: HttpChatClient()
+    if not config.endpoint.script:
+        raise ConfigError("endpoint.script: required when endpoint.mode is scripted")
+    scripts = load_script(config.endpoint.script)
+    return lambda attempt: ScriptedChatClient(scripts[attempt % len(scripts)])
+
+
 def build_client(config: PipelineConfig, attempt: int = 0) -> ChatClient:
-    if config.endpoint.mode == "scripted":
-        if not config.endpoint.script:
-            raise ConfigError("endpoint.script: required when endpoint.mode is scripted")
-        scripts = load_script(config.endpoint.script)
-        return ScriptedChatClient(scripts[attempt % len(scripts)])
-    return HttpChatClient()
+    return client_factory(config)(attempt)
 
 
 def build_strategy(config: PipelineConfig, attempt: int = 0) -> SelectionStrategy:
@@ -243,11 +248,11 @@ def run_batch(
     attempts: int = 1,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     context = make_context(config)
+    clients = client_factory(config)
     entries: list[dict[str, Any]] = []
     for name, program in programs:
         for attempt in range(attempts):
-            client = build_client(config, attempt)
-            entries.append(run_pipeline(name, program, context, client, attempt))
+            entries.append(run_pipeline(name, program, context, clients(attempt), attempt))
     summary = aggregate_entries(entries)
     summary["strategy"] = config.strategy.name
     return entries, summary
@@ -281,6 +286,33 @@ def aggregate_entries(entries: Sequence[dict[str, Any]]) -> dict[str, Any]:
         "mean_verifier_calls": statistics.mean(total_calls) if total_calls else 0.0,
         "variant_dedup": True,
     }
+
+
+# The fields aggregate_entries reads, with the type each must have.
+_ENTRY_FIELDS = {
+    "program": str,
+    "outcome": str,
+    "verifier_calls_conversation": int,
+    "verifier_calls_repair": int,
+}
+
+
+def load_entries(path: Path) -> list[dict[str, Any]]:
+    """Entry records from a report's ``entries.jsonl``; a bad line raises
+    ConfigError naming it."""
+    entries: list[dict[str, Any]] = []
+    for context, entry in read_json_lines(path):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{context}: expected a JSON object")
+        for name, kind in _ENTRY_FIELDS.items():
+            if name not in entry:
+                raise ConfigError(f"{context}: entry has no {name!r} field")
+            if not isinstance(entry[name], kind):
+                raise ConfigError(
+                    f"{context}: {name}: expected {kind.__name__}, got {entry[name]!r}"
+                )
+        entries.append(entry)
+    return entries
 
 
 def write_report(

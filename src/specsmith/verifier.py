@@ -14,12 +14,13 @@ import shlex
 import subprocess
 import tempfile
 import time
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
-from .clauses import AnnotatedProgram, ClauseKind, instrument_with_lines
+from .clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, instrument_with_lines
 from .errors import CommandNotFound, ConfigError, EvalError, ScriptExhausted
 from .evaluate import Phase, TraceRecord, eval_expr
 from .expr import render_expr
@@ -241,128 +242,165 @@ def verify_trace(
     as type-error failures. A pass only means no counterexample appears in
     the given traces, hence the coverage caveat on every verdict.
     """
-    started = time.monotonic()
-    failures: list[FailureReport] = []
-    for clause in program.clauses:
-        report = (
-            _check_decreases(clause, traces)
-            if clause.kind is ClauseKind.DECREASES
-            else _check_pointwise(clause, traces)
-        )
-        if report is not None:
-            failures.append(report)
-    if failures_per_call == "one" and len(failures) > 1:
-        failures = failures[:1]
-    wall = time.monotonic() - started
-    if failures:
-        return VerifierVerdict(
-            Outcome.FAIL, tuple(failures), wall_time=wall, coverage_caveat=True
-        )
-    return VerifierVerdict(Outcome.PASS, wall_time=wall, coverage_caveat=True)
+    return TraceVerifier(traces, failures_per_call).verify(program)
 
 
-def _clause_label(clause) -> str:
+# A failure report minus its clause id: what one (kind, anchor, expression)
+# earns against the traces, whichever clause id carries it.
+_Refutation = tuple[str, FailureCategory]
+
+
+class _TraceIndex:
+    """Positions of the records each clause reads, found in one pass.
+
+    ``pointwise`` maps (phase, anchor) to the positions of its records;
+    ``by_method`` maps a method name to the positions of its pre/post
+    boundary records (loop-free anchor) and its iter records, which is all a
+    decreases clause walks. Positions ascend, so walks keep trace order and
+    failure messages cite the original record index.
+    """
+
+    __slots__ = ("traces", "pointwise", "by_method")
+
+    def __init__(self, traces: tuple[TraceRecord, ...]):
+        self.traces = traces
+        self.pointwise: dict[tuple[Phase, Anchor], array] = {}
+        self.by_method: dict[str, array] = {}
+        for position, record in enumerate(traces):
+            key = (record.phase, record.anchor)
+            self.pointwise.setdefault(key, array("L")).append(position)
+            if record.phase is Phase.ITER or record.anchor.loop is None:
+                self.by_method.setdefault(record.anchor.method, array("L")).append(position)
+
+    def records(self, positions: array | None) -> Iterator[tuple[int, TraceRecord]]:
+        """(original index, record) pairs; an unknown key reads none."""
+        traces = self.traces
+        return ((position, traces[position]) for position in positions or ())
+
+
+_UNSEEN = object()
+
+
+class TraceVerifier:
+    """The trace adapter: :func:`verify_trace` over one fixed trace.
+
+    The records are indexed on the first ``verify``. Each distinct
+    (kind, anchor, expression) is checked once; its outcome is kept, keyed by
+    the rendered expression, and re-stamped with the clause id of every later
+    clause that repeats it, so memory grows with the number of distinct
+    clauses seen.
+    """
+
+    def __init__(self, traces: Sequence[TraceRecord], failures_per_call: str = "all"):
+        self.traces = tuple(traces)
+        self.failures_per_call = failures_per_call
+        self._index: _TraceIndex | None = None
+        self._refutations: dict[tuple[ClauseKind, Anchor | None, str], _Refutation | None] = {}
+
+    def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
+        started = time.monotonic()
+        if self._index is None:
+            self._index = _TraceIndex(self.traces)
+        failures: list[FailureReport] = []
+        for clause in program.clauses:
+            # Rendering is exact: parse(render(e)) == e for every expression.
+            key = (clause.kind, clause.anchor, render_expr(clause.expr))
+            refutation = self._refutations.get(key, _UNSEEN)
+            if refutation is _UNSEEN:
+                refutation = self._refutations[key] = _refute(clause, self._index)
+            if refutation is not None:
+                message, category = refutation
+                failures.append(FailureReport(message, category, clause_id=clause.id))
+                if self.failures_per_call == "one":
+                    break  # only the first failure is reported
+        wall = time.monotonic() - started
+        if failures:
+            return VerifierVerdict(
+                Outcome.FAIL, tuple(failures), wall_time=wall, coverage_caveat=True
+            )
+        return VerifierVerdict(Outcome.PASS, wall_time=wall, coverage_caveat=True)
+
+
+def _refute(clause: Clause, index: _TraceIndex) -> _Refutation | None:
+    if clause.kind is ClauseKind.DECREASES:
+        method = clause.anchor.method if clause.anchor is not None else None
+        return _check_decreases(clause, index.records(index.by_method.get(method)))
+    key = (_PHASE_FOR_KIND[clause.kind], clause.anchor)
+    return _check_pointwise(clause, index.records(index.pointwise.get(key)))
+
+
+def _clause_label(clause: Clause) -> str:
     return f"{clause.kind.value} {render_expr(clause.expr)}"
 
 
-def _check_pointwise(clause, traces: Sequence[TraceRecord]) -> FailureReport | None:
-    phase = _PHASE_FOR_KIND[clause.kind]
-    for index, record in enumerate(traces):
-        if record.phase is not phase or record.anchor != clause.anchor:
-            continue
+def _check_pointwise(
+    clause: Clause, records: Iterator[tuple[int, TraceRecord]]
+) -> _Refutation | None:
+    """``records`` are exactly the clause's (phase, anchor) records."""
+    for index, record in records:
         try:
             value = eval_expr(clause.expr, record)
         except EvalError as exc:
-            return FailureReport(
-                raw_message=(
-                    f"cannot evaluate {_clause_label(clause)} "
-                    f"at trace record {index}: {exc}"
-                ),
-                category=FailureCategory.TYPE_ERROR,
-                clause_id=clause.id,
+            return (
+                f"cannot evaluate {_clause_label(clause)} at trace record {index}: {exc}",
+                FailureCategory.TYPE_ERROR,
             )
         if value is not True:
-            return FailureReport(
-                raw_message=(
-                    f"{_clause_label(clause)} is falsified by trace record {index}"
-                ),
-                category=_CATEGORY_FOR_KIND[clause.kind],
-                clause_id=clause.id,
+            return (
+                f"{_clause_label(clause)} is falsified by trace record {index}",
+                _CATEGORY_FOR_KIND[clause.kind],
             )
     return None
 
 
-def _check_decreases(clause, traces: Sequence[TraceRecord]) -> FailureReport | None:
-    method = clause.anchor.method if clause.anchor is not None else None
+def _check_decreases(
+    clause: Clause, records: Iterator[tuple[int, TraceRecord]]
+) -> _Refutation | None:
+    """``records`` are the boundary and iter records of the clause's method."""
+    loop = clause.anchor.loop if clause.anchor is not None else None
     activation: list[tuple[int, int]] = []  # (record index, measure value)
 
-    def check_activation() -> FailureReport | None:
+    def check_activation() -> _Refutation | None:
         for position, (index, value) in enumerate(activation):
             if value < 0:
-                return FailureReport(
-                    raw_message=(
-                        f"{_clause_label(clause)} is negative ({value}) "
-                        f"at trace record {index}"
-                    ),
-                    category=FailureCategory.NONTERMINATION_DECREASES,
-                    clause_id=clause.id,
+                return (
+                    f"{_clause_label(clause)} is negative ({value}) "
+                    f"at trace record {index}",
+                    FailureCategory.NONTERMINATION_DECREASES,
                 )
             if position > 0 and value >= activation[position - 1][1]:
-                return FailureReport(
-                    raw_message=(
-                        f"{_clause_label(clause)} fails to strictly decrease "
-                        f"({activation[position - 1][1]} then {value}) "
-                        f"at trace record {index}"
-                    ),
-                    category=FailureCategory.NONTERMINATION_DECREASES,
-                    clause_id=clause.id,
+                return (
+                    f"{_clause_label(clause)} fails to strictly decrease "
+                    f"({activation[position - 1][1]} then {value}) "
+                    f"at trace record {index}",
+                    FailureCategory.NONTERMINATION_DECREASES,
                 )
         return None
 
-    for index, record in enumerate(traces):
-        boundary = (
-            record.phase in (Phase.PRE, Phase.POST)
-            and record.anchor.loop is None
-            and record.anchor.method == method
-        )
-        if boundary:
-            report = check_activation()
-            if report is not None:
-                return report
+    for index, record in records:
+        if record.phase is not Phase.ITER:  # a pre/post boundary of the method
+            refutation = check_activation()
+            if refutation is not None:
+                return refutation
             activation = []
             continue
-        if record.phase is Phase.ITER and record.anchor == clause.anchor:
-            try:
-                value = eval_expr(clause.expr, record)
-            except EvalError as exc:
-                return FailureReport(
-                    raw_message=(
-                        f"cannot evaluate {_clause_label(clause)} "
-                        f"at trace record {index}: {exc}"
-                    ),
-                    category=FailureCategory.TYPE_ERROR,
-                    clause_id=clause.id,
-                )
-            if isinstance(value, bool) or not isinstance(value, int):
-                return FailureReport(
-                    raw_message=(
-                        f"{_clause_label(clause)} must be integer-valued, "
-                        f"got {value!r} at trace record {index}"
-                    ),
-                    category=FailureCategory.TYPE_ERROR,
-                    clause_id=clause.id,
-                )
-            activation.append((index, value))
+        if record.anchor.loop != loop:  # an iteration of another loop
+            continue
+        try:
+            value = eval_expr(clause.expr, record)
+        except EvalError as exc:
+            return (
+                f"cannot evaluate {_clause_label(clause)} at trace record {index}: {exc}",
+                FailureCategory.TYPE_ERROR,
+            )
+        if isinstance(value, bool) or not isinstance(value, int):
+            return (
+                f"{_clause_label(clause)} must be integer-valued, "
+                f"got {value!r} at trace record {index}",
+                FailureCategory.TYPE_ERROR,
+            )
+        activation.append((index, value))
     return check_activation()
-
-
-class TraceVerifier:
-    def __init__(self, traces: Sequence[TraceRecord], failures_per_call: str = "all"):
-        self.traces = list(traces)
-        self.failures_per_call = failures_per_call
-
-    def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
-        return verify_trace(program, self.traces, self.failures_per_call)
 
 
 # --- Scripted mock ----------------------------------------------------------

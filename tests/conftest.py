@@ -7,7 +7,14 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from specsmith.clauses import AnnotatedProgram, render_clause
+from specsmith.clauses import (
+    Anchor,
+    AnnotatedProgram,
+    Clause,
+    ClauseKind,
+    parse_clause,
+    render_clause,
+)
 from specsmith.errors import (
     DivisionByZero,
     EvalError,
@@ -17,7 +24,7 @@ from specsmith.errors import (
     UnboundVariable,
     UnboundedQuantifier,
 )
-from specsmith.evaluate import NULL, Phase, TraceRecord
+from specsmith.evaluate import NULL, Phase, TraceRecord, eval_expr
 from specsmith.expr import (
     ArrayIndex,
     Binary,
@@ -227,6 +234,169 @@ def select_by_heuristic(variants, weights):
     if not variants:
         return None
     return min(variants, key=lambda v: (-score_variant(v, weights), v.text))
+
+
+# ---------------------------------------------------------------------------
+# Trace-check oracle: the linear scan the trace adapter replaced. Every
+# clause walks the whole trace and re-evaluates on every call.
+
+
+def oracle_verify_trace(program, traces, failures_per_call="all") -> VerifierVerdict:
+    failures = []
+    for clause in program.clauses:
+        check = _oracle_decreases if clause.kind is ClauseKind.DECREASES else _oracle_pointwise
+        report = check(clause, traces)
+        if report is not None:
+            failures.append(report)
+    if failures_per_call == "one":
+        failures = failures[:1]
+    if failures:
+        return VerifierVerdict(Outcome.FAIL, tuple(failures), coverage_caveat=True)
+    return VerifierVerdict(Outcome.PASS, coverage_caveat=True)
+
+
+_ORACLE_PHASE = {
+    ClauseKind.REQUIRES: Phase.PRE,
+    ClauseKind.ENSURES: Phase.POST,
+    ClauseKind.MAINTAINING: Phase.ITER,
+}
+_ORACLE_CATEGORY = {
+    ClauseKind.REQUIRES: FailureCategory.UNPROVABLE_PRECONDITION,
+    ClauseKind.ENSURES: FailureCategory.UNPROVABLE_POSTCONDITION,
+    ClauseKind.MAINTAINING: FailureCategory.UNPROVABLE_INVARIANT,
+}
+
+
+def _oracle_label(clause) -> str:
+    return f"{clause.kind.value} {render_expr(clause.expr)}"
+
+
+def _oracle_report(clause, message, category=FailureCategory.TYPE_ERROR) -> FailureReport:
+    return FailureReport(message, category, clause_id=clause.id)
+
+
+def _oracle_pointwise(clause, traces):
+    for index, record in enumerate(traces):
+        if record.phase is not _ORACLE_PHASE[clause.kind] or record.anchor != clause.anchor:
+            continue
+        try:
+            value = eval_expr(clause.expr, record)
+        except EvalError as exc:
+            return _oracle_report(
+                clause, f"cannot evaluate {_oracle_label(clause)} at trace record {index}: {exc}"
+            )
+        if value is not True:
+            return _oracle_report(
+                clause,
+                f"{_oracle_label(clause)} is falsified by trace record {index}",
+                _ORACLE_CATEGORY[clause.kind],
+            )
+    return None
+
+
+def _oracle_decreases(clause, traces):
+    method = clause.anchor.method if clause.anchor is not None else None
+    decreases = FailureCategory.NONTERMINATION_DECREASES
+    activation = []  # (record index, measure value)
+
+    def check_activation():
+        for position, (index, value) in enumerate(activation):
+            if value < 0:
+                return _oracle_report(
+                    clause,
+                    f"{_oracle_label(clause)} is negative ({value}) at trace record {index}",
+                    decreases,
+                )
+            if position > 0 and value >= activation[position - 1][1]:
+                return _oracle_report(
+                    clause,
+                    f"{_oracle_label(clause)} fails to strictly decrease "
+                    f"({activation[position - 1][1]} then {value}) at trace record {index}",
+                    decreases,
+                )
+        return None
+
+    for index, record in enumerate(traces):
+        if (
+            record.phase in (Phase.PRE, Phase.POST)
+            and record.anchor.loop is None
+            and record.anchor.method == method
+        ):
+            report = check_activation()
+            if report is not None:
+                return report
+            activation = []
+            continue
+        if record.phase is Phase.ITER and record.anchor == clause.anchor:
+            try:
+                value = eval_expr(clause.expr, record)
+            except EvalError as exc:
+                return _oracle_report(
+                    clause,
+                    f"cannot evaluate {_oracle_label(clause)} at trace record {index}: {exc}",
+                )
+            if isinstance(value, bool) or not isinstance(value, int):
+                return _oracle_report(
+                    clause,
+                    f"{_oracle_label(clause)} must be integer-valued, "
+                    f"got {value!r} at trace record {index}",
+                )
+            activation.append((index, value))
+    return check_activation()
+
+
+def gen_trace_case(rng: random.Random) -> tuple[list[TraceRecord], list[Clause]]:
+    """A trace of nested, interleaved method activations plus a clause pool.
+
+    Anchors include ``None``, loop-free method anchors, loops of two methods
+    and anchors no record carries. Some records leave a variable unbound or
+    bind a boolean, so evaluation errors and non-integer measures occur.
+    """
+    methods = ("f", "g")
+    traces: list[TraceRecord] = []
+
+    def bindings(i: int, n: int) -> dict:
+        values = {name: rng.randrange(-6, 7) for name in INT_VARS}
+        values.update(i=i, n=n)
+        if rng.random() < 0.05:
+            del values[rng.choice(INT_VARS)]
+        if rng.random() < 0.03:
+            values["i"] = True
+        return values
+
+    def activation(depth: int) -> None:
+        method = rng.choice(methods)
+        n = rng.randrange(0, 5)
+        traces.append(TraceRecord(Anchor(method), Phase.PRE, bindings(0, n)))
+        for i in range(n + rng.choice((0, 0, 1))):
+            loop = rng.choice((0, 0, 1, None))
+            step = i if rng.random() < 0.9 else i - 1  # occasionally not decreasing
+            traces.append(TraceRecord(Anchor(method, loop), Phase.ITER, bindings(step, n)))
+            if rng.random() < 0.15:  # a pre/post at a loop anchor is not a boundary
+                phase = rng.choice((Phase.PRE, Phase.POST))
+                traces.append(TraceRecord(Anchor(method, 0), phase, bindings(i, n)))
+            if depth > 0 and rng.random() < 0.2:
+                activation(depth - 1)
+        traces.append(TraceRecord(Anchor(method), Phase.POST, bindings(n, n), result=n))
+
+    for _ in range(rng.randrange(1, 6)):
+        activation(2)
+
+    anchors = (None, Anchor("f"), Anchor("g"), Anchor("f", 0), Anchor("f", 1),
+               Anchor("g", 0), Anchor("h"), Anchor("f", 7))
+    measures = ("n - i", "n - i + 1", "i", "n - i - 2", "x")
+    conditions = ("i <= n", "0 <= i", "i < n", "n >= 0", "x < 7")
+    clauses: list[Clause] = []
+    for number in range(rng.randrange(2, 9)):
+        kind = rng.choice(list(ClauseKind))
+        anchor = rng.choice(anchors)
+        if kind is ClauseKind.DECREASES:
+            fixed, generated = measures, gen_int_expr(rng, 2)
+        else:
+            fixed, generated = conditions, gen_bool_expr(rng, 2)
+        text = rng.choice(fixed) if rng.random() < 0.65 else render_expr(generated)
+        clauses.append(parse_clause(f"{kind.value} {text};", anchor=anchor, clause_id=f"c{number}"))
+    return traces, clauses
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,16 @@ class TestVerify:
         ]
 
 
+    def test_non_utf8_program_is_one_error_line(self, workspace, capsys):
+        program = workspace / "Latin1.java"
+        program.write_bytes(ABS_CORRECT.replace("{", "{ // caf\xe9", 1).encode("latin-1"))
+        code = main(["verify", str(program), "--config", str(workspace / "config.yaml")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {program}: not valid UTF-8")
+
+
 class TestEval:
     def test_pass(self, workspace, capsys):
         code = main(
@@ -317,6 +327,16 @@ class TestEval:
         assert code == 2
         assert err.startswith(f"error: {trace}:3: ")
         assert "'bogus' is not a valid Phase" in err
+
+
+    def test_non_utf8_record_names_its_line(self, workspace, capsys):
+        trace = workspace / "bad.jsonl"
+        trace.write_bytes(json.dumps(TRACE_RECORDS[0]).encode() + b"\n\xff\xfe\n")
+        code = main(["eval", str(workspace / "AbsAnnotated.java"), str(trace)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {trace}:2: not valid UTF-8")
 
 
 class TestRepair:
@@ -414,6 +434,30 @@ class TestReport:
     def test_missing_directory(self, workspace, capsys):
         code = main(["report", str(workspace / "no-such-dir")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "lines, line_no, message",
+        [
+            (['{"program": "a"'], 1, "bad JSON"),
+            (['{"schema":"run-entry@1"}'], 1, "entry has no 'program' field"),
+            (["", "[1, 2]"], 2, "expected a JSON object"),
+            (
+                ['{"program": "a", "outcome": "failed", '
+                 '"verifier_calls_conversation": 1, "verifier_calls_repair": "2"}'],
+                1,
+                "verifier_calls_repair: expected int, got '2'",
+            ),
+        ],
+    )
+    def test_malformed_entries_name_their_line(self, tmp_path, capsys, lines, line_no, message):
+        entries = tmp_path / "entries.jsonl"
+        entries.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["report", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {entries}:{line_no}: ")
+        assert message in err
 
 
 class TestParser:

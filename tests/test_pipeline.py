@@ -7,6 +7,7 @@ import pytest
 from specsmith.clauses import extract_annotations
 from specsmith.config import PipelineConfig, config_from_dict
 from specsmith.conversation import HttpChatClient, ScriptedChatClient
+from specsmith import pipeline
 from specsmith.errors import ConfigError
 from specsmith.pipeline import (
     ENTRY_SCHEMA,
@@ -444,6 +445,24 @@ class TestRunBatch:
         assert summary["attempts"] == {"Abs": 2}
         assert summary["success_probability"] == {"Abs": 1.0}
         assert summary["strategy"] == "heuristic"
+
+    def test_script_is_loaded_once_per_batch(self, tmp_path, monkeypatch):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps([[fenced(ABS_CORRECT)], ["no code here"]]), encoding="utf-8")
+        config = scripted_mock_config(tmp_path, [], endpoint={"script": str(script)})
+        loads = []
+
+        def counting_load_script(path):
+            loads.append(path)
+            return load_script(path)
+
+        monkeypatch.setattr(pipeline, "load_script", counting_load_script)
+        programs = [("Abs", ABS_PROGRAM), ("Abs2", ABS_PROGRAM)]
+        entries, _ = run_batch(programs, config, attempts=3)
+        assert loads == [str(script)]
+        # Attempt i still replays script entry i % 2.
+        verified = [e["outcome"] == "verified-by-conversation" for e in entries]
+        assert verified == [True, False, True] * 2
 
     def test_repeated_batches_are_identical(self, tmp_path):
         config = scripted_mock_config(tmp_path, [fenced(ABS_CORRECT)])

@@ -1,4 +1,6 @@
 """Verdicts, failure classification, and the three verifier adapters."""
+import dataclasses
+import random
 import sys
 import textwrap
 
@@ -6,7 +8,7 @@ import pytest
 
 from specsmith.clauses import Anchor, AnnotatedProgram, extract_annotations, parse_clause
 from specsmith.errors import CommandNotFound, ConfigError, ScriptExhausted
-from specsmith.evaluate import Phase, TraceRecord
+from specsmith.evaluate import Phase, TraceRecord, eval_expr
 from specsmith.verifier import (
     DEFAULT_RULES,
     ExecConfig,
@@ -22,6 +24,8 @@ from specsmith.verifier import (
     verify_exec,
     verify_trace,
 )
+
+from conftest import gen_trace_case, oracle_verify_trace
 
 ANNOTATED = """\
 class Abs {
@@ -321,3 +325,110 @@ class TestTraceVerifierObject:
     def test_wraps_record_list(self):
         verifier = TraceVerifier(trace_for_abs(2, 2))
         assert verifier.verify(program()).outcome is Outcome.PASS
+
+    def test_traces_are_a_tuple(self):
+        records = trace_for_abs(2, -1)
+        verifier = TraceVerifier(records)
+        records.clear()
+        assert isinstance(verifier.traces, tuple)
+        assert verifier.verify(program()).outcome is Outcome.FAIL
+
+
+def without_wall_time(verdict):
+    return dataclasses.replace(verdict, wall_time=0.0)
+
+
+def renumbered(clauses, rng, prefix):
+    """The same clauses in a shuffled order under fresh ids."""
+    picked = rng.sample(clauses, rng.randrange(1, len(clauses) + 1))
+    return tuple(
+        dataclasses.replace(clause, id=f"{prefix}{number}") for number, clause in enumerate(picked)
+    )
+
+
+class TestIndexedVerifierMatchesLinearScan:
+    """The indexed, memoized adapter against the linear-scan oracle."""
+
+    @pytest.mark.parametrize("failures_per_call", ["one", "all"])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_traces_and_clauses(self, seed, failures_per_call):
+        rng = random.Random(seed)
+        traces, pool = gen_trace_case(rng)
+        verifier = TraceVerifier(traces, failures_per_call)
+        # Successive calls repeat clauses under other ids and in other orders,
+        # so most of them are answered from the verdict memo.
+        for call in range(4):
+            program = AnnotatedProgram("", renumbered(pool, rng, f"call{call}/"))
+            expected = oracle_verify_trace(program, traces, failures_per_call)
+            assert without_wall_time(verifier.verify(program)) == expected
+
+    def test_cases_cover_every_outcome(self):
+        categories = set()
+        for seed in range(40):
+            traces, pool = gen_trace_case(random.Random(seed))
+            verdict = oracle_verify_trace(AnnotatedProgram("", tuple(pool)), traces)
+            categories |= {f.category for f in verdict.failures}
+            categories |= {None} if len(verdict.failures) < len(pool) else set()
+        assert categories >= {
+            None,
+            FailureCategory.TYPE_ERROR,
+            FailureCategory.NONTERMINATION_DECREASES,
+            FailureCategory.UNPROVABLE_PRECONDITION,
+            FailureCategory.UNPROVABLE_POSTCONDITION,
+            FailureCategory.UNPROVABLE_INVARIANT,
+        }
+
+    def test_eval_error_cites_the_original_record_index(self):
+        source = LOOP_SOURCE.replace("decreases n - i;", "decreases n - k;")
+        loop_program = extract_annotations(source)
+        records = loop_trace([0, 1], 3) + loop_trace([0, 1, 2], 3)
+        for record in records[:7]:  # record 7, the last iteration, leaves k unbound
+            record.bindings["k"] = record.bindings.get("i", 0)
+        expected = oracle_verify_trace(loop_program, records)
+        verdict = TraceVerifier(records).verify(loop_program)
+        assert without_wall_time(verdict) == expected
+        assert "at trace record 7: " in verdict.failures[0].raw_message
+
+    def test_pre_post_at_a_loop_anchor_is_not_a_boundary(self):
+        loop_program = extract_annotations(LOOP_SOURCE)
+        records = loop_trace([0, 0], 3)  # the measure repeats: 3 then 3
+        records.insert(2, rec(Anchor("count", 0), Phase.POST, {"n": 3, "i": 0}))
+        verdict = TraceVerifier(records).verify(loop_program)
+        assert without_wall_time(verdict) == oracle_verify_trace(loop_program, records)
+        assert "fails to strictly decrease (3 then 3) at trace record 3" in (
+            verdict.failures[0].raw_message
+        )
+
+    def test_none_and_unknown_anchors_read_no_records(self):
+        records = trace_for_abs(0, -1)
+        clauses = tuple(
+            parse_clause("//@ ensures \\result > 0;", anchor=anchor, clause_id=f"c{n}")
+            for n, anchor in enumerate((None, Anchor("nope"), Anchor("abs", 0)))
+        )
+        verdict = TraceVerifier(records).verify(AnnotatedProgram("", clauses))
+        assert verdict.outcome is Outcome.PASS
+
+    def test_memo_hit_carries_the_callers_clause_id(self):
+        verifier = TraceVerifier(trace_for_abs(2, -1))
+        clause = program().clauses[1]
+        for clause_id in ("first", "second"):
+            renamed = AnnotatedProgram("", (dataclasses.replace(clause, id=clause_id),))
+            assert [f.clause_id for f in verifier.verify(renamed).failures] == [clause_id]
+
+    def test_second_verify_evaluates_nothing(self, monkeypatch):
+        import specsmith.verifier
+
+        calls = []
+
+        def counting_eval(expr, record):
+            calls.append(expr)
+            return eval_expr(expr, record)
+
+        monkeypatch.setattr(specsmith.verifier, "eval_expr", counting_eval)
+        verifier = TraceVerifier(loop_trace([0, 1, 2], 3))
+        loop_program = extract_annotations(LOOP_SOURCE)
+        first = verifier.verify(loop_program)
+        assert calls
+        calls.clear()
+        assert without_wall_time(verifier.verify(loop_program)) == without_wall_time(first)
+        assert calls == []
