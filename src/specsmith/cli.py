@@ -88,12 +88,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_mutate(args: argparse.Namespace) -> int:
     clause = parse_clause(args.clause)
     family = enumerate_variants(clause, cap=args.cap)
-    shown = family.variants if args.limit is None else family.variants[: args.limit]
     print(f"template: {render_clause(clause)}")
     print(f"variants: {len(family)} (raw combinations: {family.raw_count})")
     if family.truncated:
         print(f"note: enumeration truncated at cap {args.cap}")
-    for variant in shown:
+    # Slicing the index range keeps list-slice semantics for any --limit
+    # while building only the members shown.
+    for index in range(len(family))[: args.limit]:
+        variant = family.get(index)
         score = score_variant(variant, DEFAULT_WEIGHTS)
         print(f"{score:5d}  {variant.text}")
     return 0

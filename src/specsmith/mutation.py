@@ -3,9 +3,12 @@
 Each clause yields a fixed list of mutation sites (one per mutable operator
 occurrence). A variant is the clause with some subset of sites rewritten,
 carrying the per-kind count vector used for scoring. The family of a template
-is every such variant, deduplicated by canonical text and ordered by score
-(descending), then text (ascending). Families stream: members are built one
-score level at a time, only as far as a reader asks.
+is every such variant, ordered by score (descending), then text (ascending).
+Distinct assignments always render distinct texts: a rewrite keeps its node's
+position and changes only its operator, and a structural rewrite adds a
+``± 1`` node no other assignment can produce. So a family's size and its
+truncation flag follow from the raw combination count alone, and members are
+built one score level at a time, only as far as a reader asks.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import bisect
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Generator, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .clauses import Clause, render_clause
 from .errors import SitePathInvalid
@@ -111,10 +114,9 @@ class Family:
 
     Members are ordered by score (descending), then text (ascending). The
     enumeration advances one score level at a time and only as far as a
-    reader asks: ``get(i)`` and ``at_least(n)`` build just enough levels,
-    while ``variants``, ``len()`` and ``truncated`` build the whole family.
-    A family whose raw combinations fit the cap is never truncated, so its
-    flag costs no enumeration.
+    reader asks: ``get(i)`` builds just enough levels, ``variants`` builds the
+    whole family, and ``len()`` and ``truncated`` build nothing, since every
+    raw combination is a distinct member up to the cap.
     """
 
     def __init__(
@@ -123,55 +125,34 @@ class Family:
         raw_count: int,
         cap: int,
         template_variant: Variant,
-        levels: Iterator[None],
+        levels: Iterator[bool],
         built: list[Variant],
     ):
         self.template = template
         self.template_variant = template_variant  # the zero-mutation member
         self.raw_count = raw_count
         self.cap = cap
-        self._levels: Iterator[None] | None = levels  # appends to ``built``
+        self._levels = levels  # each step appends a score level to ``built``
         self._built = built
-        self._truncated = False
-
-    def _advance(self) -> bool:
-        """Build the next score level; False once the family is complete."""
-        if self._levels is None:
-            return False
-        try:
-            next(self._levels)
-        except StopIteration as stop:
-            self._truncated = stop.value
-            self._levels = None
-            return False
-        return True
 
     def get(self, index: int) -> Variant | None:
         """The member at ``index`` in family order, or None past the end."""
-        while index >= len(self._built) and self._advance():
+        while index >= len(self._built) and next(self._levels, False):
             pass
         return self._built[index] if index < len(self._built) else None
 
-    def at_least(self, count: int) -> bool:
-        """Whether the family has ``count`` or more members."""
-        return count <= 0 or self.get(count - 1) is not None
-
     @property
     def variants(self) -> list[Variant]:
-        while self._advance():
+        while next(self._levels, False):
             pass
         return self._built
 
     @property
     def truncated(self) -> bool:
-        if self.raw_count <= self.cap:
-            return False
-        while self._advance():
-            pass
-        return self._truncated
+        return self.raw_count > self.cap
 
     def __len__(self) -> int:
-        return len(self.variants)
+        return min(self.raw_count, self.cap)
 
 
 def _site_for(node: Expr) -> tuple[MutationKind, str] | None:
@@ -277,12 +258,11 @@ def enumerate_variants(
 ) -> Family:
     """The family of every combination of per-site replacements.
 
-    The zero-mutation template variant is always a member. Duplicates by
-    canonical text are merged keeping the first (maximum-score) occurrence.
-    Variants come in descending score order (ties by text, ascending); when
-    more than ``cap`` distinct variants exist the family keeps the first
-    ``cap`` and has its truncated flag set. Nothing is built until a reader
-    asks for members (see :class:`Family`).
+    The zero-mutation template variant is always a member. Variants come in
+    descending score order (ties by text, ascending); when more than ``cap``
+    combinations exist the family keeps the first ``cap`` and has its
+    truncated flag set. Nothing is built until a reader asks for members
+    (see :class:`Family`).
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -323,9 +303,8 @@ def _walk_levels(
     cap: int,
     weights: WeightTable,
     built: list[Variant],
-) -> Generator[None, None, bool]:
-    """Append one score level to ``built`` per step; return the truncated flag."""
-    seen: set[str] = set()
+) -> Iterator[bool]:
+    """Append one score level to ``built`` per step (each yields True)."""
 
     def assignment_variant(assignment: tuple[int, ...]) -> Variant:
         choices = tuple(
@@ -344,7 +323,7 @@ def _walk_levels(
     heap: list[tuple[int, tuple[int, ...]]] = [(-_assignment_score(options, start), start)]
     visited = {start}
     batch_limit = max(4 * cap, 16384)
-    stopped_early = False
+    stopped_early = template_emitted = False
     while heap and not stopped_early:
         batch_score = heap[0][0]
         batch: list[tuple[int, ...]] = []
@@ -366,23 +345,20 @@ def _walk_levels(
                             heap, (-_assignment_score(options, neighbor), neighbor)
                         )
         for variant in sorted((assignment_variant(a) for a in batch), key=lambda v: v.text):
-            if variant.text in seen:
-                continue
             if len(built) >= cap:
                 stopped_early = True
                 break
-            seen.add(variant.text)
             built.append(variant)
-        yield
+            template_emitted = template_emitted or not variant.choices
+        yield True
 
-    if template_variant.text not in seen:
+    if not template_emitted:
         # Only reachable under exotic weight tables where positive weights
         # push the template below the cap; the template is a family member
         # by definition, so evict the worst variant to make room.
         if len(built) >= cap:
             built.pop()
         bisect.insort(built, template_variant, key=lambda v: (-score_variant(v, weights), v.text))
-    return stopped_early
 
 
 def _assignment_score(options: list[list[tuple[int, str | None]]], assignment: tuple[int, ...]) -> int:

@@ -24,9 +24,15 @@ from .conversation import (
     ScriptedChatClient,
     run_conversation,
 )
-from .errors import ConfigError, SpecError
+from .errors import ConfigError, SpecError, TimeoutBudgetExceeded
 from .evaluate import load_trace_file, read_json_lines
-from .repair import HeuristicStrategy, RandomStrategy, SelectionStrategy, mutation_based_gen
+from .repair import (
+    HeuristicStrategy,
+    RandomStrategy,
+    SelectionState,
+    SelectionStrategy,
+    mutation_based_gen,
+)
 from .verifier import ExecConfig, ExecVerifier, MockVerifier, TraceVerifier, Verifier
 
 ENTRY_SCHEMA = "run-entry@1"
@@ -211,19 +217,7 @@ def run_pipeline(
                 cap=config.mutation.variant_cap,
                 budget_seconds=remaining,
             )
-            state = result.state
-            entry["verifier_calls_repair"] = state.verifier_calls
-            entry["refuted_history"] = [
-                [event.iteration, event.clause_id, event.text]
-                for event in state.refuted_history
-            ]
-            entry["dropped_templates"] = sorted(
-                tid for tid, slot in state.slots.items() if slot.dropped
-            )
-            entry["truncated_families"] = sorted(
-                tid for tid, slot in state.slots.items() if slot.family.truncated
-            )
-            entry["thrash_warnings"] = list(state.thrash_warnings)
+            _record_repair(entry, result.state)
             if result.program.clauses and result.passed:
                 entry["outcome"] = "verified-by-mutation"
                 entry["final_clauses"] = [
@@ -234,12 +228,29 @@ def run_pipeline(
     except SpecError as exc:
         entry["outcome"] = "aborted"
         entry["error"] = str(exc)
+        if isinstance(exc, TimeoutBudgetExceeded) and exc.state is not None:
+            _record_repair(entry, exc.state)
 
     coverage = getattr(context.verifier, "traces", None) is not None
     entry["coverage_caveat"] = coverage
     if not config.report.deterministic_clock:
         entry["wall_time"] = round(time.monotonic() - started, 6)
     return entry
+
+
+def _record_repair(entry: dict[str, Any], state: SelectionState) -> None:
+    """Fill an entry's repair fields from the selection state."""
+    entry["verifier_calls_repair"] = state.verifier_calls
+    entry["refuted_history"] = [
+        [event.iteration, event.clause_id, event.text] for event in state.refuted_history
+    ]
+    entry["dropped_templates"] = sorted(
+        tid for tid, slot in state.slots.items() if slot.dropped
+    )
+    entry["truncated_families"] = sorted(
+        tid for tid, slot in state.slots.items() if slot.family.truncated
+    )
+    entry["thrash_warnings"] = list(state.thrash_warnings)
 
 
 def run_batch(

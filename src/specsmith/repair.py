@@ -9,8 +9,8 @@ Every refutation marks one more family member, so the loop performs at most
 
 Families are streams (see :class:`~specsmith.mutation.Family`): the heuristic
 reads them in order through a per-slot cursor, so a repair builds only the
-variants it reaches, plus what the thrash check needs to compare the
-replacement count against the family size.
+variants it reaches; the thrash check reads the family size, which costs
+no enumeration.
 """
 from __future__ import annotations
 
@@ -174,8 +174,7 @@ def re_select(
         )
         slot.refuted.add(refuted.text)
         slot.replacements += 1
-        # replacements > size / 2, asking only for 2 x replacements members.
-        if not slot.warned and not slot.family.at_least(2 * slot.replacements):
+        if not slot.warned and 2 * slot.replacements > len(slot.family):
             slot.warned = True
             state.thrash_warnings.append(
                 f"template {clause_id} replaced {slot.replacements} times "
@@ -208,7 +207,7 @@ def spec_selection(
     while True:
         if budget_seconds is not None and time.monotonic() - started > budget_seconds:
             raise TimeoutBudgetExceeded(
-                f"repair loop exceeded its {budget_seconds:.0f}s budget"
+                f"repair loop exceeded its {budget_seconds:.0f}s budget", state
             )
         program = AnnotatedProgram(source, state.selected_clauses())
         verdict = verifier.verify(program)

@@ -227,24 +227,6 @@ _PHASE_FOR_KIND = {
 }
 
 
-def verify_trace(
-    program: AnnotatedProgram,
-    traces: Sequence[TraceRecord],
-    failures_per_call: str = "all",
-) -> VerifierVerdict:
-    """Check every clause against every matching trace record.
-
-    A clause fails iff some record falsifies it; the first falsifying record
-    index is cited in the failure message. Decreases clauses must be
-    non-negative at every loop iteration and strictly decrease across
-    consecutive iterations of one loop activation (activations are delimited
-    by pre/post records of the enclosing method). Evaluation errors surface
-    as type-error failures. A pass only means no counterexample appears in
-    the given traces, hence the coverage caveat on every verdict.
-    """
-    return TraceVerifier(traces, failures_per_call).verify(program)
-
-
 # A failure report minus its clause id: what one (kind, anchor, expression)
 # earns against the traces, whichever clause id carries it.
 _Refutation = tuple[str, FailureCategory]
@@ -282,7 +264,16 @@ _UNSEEN = object()
 
 
 class TraceVerifier:
-    """The trace adapter: :func:`verify_trace` over one fixed trace.
+    """The trace adapter: checks every clause against every matching record
+    of one fixed trace.
+
+    A clause fails iff some record falsifies it; the first falsifying record
+    index is cited in the failure message. Decreases clauses must be
+    non-negative at every loop iteration and strictly decrease across
+    consecutive iterations of one loop activation (activations are delimited
+    by pre/post records of the enclosing method). Evaluation errors surface
+    as type-error failures. A pass only means no counterexample appears in
+    the given traces, hence the coverage caveat on every verdict.
 
     The records are indexed on the first ``verify``. Each distinct
     (kind, anchor, expression) is checked once; its outcome is kept, keyed by

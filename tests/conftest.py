@@ -202,9 +202,12 @@ def _oracle_apply(expr: Expr, path: tuple[int, ...], replacement: str) -> Expr:
     return expr.replace_child(path[0], children[path[0]])
 
 
-def oracle_family(expr: Expr, weights: dict[str, int] = ORACLE_WEIGHTS) -> dict[str, int]:
-    """Every distinct variant text mapped to its best (maximum) score."""
-    sites = oracle_sites(expr)
+def oracle_family(
+    expr: Expr, weights: dict[str, int] = ORACLE_WEIGHTS, kinds: frozenset[str] | None = None
+) -> dict[str, int]:
+    """Every distinct variant text mapped to its best (maximum) score; with
+    ``kinds``, only sites of those kind names are mutated."""
+    sites = [s for s in oracle_sites(expr) if kinds is None or ORACLE_TABLE[s[1]][0] in kinds]
     per_site: list[list[tuple[str | None, int]]] = []
     for _, op in sites:
         kind, repls = ORACLE_TABLE[op]

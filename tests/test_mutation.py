@@ -1,4 +1,5 @@
 """Operator mutation families: sites, rewrites, scoring, enumeration order."""
+import itertools
 import random
 
 import pytest
@@ -251,6 +252,9 @@ def oracle_members(expr, cap, weights=DEFAULT_WEIGHTS):
     return [f"//@ requires {text};" for text in members], len(scores) > cap
 
 
+WIDE_CLAUSE = "//@ requires a + b + c + d + e + f + g + h + i + j + k + l + m <= n;"  # 12288 raw
+
+
 class TestStream:
     """A family read partway and then in full is exactly the eager family."""
 
@@ -258,12 +262,12 @@ class TestStream:
         eager = enumerate_variants(clause, cap=cap, weights=weights, **kwargs)
         members, truncated = list(eager.variants), eager.truncated
         lazy = enumerate_variants(clause, cap=cap, weights=weights, **kwargs)
+        # Size and flag are read before any member is built.
+        assert (len(lazy), lazy.truncated) == (len(members), truncated)
         k = rng.randrange(0, len(members) + 2)
         assert [lazy.get(i) for i in range(k)] == (members + [None, None])[:k]
-        assert lazy.at_least(k) == (k <= len(members))
         assert lazy.variants == members
-        assert lazy.truncated == truncated
-        assert len(lazy) == len(members) and lazy.template_variant in members
+        assert lazy.template_variant in members
         return eager
 
     @pytest.mark.parametrize("cap", [1, 8, 64, 4096])
@@ -275,7 +279,7 @@ class TestStream:
             assert ([v.text for v in eager.variants], eager.truncated) == oracle_members(expr, cap)
 
     def test_truncated_clause(self):
-        clause = parse_clause("//@ requires a + b + c + d + e + f + g + h + i + j + k + l + m <= n;")
+        clause = parse_clause(WIDE_CLAUSE)
         eager = self.check(random.Random(1), clause, 4096)
         assert eager.truncated and eager.raw_count == 12288
         assert ([v.text for v in eager.variants], True) == oracle_members(clause.expr, 4096)
@@ -284,6 +288,9 @@ class TestStream:
         family = enumerate_variants(parse_clause("//@ requires a <= b && c >= d;"))
         assert not family.truncated and family._built == []
         assert family.get(0) == family.template_variant and len(family._built) == 1
+        wide = enumerate_variants(parse_clause(WIDE_CLAUSE), cap=4096)
+        assert wide.truncated and wide.raw_count == 12288 and len(wide) == 4096
+        assert wide._built == []
 
     @pytest.mark.parametrize(
         "weights",
@@ -313,6 +320,44 @@ class TestStream:
             random.Random(2), clause, 8, WeightTable(comparative=0), kinds={MutationKind.COMPARATIVE}
         )
         assert eager.truncated and eager.raw_count == 19683 and len(eager) == 8
+
+
+KIND_SUBSETS = [
+    frozenset(kinds) for size in range(5) for kinds in itertools.combinations(MutationKind, size)
+]
+
+# Structural rewrites next to operands that already end in +/- 1.
+STRUCTURAL_CASES = [
+    "x + 1 - 1 <= y",
+    "x - 1 + 1 >= y",
+    "a - 1 - 1 <= b && a - 1 <= b",
+    "a + 1 + 1 >= b - 1 || a + 1 >= b",
+    "x - 1 <= y - 1 ==> x <= y",
+    "x + 1 - 1 <= y <==> x <= y",
+    "(\\forall int k; 0 <= k && k < n; a[k] + 1 >= a[k] - 1)",
+]
+
+
+class TestDistinctAssignments:
+    """Different assignments render different texts, so the size of a family
+    and its truncation flag follow from the raw combination count."""
+
+    def check(self, expr):
+        clause = parse_clause(f"//@ requires {render_expr(expr)};")
+        for kinds in KIND_SUBSETS:
+            raw = enumerate_variants(clause, kinds=kinds, cap=1).raw_count
+            assert len(oracle_family(expr, kinds=frozenset(k.value for k in kinds))) == raw
+
+    @pytest.mark.parametrize("text", STRUCTURAL_CASES)
+    def test_structural_cases(self, text):
+        self.check(parse_expr(text))
+        family = enumerate_variants(parse_clause(f"//@ requires {text};"), cap=1 << 20)
+        assert len({v.text for v in family.variants}) == family.raw_count == len(family)
+
+    def test_generated_clauses(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            self.check(gen_mutation_clause(rng, max_sites=6))
 
 
 class TestSelectRandom:

@@ -1,13 +1,14 @@
 """Tests for corpus loading, component wiring, runs, and report output."""
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from specsmith.clauses import extract_annotations
 from specsmith.config import PipelineConfig, config_from_dict
 from specsmith.conversation import HttpChatClient, ScriptedChatClient
-from specsmith import pipeline
+from specsmith import pipeline, repair
 from specsmith.errors import ConfigError
 from specsmith.pipeline import (
     ENTRY_SCHEMA,
@@ -365,6 +366,55 @@ class TestRunPipeline:
         )
         entry = run_abs(config)
         assert entry["wall_time"] > 0.0
+
+    def test_truncated_family_is_reported_without_building_it(self, tmp_path, monkeypatch):
+        # 12 additions and one comparison: 8192 combinations, over the cap.
+        wide = "x" + " + x" * 12 + " > -1000"
+        truth = [f"//@ requires {wide};", "//@ ensures \\result >= 0;"]
+        near_miss = ABS_CORRECT.replace("x > -1000", wide).replace("\\result >= 0", "\\result > 0")
+        config = scripted_mock_config(tmp_path, [fenced(near_miss)] * 2, truth=truth)
+        results = []
+
+        def recording_gen(*args, **kwargs):
+            results.append(repair.mutation_based_gen(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(pipeline, "mutation_based_gen", recording_gen)
+        entry = run_abs(config)
+        assert entry["outcome"] == "verified-by-mutation"
+        assert entry["truncated_families"] == ["method:abs/requires/0"]
+        family = results[0].state.slots["method:abs/requires/0"].family
+        assert family.raw_count == 8192 and len(family._built) < family.cap == 4096
+
+    def test_timeout_keeps_the_repair_state(self, tmp_path, monkeypatch):
+        class ClockedVerifier(MockVerifier):
+            """Each call takes six seconds on a fake clock."""
+
+            now = 0.0
+
+            def verify(self, program):
+                self.now += 6.0
+                return super().verify(program)
+
+        verifier = ClockedVerifier(truth=frozenset())
+        monkeypatch.setattr(repair, "time", SimpleNamespace(monotonic=lambda: verifier.now))
+        near_miss = ABS_CORRECT.replace("\\result >= 0", "\\result > 0")
+        config = scripted_mock_config(
+            tmp_path, [fenced(near_miss)] * 2, truth=[], budgets={"pipeline_seconds": 10}
+        )
+        context = PipelineContext(config=config, verifier=verifier, shots=[])
+        entry = run_pipeline("Abs", ABS_PROGRAM, context, build_client(config))
+        # Two repair calls fit the 10 s budget; the check before a third trips.
+        assert entry["outcome"] == "aborted" and "budget" in entry["error"]
+        assert entry["verifier_calls_repair"] == 2
+        assert [event[:2] for event in entry["refuted_history"]] == [
+            [1, "method:abs/requires/0"],
+            [1, "method:abs/ensures/0"],
+            [2, "method:abs/requires/0"],
+            [2, "method:abs/ensures/0"],
+        ]
+        assert entry["dropped_templates"] == ["method:abs/ensures/0", "method:abs/requires/0"]
+        assert aggregate_entries([entry])["mean_verifier_calls"] == 4
 
     def test_trace_verifier_sets_coverage_caveat(self, tmp_path):
         trace = tmp_path / "trace.jsonl"

@@ -245,10 +245,10 @@ class TestThrashWarning:
             # refutation end on a score-level boundary.
             ({"cap": 11}, (6, 10, 11)),
             # Positive weight: the template is the last member, refuted long
-            # before the cursor reaches it.
+            # before the cursor reaches it; only the best level of 4 is built.
             (
                 {"kinds": {MutationKind.COMPARATIVE}, "weights": WeightTable(comparative=1)},
-                (5, 8, 9),
+                (5, 4, 9),
             ),
         ],
     )
@@ -330,8 +330,8 @@ class TestLazySelection:
         assert picks > 300
 
     def test_repair_builds_only_the_levels_it_reads(self):
-        # k picks read at most index k, and the thrash check asks whether the
-        # family holds 2k members; levels are built whole.
+        # k picks read at most index k, so at most k + 1 members; the thrash
+        # check reads no member. Levels are built whole.
         rng = random.Random(77)
         built_total = eager_total = 0
         for _ in range(200):
@@ -345,7 +345,7 @@ class TestLazySelection:
             )
             result = mutation_based_gen(program, MockVerifier(truth=truth), HeuristicStrategy(), cap=cap)
             for tid, slot in result.state.slots.items():
-                bound = level_prefix(eager[tid], DEFAULT_WEIGHTS, 2 * slot.replacements)
+                bound = level_prefix(eager[tid], DEFAULT_WEIGHTS, slot.replacements + 1)
                 assert len(slot.family._built) <= bound
                 built_total += len(slot.family._built)
                 eager_total += len(eager[tid])
@@ -372,10 +372,14 @@ class TestBudget:
                     ),
                 )
 
-        with pytest.raises(TimeoutBudgetExceeded):
+        with pytest.raises(TimeoutBudgetExceeded) as raised:
             mutation_based_gen(
                 program, SlowVerifier(), HeuristicStrategy(), budget_seconds=0.01
             )
+        # The state made before the budget ran out travels with the error.
+        state = raised.value.state
+        assert state.verifier_calls == 1
+        assert [event.text for event in state.refuted_history] == ["//@ requires a == b;"]
 
 
 class TestRandomStrategy:

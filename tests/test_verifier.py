@@ -22,7 +22,6 @@ from specsmith.verifier import (
     classify_failure,
     make_rules,
     verify_exec,
-    verify_trace,
 )
 
 from conftest import gen_trace_case, oracle_verify_trace
@@ -192,12 +191,12 @@ def trace_for_abs(x, result):
 
 class TestTraceAdapter:
     def test_all_clauses_hold(self):
-        verdict = verify_trace(program(), trace_for_abs(2, 2))
+        verdict = TraceVerifier(trace_for_abs(2, 2)).verify(program())
         assert verdict.outcome is Outcome.PASS
         assert verdict.coverage_caveat
 
     def test_falsified_ensures(self):
-        verdict = verify_trace(program(), trace_for_abs(2, -1))
+        verdict = TraceVerifier(trace_for_abs(2, -1)).verify(program())
         assert verdict.outcome is Outcome.FAIL
         failure = verdict.failures[0]
         assert failure.category is FailureCategory.UNPROVABLE_POSTCONDITION
@@ -205,7 +204,7 @@ class TestTraceAdapter:
         assert "falsified" in failure.raw_message
 
     def test_falsified_requires(self):
-        verdict = verify_trace(program(), trace_for_abs(0, 0))
+        verdict = TraceVerifier(trace_for_abs(0, 0)).verify(program())
         assert verdict.failures[0].category is FailureCategory.UNPROVABLE_PRECONDITION
 
     def test_eval_error_reported_as_type_error(self):
@@ -213,17 +212,17 @@ class TestTraceAdapter:
             "class C {\n    //@ requires arr[9] > 0;\n    static int f(int x) { return x; }\n}\n"
         )
         traces = [rec(Anchor("f"), Phase.PRE, {"arr": [1]})]
-        verdict = verify_trace(bad, traces)
+        verdict = TraceVerifier(traces).verify(bad)
         assert verdict.failures[0].category is FailureCategory.TYPE_ERROR
 
     def test_failures_per_call_all_vs_one(self):
-        verdict_all = verify_trace(program(), trace_for_abs(0, -1), failures_per_call="all")
+        verdict_all = TraceVerifier(trace_for_abs(0, -1), "all").verify(program())
         assert len(verdict_all.failures) == 2
-        verdict_one = verify_trace(program(), trace_for_abs(0, -1), failures_per_call="one")
+        verdict_one = TraceVerifier(trace_for_abs(0, -1), "one").verify(program())
         assert len(verdict_one.failures) == 1
 
     def test_clause_without_matching_records_passes_with_caveat(self):
-        verdict = verify_trace(program(), [])
+        verdict = TraceVerifier([]).verify(program())
         assert verdict.outcome is Outcome.PASS
         assert verdict.coverage_caveat
 
@@ -254,18 +253,18 @@ def loop_trace(values, n, method="count"):
 class TestDecreases:
     def test_strictly_decreasing_measure_passes(self):
         program = extract_annotations(LOOP_SOURCE)
-        verdict = verify_trace(program, loop_trace([0, 1, 2], 3))
+        verdict = TraceVerifier(loop_trace([0, 1, 2], 3)).verify(program)
         assert verdict.outcome is Outcome.PASS
 
     def test_non_decreasing_measure_fails(self):
         program = extract_annotations(LOOP_SOURCE)
-        verdict = verify_trace(program, loop_trace([0, 0, 1], 3), failures_per_call="all")
+        verdict = TraceVerifier(loop_trace([0, 0, 1], 3), "all").verify(program)
         categories = {f.category for f in verdict.failures}
         assert FailureCategory.NONTERMINATION_DECREASES in categories
 
     def test_negative_measure_fails(self):
         program = extract_annotations(LOOP_SOURCE)
-        verdict = verify_trace(program, loop_trace([5], 3), failures_per_call="all")
+        verdict = TraceVerifier(loop_trace([5], 3), "all").verify(program)
         assert any(
             f.category is FailureCategory.NONTERMINATION_DECREASES
             and "negative" in f.raw_message
@@ -275,7 +274,7 @@ class TestDecreases:
     def test_two_activations_reset_the_measure(self):
         program = extract_annotations(LOOP_SOURCE)
         records = loop_trace([0, 1, 2], 3) + loop_trace([0, 1], 2)
-        verdict = verify_trace(program, records)
+        verdict = TraceVerifier(records).verify(program)
         assert verdict.outcome is Outcome.PASS
 
     def test_non_integer_measure_is_type_error(self):
@@ -287,7 +286,7 @@ class TestDecreases:
             rec(loop, Phase.ITER, {"n": 1, "i": 0, "flag": True}),
             rec(Anchor("count"), Phase.POST, {"n": 1}, result=1),
         ]
-        verdict = verify_trace(program, records, failures_per_call="all")
+        verdict = TraceVerifier(records, "all").verify(program)
         assert any(f.category is FailureCategory.TYPE_ERROR for f in verdict.failures)
 
 
