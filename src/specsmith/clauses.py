@@ -68,9 +68,6 @@ class AnnotatedProgram:
     source: str
     clauses: tuple[Clause, ...] = ()
 
-    def with_clauses(self, clauses: tuple[Clause, ...]) -> AnnotatedProgram:
-        return AnnotatedProgram(self.source, clauses)
-
 
 def render_clause(clause: Clause) -> str:
     return f"//@ {clause.kind.value} {render_expr(clause.expr)};"

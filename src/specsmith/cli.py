@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .clauses import extract_annotations, parse_clause, render_clause
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, SpecError
+from .errors import ConfigError, SpecError, TimeoutBudgetExceeded
 from .evaluate import load_trace_file
 from .mutation import DEFAULT_WEIGHTS, enumerate_variants, score_variant
 from .pipeline import (
@@ -26,7 +26,7 @@ from .pipeline import (
     summary_table,
     write_report,
 )
-from .repair import mutation_based_gen
+from .repair import SelectionState, mutation_based_gen
 from .verifier import Outcome, TraceVerifier, VerifierVerdict
 
 
@@ -101,24 +101,33 @@ def cmd_mutate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_repair(args: argparse.Namespace) -> int:
-    config = _load_pipeline_config(args)
-    program = extract_annotations(_read_text(args.file))
-    result = mutation_based_gen(
-        program,
-        build_verifier(config),
-        build_strategy(config),
-        kinds=config.mutation.kinds,
-        weights=config.weights,
-        cap=config.mutation.variant_cap,
-        budget_seconds=config.budgets.pipeline_seconds,
-    )
-    state = result.state
+def _print_repair_state(state: SelectionState) -> None:
     print(f"verifier calls: {state.verifier_calls}")
     for event in state.refuted_history:
         print(f"  refuted (call {event.iteration}) {event.clause_id}: {event.text}")
     for warning in state.thrash_warnings:
         print(f"  warning: {warning}")
+
+
+def cmd_repair(args: argparse.Namespace) -> int:
+    config = _load_pipeline_config(args)
+    program = extract_annotations(_read_text(args.file))
+    try:
+        result = mutation_based_gen(
+            program,
+            build_verifier(config),
+            build_strategy(config),
+            kinds=config.mutation.kinds,
+            weights=config.weights,
+            cap=config.mutation.variant_cap,
+            budget_seconds=config.budgets.pipeline_seconds,
+        )
+    except TimeoutBudgetExceeded as exc:
+        # The budget ran out mid-repair: show the work done so far.
+        _print_repair_state(exc.state)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    _print_repair_state(result.state)
     if result.passed:
         print("repaired clauses:")
         for clause in result.program.clauses:

@@ -78,10 +78,6 @@ class EvalTypeError(EvalError):
     """Operand types do not fit the operator (bool where int expected, ...)."""
 
 
-class SitePathInvalid(SpecError):
-    """A mutation choice's site path does not resolve to a matching node."""
-
-
 class UnknownClause(SpecError):
     """A clause id is not known to the selection state."""
 

@@ -337,10 +337,6 @@ def _decode_value(raw: Any, context: str) -> Value:
     raise ValueError(f"{context}: unsupported value {raw!r}")
 
 
-def _encode_value(value: Value) -> Any:
-    return None if value is NULL else value
-
-
 def record_from_dict(obj: dict[str, Any], context: str = "trace record") -> TraceRecord:
     if not isinstance(obj, dict):
         raise ValueError(f"{context}: expected a JSON object")
@@ -371,19 +367,6 @@ def record_from_dict(obj: dict[str, Any], context: str = "trace record") -> Trac
             for name, value in old_raw.items()
         }
     return TraceRecord(anchor=anchor, phase=phase, bindings=bindings, result=result, old=old)
-
-
-def record_to_dict(record: TraceRecord) -> dict[str, Any]:
-    obj: dict[str, Any] = {
-        "anchor": record.anchor.key(),
-        "phase": record.phase.value,
-        "bindings": {name: _encode_value(value) for name, value in record.bindings.items()},
-    }
-    if record.result is not None:
-        obj["result"] = _encode_value(record.result)
-    if record.old is not None:
-        obj["old"] = {name: _encode_value(value) for name, value in record.old.items()}
-    return obj
 
 
 def read_json_lines(path: str | Path) -> Iterator[tuple[str, Any]]:
@@ -417,8 +400,3 @@ def load_trace_file(path: str) -> list[TraceRecord]:
             raise ConfigError(str(exc)) from exc
     return records
 
-
-def dump_trace_file(path: str, records: list[TraceRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")

@@ -179,7 +179,6 @@ BINARY_LEVEL = {
 RIGHT_ASSOC_OPS = {"==>"}
 
 BOOLEAN_OPS = {"<==>", "==>", "<==", "||", "&&", "==", "!=", "<", "<=", ">", ">="}
-ARITHMETIC_OPS = {"+", "-", "*", "/", "%"}
 
 
 def precedence(expr: Expr) -> int:
@@ -285,19 +284,3 @@ def walk(expr: Expr, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], 
         out.extend(walk(child, path + (i,)))
     return out
 
-
-def node_at(expr: Expr, path: tuple[int, ...]) -> Expr:
-    node = expr
-    for index in path:
-        kids = node.children()
-        if index >= len(kids):
-            raise IndexError(f"path {path} does not resolve")
-        node = kids[index]
-    return node
-
-
-def replace_at(expr: Expr, path: tuple[int, ...], new_node: Expr) -> Expr:
-    if not path:
-        return new_node
-    child = replace_at(expr.children()[path[0]], path[1:], new_node)
-    return expr.replace_child(path[0], child)

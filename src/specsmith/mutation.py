@@ -19,8 +19,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .clauses import Clause, render_clause
-from .errors import SitePathInvalid
-from .expr import Binary, Expr, IntLit, Quantifier, node_at, replace_at, walk
+from .expr import Binary, Expr, IntLit, Quantifier, walk
 
 
 class MutationKind(Enum):
@@ -174,27 +173,10 @@ def enumerate_sites(expr: Expr) -> list[MutationSite]:
     return sites
 
 
-def apply_choice(expr: Expr, choice: MutationChoice) -> Expr:
-    """Rewrite exactly the one operator named by the choice."""
-    site = choice.site
-    try:
-        node = node_at(expr, site.path)
-    except IndexError as exc:
-        raise SitePathInvalid(f"path {site.path} does not resolve") from exc
-    rewritten = _rewrite(node, site, choice.replacement)
-    return replace_at(expr, site.path, rewritten)
-
-
-def _rewrite(node: Expr, site: MutationSite, replacement: str) -> Expr:
+def _rewrite(node: Expr, replacement: str) -> Expr:
+    """Rewrite a site's node, a ``Quantifier`` or a mutable ``Binary``."""
     if isinstance(node, Quantifier):
-        if f"\\{node.kind}" != site.original_op:
-            raise SitePathInvalid(
-                f"expected {site.original_op} at {site.path}, found \\{node.kind}"
-            )
         return Quantifier(replacement[1:], node.var, node.range, node.body)
-    if not isinstance(node, Binary) or node.op != site.original_op:
-        found = node.op if isinstance(node, Binary) else type(node).__name__
-        raise SitePathInvalid(f"expected {site.original_op} at {site.path}, found {found}")
     if replacement == DEC_LHS:
         return Binary("<=", Binary("-", node.lhs, IntLit(1)), node.rhs)
     if replacement == INC_LHS:
@@ -203,7 +185,7 @@ def _rewrite(node: Expr, site: MutationSite, replacement: str) -> Expr:
 
 
 def _apply_combination(
-    expr: Expr, chosen: dict[tuple[int, ...], tuple[MutationSite, str]]
+    expr: Expr, chosen: dict[tuple[int, ...], str]
 ) -> Expr:
     """Apply many choices in one bottom-up rebuild.
 
@@ -219,8 +201,7 @@ def _apply_combination(
             if new_child is not child:
                 rebuilt = rebuilt.replace_child(index, new_child)
         if path in chosen:
-            site, replacement = chosen[path]
-            rebuilt = _rewrite(rebuilt, site, replacement)
+            rebuilt = _rewrite(rebuilt, chosen[path])
         return rebuilt
 
     return build(expr, ())
@@ -239,7 +220,7 @@ def _make_counts(choices: Sequence[MutationChoice]) -> tuple[tuple[MutationKind,
 
 
 def _build_variant(template: Clause, choices: tuple[MutationChoice, ...]) -> Variant:
-    chosen = {c.site.path: (c.site, c.replacement) for c in choices}
+    chosen = {c.site.path: c.replacement for c in choices}
     expr = _apply_combination(template.expr, chosen) if chosen else template.expr
     clause = template.with_expr(expr)
     return Variant(

@@ -1,4 +1,12 @@
-"""Tokenizer and recursive-descent parser for the supported JML subset.
+"""Tokenizer and parser for the supported JML subset.
+
+Binary operators are parsed by precedence climbing over
+:data:`specsmith.expr.BINARY_LEVEL` and ``RIGHT_ASSOC_OPS``, the table the
+renderer uses, so precedence and associativity are written down once. After
+an operator, its right operand is parsed from the next level up; if the
+operator is right-associative and another of its level follows, that
+operand is extended by the rest of the chain. Unary operators, postfix
+indexing and field access, atoms and quantifiers are recursive descent.
 
 ``parse_expr`` handles bare expressions; ``parse_clause_line`` handles full
 annotation lines (``//@ <kind> <expr>;`` or the same without the comment
@@ -12,6 +20,9 @@ from dataclasses import dataclass
 
 from .errors import ClauseSyntaxError
 from .expr import (
+    BINARY_LEVEL,
+    LEVEL_EQUIV,
+    RIGHT_ASSOC_OPS,
     ArrayIndex,
     Binary,
     BoolLit,
@@ -89,94 +100,35 @@ class _Parser:
             )
         return self.advance()
 
-    def at_op(self, *ops: str) -> bool:
+    def at_op(self, op: str) -> bool:
         tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
+        return tok.kind == "op" and tok.text == op
 
-    # Grammar, loosest first: equivalence, implication, ||, &&, equality,
-    # relational, additive, multiplicative, unary, postfix, atom.
     def parse_expr(self) -> Expr:
-        return self.parse_equiv()
+        return self.parse_binary(self.parse_unary(), LEVEL_EQUIV)
 
-    def parse_equiv(self) -> Expr:
-        node = self.parse_implication()
-        while self.at_op("<==>"):
-            self.advance()
-            node = Binary("<==>", node, self.parse_implication())
-        return node
+    def parse_binary(self, lhs: Expr, min_level: int) -> Expr:
+        """Fold each following binary operator of level >= ``min_level`` into ``lhs``.
 
-    def parse_implication(self) -> Expr:
-        left = self.parse_or()
-        if self.at_op("==>"):
-            self.advance()
-            return Binary("==>", left, self._parse_implication_rhs())
-        if self.at_op("<=="):
-            node = left
-            while self.at_op("<=="):
-                self.advance()
-                node = Binary("<==", node, self.parse_or())
-            if self.at_op("==>"):
-                raise ClauseSyntaxError(
-                    "cannot mix ==> and <== without parentheses",
-                    offset=self.peek().offset,
-                )
-            return node
-        return left
-
-    def _parse_implication_rhs(self) -> Expr:
-        # ==> is right-associative; a <== at the same level is a mix error.
-        operand = self.parse_or()
-        if self.at_op("==>"):
-            self.advance()
-            return Binary("==>", operand, self._parse_implication_rhs())
-        if self.at_op("<=="):
-            raise ClauseSyntaxError(
-                "cannot mix ==> and <== without parentheses",
-                offset=self.peek().offset,
-            )
-        return operand
-
-    def parse_or(self) -> Expr:
-        node = self.parse_and()
-        while self.at_op("||"):
-            self.advance()
-            node = Binary("||", node, self.parse_and())
-        return node
-
-    def parse_and(self) -> Expr:
-        node = self.parse_equality()
-        while self.at_op("&&"):
-            self.advance()
-            node = Binary("&&", node, self.parse_equality())
-        return node
-
-    def parse_equality(self) -> Expr:
-        node = self.parse_relational()
-        while self.at_op("==", "!="):
+        An operator's right operand takes every operator that binds tighter,
+        plus the rest of the chain at its own level when it is right-associative.
+        Two operators of one level that associate differently (``==>`` and
+        ``<==``) may not meet without parentheses.
+        """
+        while BINARY_LEVEL.get(self.peek().text, 0) >= min_level:
             op = self.advance().text
-            node = Binary(op, node, self.parse_relational())
-        return node
-
-    def parse_relational(self) -> Expr:
-        node = self.parse_additive()
-        while self.at_op("<", "<=", ">", ">="):
-            op = self.advance().text
-            node = Binary(op, node, self.parse_additive())
-        return node
-
-    def parse_additive(self) -> Expr:
-        node = self.parse_multiplicative()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            node = Binary(op, node, self.parse_multiplicative())
-        return node
-
-    def parse_multiplicative(self) -> Expr:
-        node = self.parse_unary()
-        while self.at_op("*", "/", "%"):
-            op = self.advance().text
-            node = Binary(op, node, self.parse_unary())
-        return node
+            level = BINARY_LEVEL[op]
+            rhs = self.parse_binary(self.parse_unary(), level + 1)
+            tok = self.peek()
+            if BINARY_LEVEL.get(tok.text) == level:
+                if (tok.text in RIGHT_ASSOC_OPS) != (op in RIGHT_ASSOC_OPS):
+                    raise ClauseSyntaxError(
+                        "cannot mix ==> and <== without parentheses", offset=tok.offset
+                    )
+                if op in RIGHT_ASSOC_OPS:
+                    rhs = self.parse_binary(rhs, level)
+            lhs = Binary(op, lhs, rhs)
+        return lhs
 
     def parse_unary(self) -> Expr:
         if self.at_op("!"):

@@ -207,7 +207,7 @@ def spec_selection(
     while True:
         if budget_seconds is not None and time.monotonic() - started > budget_seconds:
             raise TimeoutBudgetExceeded(
-                f"repair loop exceeded its {budget_seconds:.0f}s budget", state
+                f"repair loop exceeded its {budget_seconds:g}s budget", state
             )
         program = AnnotatedProgram(source, state.selected_clauses())
         verdict = verifier.verify(program)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -400,6 +401,34 @@ def gen_trace_case(rng: random.Random) -> tuple[list[TraceRecord], list[Clause]]
         text = rng.choice(fixed) if rng.random() < 0.65 else render_expr(generated)
         clauses.append(parse_clause(f"{kind.value} {text};", anchor=anchor, clause_id=f"c{number}"))
     return traces, clauses
+
+
+# ---------------------------------------------------------------------------
+# Trace-file writer: the inverse of evaluate.record_from_dict, for tests that
+# round-trip records through a file.
+
+
+def _encode_value(value):
+    return None if value is NULL else value
+
+
+def record_to_dict(record: TraceRecord) -> dict:
+    obj = {
+        "anchor": record.anchor.key(),
+        "phase": record.phase.value,
+        "bindings": {name: _encode_value(value) for name, value in record.bindings.items()},
+    }
+    if record.result is not None:
+        obj["result"] = _encode_value(record.result)
+    if record.old is not None:
+        obj["old"] = {name: _encode_value(value) for name, value in record.old.items()}
+    return obj
+
+
+def dump_trace_file(path: str, records: list[TraceRecord]) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

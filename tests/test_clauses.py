@@ -196,8 +196,9 @@ class TestInstrument:
 
     def test_replacing_clause_expressions_keeps_layout(self):
         program = extract_annotations(SIMPLE)
-        swapped = program.with_clauses(
-            tuple(c.with_expr(parse_expr("x >= 17")) for c in program.clauses)
+        swapped = AnnotatedProgram(
+            program.source,
+            tuple(c.with_expr(parse_expr("x >= 17")) for c in program.clauses),
         )
         text = instrument(swapped)
         assert text.count("x >= 17") == 2

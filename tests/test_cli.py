@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line interface."""
+import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
+from specsmith import repair
 from specsmith.cli import main
 
 ABS_PROGRAM = """\
@@ -374,6 +377,30 @@ class TestRepair:
         assert code == 0
         assert "repaired clauses:" in captured.out
         assert "//@" not in captured.out.split("repaired clauses:")[1]
+
+    def test_timeout_prints_the_partial_state(self, workspace, capsys, monkeypatch):
+        near_miss = workspace / "AbsNearMiss.java"
+        near_miss.write_text(
+            ABS_CORRECT.replace("\\result >= 0", "\\result > 0"), encoding="utf-8"
+        )
+        config = workspace / "config.yaml"
+        data = yaml.safe_load(config.read_text(encoding="utf-8"))
+        data["budgets"] = {"pipeline_seconds": 0.15}
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        # A fake clock that moves 0.1 s per reading: the check before the
+        # first verifier call passes, the one before the second trips.
+        ticks = itertools.count(1)
+        monkeypatch.setattr(
+            repair, "time", SimpleNamespace(monotonic=lambda: next(ticks) / 10)
+        )
+        code = main(["repair", str(near_miss), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == (
+            "verifier calls: 1\n"
+            "  refuted (call 1) method:abs/ensures/0: //@ ensures \\result > 0;\n"
+        )
+        assert captured.err == "error: repair loop exceeded its 0.15s budget\n"
 
     def test_parse_error_exits_one(self, workspace, capsys):
         bad = workspace / "Bad.java"

@@ -18,16 +18,20 @@ from specsmith.evaluate import (
     NULL,
     Phase,
     TraceRecord,
-    dump_trace_file,
     eval_expr,
     extract_bounds,
     load_trace_file,
     record_from_dict,
-    record_to_dict,
 )
 from specsmith.parser import parse_expr
 
-from conftest import eval_outcome, gen_eval_case, oracle_eval
+from conftest import (
+    dump_trace_file,
+    eval_outcome,
+    gen_eval_case,
+    oracle_eval,
+    record_to_dict,
+)
 
 
 def record(bindings=None, result=None, old=None, phase=Phase.POST):

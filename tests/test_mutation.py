@@ -6,16 +6,12 @@ import pytest
 from conftest import gen_mutation_clause, oracle_family, select_by_heuristic
 
 from specsmith.clauses import parse_clause
-from specsmith.errors import SitePathInvalid
 from specsmith.expr import render_expr
 from specsmith.mutation import (
     ALL_KINDS,
     DEFAULT_WEIGHTS,
-    MutationChoice,
     MutationKind,
-    MutationSite,
     WeightTable,
-    apply_choice,
     enumerate_sites,
     enumerate_variants,
     score_variant,
@@ -139,26 +135,6 @@ class TestGoldenFamilies:
         family = enumerate_variants(parse_clause("//@ requires x;"))
         assert [v.text for v in family.variants] == ["//@ requires x;"]
         assert family.raw_count == 1 and not family.truncated
-
-
-class TestApplyChoice:
-    def test_single_rewrite(self):
-        expr = parse_expr("a <= b")
-        site = enumerate_sites(expr)[0]
-        swapped = apply_choice(expr, MutationChoice(site, "<"))
-        assert parse_expr("a < b") == swapped
-
-    def test_structural_rewrite(self):
-        expr = parse_expr("a <= b")
-        site = enumerate_sites(expr)[0]
-        wrapped = apply_choice(expr, MutationChoice(site, "- 1 <="))
-        assert wrapped == parse_expr("a - 1 <= b")
-
-    def test_mismatched_path_rejected(self):
-        expr = parse_expr("a <= b")
-        bogus = MutationSite(path=(0,), kind=MutationKind.COMPARATIVE, original_op="<=")
-        with pytest.raises(SitePathInvalid):
-            apply_choice(expr, MutationChoice(bogus, "<"))
 
 
 class TestScoring:

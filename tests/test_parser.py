@@ -1,11 +1,15 @@
 """Grammar, precedence, canonical rendering, and round-trip identity."""
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 
 from specsmith.errors import ClauseSyntaxError
 from specsmith.expr import (
+    BINARY_LEVEL,
+    RIGHT_ASSOC_OPS,
     Binary,
     BoolLit,
     IntLit,
@@ -92,10 +96,45 @@ class TestPrecedence:
         assert isinstance(expr.lhs, Binary) and expr.lhs.op == "<=="
         assert render_expr(expr.rhs) == "c"
 
-    @pytest.mark.parametrize("text", ["a ==> b <== c", "a <== b ==> c"])
+    @pytest.mark.parametrize("op1, op2", list(itertools.product(BINARY_LEVEL, repeat=2)))
+    def test_operator_pairs(self, op1, op2):
+        text = f"a {op1} b {op2} c"
+        level1, level2 = BINARY_LEVEL[op1], BINARY_LEVEL[op2]
+        right1, right2 = op1 in RIGHT_ASSOC_OPS, op2 in RIGHT_ASSOC_OPS
+        if level1 == level2 and right1 != right2:
+            with pytest.raises(ClauseSyntaxError, match="cannot mix ==> and <==") as info:
+                parse_expr(text)
+            assert info.value.offset == text.index(op2, len(f"a {op1} b"))
+            return
+        a, b, c = Var("a"), Var("b"), Var("c")
+        if level1 < level2 or (level1 == level2 and right1):
+            expected = Binary(op1, a, Binary(op2, b, c))
+        else:
+            expected = Binary(op2, Binary(op1, a, b), c)
+        assert parse_expr(text) == expected
+        assert render_expr(expected) == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a ==> b <== c",
+            "a <== b ==> c",
+            "a ==> b || c <== d",
+            "a <== b <== c && d ==> e",
+            "a ==> b ==> c <== d",
+            "(a <== b ==> c)",
+        ],
+    )
     def test_mixed_implication_directions_rejected(self, text):
-        with pytest.raises(ClauseSyntaxError):
+        # The error points at the first arrow that turns the other way.
+        arrows = list(re.finditer(r"==>|<==", text))
+        offset = next(m.start() for m in arrows if m.group() != arrows[0].group())
+        with pytest.raises(ClauseSyntaxError) as info:
             parse_expr(text)
+        assert info.value.offset == offset
+        assert str(info.value) == (
+            f"cannot mix ==> and <== without parentheses (at offset {offset})"
+        )
 
     def test_mixed_directions_fine_with_parentheses(self):
         assert render_expr(parse_expr("(a ==> b) <== c")) == "(a ==> b) <== c"
