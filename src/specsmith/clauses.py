@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable
 
 from .errors import (
     AnchorNotFound,
@@ -52,6 +53,13 @@ class Anchor:
 
 @dataclass(frozen=True)
 class Clause:
+    """One annotation.
+
+    ``text``, its canonical line, is rendered on first read and kept. A
+    :meth:`deferred` clause is made with its text instead, and builds its
+    expression on first read.
+    """
+
     kind: ClauseKind
     expr: Expr
     anchor: Anchor | None = None
@@ -59,6 +67,26 @@ class Clause:
 
     def with_expr(self, expr: Expr) -> Clause:
         return replace(self, expr=expr)
+
+    @classmethod
+    def deferred(cls, like: Clause, text: str, build: Callable[[], Expr]) -> Clause:
+        """A clause with ``like``'s kind, anchor and id, whose expression,
+        rendered as ``text``, is ``build()``, called on first read."""
+        clause = object.__new__(cls)
+        clause.__dict__.update(kind=like.kind, anchor=like.anchor, id=like.id, text=text, _build=build)
+        return clause
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes missing from the instance: the text
+        # before its first read, and a deferred clause's expression.
+        if name == "text":
+            value = f"//@ {self.kind.value} {render_expr(self.expr)};"
+        elif name == "expr" and "_build" in self.__dict__:
+            value = self.__dict__.pop("_build")()
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -70,7 +98,7 @@ class AnnotatedProgram:
 
 
 def render_clause(clause: Clause) -> str:
-    return f"//@ {clause.kind.value} {render_expr(clause.expr)};"
+    return clause.text
 
 
 def parse_clause(text: str, anchor: Anchor | None = None, clause_id: str = "") -> Clause:

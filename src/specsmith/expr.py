@@ -194,10 +194,8 @@ def precedence(expr: Expr) -> int:
 def render_expr(expr: Expr) -> str:
     """Canonical text of an expression: minimal parentheses, single spaces."""
     if isinstance(expr, Binary):
-        level = BINARY_LEVEL[expr.op]
-        right_assoc = expr.op in RIGHT_ASSOC_OPS
-        lhs = _render_side(expr.lhs, expr.op, level, parenthesize_equal=right_assoc)
-        rhs = _render_side(expr.rhs, expr.op, level, parenthesize_equal=not right_assoc)
+        lhs = _render_side(expr.lhs, expr.op, is_rhs=False)
+        rhs = _render_side(expr.rhs, expr.op, is_rhs=True)
         return f"{lhs} {expr.op} {rhs}"
     if isinstance(expr, Unary):
         inner = render_expr(expr.operand)
@@ -234,18 +232,26 @@ def render_expr(expr: Expr) -> str:
     raise TypeError(f"cannot render {type(expr).__name__}")
 
 
-def _render_side(child: Expr, parent_op: str, parent_level: int, parenthesize_equal: bool) -> str:
+def _render_side(child: Expr, parent_op: str, is_rhs: bool) -> str:
+    # Every other node binds tighter than any binary operator.
     text = render_expr(child)
-    child_level = precedence(child)
-    needs = child_level < parent_level
-    if not needs and child_level == parent_level:
-        if parenthesize_equal:
-            needs = True
-        elif parent_level == LEVEL_IMPLIES:
-            # ==> and <== associate in opposite directions; mixed chains are
-            # only expressible with explicit parentheses.
-            needs = isinstance(child, Binary) and child.op != parent_op
-    return f"({text})" if needs else text
+    if isinstance(child, Binary) and side_needs_parens(child.op, parent_op, is_rhs):
+        return f"({text})"
+    return text
+
+
+def side_needs_parens(child_op: str, parent_op: str, is_rhs: bool) -> bool:
+    """Whether a binary operand of operator ``child_op`` is parenthesized on
+    the given side of a binary node of operator ``parent_op``."""
+    child_level = BINARY_LEVEL[child_op]
+    parent_level = BINARY_LEVEL[parent_op]
+    if child_level != parent_level:
+        return child_level < parent_level
+    if (parent_op in RIGHT_ASSOC_OPS) != is_rhs:
+        return True  # the side against the operator's associativity
+    # ==> and <== associate in opposite directions; mixed chains are only
+    # expressible with explicit parentheses.
+    return parent_level == LEVEL_IMPLIES and child_op != parent_op
 
 
 def infer_type(expr: Expr) -> str:

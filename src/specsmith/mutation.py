@@ -1,14 +1,21 @@
 """Mutation operators, weighted scoring, and best-first family enumeration.
 
 Each clause yields a fixed list of mutation sites (one per mutable operator
-occurrence). A variant is the clause with some subset of sites rewritten,
-carrying the per-kind count vector used for scoring. The family of a template
-is every such variant, ordered by score (descending), then text (ascending).
+occurrence). A variant is the clause with some subset of sites rewritten: an
+assignment of one option to every site. The family of a template is every
+such variant, ordered by score (descending), then text (ascending).
 Distinct assignments always render distinct texts: a rewrite keeps its node's
 position and changes only its operator, and a structural rewrite adds a
 ``± 1`` node no other assignment can produce. So a family's size and its
 truncation flag follow from the raw combination count alone, and members are
 built one score level at a time, only as far as a reader asks.
+
+Members are made as mutant schemata (:mod:`specsmith.schemata`): the
+template is compiled once into a render plan, and each member's text is
+that plan filled from its assignment. A member's tree and per-kind counts
+are built on first read. The template member takes the template's own text
+and tree, and the plan is compiled only when a reader asks for a member past
+the template.
 """
 from __future__ import annotations
 
@@ -16,10 +23,13 @@ import bisect
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from .clauses import Clause, render_clause
-from .expr import Binary, Expr, IntLit, Quantifier, walk
+from .expr import Binary, Expr, Quantifier, walk
+from .schemata import DEC_LHS, INC_LHS, Options, Schema
 
 
 class MutationKind(Enum):
@@ -30,11 +40,6 @@ class MutationKind(Enum):
 
 
 ALL_KINDS = frozenset(MutationKind)
-
-# Structural rewrites: the replacement keeps the comparison operator but
-# shifts the left operand by one.
-DEC_LHS = "- 1 <="
-INC_LHS = "+ 1 >="
 
 # operator token -> (kind, replacement options in fixed order)
 REPLACEMENTS: dict[str, tuple[MutationKind, tuple[str, ...]]] = {
@@ -87,25 +92,71 @@ class MutationSite:
     original_op: str
 
 
-@dataclass(frozen=True)
-class MutationChoice:
-    site: MutationSite
-    replacement: str
-
-
-@dataclass(frozen=True)
 class Variant:
-    expr: Expr
-    counts: tuple[tuple[MutationKind, int], ...]  # all four kinds, fixed order
-    choices: tuple[MutationChoice, ...]
-    text: str  # canonical rendered clause line
+    """One family member: its assignment (one option index per enabled site,
+    in site order), its canonical clause line and its score.
 
-    def count(self, kind: MutationKind) -> int:
-        return dict(self.counts)[kind]
+    Its clause, expression tree and per-kind counts are built on first read.
+    Two members are equal when they render the same text by the same number
+    of rewrites of each kind.
+    """
+
+    __slots__ = ("assignment", "text", "score", "_schema", "_clause", "_counts")
+
+    def __init__(
+        self,
+        schema: Schema,
+        assignment: tuple[int, ...],
+        text: str,
+        score: int,
+        clause: Clause | None = None,
+    ):
+        self.assignment = assignment
+        self.text = text
+        self.score = score
+        self._schema = schema
+        self._clause = clause
+        self._counts: tuple[tuple[MutationKind, int], ...] | None = None
+
+    @property
+    def clause(self) -> Clause:
+        """The template clause carrying this member's text and expression."""
+        if self._clause is None:
+            self._clause = Clause.deferred(
+                self._schema.template, self.text, partial(self._schema.tree, self.assignment)
+            )
+        return self._clause
+
+    @property
+    def expr(self) -> Expr:
+        return self.clause.expr
+
+    @property
+    def counts(self) -> tuple[tuple[MutationKind, int], ...]:
+        """(kind, rewrites of that kind) for all four kinds, in fixed order."""
+        if self._counts is None:
+            tally = dict.fromkeys(MutationKind, 0)
+            schema = self._schema
+            for site, site_options, index in zip(schema.sites, schema.options, self.assignment):
+                if site_options[index][1] is not None:
+                    tally[site.kind] += 1
+            self._counts = tuple(tally.items())
+        return self._counts
 
     @property
     def total_mutations(self) -> int:
         return sum(n for _, n in self.counts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Variant):
+            return NotImplemented
+        return self.text == other.text and self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash(self.text)
+
+    def __repr__(self) -> str:
+        return f"Variant({self.text!r}, score={self.score})"
 
 
 class Family:
@@ -173,62 +224,9 @@ def enumerate_sites(expr: Expr) -> list[MutationSite]:
     return sites
 
 
-def _rewrite(node: Expr, replacement: str) -> Expr:
-    """Rewrite a site's node, a ``Quantifier`` or a mutable ``Binary``."""
-    if isinstance(node, Quantifier):
-        return Quantifier(replacement[1:], node.var, node.range, node.body)
-    if replacement == DEC_LHS:
-        return Binary("<=", Binary("-", node.lhs, IntLit(1)), node.rhs)
-    if replacement == INC_LHS:
-        return Binary(">=", Binary("+", node.lhs, IntLit(1)), node.rhs)
-    return Binary(replacement, node.lhs, node.rhs)
-
-
-def _apply_combination(
-    expr: Expr, chosen: dict[tuple[int, ...], str]
-) -> Expr:
-    """Apply many choices in one bottom-up rebuild.
-
-    Children are rebuilt before the node itself is rewritten, so a structural
-    rewrite wraps the already-mutated left operand and deeper site paths stay
-    valid regardless of combination order.
-    """
-
-    def build(node: Expr, path: tuple[int, ...]) -> Expr:
-        rebuilt = node
-        for index, child in enumerate(node.children()):
-            new_child = build(child, path + (index,))
-            if new_child is not child:
-                rebuilt = rebuilt.replace_child(index, new_child)
-        if path in chosen:
-            rebuilt = _rewrite(rebuilt, chosen[path])
-        return rebuilt
-
-    return build(expr, ())
-
-
 def score_variant(variant: Variant, weights: WeightTable) -> int:
     """Sum over kinds of (mutation count) x (kind weight)."""
     return sum(weights[kind] * count for kind, count in variant.counts)
-
-
-def _make_counts(choices: Sequence[MutationChoice]) -> tuple[tuple[MutationKind, int], ...]:
-    tally = {kind: 0 for kind in MutationKind}
-    for choice in choices:
-        tally[choice.site.kind] += 1
-    return tuple((kind, tally[kind]) for kind in MutationKind)
-
-
-def _build_variant(template: Clause, choices: tuple[MutationChoice, ...]) -> Variant:
-    chosen = {c.site.path: c.replacement for c in choices}
-    expr = _apply_combination(template.expr, chosen) if chosen else template.expr
-    clause = template.with_expr(expr)
-    return Variant(
-        expr=expr,
-        counts=_make_counts(choices),
-        choices=choices,
-        text=render_clause(clause),
-    )
 
 
 def enumerate_variants(
@@ -251,21 +249,22 @@ def enumerate_variants(
     enabled = set(kinds)
     sites = [s for s in enumerate_sites(template.expr) if s.kind in enabled]
 
-    # Per-site options ordered best score first: (score delta, replacement).
-    # Index 0 is always the best, so the all-zeros assignment is the argmax
-    # and bumping any index can only lower the score.
-    options: list[list[tuple[int, str | None]]] = []
+    # Per-site options ordered best score first. The all-zeros assignment is
+    # the argmax and bumping any index can only lower the score.
+    options: list[Options] = []
     raw_count = 1
     for site in sites:
-        site_options: list[tuple[int, str | None]] = [(0, None)]
+        site_options: Options = [(0, None)]
         site_options.extend((weights[site.kind], repl) for repl in REPLACEMENTS[site.original_op][1])
         site_options.sort(key=lambda pair: -pair[0])
         options.append(site_options)
         raw_count *= len(site_options)
 
-    template_variant = _build_variant(template, ())
+    schema = Schema(template, sites, options)
+    unchanged = tuple([r for _, r in site_options].index(None) for site_options in options)
+    template_variant = Variant(schema, unchanged, render_clause(template), 0, clause=template)
     built: list[Variant] = []
-    levels = _walk_levels(template, template_variant, sites, options, cap, weights, built)
+    levels = _walk_levels(schema, template_variant, cap, built)
     family = Family(template, raw_count, cap, template_variant, levels, built)
     template_leads = all(delta < 0 for site_options in options for delta, _ in site_options[1:])
     if raw_count > cap and not template_leads:
@@ -277,38 +276,25 @@ def enumerate_variants(
 
 
 def _walk_levels(
-    template: Clause,
-    template_variant: Variant,
-    sites: list[MutationSite],
-    options: list[list[tuple[int, str | None]]],
-    cap: int,
-    weights: WeightTable,
-    built: list[Variant],
+    schema: Schema, template_variant: Variant, cap: int, built: list[Variant]
 ) -> Iterator[bool]:
     """Append one score level to ``built`` per step (each yields True)."""
-
-    def assignment_variant(assignment: tuple[int, ...]) -> Variant:
-        choices = tuple(
-            MutationChoice(site=sites[i], replacement=options[i][idx][1])
-            for i, idx in enumerate(assignment)
-            if options[i][idx][1] is not None
-        )
-        return _build_variant(template, choices)
-
+    deltas = [[delta for delta, _ in site_options] for site_options in schema.options]
     # Best-first walk over assignments: pop everything at one score, order
     # that batch by text, emit, then descend to the next score. A neighbor
     # (one site bumped to its next option) never scores higher than its
     # parent, so the heap yields scores in non-increasing order and the
-    # emitted members are already in family order.
-    start = tuple(0 for _ in sites)
-    heap: list[tuple[int, tuple[int, ...]]] = [(-_assignment_score(options, start), start)]
+    # emitted members are already in family order. Heap entries hold the
+    # negated score.
+    start = tuple(0 for _ in deltas)
+    heap: list[tuple[int, tuple[int, ...]]] = [(-sum(site[0] for site in deltas), start)]
     visited = {start}
     batch_limit = max(4 * cap, 16384)
     stopped_early = template_emitted = False
     while heap and not stopped_early:
-        batch_score = heap[0][0]
+        batch_cost = heap[0][0]
         batch: list[tuple[int, ...]] = []
-        while heap and heap[0][0] == batch_score:
+        while heap and heap[0][0] == batch_cost:
             _, assignment = heapq.heappop(heap)
             batch.append(assignment)
             if len(batch) >= batch_limit:
@@ -317,20 +303,27 @@ def _walk_levels(
                 # (the partial order is still deterministic).
                 stopped_early = True
                 break
-            for i in range(len(sites)):
-                if assignment[i] + 1 < len(options[i]):
-                    neighbor = assignment[:i] + (assignment[i] + 1,) + assignment[i + 1 :]
+            for i, site in enumerate(deltas):
+                index = assignment[i]
+                if index + 1 < len(site):
+                    neighbor = assignment[:i] + (index + 1,) + assignment[i + 1 :]
                     if neighbor not in visited:
                         visited.add(neighbor)
-                        heapq.heappush(
-                            heap, (-_assignment_score(options, neighbor), neighbor)
-                        )
-        for variant in sorted((assignment_variant(a) for a in batch), key=lambda v: v.text):
+                        cost = batch_cost + site[index] - site[index + 1]
+                        heapq.heappush(heap, (cost, neighbor))
+        members = [
+            template_variant
+            if assignment == template_variant.assignment
+            else Variant(schema, assignment, schema.render(assignment), -batch_cost)
+            for assignment in batch
+        ]
+        members.sort(key=attrgetter("text"))
+        for variant in members:
             if len(built) >= cap:
                 stopped_early = True
                 break
             built.append(variant)
-            template_emitted = template_emitted or not variant.choices
+            template_emitted = template_emitted or variant is template_variant
         yield True
 
     if not template_emitted:
@@ -339,8 +332,5 @@ def _walk_levels(
         # by definition, so evict the worst variant to make room.
         if len(built) >= cap:
             built.pop()
-        bisect.insort(built, template_variant, key=lambda v: (-score_variant(v, weights), v.text))
+        bisect.insort(built, template_variant, key=lambda v: (-v.score, v.text))
 
-
-def _assignment_score(options: list[list[tuple[int, str | None]]], assignment: tuple[int, ...]) -> int:
-    return sum(options[i][idx][0] for i, idx in enumerate(assignment))

@@ -52,6 +52,13 @@ RESERVED_NAMES = {"true", "false", "null", "int"}
 
 CLAUSE_KEYWORDS = ("requires", "ensures", "maintaining", "decreases")
 
+# The deepest a clause may nest, counting both the parser's nesting
+# (parentheses, brackets, unary operators, ``==>`` chains) and the depth of
+# the tree it builds. Parsing, rendering, mutating and evaluating recurse a
+# few frames per level, so a deeper clause would exhaust the interpreter's
+# recursion limit instead of failing as a syntax error.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class Token:
@@ -80,6 +87,13 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # constructs being parsed inside one another
+
+    def nest(self, tok: Token) -> None:
+        """Enter one more nested construct, which starts at ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ClauseSyntaxError(_TOO_DEEP, offset=tok.offset)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -126,31 +140,38 @@ class _Parser:
                         "cannot mix ==> and <== without parentheses", offset=tok.offset
                     )
                 if op in RIGHT_ASSOC_OPS:
+                    self.nest(tok)
                     rhs = self.parse_binary(rhs, level)
+                    self.depth -= 1
             lhs = Binary(op, lhs, rhs)
         return lhs
 
     def parse_unary(self) -> Expr:
         if self.at_op("!"):
-            self.advance()
-            return Unary("!", self.parse_unary())
-        if self.at_op("-"):
+            self.nest(self.advance())
+            node = Unary("!", self.parse_unary())
+        elif self.at_op("-"):
             self.advance()
             # A minus directly on an integer token folds into the literal so
             # negative constants round-trip as IntLit nodes.
             if self.peek().kind == "int":
                 tok = self.advance()
                 return IntLit(-int(tok.text))
-            return Unary("neg", self.parse_unary())
-        return self.parse_postfix()
+            self.nest(self.peek())
+            node = Unary("neg", self.parse_unary())
+        else:
+            return self.parse_postfix()
+        self.depth -= 1
+        return node
 
     def parse_postfix(self) -> Expr:
         node = self.parse_atom()
         while True:
             if self.at_op("["):
-                self.advance()
+                self.nest(self.advance())
                 index = self.parse_expr()
                 self.expect("]")
+                self.depth -= 1
                 node = ArrayIndex(node, index)
             elif self.at_op("."):
                 self.advance()
@@ -167,11 +188,13 @@ class _Parser:
     def parse_atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "(":
-            self.advance()
+            self.nest(self.advance())
             if self.peek().text in ("\\forall", "\\exists"):
-                return self.parse_quantifier()
-            node = self.parse_expr()
-            self.expect(")")
+                node = self.parse_quantifier()
+            else:
+                node = self.parse_expr()
+                self.expect(")")
+            self.depth -= 1
             return node
         if tok.kind == "int":
             self.advance()
@@ -181,9 +204,10 @@ class _Parser:
             if tok.text == "\\result":
                 return ResultRef()
             if tok.text == "\\old":
-                self.expect("(")
+                self.nest(self.expect("("))
                 inner = self.parse_expr()
                 self.expect(")")
+                self.depth -= 1
                 return OldRef(inner)
             raise ClauseSyntaxError(
                 f"{tok.text} is only valid at the start of a quantifier", offset=tok.offset
@@ -232,6 +256,21 @@ class _Parser:
         return Quantifier(kind, name_tok.text, range_expr, body)
 
 
+_TOO_DEEP = f"clause nests deeper than {MAX_NESTING} levels"
+
+
+def _check_depth(expr: Expr) -> None:
+    """Reject a tree more than ``MAX_NESTING`` levels below its root, as a
+    long operator chain builds. A tree has fewer levels than its text has
+    tokens, so only a text of more tokens than that needs the check."""
+    stack = [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise ClauseSyntaxError(_TOO_DEEP)
+        stack.extend((child, depth + 1) for child in node.children())
+
+
 def parse_expr(text: str) -> Expr:
     """Parse a bare expression; the whole string must be consumed."""
     parser = _Parser(tokenize(text))
@@ -241,6 +280,8 @@ def parse_expr(text: str) -> Expr:
         raise ClauseSyntaxError(
             f"trailing input {tok.text!r}", offset=tok.offset, expected="end of expression"
         )
+    if len(parser.tokens) > MAX_NESTING:
+        _check_depth(node)
     return node
 
 
@@ -265,4 +306,6 @@ def parse_clause_line(text: str) -> tuple[str, Expr]:
         raise ClauseSyntaxError(
             f"trailing input {tok.text!r}", offset=tok.offset, expected="end of clause"
         )
+    if len(parser.tokens) > MAX_NESTING:
+        _check_depth(expr)
     return head.text, expr

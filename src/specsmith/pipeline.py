@@ -229,6 +229,12 @@ def run_pipeline(
         entry["outcome"] = "aborted"
         entry["error"] = str(exc)
         if isinstance(exc, TimeoutBudgetExceeded) and exc.state is not None:
+            # The loop's own budget was what the conversation left of the
+            # pipeline's, which varies from run to run; quote the fixed one.
+            entry["error"] = (
+                "repair loop exceeded what remained of the "
+                f"{config.budgets.pipeline_seconds:g}s pipeline budget"
+            )
             _record_repair(entry, exc.state)
 
     coverage = getattr(context.verifier, "traces", None) is not None

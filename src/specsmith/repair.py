@@ -88,19 +88,9 @@ class SelectionState:
     thrash_warnings: list[str] = field(default_factory=list)
 
     def selected_clauses(self) -> tuple[Clause, ...]:
-        clauses = []
-        for slot in self.slots.values():
-            if slot.selected is not None:
-                template = slot.family.template
-                clauses.append(
-                    Clause(
-                        kind=template.kind,
-                        expr=slot.selected.expr,
-                        anchor=template.anchor,
-                        id=template.id,
-                    )
-                )
-        return tuple(clauses)
+        return tuple(
+            slot.selected.clause for slot in self.slots.values() if slot.selected is not None
+        )
 
 
 @dataclass

@@ -277,16 +277,16 @@ class TraceVerifier:
 
     The records are indexed on the first ``verify``. Each distinct
     (kind, anchor, expression) is checked once; its outcome is kept, keyed by
-    the rendered expression, and re-stamped with the clause id of every later
-    clause that repeats it, so memory grows with the number of distinct
-    clauses seen.
+    the anchor and the clause's text, and re-stamped with the clause id of
+    every later clause that repeats it, so memory grows with the number of
+    distinct clauses seen.
     """
 
     def __init__(self, traces: Sequence[TraceRecord], failures_per_call: str = "all"):
         self.traces = tuple(traces)
         self.failures_per_call = failures_per_call
         self._index: _TraceIndex | None = None
-        self._refutations: dict[tuple[ClauseKind, Anchor | None, str], _Refutation | None] = {}
+        self._refutations: dict[tuple[Anchor | None, str], _Refutation | None] = {}
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
         started = time.monotonic()
@@ -294,8 +294,9 @@ class TraceVerifier:
             self._index = _TraceIndex(self.traces)
         failures: list[FailureReport] = []
         for clause in program.clauses:
-            # Rendering is exact: parse(render(e)) == e for every expression.
-            key = (clause.kind, clause.anchor, render_expr(clause.expr))
+            # Rendering is exact: parse(render(e)) == e for every expression,
+            # and the text starts with the clause kind.
+            key = (clause.anchor, clause.text)
             refutation = self._refutations.get(key, _UNSEEN)
             if refutation is _UNSEEN:
                 refutation = self._refutations[key] = _refute(clause, self._index)
@@ -413,9 +414,7 @@ class MockVerifier:
             self.truth = frozenset(self.truth)
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
-        from .clauses import render_clause
-
-        texts = tuple(render_clause(c) for c in program.clauses)
+        texts = tuple(clause.text for clause in program.clauses)
         self.calls.append(texts)
         if self.verdicts is not None:
             if not self.verdicts:

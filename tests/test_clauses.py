@@ -130,6 +130,28 @@ class TestExtraction:
         lines = [line for line, _ in info.value.issues]
         assert lines == [2, 3]
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "(" * 300 + "x" + ")" * 300 + " > 0",
+            "!" * 300 + "(x > 0)",
+            " + ".join(["x"] * 300) + " > 0",
+            " ==> ".join(["x > 0"] * 300),
+        ],
+    )
+    def test_deep_nesting_is_a_parse_error(self, body):
+        source = (
+            "class C {\n"
+            f"    //@ requires {body};\n"
+            "    //@ requires x > 0;\n"
+            "    static int f(int x) { return x; }\n"
+            "}\n"
+        )
+        with pytest.raises(ExtractionError) as info:
+            extract_annotations(source)
+        [(line, message)] = info.value.issues
+        assert line == 2 and message.startswith("clause nests deeper than 100 levels")
+
     def test_type_mismatch_reported(self):
         source = (
             "class C {\n"

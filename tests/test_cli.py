@@ -218,6 +218,12 @@ class TestMutate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_deep_nesting_is_a_syntax_error(self, capsys):
+        code = main(["mutate", "requires " + "(" * 300 + "a" + ")" * 300 + ";"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == ["error: clause nests deeper than 100 levels (at offset 109)"]
+
 
 class TestVerify:
     def test_pass(self, workspace, capsys):

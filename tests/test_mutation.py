@@ -5,7 +5,8 @@ import random
 import pytest
 from conftest import gen_mutation_clause, oracle_family, select_by_heuristic
 
-from specsmith.clauses import parse_clause
+from specsmith import schemata
+from specsmith.clauses import parse_clause, render_clause
 from specsmith.expr import render_expr
 from specsmith.mutation import (
     ALL_KINDS,
@@ -159,8 +160,8 @@ class TestScoring:
     def test_counts_recorded_per_kind(self):
         family = enumerate_variants(parse_clause("//@ requires a + b <= c;"))
         variant = next(v for v in family.variants if body(v.text) == "a - b < c")
-        assert variant.count(MutationKind.ARITHMETIC) == 1
-        assert variant.count(MutationKind.COMPARATIVE) == 1
+        assert dict(variant.counts)[MutationKind.ARITHMETIC] == 1
+        assert dict(variant.counts)[MutationKind.COMPARATIVE] == 1
         assert variant.total_mutations == 2
 
     def test_scaled_weights_keep_argmax(self):
@@ -334,6 +335,64 @@ class TestDistinctAssignments:
         rng = random.Random(5)
         for _ in range(300):
             self.check(gen_mutation_clause(rng, max_sites=6))
+
+
+class TestRenderPlan:
+    """A member's text, filled in from the template's render plan, is the
+    rendering of its tree, which is built from its assignment on its own."""
+
+    # Under the second table option 0 of a comparative site is a rewrite,
+    # so the template's assignment is not all zeros.
+    WEIGHTS = [DEFAULT_WEIGHTS, WeightTable(comparative=1)]
+
+    def check(self, clause):
+        for kinds in KIND_SUBSETS:
+            for weights in self.WEIGHTS:
+                family = enumerate_variants(clause, kinds=kinds, weights=weights, cap=1 << 20)
+                for variant in family.variants:
+                    assert variant.text == render_clause(clause.with_expr(variant.expr))
+
+    def test_generated_clauses(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            self.check(parse_clause(f"//@ requires {render_expr(gen_mutation_clause(rng, max_sites=6))};"))
+
+    @pytest.mark.parametrize(
+        "text",
+        STRUCTURAL_CASES
+        + [
+            "a < b <= c",
+            "a >= b > c == d",
+            "a ==> b ==> c",
+            "(a ==> b) ==> c",
+            "a <== b <== c",
+            "a <== (b <== c)",
+            "a ==> (b <== c)",
+            "(a <== b) ==> c",
+            "a <==> b ==> c <==> d",
+            "((a <== b) ==> c) <==> ((c ==> d) <== e)",
+            "!(a < b) || -(x + y) >= a[i + 1] % 2",
+            "a % b + c <= d % 2",
+            "-(-a[i + 1]) <= -(-1) - x",
+            "\\old(x - y) <= (\\exists int k; k < n; a[k] != x)",
+        ],
+    )
+    def test_fixed_clauses(self, text):
+        self.check(parse_clause(f"//@ requires {text};"))
+
+    def test_template_read_compiles_no_plan(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("built past the template")
+
+        monkeypatch.setattr(schemata, "_compile_plan", fail)
+        monkeypatch.setattr(schemata, "_apply_combination", fail)
+        clause = parse_clause("//@ requires a + b <= c && c < d;")
+        family = enumerate_variants(clause)
+        template = family.get(0)
+        assert template is family.template_variant
+        assert template.expr is clause.expr and template.text == render_clause(clause)
+        with pytest.raises(AssertionError, match="built past the template"):
+            family.get(1)
 
 
 class TestSelectRandom:

@@ -22,7 +22,7 @@ from specsmith.expr import (
     infer_type,
     render_expr,
 )
-from specsmith.parser import parse_clause_line, parse_expr, tokenize
+from specsmith.parser import MAX_NESTING, parse_clause_line, parse_expr, tokenize
 
 from conftest import bool_exprs, gen_bool_expr, int_exprs
 
@@ -218,6 +218,36 @@ class TestClauseLine:
     def test_unknown_keyword(self):
         with pytest.raises(ClauseSyntaxError):
             parse_clause_line("assignable x;")
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda n: "(" * n + "x" + ")" * n,
+            lambda n: "!" * n + "x",
+            lambda n: "-" * n + "x",
+            lambda n: "\\old(" * n + "x" + ")" * n,
+            lambda n: "a" + "[a" * n + "]" * n,
+            lambda n: " ==> ".join(["x"] * (n + 1)),
+            lambda n: "(\\forall int k; r; " * n + "x" + ")" * n,
+        ],
+    )
+    def test_parser_nesting(self, nest):
+        parse_expr(nest(MAX_NESTING))
+        with pytest.raises(ClauseSyntaxError, match="nests deeper than 100 levels"):
+            parse_expr(nest(MAX_NESTING + 1))
+        with pytest.raises(ClauseSyntaxError, match="nests deeper than 100 levels"):
+            parse_clause_line(f"requires {nest(2000)};")
+
+    @pytest.mark.parametrize("op", ["+", "&&", "<==", "*"])
+    def test_tree_depth_of_long_chains(self, op):
+        # n + 1 operands of a left-associative operator: n levels below the root.
+        parse_expr(f" {op} ".join(["x"] * (MAX_NESTING + 1)))
+        with pytest.raises(ClauseSyntaxError, match="nests deeper than 100 levels"):
+            parse_expr(f" {op} ".join(["x"] * (MAX_NESTING + 2)))
+        with pytest.raises(ClauseSyntaxError, match="nests deeper than 100 levels"):
+            parse_clause_line(f"requires {f' {op} '.join(['x'] * 2000)};")
 
 
 class TestRoundTrip:

@@ -396,16 +396,25 @@ class TestRunPipeline:
                 self.now += 6.0
                 return super().verify(program)
 
-        verifier = ClockedVerifier(truth=frozenset())
-        monkeypatch.setattr(repair, "time", SimpleNamespace(monotonic=lambda: verifier.now))
         near_miss = ABS_CORRECT.replace("\\result >= 0", "\\result > 0")
         config = scripted_mock_config(
             tmp_path, [fenced(near_miss)] * 2, truth=[], budgets={"pipeline_seconds": 10}
         )
-        context = PipelineContext(config=config, verifier=verifier, shots=[])
-        entry = run_pipeline("Abs", ABS_PROGRAM, context, build_client(config))
+        entries = []
+        # The conversation takes 1 s, then 3 s, of the pipeline's fake clock.
+        for conversation_seconds in (1.0, 3.0):
+            ticks = iter([0.0, conversation_seconds])
+            monkeypatch.setattr(pipeline, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+            verifier = ClockedVerifier(truth=frozenset())
+            monkeypatch.setattr(repair, "time", SimpleNamespace(monotonic=lambda: verifier.now))
+            context = PipelineContext(config=config, verifier=verifier, shots=[])
+            entries.append(run_pipeline("Abs", ABS_PROGRAM, context, build_client(config)))
+        entry = entries[0]
+        # The error quotes the configured budget, not the remainder repair got.
+        assert entries[1] == entry
         # Two repair calls fit the 10 s budget; the check before a third trips.
-        assert entry["outcome"] == "aborted" and "budget" in entry["error"]
+        assert entry["outcome"] == "aborted"
+        assert entry["error"] == "repair loop exceeded what remained of the 10s pipeline budget"
         assert entry["verifier_calls_repair"] == 2
         assert [event[:2] for event in entry["refuted_history"]] == [
             [1, "method:abs/requires/0"],

@@ -6,6 +6,7 @@ from conftest import RandomizedVerifier, gen_mutation_clause, select_by_heuristi
 
 from specsmith.clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, parse_clause, render_clause
 from specsmith.errors import SpecError, TimeoutBudgetExceeded, UnknownClause
+from specsmith import schemata
 from specsmith.expr import render_expr
 from specsmith.mutation import (
     DEFAULT_WEIGHTS,
@@ -350,6 +351,16 @@ class TestLazySelection:
                 built_total += len(slot.family._built)
                 eager_total += len(eager[tid])
         assert built_total < eager_total
+
+    def test_mock_repair_builds_no_variant_tree(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a variant tree was built")
+
+        monkeypatch.setattr(schemata, "_apply_combination", fail)
+        program = make_program("a + b <= c", "c < d && a >= b")
+        verifier = truth_verifier(program, "a - b < c", "c <= d || a + 1 >= b")
+        result = mutation_based_gen(program, verifier, HeuristicStrategy())
+        assert result.passed and result.state.verifier_calls > 10
 
 
 class TestBudget:
