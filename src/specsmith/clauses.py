@@ -56,8 +56,9 @@ class Clause:
     """One annotation.
 
     ``text``, its canonical line, is rendered on first read and kept. A
-    :meth:`deferred` clause is made with its text instead, and builds its
-    expression on first read.
+    :meth:`rendered` clause is made with its text instead; a :meth:`deferred`
+    one is too, and builds its expression on first read. :meth:`with_expr`
+    renders the new expression afresh.
     """
 
     kind: ClauseKind
@@ -67,6 +68,15 @@ class Clause:
 
     def with_expr(self, expr: Expr) -> Clause:
         return replace(self, expr=expr)
+
+    @classmethod
+    def rendered(
+        cls, kind: ClauseKind, expr: Expr, text: str, anchor: Anchor | None, id: str
+    ) -> Clause:
+        """A clause made with ``text``, its canonical line, already rendered."""
+        clause = object.__new__(cls)
+        clause.__dict__.update(kind=kind, expr=expr, anchor=anchor, id=id, text=text)
+        return clause
 
     @classmethod
     def deferred(cls, like: Clause, text: str, build: Callable[[], Expr]) -> Clause:
@@ -120,6 +130,25 @@ def parse_clause(text: str, anchor: Anchor | None = None, clause_id: str = "") -
     return Clause(kind=kind, expr=expr, anchor=anchor, id=clause_id)
 
 
+# Parsed annotation lines, keyed by the stripped line: the kind, expression
+# and canonical text of a line that parses, or the message of its error.
+ClauseTable = dict[str, tuple[ClauseKind, Expr, str] | str]
+
+
+def _table_entry(line: str, table: ClauseTable) -> tuple[ClauseKind, Expr, str] | str:
+    """``line``'s entry, parsing and rendering it on its first lookup."""
+    entry = table.get(line)
+    if entry is None:
+        try:
+            clause = parse_clause(line)
+        except (ClauseSyntaxError, TypeMismatch) as exc:
+            entry = str(exc)
+        else:
+            entry = (clause.kind, clause.expr, clause.text)
+        table[line] = entry
+    return entry
+
+
 _MODIFIERS = r"(?:(?:public|private|protected|static|final|synchronized|abstract|native|strictfp)\s+)*"
 _METHOD_RE = re.compile(
     rf"^\s*{_MODIFIERS}[\w$<>\[\],.]+(?:\s*\[\s*\])*\s+([A-Za-z_$][\w$]*)\s*\("
@@ -169,14 +198,20 @@ def scan_anchors(lines: list[str]) -> dict[int, Anchor]:
 _ORPHAN_MESSAGE = "annotation precedes neither a method header nor a loop"
 
 
-def extract_annotations(source: str) -> AnnotatedProgram:
+def extract_annotations(source: str, table: ClauseTable | None = None) -> AnnotatedProgram:
     """Pull ``//@`` lines out of the text and anchor them by adjacency.
 
     Annotation lines must sit immediately above a method header or a loop
     line (other annotation lines in between are fine). Problems — parse
     errors, type mismatches, orphaned annotations — are collected per line
     and raised together as one :class:`ExtractionError`.
+
+    Each distinct line is parsed once through ``table``, which the caller may
+    share between calls (a conversation shares one across its rounds); the
+    anchors, ordinals and ids are assigned afresh on every call.
     """
+    if table is None:
+        table = {}
     lines = source.splitlines()
     stripped_lines: list[str] = []
     pending: list[tuple[int, str]] = []
@@ -184,8 +219,9 @@ def extract_annotations(source: str) -> AnnotatedProgram:
     issues: list[tuple[int, str]] = []
 
     for line_no, line in enumerate(lines, start=1):
-        if line.strip().startswith("//@"):
-            pending.append((line_no, line.strip()))
+        annotation = line.strip()
+        if annotation.startswith("//@"):
+            pending.append((line_no, annotation))
             continue
         stripped_lines.append(line)
         if pending:
@@ -202,16 +238,16 @@ def extract_annotations(source: str) -> AnnotatedProgram:
         if anchor is None:
             issues.extend((line_no, _ORPHAN_MESSAGE) for line_no, _ in block)
             continue
-        for line_no, text in block:
-            try:
-                clause = parse_clause(text, anchor=anchor)
-            except (ClauseSyntaxError, TypeMismatch) as exc:
-                issues.append((line_no, str(exc)))
+        for line_no, line in block:
+            entry = _table_entry(line, table)
+            if isinstance(entry, str):
+                issues.append((line_no, entry))
                 continue
-            ordinal = ordinals.get((anchor, clause.kind), 0)
-            ordinals[(anchor, clause.kind)] = ordinal + 1
-            clause_id = f"{anchor.key()}/{clause.kind.value}/{ordinal}"
-            clauses.append(replace(clause, id=clause_id))
+            kind, expr, text = entry
+            ordinal = ordinals.get((anchor, kind), 0)
+            ordinals[(anchor, kind)] = ordinal + 1
+            clause_id = f"{anchor.key()}/{kind.value}/{ordinal}"
+            clauses.append(Clause.rendered(kind, expr, text, anchor, clause_id))
 
     if issues:
         raise ExtractionError(sorted(issues))

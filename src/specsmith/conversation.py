@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .clauses import AnnotatedProgram, extract_annotations, scan_anchors
+from .clauses import AnnotatedProgram, ClauseTable, extract_annotations, scan_anchors
 from .errors import (
     EndpointError,
     ExtractionError,
@@ -189,13 +189,16 @@ class ExtractionFailure:
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 
 
-def extract_specs(response: str, program: str) -> AnnotatedProgram | ExtractionFailure:
+def extract_specs(
+    response: str, program: str, table: ClauseTable | None = None
+) -> AnnotatedProgram | ExtractionFailure:
     """Pull the clause set out of a model response.
 
     Uses the last fenced code block (the whole response when there is none).
     A block of bare ``//@`` lines is re-anchored onto the queried program,
     but only when that is unambiguous: one method, and at most one loop if
-    loop clauses are present. All failures are returned as values.
+    loop clauses are present. All failures are returned as values. Clause
+    lines are parsed through ``table`` (see :func:`extract_annotations`).
     """
     blocks = _FENCE_RE.findall(response)
     body = blocks[-1] if blocks else response
@@ -203,16 +206,18 @@ def extract_specs(response: str, program: str) -> AnnotatedProgram | ExtractionF
     if not any(line.strip().startswith("//@") for line in lines):
         return ExtractionFailure(("the response contains no //@ annotation lines",))
     if lines and all(line.strip().startswith("//@") for line in lines):
-        return _anchor_bare_clauses(body, program)
+        return _anchor_bare_clauses(body, program, table)
     try:
-        return extract_annotations(body)
+        return extract_annotations(body, table)
     except ExtractionError as exc:
         return ExtractionFailure(
             tuple(f"line {line}: {message}" for line, message in exc.issues)
         )
 
 
-def _anchor_bare_clauses(body: str, program: str) -> AnnotatedProgram | ExtractionFailure:
+def _anchor_bare_clauses(
+    body: str, program: str, table: ClauseTable | None
+) -> AnnotatedProgram | ExtractionFailure:
     program_lines = program.splitlines()
     anchors = scan_anchors(program_lines)
     methods = sorted({i for i, a in anchors.items() if a.loop is None})
@@ -249,7 +254,7 @@ def _anchor_bare_clauses(body: str, program: str) -> AnnotatedProgram | Extracti
             rebuilt.extend(loop_clauses)
         rebuilt.append(line)
     try:
-        return extract_annotations("\n".join(rebuilt))
+        return extract_annotations("\n".join(rebuilt), table)
     except ExtractionError as exc:
         return ExtractionFailure(
             tuple(f"line {line}: {message}" for line, message in exc.issues)
@@ -364,12 +369,18 @@ def run_conversation(
 
     Returns the verified program, or None plus a transcript whose
     ``last_extracted`` field seeds the mutation phase.
+
+    Each round re-sends the whole annotated program, so the clause lines are
+    parsed through one table that this call creates and shares across its
+    rounds: a line repeated from an earlier round is not parsed again. The
+    table lives exactly as long as this call; no two conversations share one.
     """
     bundle = build_initial_prompt(program, shots, system_role, cfg.shot_count)
     messages = bundle.render_messages()
     shot_pairs = len(bundle.shots)
     transcript = ConversationTranscript()
     prompt_text = "\n\n".join(m["content"] for m in messages)
+    table: ClauseTable = {}
 
     for _ in range(cfg.max_rounds):
         try:
@@ -379,7 +390,7 @@ def run_conversation(
             transcript.error = str(exc)
             return None, transcript
 
-        extraction = extract_specs(response, program)
+        extraction = extract_specs(response, program, table)
         if isinstance(extraction, ExtractionFailure):
             round_entry = Round(
                 prompt=prompt_text,

@@ -1,5 +1,8 @@
 """Tokenizer and parser for the supported JML subset.
 
+One scan of ``_TOKEN_RE`` splits a line into (kind, text, offset) tuples,
+which the parser reads by position.
+
 Binary operators are parsed by precedence climbing over
 :data:`specsmith.expr.BINARY_LEVEL` and ``RIGHT_ASSOC_OPS``, the table the
 renderer uses, so precedence and associativity are written down once. After
@@ -16,7 +19,6 @@ construction and the type pass live in :mod:`specsmith.clauses`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ClauseSyntaxError
 from .expr import (
@@ -44,8 +46,9 @@ _TOKEN_RE = re.compile(
   | (?P<kw>\\(?:forall|exists|result|old))
   | (?P<name>[A-Za-z_$][A-Za-z0-9_$]*)
   | (?P<op><==>|==>|<==|&&|\|\||==|!=|<=|>=|[-+*/%<>!()\[\];.,])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 RESERVED_NAMES = {"true", "false", "null", "int"}
@@ -60,63 +63,51 @@ CLAUSE_KEYWORDS = ("requires", "ensures", "maintaining", "decreases")
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "kw" | "name" | "op" | "eof"
-    text: str
-    offset: int
+# A token is (kind, text, offset), kind being "int", "kw", "name", "op" or
+# "eof"; the eof token's text is empty and its offset is the text's length.
+Token = tuple[str, str, int]
 
 
 def tokenize(text: str) -> list[Token]:
+    """Split ``text`` into tokens in one scan; whitespace separates them."""
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ClauseSyntaxError(f"unrecognized character {text[pos]!r}", offset=pos)
-        pos = match.end()
+    append = tokens.append
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         if kind == "ws":
             continue
-        tokens.append(Token(kind, match.group(), match.start()))
-    tokens.append(Token("eof", "", len(text)))
+        if kind == "bad":
+            raise ClauseSyntaxError(
+                f"unrecognized character {match.group()!r}", offset=match.start()
+            )
+        append((kind, match.group(), match.start()))
+    append(("eof", "", len(text)))
     return tokens
+
+
+def _unexpected(kind: str, text: str) -> str:
+    return f"unexpected {text!r}" if kind != "eof" else "unexpected end of input"
 
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = 0  # the current token; never moves past eof
         self.depth = 0  # constructs being parsed inside one another
 
-    def nest(self, tok: Token) -> None:
-        """Enter one more nested construct, which starts at ``tok``."""
+    def nest(self, offset: int) -> None:
+        """Enter one more nested construct, which starts at ``offset``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ClauseSyntaxError(_TOO_DEEP, offset=tok.offset)
+            raise ClauseSyntaxError(_TOO_DEEP, offset=offset)
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            raise ClauseSyntaxError(
-                f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-                offset=tok.offset,
-                expected=repr(text),
-            )
-        return self.advance()
-
-    def at_op(self, op: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == op
+    def expect(self, text: str) -> int:
+        """Consume the token ``text``, returning its offset."""
+        kind, found, offset = self.tokens[self.pos]
+        if found != text:
+            raise ClauseSyntaxError(_unexpected(kind, found), offset=offset, expected=repr(text))
+        self.pos += 1
+        return offset
 
     def parse_expr(self) -> Expr:
         return self.parse_binary(self.parse_unary(), LEVEL_EQUIV)
@@ -129,35 +120,39 @@ class _Parser:
         Two operators of one level that associate differently (``==>`` and
         ``<==``) may not meet without parentheses.
         """
-        while BINARY_LEVEL.get(self.peek().text, 0) >= min_level:
-            op = self.advance().text
+        tokens = self.tokens
+        while BINARY_LEVEL.get(op := tokens[self.pos][1], 0) >= min_level:
+            self.pos += 1
             level = BINARY_LEVEL[op]
             rhs = self.parse_binary(self.parse_unary(), level + 1)
-            tok = self.peek()
-            if BINARY_LEVEL.get(tok.text) == level:
-                if (tok.text in RIGHT_ASSOC_OPS) != (op in RIGHT_ASSOC_OPS):
+            _, text, offset = tokens[self.pos]
+            if BINARY_LEVEL.get(text) == level:
+                if (text in RIGHT_ASSOC_OPS) != (op in RIGHT_ASSOC_OPS):
                     raise ClauseSyntaxError(
-                        "cannot mix ==> and <== without parentheses", offset=tok.offset
+                        "cannot mix ==> and <== without parentheses", offset=offset
                     )
                 if op in RIGHT_ASSOC_OPS:
-                    self.nest(tok)
+                    self.nest(offset)
                     rhs = self.parse_binary(rhs, level)
                     self.depth -= 1
             lhs = Binary(op, lhs, rhs)
         return lhs
 
     def parse_unary(self) -> Expr:
-        if self.at_op("!"):
-            self.nest(self.advance())
+        _, text, offset = self.tokens[self.pos]
+        if text == "!":
+            self.pos += 1
+            self.nest(offset)
             node = Unary("!", self.parse_unary())
-        elif self.at_op("-"):
-            self.advance()
+        elif text == "-":
+            self.pos += 1
+            kind, text, offset = self.tokens[self.pos]
             # A minus directly on an integer token folds into the literal so
             # negative constants round-trip as IntLit nodes.
-            if self.peek().kind == "int":
-                tok = self.advance()
-                return IntLit(-int(tok.text))
-            self.nest(self.peek())
+            if kind == "int":
+                self.pos += 1
+                return IntLit(-int(text))
+            self.nest(offset)
             node = Unary("neg", self.parse_unary())
         else:
             return self.parse_postfix()
@@ -166,94 +161,97 @@ class _Parser:
 
     def parse_postfix(self) -> Expr:
         node = self.parse_atom()
+        tokens = self.tokens
         while True:
-            if self.at_op("["):
-                self.nest(self.advance())
+            _, text, offset = tokens[self.pos]
+            if text == "[":
+                self.pos += 1
+                self.nest(offset)
                 index = self.parse_expr()
                 self.expect("]")
                 self.depth -= 1
                 node = ArrayIndex(node, index)
-            elif self.at_op("."):
-                self.advance()
-                tok = self.peek()
-                if tok.kind != "name":
+            elif text == ".":
+                self.pos += 1
+                kind, text, offset = tokens[self.pos]
+                if kind != "name":
                     raise ClauseSyntaxError(
-                        f"unexpected {tok.text!r}", offset=tok.offset, expected="field name"
+                        f"unexpected {text!r}", offset=offset, expected="field name"
                     )
-                self.advance()
-                node = FieldAccess(node, tok.text)
+                self.pos += 1
+                node = FieldAccess(node, text)
             else:
                 return node
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "(":
-            self.nest(self.advance())
-            if self.peek().text in ("\\forall", "\\exists"):
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "op" and text == "(":
+            self.pos += 1
+            self.nest(offset)
+            if self.tokens[self.pos][1] in ("\\forall", "\\exists"):
                 node = self.parse_quantifier()
             else:
                 node = self.parse_expr()
                 self.expect(")")
             self.depth -= 1
             return node
-        if tok.kind == "int":
-            self.advance()
-            return IntLit(int(tok.text))
-        if tok.kind == "kw":
-            self.advance()
-            if tok.text == "\\result":
+        if kind == "int":
+            self.pos += 1
+            return IntLit(int(text))
+        if kind == "kw":
+            self.pos += 1
+            if text == "\\result":
                 return ResultRef()
-            if tok.text == "\\old":
+            if text == "\\old":
                 self.nest(self.expect("("))
                 inner = self.parse_expr()
                 self.expect(")")
                 self.depth -= 1
                 return OldRef(inner)
             raise ClauseSyntaxError(
-                f"{tok.text} is only valid at the start of a quantifier", offset=tok.offset
+                f"{text} is only valid at the start of a quantifier", offset=offset
             )
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "true":
+        if kind == "name":
+            self.pos += 1
+            if text == "true":
                 return BoolLit(True)
-            if tok.text == "false":
+            if text == "false":
                 return BoolLit(False)
-            if tok.text == "null":
+            if text == "null":
                 return NullLit()
-            if tok.text == "int":
-                raise ClauseSyntaxError("'int' is not a value", offset=tok.offset)
-            return Var(tok.text)
+            if text == "int":
+                raise ClauseSyntaxError("'int' is not a value", offset=offset)
+            return Var(text)
         raise ClauseSyntaxError(
-            f"unexpected {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
-            offset=tok.offset,
-            expected="an expression",
+            _unexpected(kind, text), offset=offset, expected="an expression"
         )
 
     def parse_quantifier(self) -> Expr:
-        kw = self.advance()  # \forall or \exists
-        kind = kw.text[1:]
-        type_tok = self.peek()
-        if type_tok.text != "int":
+        tokens = self.tokens
+        kind = tokens[self.pos][1][1:]  # \forall or \exists, less the backslash
+        self.pos += 1
+        _, text, offset = tokens[self.pos]
+        if text != "int":
             raise ClauseSyntaxError(
                 "quantified variables must be declared int",
-                offset=type_tok.offset,
+                offset=offset,
                 expected="'int'",
             )
-        self.advance()
-        name_tok = self.peek()
-        if name_tok.kind != "name" or name_tok.text in RESERVED_NAMES:
+        self.pos += 1
+        name_kind, name, offset = tokens[self.pos]
+        if name_kind != "name" or name in RESERVED_NAMES:
             raise ClauseSyntaxError(
-                f"unexpected {name_tok.text!r}",
-                offset=name_tok.offset,
+                f"unexpected {name!r}",
+                offset=offset,
                 expected="a variable name",
             )
-        self.advance()
+        self.pos += 1
         self.expect(";")
         range_expr = self.parse_expr()
         self.expect(";")
         body = self.parse_expr()
         self.expect(")")
-        return Quantifier(kind, name_tok.text, range_expr, body)
+        return Quantifier(kind, name, range_expr, body)
 
 
 _TOO_DEEP = f"clause nests deeper than {MAX_NESTING} levels"
@@ -271,15 +269,17 @@ def _check_depth(expr: Expr) -> None:
         stack.extend((child, depth + 1) for child in node.children())
 
 
+def _check_end(parser: _Parser, expected: str) -> None:
+    kind, text, offset = parser.tokens[parser.pos]
+    if kind != "eof":
+        raise ClauseSyntaxError(f"trailing input {text!r}", offset=offset, expected=expected)
+
+
 def parse_expr(text: str) -> Expr:
     """Parse a bare expression; the whole string must be consumed."""
     parser = _Parser(tokenize(text))
     node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ClauseSyntaxError(
-            f"trailing input {tok.text!r}", offset=tok.offset, expected="end of expression"
-        )
+    _check_end(parser, "end of expression")
     if len(parser.tokens) > MAX_NESTING:
         _check_depth(node)
     return node
@@ -291,21 +291,17 @@ def parse_clause_line(text: str) -> tuple[str, Expr]:
     if stripped.startswith("//@"):
         stripped = stripped[3:].lstrip()
     parser = _Parser(tokenize(stripped))
-    head = parser.peek()
-    if head.kind != "name" or head.text not in CLAUSE_KEYWORDS:
+    kind, keyword, offset = parser.tokens[0]
+    if kind != "name" or keyword not in CLAUSE_KEYWORDS:
         raise ClauseSyntaxError(
-            f"unexpected {head.text!r}" if head.kind != "eof" else "empty clause",
-            offset=head.offset,
+            f"unexpected {keyword!r}" if kind != "eof" else "empty clause",
+            offset=offset,
             expected="requires, ensures, maintaining, or decreases",
         )
-    parser.advance()
+    parser.pos = 1
     expr = parser.parse_expr()
     parser.expect(";")
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ClauseSyntaxError(
-            f"trailing input {tok.text!r}", offset=tok.offset, expected="end of clause"
-        )
+    _check_end(parser, "end of clause")
     if len(parser.tokens) > MAX_NESTING:
         _check_depth(expr)
-    return head.text, expr
+    return keyword, expr

@@ -206,8 +206,9 @@ def run_pipeline(
             # Nothing parseable ever came back; there is nothing to mutate.
             entry["outcome"] = "failed"
         else:
-            elapsed = time.monotonic() - started
-            remaining = max(config.budgets.pipeline_seconds - elapsed, 1.0)
+            # Whatever the conversation left, even nothing: a spent budget
+            # aborts the repair loop before its first verifier call.
+            remaining = config.budgets.pipeline_seconds - (time.monotonic() - started)
             result = mutation_based_gen(
                 transcript.last_extracted,
                 context.verifier,

@@ -195,7 +195,7 @@ def spec_selection(
     """
     started = time.monotonic()
     while True:
-        if budget_seconds is not None and time.monotonic() - started > budget_seconds:
+        if budget_seconds is not None and time.monotonic() - started >= budget_seconds:
             raise TimeoutBudgetExceeded(
                 f"repair loop exceeded its {budget_seconds:g}s budget", state
             )

@@ -23,7 +23,6 @@ from typing import Iterator, Protocol, Sequence
 from .clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, instrument_with_lines
 from .errors import CommandNotFound, ConfigError, EvalError, ScriptExhausted
 from .evaluate import Phase, TraceRecord, eval_expr
-from .expr import render_expr
 
 
 class Outcome(Enum):
@@ -322,7 +321,7 @@ def _refute(clause: Clause, index: _TraceIndex) -> _Refutation | None:
 
 
 def _clause_label(clause: Clause) -> str:
-    return f"{clause.kind.value} {render_expr(clause.expr)}"
+    return clause.text[4:-1]  # "//@ <kind> <expr>;" less the marker and semicolon
 
 
 def _check_pointwise(

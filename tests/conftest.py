@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from specsmith.clauses import (
     render_clause,
 )
 from specsmith.errors import (
+    ClauseSyntaxError,
     DivisionByZero,
     EvalError,
     EvalTypeError,
@@ -429,6 +431,38 @@ def dump_trace_file(path: str, records: list[TraceRecord]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer oracle: the per-position scan the one-pass tokenizer replaced,
+# with its own copy of the token pattern (no catch-all group).
+
+_ORACLE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<int>\d+)
+  | (?P<kw>\\(?:forall|exists|result|old))
+  | (?P<name>[A-Za-z_$][A-Za-z0-9_$]*)
+  | (?P<op><==>|==>|<==|&&|\|\||==|!=|<=|>=|[-+*/%<>!()\[\];.,])
+    """,
+    re.VERBOSE,
+)
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _ORACLE_TOKEN_RE.match(text, pos)
+        if match is None:
+            raise ClauseSyntaxError(f"unrecognized character {text[pos]!r}", offset=pos)
+        pos = match.end()
+        kind = match.lastgroup
+        if kind == "ws":
+            continue
+        tokens.append((kind, match.group(), match.start()))
+    tokens.append(("eof", "", len(text)))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

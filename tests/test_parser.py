@@ -5,6 +5,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsmith.errors import ClauseSyntaxError
 from specsmith.expr import (
@@ -24,15 +25,35 @@ from specsmith.expr import (
 )
 from specsmith.parser import MAX_NESTING, parse_clause_line, parse_expr, tokenize
 
-from conftest import bool_exprs, gen_bool_expr, int_exprs
+from conftest import bool_exprs, gen_bool_expr, int_exprs, oracle_tokenize
+
+
+# Pieces of clause text plus characters no token starts with, so drawn
+# strings mix well-formed tokens, whitespace and stray characters.
+_TOKEN_PIECES = (
+    "a", "x1", "$_", "length", "int", "true", "0", "12", "007",
+    "\\forall", "\\exists", "\\result", "\\old", "\\", "\\other",
+    "<==>", "==>", "<==", "&&", "||", "==", "!=", "<=", ">=",
+    "-", "+", "*", "/", "%", "<", ">", "!", "=", "&", "|",
+    "(", ")", "[", "]", ";", ".", ",",
+    " ", "  ", "\t", "\n", "\u00a0",
+    "?", "#", "@", "'", "\"", "é", "λ", "\u0663", "\u2264", "\U0001f600",
+)
+
+
+def _outcome(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ClauseSyntaxError as exc:
+        return ("error", str(exc), exc.offset)
 
 
 class TestTokenizer:
     @staticmethod
     def _texts(source):
         tokens = tokenize(source)
-        assert tokens[-1].kind == "eof"
-        return [t.text for t in tokens[:-1]]
+        assert tokens[-1] == ("eof", "", len(source))
+        return [text for _, text, _ in tokens[:-1]]
 
     def test_longest_match_on_arrow_operators(self):
         assert self._texts("a <==> b <== c <= d < e") == [
@@ -48,10 +69,27 @@ class TestTokenizer:
         with pytest.raises(ClauseSyntaxError) as info:
             tokenize("a ? b")
         assert info.value.offset == 2
+        assert str(info.value) == "unrecognized character '?' (at offset 2)"
 
     def test_offsets_point_into_source(self):
-        tokens = tokenize("ab + 12")[:-1]
-        assert [(t.text, t.offset) for t in tokens] == [("ab", 0), ("+", 3), ("12", 5)]
+        assert tokenize("ab + 12") == [
+            ("name", "ab", 0), ("op", "+", 3), ("int", "12", 5), ("eof", "", 7),
+        ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=24).map("".join))
+    def test_matches_oracle_on_token_pieces(self, text):
+        assert _outcome(tokenize, text) == _outcome(oracle_tokenize, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("".join(_TOKEN_PIECES)), max_size=40))
+    def test_matches_oracle_on_characters(self, text):
+        assert _outcome(tokenize, text) == _outcome(oracle_tokenize, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=30))
+    def test_matches_oracle_on_any_text(self, text):
+        assert _outcome(tokenize, text) == _outcome(oracle_tokenize, text)
 
 
 class TestPrecedence:

@@ -425,6 +425,32 @@ class TestRunPipeline:
         assert entry["dropped_templates"] == ["method:abs/ensures/0", "method:abs/requires/0"]
         assert aggregate_entries([entry])["mean_verifier_calls"] == 4
 
+    @pytest.mark.parametrize("conversation_seconds", [10.0, 12.5])
+    def test_spent_budget_leaves_no_time_for_repair(
+        self, tmp_path, monkeypatch, conversation_seconds
+    ):
+        near_miss = ABS_CORRECT.replace("\\result >= 0", "\\result > 0")
+        config = scripted_mock_config(
+            tmp_path, [fenced(near_miss)] * 2, truth=[], budgets={"pipeline_seconds": 10}
+        )
+        # The conversation uses up the whole budget on the pipeline's fake
+        # clock, and the repair loop's clock stands still.
+        ticks = iter([0.0, conversation_seconds])
+        monkeypatch.setattr(pipeline, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        monkeypatch.setattr(repair, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        verifier = MockVerifier(truth=frozenset())
+        context = PipelineContext(config=config, verifier=verifier, shots=[])
+        entry = run_pipeline("Abs", ABS_PROGRAM, context, build_client(config))
+        assert entry["outcome"] == "aborted"
+        assert entry["error"] == "repair loop exceeded what remained of the 10s pipeline budget"
+        assert entry["verifier_calls_conversation"] == 2
+        assert len(verifier.calls) == 2  # the conversation's, and none for repair
+        assert entry["verifier_calls_repair"] == 0
+        assert entry["refuted_history"] == []
+        assert entry["dropped_templates"] == []
+        assert entry["truncated_families"] == []
+        assert entry["thrash_warnings"] == []
+
     def test_trace_verifier_sets_coverage_caveat(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         records = [
