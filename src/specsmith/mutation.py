@@ -8,7 +8,9 @@ Distinct assignments always render distinct texts: a rewrite keeps its node's
 position and changes only its operator, and a structural rewrite adds a
 ``± 1`` node no other assignment can produce. So a family's size and its
 truncation flag follow from the raw combination count alone, and members are
-built one score level at a time, only as far as a reader asks.
+built one score level at a time, only as far as a reader asks. The walk over
+assignments generates each one once, from its canonical parent (reverse
+search), so it keeps no visited set.
 
 Members are made as mutant schemata (:mod:`specsmith.schemata`): the
 template is compiled once into a render plan, and each member's text is
@@ -72,14 +74,6 @@ class WeightTable:
 
     def __getitem__(self, kind: MutationKind) -> int:
         return getattr(self, kind.value)
-
-    def scaled(self, factor: int) -> WeightTable:
-        return WeightTable(
-            comparative=self.comparative * factor,
-            logical=self.logical * factor,
-            arithmetic=self.arithmetic * factor,
-            predicative=self.predicative * factor,
-        )
 
 
 DEFAULT_WEIGHTS = WeightTable()
@@ -281,21 +275,42 @@ def _walk_levels(
     """Append one score level to ``built`` per step (each yields True)."""
     deltas = [[delta for delta, _ in site_options] for site_options in schema.options]
     # Best-first walk over assignments: pop everything at one score, order
-    # that batch by text, emit, then descend to the next score. A neighbor
-    # (one site bumped to its next option) never scores higher than its
-    # parent, so the heap yields scores in non-increasing order and the
-    # emitted members are already in family order. Heap entries hold the
-    # negated score.
-    start = tuple(0 for _ in deltas)
-    heap: list[tuple[int, tuple[int, ...]]] = [(-sum(site[0] for site in deltas), start)]
-    visited = {start}
+    # that batch by text, emit, then descend to the next score. Heap entries
+    # hold the negated score, the assignment and its last bumped site (-1
+    # for the all-zeros start).
+    #
+    # Each assignment is pushed once, by its canonical parent: the same
+    # assignment with its last bumped site stepped back one option (reverse
+    # search; Avis & Fukuda, 1996). So a popped assignment bumps only its
+    # last bumped site and the sites after it, which are all still at
+    # option 0, and no visited set is needed.
+    #
+    # The pop order is that of a walk over every neighbor with a visited
+    # set. A bump never raises the score, so scores pop in non-increasing
+    # order. A parent is lexicographically smaller than its child. Suppose a
+    # level popped b while an assignment a < b of the same score was still
+    # unpopped. On the parent path from a, the child of a's nearest popped
+    # ancestor would be on the heap, at that score (no higher, or it would
+    # have popped in an earlier level; no lower, as a descends from it)
+    # and no greater than a, so it would have popped before b. Each level
+    # thus pops in lexicographic order of assignment, zero-delta bumps
+    # included, and the batch-limit cut, the cap and the template eviction
+    # below get the same inputs as in the visited-set walk.
+    heappush, heappop = heapq.heappush, heapq.heappop
+    n = len(deltas)
+    start = (0,) * n
+    # Bumping a site i past the last bumped one: the assignment's first i
+    # indexes, then ``tails[i]``, at a cost of ``first_steps[i]``.
+    tails = [(1,) + start[i + 1 :] for i in range(n)]
+    first_steps = [site[0] - site[1] for site in deltas]
+    heap: list[tuple[int, tuple[int, ...], int]] = [(-sum(site[0] for site in deltas), start, -1)]
     batch_limit = max(4 * cap, 16384)
     stopped_early = template_emitted = False
     while heap and not stopped_early:
         batch_cost = heap[0][0]
         batch: list[tuple[int, ...]] = []
         while heap and heap[0][0] == batch_cost:
-            _, assignment = heapq.heappop(heap)
+            _, assignment, last = heappop(heap)
             batch.append(assignment)
             if len(batch) >= batch_limit:
                 # Pathologically wide score level; the family is about to be
@@ -303,14 +318,14 @@ def _walk_levels(
                 # (the partial order is still deterministic).
                 stopped_early = True
                 break
-            for i, site in enumerate(deltas):
-                index = assignment[i]
+            if last >= 0:
+                site = deltas[last]
+                index = assignment[last]
                 if index + 1 < len(site):
-                    neighbor = assignment[:i] + (index + 1,) + assignment[i + 1 :]
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        cost = batch_cost + site[index] - site[index + 1]
-                        heapq.heappush(heap, (cost, neighbor))
+                    cost = batch_cost + site[index] - site[index + 1]
+                    heappush(heap, (cost, assignment[:last] + (index + 1,) + start[last + 1 :], last))
+            for i in range(last + 1, n):
+                heappush(heap, (batch_cost + first_steps[i], assignment[:i] + tails[i], i))
         members = [
             template_variant
             if assignment == template_variant.assignment

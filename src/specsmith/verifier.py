@@ -5,7 +5,7 @@
 * :class:`TraceVerifier` checks clauses against recorded execution traces —
   sound up to trace coverage, so its verdicts carry a coverage caveat.
 * :class:`MockVerifier` replays scripted verdicts or accepts a fixed truth
-  set of clause texts; it records every call for test assertions.
+  set of clause texts.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import subprocess
 import tempfile
 import time
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Protocol, Sequence
@@ -404,7 +404,6 @@ class MockVerifier:
 
     truth: frozenset[str] | None = None
     verdicts: list[VerifierVerdict] | None = None
-    calls: list[tuple[str, ...]] = field(default_factory=list)
 
     def __post_init__(self):
         if (self.truth is None) == (self.verdicts is None):
@@ -413,20 +412,18 @@ class MockVerifier:
             self.truth = frozenset(self.truth)
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
-        texts = tuple(clause.text for clause in program.clauses)
-        self.calls.append(texts)
         if self.verdicts is not None:
             if not self.verdicts:
                 raise ScriptExhausted("mock verifier has no verdicts left")
             return self.verdicts.pop(0)
         failures = tuple(
             FailureReport(
-                raw_message=f"clause not in the accepted set: {text}",
+                raw_message=f"clause not in the accepted set: {clause.text}",
                 category=FailureCategory.UNKNOWN,
                 clause_id=clause.id,
             )
-            for clause, text in zip(program.clauses, texts)
-            if text not in self.truth
+            for clause in program.clauses
+            if clause.text not in self.truth
         )
         if failures:
             return VerifierVerdict(Outcome.FAIL, failures)

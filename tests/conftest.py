@@ -1,10 +1,13 @@
 """Shared generators, independent oracles, and the acceptance summary hook."""
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import json
 import random
 import re
+from operator import attrgetter
 
 import pytest
 from hypothesis import strategies as st
@@ -43,7 +46,8 @@ from specsmith.expr import (
     Var,
     render_expr,
 )
-from specsmith.mutation import score_variant
+from specsmith import mutation
+from specsmith.mutation import MutationKind, Variant, WeightTable, score_variant
 from specsmith.verifier import FailureCategory, FailureReport, Outcome, VerifierVerdict
 
 # ---------------------------------------------------------------------------
@@ -134,6 +138,19 @@ class RandomizedVerifier:
             for cid in chosen
         )
         return VerifierVerdict(Outcome.FAIL, failures)
+
+
+class RecordingVerifier:
+    """Wraps a verifier and records the clause texts it was shown, one
+    tuple per call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[tuple[str, ...]] = []
+
+    def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
+        self.calls.append(tuple(clause.text for clause in program.clauses))
+        return self.inner.verify(program)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +250,74 @@ def oracle_family(
         if text not in best or score > best[text]:
             best[text] = score
     return best
+
+
+def scale_weights(weights: WeightTable, factor: int) -> WeightTable:
+    """``weights`` with every kind's weight multiplied by ``factor``."""
+    return WeightTable(**{kind.value: weights[kind] * factor for kind in MutationKind})
+
+
+# ---------------------------------------------------------------------------
+# Level-walk oracle: the best-first walk that pushes every neighbor of a
+# popped assignment and keeps a visited set, so each assignment is pushed by
+# whichever neighbor reaches it first.
+
+
+def visited_set_walk_levels(schema, template_variant, cap, built):
+    """Drop-in for ``mutation._walk_levels``: one score level per step."""
+    deltas = [[delta for delta, _ in site_options] for site_options in schema.options]
+    start = tuple(0 for _ in deltas)
+    heap = [(-sum(site[0] for site in deltas), start)]
+    visited = {start}
+    batch_limit = max(4 * cap, 16384)
+    stopped_early = template_emitted = False
+    while heap and not stopped_early:
+        batch_cost = heap[0][0]
+        batch = []
+        while heap and heap[0][0] == batch_cost:
+            _, assignment = heapq.heappop(heap)
+            batch.append(assignment)
+            if len(batch) >= batch_limit:
+                stopped_early = True
+                break
+            for i, site in enumerate(deltas):
+                index = assignment[i]
+                if index + 1 < len(site):
+                    neighbor = assignment[:i] + (index + 1,) + assignment[i + 1 :]
+                    if neighbor not in visited:
+                        visited.add(neighbor)
+                        cost = batch_cost + site[index] - site[index + 1]
+                        heapq.heappush(heap, (cost, neighbor))
+        members = [
+            template_variant
+            if assignment == template_variant.assignment
+            else Variant(schema, assignment, schema.render(assignment), -batch_cost)
+            for assignment in batch
+        ]
+        members.sort(key=attrgetter("text"))
+        for variant in members:
+            if len(built) >= cap:
+                stopped_early = True
+                break
+            built.append(variant)
+            template_emitted = template_emitted or variant is template_variant
+        yield True
+
+    if not template_emitted:
+        if len(built) >= cap:
+            built.pop()
+        bisect.insort(built, template_variant, key=lambda v: (-v.score, v.text))
+
+
+def visited_set_family(template, **kwargs):
+    """``enumerate_variants`` with the visited-set walk in place of the
+    canonical-parent one; the family keeps the oracle walk when read later."""
+    walk = mutation._walk_levels
+    mutation._walk_levels = visited_set_walk_levels
+    try:
+        return mutation.enumerate_variants(template, **kwargs)
+    finally:
+        mutation._walk_levels = walk
 
 
 def select_by_heuristic(variants, weights):

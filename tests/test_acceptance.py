@@ -16,6 +16,7 @@ from conftest import (
     gen_mutation_clause,
     oracle_eval,
     oracle_family,
+    scale_weights,
 )
 
 from specsmith.bench import run_benchmark
@@ -169,7 +170,7 @@ def test_criterion_3_scoring_and_scale_invariance():
         best = max(base.values())
         argmax = {text for text, score in base.items() if score == best}
         for factor in (2, 3, 10):
-            scaled_weights = DEFAULT_WEIGHTS.scaled(factor)
+            scaled_weights = scale_weights(DEFAULT_WEIGHTS, factor)
             scaled = {v.text: score_variant(v, scaled_weights) for v in family.variants}
             scaled_best = max(scaled.values())
             assert scaled_best == best * factor

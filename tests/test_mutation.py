@@ -1,11 +1,19 @@
 """Operator mutation families: sites, rewrites, scoring, enumeration order."""
+import heapq
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
-from conftest import gen_mutation_clause, oracle_family, select_by_heuristic
+from conftest import (
+    gen_mutation_clause,
+    oracle_family,
+    scale_weights,
+    select_by_heuristic,
+    visited_set_family,
+)
 
-from specsmith import schemata
+from specsmith import mutation, schemata
 from specsmith.clauses import parse_clause, render_clause
 from specsmith.expr import render_expr
 from specsmith.mutation import (
@@ -169,8 +177,8 @@ class TestScoring:
         family = enumerate_variants(clause)
         candidates = [v for v in family.variants if v.total_mutations >= 1]
         best = select_by_heuristic(candidates, DEFAULT_WEIGHTS)
-        assert best == select_by_heuristic(candidates, DEFAULT_WEIGHTS.scaled(7))
-        scaled = enumerate_variants(clause, weights=DEFAULT_WEIGHTS.scaled(7))
+        assert best == select_by_heuristic(candidates, scale_weights(DEFAULT_WEIGHTS, 7))
+        scaled = enumerate_variants(clause, weights=scale_weights(DEFAULT_WEIGHTS, 7))
         assert HeuristicStrategy().pick(refuted_template_slot(scaled)) == best
 
 
@@ -293,10 +301,67 @@ class TestStream:
             "//@ requires a <= b && c <= d && e <= f && g <= h && i <= j"
             " && k <= l && m <= n && o <= p && q <= r;"
         )
-        eager = self.check(
-            random.Random(2), clause, 8, WeightTable(comparative=0), kinds={MutationKind.COMPARATIVE}
-        )
+        kwargs = {"weights": WeightTable(comparative=0), "kinds": {MutationKind.COMPARATIVE}}
+        eager = self.check(random.Random(2), clause, 8, **kwargs)
         assert eager.truncated and eager.raw_count == 19683 and len(eager) == 8
+        assert read(eager.variants) == read(visited_set_family(clause, cap=8, **kwargs).variants)
+
+
+def read(members):
+    """What a reader sees of members: text and score, in order."""
+    return [None if v is None else (v.text, v.score) for v in members]
+
+
+WALK_WEIGHTS = [
+    DEFAULT_WEIGHTS,
+    scale_weights(DEFAULT_WEIGHTS, 3),
+    WeightTable(comparative=0),
+    WeightTable(comparative=1),
+    WeightTable(logical=2, arithmetic=1),
+]
+
+
+class TestCanonicalParentWalk:
+    """Each assignment is pushed once, from its canonical parent, and the
+    families are those of the visited-set walk (``conftest``)."""
+
+    @pytest.mark.parametrize("cap", [1, 8, 64, 4096])
+    def test_matches_visited_set_walk(self, cap):
+        rng = random.Random(cap)
+        for _ in range(40):
+            expr = gen_mutation_clause(rng, max_sites=6)
+            clause = parse_clause(f"//@ requires {render_expr(expr)};")
+            for kinds, weights in itertools.product(KIND_SUBSETS, WALK_WEIGHTS):
+                kwargs = {"kinds": kinds, "cap": cap, "weights": weights}
+                family = enumerate_variants(clause, **kwargs)
+                oracle = visited_set_family(clause, **kwargs)
+                k = rng.randrange(0, len(oracle) + 2)
+                assert read(map(family.get, range(k))) == read(map(oracle.get, range(k)))
+                assert read(family.variants) == read(oracle.variants)
+                assert family.truncated == oracle.truncated
+
+    def test_one_push_per_assignment(self, monkeypatch):
+        pushed = []
+
+        def heappush(heap, entry):
+            pushed.append(entry[1])
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(mutation, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+        rng = random.Random(9)
+        for _ in range(40):
+            clause = parse_clause(f"//@ requires {render_expr(gen_mutation_clause(rng, max_sites=6))};")
+            for weights, cap in itertools.product(WALK_WEIGHTS, (8, 4096)):
+                pushed.clear()
+                family = enumerate_variants(clause, cap=cap, weights=weights)
+                start = (0,) * len(family.template_variant.assignment)
+                built = {v.assignment for v in family.variants} - {start}
+                assert len(pushed) == len(set(pushed))
+                if family.truncated:
+                    # The template may join without being popped.
+                    assert built - {family.template_variant.assignment} <= set(pushed)
+                else:
+                    assert sorted(pushed) == sorted(built)
 
 
 KIND_SUBSETS = [
@@ -418,7 +483,7 @@ class TestSelectRandom:
 
 class TestWeightTable:
     def test_scaling(self):
-        scaled = WeightTable().scaled(3)
+        scaled = scale_weights(WeightTable(), 3)
         assert scaled[MutationKind.COMPARATIVE] == -3
         assert scaled[MutationKind.ARITHMETIC] == -12
 

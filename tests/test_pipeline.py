@@ -4,6 +4,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from conftest import RecordingVerifier
 
 from specsmith.clauses import extract_annotations
 from specsmith.config import PipelineConfig, config_from_dict
@@ -438,7 +439,7 @@ class TestRunPipeline:
         ticks = iter([0.0, conversation_seconds])
         monkeypatch.setattr(pipeline, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
         monkeypatch.setattr(repair, "time", SimpleNamespace(monotonic=lambda: 0.0))
-        verifier = MockVerifier(truth=frozenset())
+        verifier = RecordingVerifier(MockVerifier(truth=frozenset()))
         context = PipelineContext(config=config, verifier=verifier, shots=[])
         entry = run_pipeline("Abs", ABS_PROGRAM, context, build_client(config))
         assert entry["outcome"] == "aborted"

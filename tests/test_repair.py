@@ -2,7 +2,13 @@
 import random
 
 import pytest
-from conftest import RandomizedVerifier, gen_mutation_clause, select_by_heuristic
+from conftest import (
+    RandomizedVerifier,
+    RecordingVerifier,
+    gen_mutation_clause,
+    scale_weights,
+    select_by_heuristic,
+)
 
 from specsmith.clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, parse_clause, render_clause
 from specsmith.errors import SpecError, TimeoutBudgetExceeded, UnknownClause
@@ -178,6 +184,92 @@ class TestUnattributableFailures:
         assert len(result.state.refuted_history) == 1
 
 
+class TestHoudiniFallback:
+    """Houdini's rule (Flanagan & Leino, FME 2001) on generated programs: an
+    attributed failure refutes only the clauses it names, and a failure no
+    selected clause can be blamed for refutes the whole selection."""
+
+    @staticmethod
+    def generated(rng):
+        program = make_program(
+            *(render_expr(gen_mutation_clause(rng, max_sites=4)) for _ in range(rng.randrange(1, 5)))
+        )
+        cap = rng.choice((4, 16, 4096))
+        members = {c.id: enumerate_variants(c, cap=cap).variants for c in program.clauses}
+        truth = frozenset(
+            v.text
+            for family in members.values()
+            for v in rng.sample(family, min(rng.randrange(3), len(family)))
+        )
+        strategy = rng.choice((HeuristicStrategy(), RandomStrategy(rng.randrange(100))))
+        return program, cap, members, truth, strategy
+
+    def test_attributed_failures_never_refute_a_true_clause(self):
+        rng = random.Random(2001)
+        outcomes = {True: 0, False: 0}  # dropped slots, kept slots
+        for _ in range(300):
+            program, cap, members, truth, strategy = self.generated(rng)
+            result = mutation_based_gen(program, MockVerifier(truth=truth), strategy, cap=cap)
+            assert result.passed
+            assert not {event.text for event in result.state.refuted_history} & truth
+            for tid, slot in result.state.slots.items():
+                reachable = any(v.text in truth for v in members[tid])
+                assert slot.dropped == (not reachable)
+                assert slot.selected is None or slot.selected.text in truth
+                outcomes[slot.dropped] += 1
+        assert min(outcomes.values()) > 100
+
+    def test_unattributable_failure_refutes_exactly_the_selection(self):
+        unattributable = [
+            VerifierVerdict(Outcome.TIMEOUT, detail="verifier timed out"),
+            VerifierVerdict(Outcome.CRASH, detail="verifier crashed"),
+            VerifierVerdict(Outcome.FAIL, (FailureReport("cannot tell", FailureCategory.UNKNOWN),)),
+            VerifierVerdict(
+                Outcome.FAIL,
+                (FailureReport("elsewhere", FailureCategory.UNKNOWN, "method:ghost/requires/9"),),
+            ),
+        ]
+
+        class Blurred:
+            """The truth-set mock, except that a quarter of its calls
+            answer with a verdict that names no selected clause."""
+
+            def __init__(self, truth, rng):
+                self.mock = MockVerifier(truth=truth)
+                self.rng = rng
+                self.calls = []  # (selected (id, text) pairs, attributable)
+
+            def verify(self, program):
+                shown = {(c.id, c.text) for c in program.clauses}
+                attributable = self.rng.random() >= 0.25
+                self.calls.append((shown, attributable))
+                if attributable:
+                    return self.mock.verify(program)
+                return self.rng.choice(unattributable)
+
+        rng = random.Random(1996)
+        fallbacks = 0
+        for _ in range(300):
+            program, cap, _, truth, strategy = self.generated(rng)
+            verifier = Blurred(truth, rng)
+            result = mutation_based_gen(program, verifier, strategy, cap=cap)
+            refuted = {}
+            for event in result.state.refuted_history:
+                refuted.setdefault(event.iteration, []).append((event.clause_id, event.text))
+            assert len(verifier.calls) == result.state.verifier_calls
+            for call, (shown, attributable) in enumerate(verifier.calls, start=1):
+                pairs = refuted.get(call, [])
+                assert len(pairs) == len(set(pairs))
+                if not shown:
+                    assert pairs == []
+                elif attributable:
+                    assert set(pairs) == {(cid, text) for cid, text in shown if text not in truth}
+                else:
+                    assert set(pairs) == shown
+                    fallbacks += 1
+        assert fallbacks > 100
+
+
 class TestStateMechanics:
     def test_init_state_selects_templates(self):
         program = make_program("a <= b", "c < d")
@@ -210,7 +302,7 @@ class TestStateMechanics:
     def test_id_less_template_fails_before_any_verifier_call(self):
         # Used to raise UnknownClause at the first refutation.
         program = AnnotatedProgram(SOURCE, (parse_clause("requires a < b;"),))
-        verifier = MockVerifier(truth=frozenset())
+        verifier = RecordingVerifier(MockVerifier(truth=frozenset()))
         with pytest.raises(SpecError, match="empty clause id") as info:
             mutation_based_gen(program, verifier, HeuristicStrategy())
         assert not isinstance(info.value, UnknownClause)
@@ -281,7 +373,7 @@ def level_prefix(members, weights, count):
 
 
 class TestLazySelection:
-    WEIGHTS = [DEFAULT_WEIGHTS, DEFAULT_WEIGHTS.scaled(3), WeightTable(comparative=1), WeightTable(logical=0)]
+    WEIGHTS = [DEFAULT_WEIGHTS, scale_weights(DEFAULT_WEIGHTS, 3), WeightTable(comparative=1), WeightTable(logical=0)]
 
     def test_pick_is_oracle_argmax_in_any_refutation_order(self):
         rng = random.Random(31)

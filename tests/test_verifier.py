@@ -313,11 +313,17 @@ class TestMockVerifier:
         with pytest.raises(ScriptExhausted):
             verifier.verify(AnnotatedProgram("x", ()))
 
-    def test_calls_record_clause_texts(self):
-        clause = parse_clause("//@ requires a < b;", anchor=Anchor("f"), clause_id="c0")
+    def test_verify_keeps_no_per_call_state(self):
+        # One mock serves a whole batch, so nothing may grow with its calls.
+        clauses = (
+            parse_clause("//@ requires a < b;", anchor=Anchor("f"), clause_id="c0"),
+            parse_clause("//@ requires b < c;", anchor=Anchor("f"), clause_id="c1"),
+        )
         verifier = MockVerifier(truth=frozenset({"//@ requires a < b;"}))
-        verifier.verify(AnnotatedProgram("class X {}", (clause,)))
-        assert verifier.calls == [("//@ requires a < b;",)]
+        before = dict(vars(verifier))
+        for i in range(10_000):
+            verifier.verify(AnnotatedProgram("class X {}", clauses[: 1 + i % 2]))
+        assert vars(verifier) == before
 
 
 class TestTraceVerifierObject:
