@@ -15,7 +15,7 @@ from specsmith.config import (
     VerifierSettings,
 )
 from specsmith.conversation import run_conversation
-from specsmith.pipeline import build_client, make_context
+from specsmith.pipeline import client_factory, make_context
 from specsmith.repair import HeuristicStrategy, mutation_based_gen
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
@@ -39,7 +39,7 @@ def main() -> None:
         program,
         config.endpoint,
         context.verifier,
-        build_client(config),
+        client_factory(config)(0),
         shots=context.shots,
     )
     for number, round_ in enumerate(transcript.rounds, start=1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, render_clause
 from .expr import Binary, Expr, IntLit, Quantifier, Var
-from .mutation import DEFAULT_WEIGHTS, Variant, enumerate_variants, score_variant
+from .mutation import Family, Variant, enumerate_variants
 from .repair import HeuristicStrategy, RandomStrategy, mutation_based_gen
 from .verifier import MockVerifier
 
@@ -87,15 +87,15 @@ def make_template(rng: random.Random) -> Expr:
     return rng.choice(picks)()
 
 
-def plant_truth(variants: list[Variant], rng: random.Random, decay: float = 0.55) -> Variant:
-    """Pick the variant that will verify, biased toward cheap mutations.
+def plant_truth(family: Family, rng: random.Random, decay: float = 0.55) -> Variant:
+    """Pick the mutated variant that will verify, biased toward cheap mutations.
 
     Weight ``decay ** (-score)`` concentrates mass on variants whose
     mutation cost is small, mirroring the premise that generated clauses
     are usually one inexpensive operator away from correct.
     """
-    pool = [v for v in variants if v.total_mutations >= 1]
-    weights = [decay ** float(-score_variant(v, DEFAULT_WEIGHTS)) for v in pool]
+    pool = [v for v in family.variants if v is not family.template_variant]
+    weights = [decay ** float(-v.score) for v in pool]
     return rng.choices(pool, weights=weights, k=1)[0]
 
 
@@ -139,7 +139,7 @@ def run_trial(seed: int) -> TrialResult:
         id="method:check/requires/0",
     )
     family = enumerate_variants(clause)
-    planted = plant_truth(family.variants, rng)
+    planted = plant_truth(family, rng)
     truth_clause = clause.with_expr(planted.expr)
     program = AnnotatedProgram(source=_SOURCE, clauses=(clause,))
 
@@ -148,7 +148,7 @@ def run_trial(seed: int) -> TrialResult:
         ("heuristic", HeuristicStrategy()),
         ("random", RandomStrategy(seed)),
     ):
-        verifier = MockVerifier(truth=frozenset({render_clause(truth_clause)}))
+        verifier = MockVerifier({render_clause(truth_clause)})
         result = mutation_based_gen(program, verifier, strategy)
         assert result.passed, "planted variant must be reachable"
         calls[name] = result.state.verifier_calls

@@ -16,7 +16,7 @@ from .clauses import extract_annotations, parse_clause, render_clause
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, SpecError, TimeoutBudgetExceeded
 from .evaluate import load_trace_file
-from .mutation import DEFAULT_WEIGHTS, enumerate_variants, score_variant
+from .mutation import enumerate_variants
 from .pipeline import (
     aggregate_entries,
     build_strategy,
@@ -96,8 +96,7 @@ def cmd_mutate(args: argparse.Namespace) -> int:
     # while building only the members shown.
     for index in range(len(family))[: args.limit]:
         variant = family.get(index)
-        score = score_variant(variant, DEFAULT_WEIGHTS)
-        print(f"{score:5d}  {variant.text}")
+        print(f"{variant.score:5d}  {variant.text}")
     return 0
 
 

@@ -260,18 +260,6 @@ def _eval_quantifier(expr: Quantifier, env: _Env) -> bool:
     return is_forall
 
 
-def extract_bounds(range_expr: Expr, var: str, record: TraceRecord) -> tuple[int, int]:
-    """Closed integer interval [lo, hi] that covers the range's var values.
-
-    Recognizes conjunctions of ``lo <= v``, ``lo < v``, ``v <= hi``, ``v < hi``
-    (either operand order, > and >= included); other conjuncts are guards. The
-    interval may be empty (lo > hi). Raises UnboundedQuantifier when either
-    side is missing.
-    """
-    env = _Env(record.bindings, record.old, record.result)
-    return _extract_bounds(range_expr, var, env)
-
-
 def _mentions(expr: Expr, var: str) -> bool:
     if isinstance(expr, Var) and expr.name == var:
         return True
@@ -285,6 +273,13 @@ def _conjuncts(expr: Expr) -> list[Expr]:
 
 
 def _extract_bounds(range_expr: Expr, var: str, env: _Env) -> tuple[int, int]:
+    """Closed integer interval [lo, hi] that covers the range's var values.
+
+    Recognizes conjunctions of ``lo <= v``, ``lo < v``, ``v <= hi``, ``v < hi``
+    (either operand order, > and >= included); other conjuncts are guards. The
+    interval may be empty (lo > hi). Raises UnboundedQuantifier when either
+    side is missing.
+    """
     lowers: list[int] = []
     uppers: list[int] = []
     for conjunct in _conjuncts(range_expr):

@@ -137,10 +137,6 @@ class Variant:
             self._counts = tuple(tally.items())
         return self._counts
 
-    @property
-    def total_mutations(self) -> int:
-        return sum(n for _, n in self.counts)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Variant):
             return NotImplemented
@@ -216,11 +212,6 @@ def enumerate_sites(expr: Expr) -> list[MutationSite]:
             kind, op = hit
             sites.append(MutationSite(path=path, kind=kind, original_op=op))
     return sites
-
-
-def score_variant(variant: Variant, weights: WeightTable) -> int:
-    """Sum over kinds of (mutation count) x (kind weight)."""
-    return sum(weights[kind] * count for kind, count in variant.counts)
 
 
 def enumerate_variants(

@@ -33,7 +33,7 @@ from .repair import (
     SelectionStrategy,
     mutation_based_gen,
 )
-from .verifier import ExecConfig, ExecVerifier, MockVerifier, TraceVerifier, Verifier
+from .verifier import ExecVerifier, MockVerifier, TraceVerifier, Verifier
 
 ENTRY_SCHEMA = "run-entry@1"
 SUMMARY_SCHEMA = "run-summary@1"
@@ -73,17 +73,10 @@ def build_verifier(config: PipelineConfig) -> Verifier:
     if settings.adapter == "mock":
         if settings.mock_truth is None:
             raise ConfigError("verifier.mock_truth: required for the mock adapter")
-        return MockVerifier(truth=frozenset(settings.mock_truth))
+        return MockVerifier(settings.mock_truth, per_call)
     if not settings.command:
         raise ConfigError("verifier.command: required for the exec adapter")
-    return ExecVerifier(
-        ExecConfig(
-            command=settings.command,
-            timeout_seconds=settings.timeout_seconds,
-            failures_per_call=per_call,
-            rules=settings.rules,
-        )
-    )
+    return ExecVerifier(settings.command, settings.timeout_seconds, per_call, settings.rules)
 
 
 def load_script(path: str) -> list[list[str]]:
@@ -117,10 +110,6 @@ def client_factory(config: PipelineConfig) -> Callable[[int], ChatClient]:
         raise ConfigError("endpoint.script: required when endpoint.mode is scripted")
     scripts = load_script(config.endpoint.script)
     return lambda attempt: ScriptedChatClient(scripts[attempt % len(scripts)])
-
-
-def build_client(config: PipelineConfig, attempt: int = 0) -> ChatClient:
-    return client_factory(config)(attempt)
 
 
 def build_strategy(config: PipelineConfig, attempt: int = 0) -> SelectionStrategy:
@@ -252,7 +241,7 @@ def _record_repair(entry: dict[str, Any], state: SelectionState) -> None:
         [event.iteration, event.clause_id, event.text] for event in state.refuted_history
     ]
     entry["dropped_templates"] = sorted(
-        tid for tid, slot in state.slots.items() if slot.dropped
+        tid for tid, slot in state.slots.items() if slot.selected is None
     )
     entry["truncated_families"] = sorted(
         tid for tid, slot in state.slots.items() if slot.family.truncated

@@ -35,11 +35,9 @@ from .verifier import Outcome, Verifier, VerifierVerdict
 @dataclass
 class FamilySlot:
     family: Family
-    selected: Variant | None
+    selected: Variant | None  # None once the family runs dry: the slot is dropped
     refuted: set[str] = field(default_factory=set)  # texts, never selected again
     cursor: int = 0  # heuristic: every family member before it is refuted
-    dropped: bool = False
-    replacements: int = 0
     warned: bool = False
 
 
@@ -163,20 +161,14 @@ def re_select(
             RefutationEvent(iteration=iteration, clause_id=clause_id, text=refuted.text)
         )
         slot.refuted.add(refuted.text)
-        slot.replacements += 1
-        if not slot.warned and 2 * slot.replacements > len(slot.family):
+        if not slot.warned and 2 * len(slot.refuted) > len(slot.family):
             slot.warned = True
             state.thrash_warnings.append(
-                f"template {clause_id} replaced {slot.replacements} times "
+                f"template {clause_id} replaced {len(slot.refuted)} times "
                 f"(family size {len(slot.family)}); "
                 "verifier attribution may be thrashing"
             )
-        replacement = strategy.pick(slot)
-        if replacement is None:
-            slot.selected = None
-            slot.dropped = True
-        else:
-            slot.selected = replacement
+        slot.selected = strategy.pick(slot)
 
 
 def spec_selection(

@@ -4,8 +4,7 @@
   its diagnostics with a configurable, ordered rule list.
 * :class:`TraceVerifier` checks clauses against recorded execution traces —
   sound up to trace coverage, so its verdicts carry a coverage caveat.
-* :class:`MockVerifier` replays scripted verdicts or accepts a fixed truth
-  set of clause texts.
+* :class:`MockVerifier` accepts a fixed truth set of clause texts.
 """
 from __future__ import annotations
 
@@ -13,15 +12,14 @@ import re
 import shlex
 import subprocess
 import tempfile
-import time
 from array import array
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from .clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, instrument_with_lines
-from .errors import CommandNotFound, ConfigError, EvalError, ScriptExhausted
+from .errors import CommandNotFound, ConfigError, EvalError
 from .evaluate import Phase, TraceRecord, eval_expr
 
 
@@ -54,7 +52,6 @@ class FailureReport:
 class VerifierVerdict:
     outcome: Outcome
     failures: tuple[FailureReport, ...] = ()
-    wall_time: float = 0.0
     detail: str = ""  # context for crash/timeout outcomes
     coverage_caveat: bool = False  # True when the check only covers the traces seen
 
@@ -107,66 +104,6 @@ def classify_failure(raw_message: str, rules: Sequence[Rule] = DEFAULT_RULES) ->
 _LINE_NO_RE = re.compile(r":(\d+):")
 
 
-@dataclass(frozen=True)
-class ExecConfig:
-    command: str  # template containing a {file} placeholder
-    timeout_seconds: float = 1800.0
-    failures_per_call: str = "one"  # "one" | "all"
-    rules: tuple[Rule, ...] = DEFAULT_RULES
-
-
-def verify_exec(
-    program_text: str,
-    cfg: ExecConfig,
-    clause_lines: Sequence[tuple[int, str]] = (),
-) -> VerifierVerdict:
-    """Write the program to a temp file, run the command, parse diagnostics.
-
-    ``clause_lines`` maps instrumented line numbers to clause ids; a
-    diagnostic is attributed to the clause instrumented nearest above its
-    reported source line.
-    """
-    if "{file}" not in cfg.command:
-        raise ConfigError("verifier command template needs a {file} placeholder")
-    started = time.monotonic()
-    tmp = tempfile.NamedTemporaryFile(
-        mode="w", suffix=".java", prefix="specsmith_", delete=False, encoding="utf-8"
-    )
-    try:
-        tmp.write(program_text)
-        tmp.close()
-        argv = [part.replace("{file}", tmp.name) for part in shlex.split(cfg.command)]
-        try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=cfg.timeout_seconds
-            )
-        except subprocess.TimeoutExpired:
-            return VerifierVerdict(
-                Outcome.TIMEOUT,
-                wall_time=time.monotonic() - started,
-                detail=f"command exceeded {cfg.timeout_seconds:.0f}s",
-            )
-        except FileNotFoundError as exc:
-            raise CommandNotFound(f"verifier command not found: {argv[0]}") from exc
-    finally:
-        Path(tmp.name).unlink(missing_ok=True)
-
-    wall = time.monotonic() - started
-    failures = _parse_diagnostics(proc.stdout + "\n" + proc.stderr, cfg.rules, clause_lines)
-    if cfg.failures_per_call == "one" and len(failures) > 1:
-        failures = failures[:1]
-    if failures:
-        return VerifierVerdict(Outcome.FAIL, tuple(failures), wall_time=wall)
-    if proc.returncode != 0:
-        tail = (proc.stderr or proc.stdout).strip().splitlines()[-5:]
-        return VerifierVerdict(
-            Outcome.CRASH,
-            wall_time=wall,
-            detail=f"exit status {proc.returncode}: " + " | ".join(tail),
-        )
-    return VerifierVerdict(Outcome.PASS, wall_time=wall)
-
-
 def _parse_diagnostics(
     output: str,
     rules: Sequence[Rule],
@@ -199,14 +136,61 @@ def _parse_diagnostics(
 
 
 class ExecVerifier:
-    """Adapter object wrapping :func:`verify_exec` for annotated programs."""
+    """The exec adapter: writes the instrumented program to a temp file, runs
+    ``command`` on it and classifies the diagnostics with ``rules``.
 
-    def __init__(self, cfg: ExecConfig):
-        self.cfg = cfg
+    ``command`` is a template with a ``{file}`` placeholder, checked here. A
+    diagnostic is attributed to the clause instrumented nearest above its
+    reported source line.
+    """
+
+    def __init__(
+        self,
+        command: str,
+        timeout_seconds: float = 1800.0,
+        failures_per_call: str = "one",
+        rules: tuple[Rule, ...] = DEFAULT_RULES,
+    ):
+        if "{file}" not in command:
+            raise ConfigError("verifier command template needs a {file} placeholder")
+        self.command = command
+        self.timeout_seconds = timeout_seconds
+        self.failures_per_call = failures_per_call
+        self.rules = rules
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
         text, clause_lines = instrument_with_lines(program)
-        return verify_exec(text, self.cfg, clause_lines)
+        tmp = tempfile.NamedTemporaryFile(
+            mode="w", suffix=".java", prefix="specsmith_", delete=False, encoding="utf-8"
+        )
+        try:
+            tmp.write(text)
+            tmp.close()
+            argv = [part.replace("{file}", tmp.name) for part in shlex.split(self.command)]
+            try:
+                proc = subprocess.run(
+                    argv, capture_output=True, text=True, timeout=self.timeout_seconds
+                )
+            except subprocess.TimeoutExpired:
+                return VerifierVerdict(
+                    Outcome.TIMEOUT, detail=f"command exceeded {self.timeout_seconds:.0f}s"
+                )
+            except FileNotFoundError as exc:
+                raise CommandNotFound(f"verifier command not found: {argv[0]}") from exc
+        finally:
+            Path(tmp.name).unlink(missing_ok=True)
+
+        failures = _parse_diagnostics(proc.stdout + "\n" + proc.stderr, self.rules, clause_lines)
+        if self.failures_per_call == "one":
+            failures = failures[:1]
+        if failures:
+            return VerifierVerdict(Outcome.FAIL, tuple(failures))
+        if proc.returncode != 0:
+            tail = (proc.stderr or proc.stdout).strip().splitlines()[-5:]
+            return VerifierVerdict(
+                Outcome.CRASH, detail=f"exit status {proc.returncode}: " + " | ".join(tail)
+            )
+        return VerifierVerdict(Outcome.PASS)
 
 
 # --- Trace-based adapter ----------------------------------------------------
@@ -288,7 +272,6 @@ class TraceVerifier:
         self._refutations: dict[tuple[Anchor | None, str], _Refutation | None] = {}
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
-        started = time.monotonic()
         if self._index is None:
             self._index = _TraceIndex(self.traces)
         failures: list[FailureReport] = []
@@ -304,12 +287,9 @@ class TraceVerifier:
                 failures.append(FailureReport(message, category, clause_id=clause.id))
                 if self.failures_per_call == "one":
                     break  # only the first failure is reported
-        wall = time.monotonic() - started
         if failures:
-            return VerifierVerdict(
-                Outcome.FAIL, tuple(failures), wall_time=wall, coverage_caveat=True
-            )
-        return VerifierVerdict(Outcome.PASS, wall_time=wall, coverage_caveat=True)
+            return VerifierVerdict(Outcome.FAIL, tuple(failures), coverage_caveat=True)
+        return VerifierVerdict(Outcome.PASS, coverage_caveat=True)
 
 
 def _refute(clause: Clause, index: _TraceIndex) -> _Refutation | None:
@@ -394,28 +374,17 @@ def _check_decreases(
     return check_activation()
 
 
-# --- Scripted mock ----------------------------------------------------------
+# --- Truth-set mock ---------------------------------------------------------
 
 
-@dataclass
 class MockVerifier:
-    """Truth-set mode accepts exactly the clause texts in ``truth``;
-    verdict-list mode replays ``verdicts`` one call at a time."""
+    """The mock adapter: accepts exactly the clause texts in ``truth``."""
 
-    truth: frozenset[str] | None = None
-    verdicts: list[VerifierVerdict] | None = None
-
-    def __post_init__(self):
-        if (self.truth is None) == (self.verdicts is None):
-            raise ValueError("configure exactly one of truth or verdicts")
-        if self.truth is not None:
-            self.truth = frozenset(self.truth)
+    def __init__(self, truth: Iterable[str], failures_per_call: str = "all"):
+        self.truth = frozenset(truth)
+        self.failures_per_call = failures_per_call
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
-        if self.verdicts is not None:
-            if not self.verdicts:
-                raise ScriptExhausted("mock verifier has no verdicts left")
-            return self.verdicts.pop(0)
         failures = tuple(
             FailureReport(
                 raw_message=f"clause not in the accepted set: {clause.text}",
@@ -426,5 +395,7 @@ class MockVerifier:
             if clause.text not in self.truth
         )
         if failures:
+            if self.failures_per_call == "one":
+                failures = failures[:1]
             return VerifierVerdict(Outcome.FAIL, failures)
         return VerifierVerdict(Outcome.PASS)

@@ -27,6 +27,7 @@ from specsmith.errors import (
     EvalTypeError,
     IndexOutOfRange,
     MissingOldSnapshot,
+    ScriptExhausted,
     UnboundVariable,
     UnboundedQuantifier,
 )
@@ -47,7 +48,7 @@ from specsmith.expr import (
     render_expr,
 )
 from specsmith import mutation
-from specsmith.mutation import MutationKind, Variant, WeightTable, score_variant
+from specsmith.mutation import MutationKind, Variant, WeightTable
 from specsmith.verifier import FailureCategory, FailureReport, Outcome, VerifierVerdict
 
 # ---------------------------------------------------------------------------
@@ -138,6 +139,19 @@ class RandomizedVerifier:
             for cid in chosen
         )
         return VerifierVerdict(Outcome.FAIL, failures)
+
+
+class ScriptedVerifier:
+    """Replays ``verdicts`` one ``verify`` call at a time, whatever the
+    program; one call past the end raises ScriptExhausted."""
+
+    def __init__(self, verdicts):
+        self.verdicts = list(verdicts)
+
+    def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
+        if not self.verdicts:
+            raise ScriptExhausted("scripted verifier has no verdicts left")
+        return self.verdicts.pop(0)
 
 
 class RecordingVerifier:
@@ -250,6 +264,12 @@ def oracle_family(
         if text not in best or score > best[text]:
             best[text] = score
     return best
+
+
+def score_variant(variant: Variant, weights: WeightTable) -> int:
+    """Scoring oracle, the paper's formula: the sum over kinds of
+    (rewrites of that kind) x (kind weight)."""
+    return sum(weights[kind] * count for kind, count in variant.counts)
 
 
 def scale_weights(weights: WeightTable, factor: int) -> WeightTable:

@@ -11,12 +11,14 @@ from pathlib import Path
 
 from conftest import (
     RandomizedVerifier,
+    ScriptedVerifier,
     eval_outcome,
     gen_eval_case,
     gen_mutation_clause,
     oracle_eval,
     oracle_family,
     scale_weights,
+    score_variant,
 )
 
 from specsmith.bench import run_benchmark
@@ -29,14 +31,13 @@ from specsmith.conversation import (
 )
 from specsmith.evaluate import eval_expr
 from specsmith.expr import render_expr
-from specsmith.mutation import DEFAULT_WEIGHTS, enumerate_variants, score_variant
+from specsmith.mutation import DEFAULT_WEIGHTS, enumerate_variants
 from specsmith.parser import parse_expr
 from specsmith.pipeline import run_batch, write_report
 from specsmith.repair import HeuristicStrategy, RandomStrategy, mutation_based_gen
 from specsmith.verifier import (
     FailureCategory,
     FailureReport,
-    MockVerifier,
     Outcome,
     VerifierVerdict,
 )
@@ -305,7 +306,7 @@ def test_criterion_6_conversation_exhaustion_and_feedback():
         for k in range(1, 11)
     ]
     client = ScriptedChatClient(responses)
-    verifier = MockVerifier(verdicts=verdicts)
+    verifier = ScriptedVerifier(verdicts)
     cfg = EndpointConfig(shot_count=0, max_rounds=10)
     program, transcript = run_conversation(C6_PROGRAM, cfg, verifier, client)
 

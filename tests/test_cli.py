@@ -8,6 +8,7 @@ import yaml
 
 from specsmith import repair
 from specsmith.cli import main
+from specsmith.conversation import ScriptedChatClient
 
 ABS_PROGRAM = """\
 class Abs {
@@ -183,6 +184,27 @@ class TestGenerate:
         assert code == 2
         assert "trace_file" in capsys.readouterr().err
 
+    def test_exec_command_without_placeholder_exits_before_any_chat(
+        self, workspace, capsys, monkeypatch
+    ):
+        config = workspace / "config.yaml"
+        data = yaml.safe_load(config.read_text(encoding="utf-8"))
+        data["verifier"] = {"adapter": "exec", "command": "true"}
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        requests = []
+        monkeypatch.setattr(
+            ScriptedChatClient, "complete", lambda self, *args: requests.append(args)
+        )
+        out = workspace / "runs"
+        code = main(
+            ["generate", str(workspace / "Abs.java"), "--config", str(config), "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: verifier command template needs a {file} placeholder\n"
+        assert requests == []
+        assert not out.exists()
+
 
 class TestMutate:
     def test_family_listing(self, capsys):
@@ -251,6 +273,22 @@ class TestVerify:
         assert code == 1
         assert "outcome: fail" in captured.out
         assert "method:abs/ensures/0" in captured.out
+
+    def test_mock_reports_one_failure_per_call_when_configured(self, workspace, capsys):
+        config = workspace / "config.yaml"
+        data = yaml.safe_load(config.read_text(encoding="utf-8"))
+        data["verifier"].update(mock_truth=[], failures_per_call="one")
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        code = main(
+            ["verify", str(workspace / "AbsAnnotated.java"), "--config", str(config)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == (
+            "outcome: fail\n"
+            "  unknown [method:abs/requires/0]: "
+            "clause not in the accepted set: //@ requires x > -1000;\n"
+        )
 
     def test_trace_adapter_prints_coverage_note(self, workspace, capsys):
         config = workspace / "config.yaml"

@@ -4,6 +4,7 @@ import sys
 import types
 
 import pytest
+from conftest import ScriptedVerifier
 
 from specsmith.conversation import (
     DEFAULT_GUIDANCE,
@@ -25,7 +26,6 @@ from specsmith.errors import EndpointError, InsufficientShots, ScriptExhausted
 from specsmith.verifier import (
     FailureCategory,
     FailureReport,
-    MockVerifier,
     Outcome,
     VerifierVerdict,
 )
@@ -504,7 +504,7 @@ class TestHttpChatClient:
 class TestRunConversation:
     def test_verified_on_first_round(self):
         client = ScriptedChatClient([fenced(ABS_ANNOTATED)])
-        verifier = MockVerifier(verdicts=[pass_verdict()])
+        verifier = ScriptedVerifier([pass_verdict()])
         cfg = EndpointConfig(shot_count=2, max_rounds=5)
         program, transcript = run_conversation(
             ABS_PROGRAM, cfg, verifier, client, shots=SHOTS
@@ -518,7 +518,7 @@ class TestRunConversation:
 
     def test_first_call_carries_shots_and_query(self):
         client = ScriptedChatClient([fenced(ABS_ANNOTATED)])
-        verifier = MockVerifier(verdicts=[pass_verdict()])
+        verifier = ScriptedVerifier([pass_verdict()])
         cfg = EndpointConfig(shot_count=2, max_rounds=5)
         run_conversation(ABS_PROGRAM, cfg, verifier, client, shots=SHOTS)
         first_call = client.calls[0]
@@ -529,8 +529,8 @@ class TestRunConversation:
     def test_verified_after_feedback(self):
         wrong = ABS_ANNOTATED.replace("\\result >= 0", "\\result > 0")
         client = ScriptedChatClient([fenced(wrong), fenced(ABS_ANNOTATED)])
-        verifier = MockVerifier(
-            verdicts=[fail_verdict("ensures clause fails when x == 0"), pass_verdict()]
+        verifier = ScriptedVerifier(
+            [fail_verdict("ensures clause fails when x == 0"), pass_verdict()]
         )
         cfg = EndpointConfig(shot_count=0, max_rounds=5)
         program, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
@@ -546,8 +546,8 @@ class TestRunConversation:
 
     def test_exhaustion_after_max_rounds(self):
         client = ScriptedChatClient([fenced(ABS_ANNOTATED)] * 3)
-        verifier = MockVerifier(
-            verdicts=[fail_verdict(f"round {k} problem") for k in (1, 2, 3)]
+        verifier = ScriptedVerifier(
+            [fail_verdict(f"round {k} problem") for k in (1, 2, 3)]
         )
         cfg = EndpointConfig(shot_count=0, max_rounds=3)
         program, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
@@ -558,7 +558,7 @@ class TestRunConversation:
 
     def test_last_extracted_survives_later_garbage(self):
         client = ScriptedChatClient([fenced(ABS_ANNOTATED), "no annotations, sorry"])
-        verifier = MockVerifier(verdicts=[fail_verdict("not provable")])
+        verifier = ScriptedVerifier([fail_verdict("not provable")])
         cfg = EndpointConfig(shot_count=0, max_rounds=2)
         program, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
         assert program is None
@@ -572,7 +572,7 @@ class TestRunConversation:
 
     def test_extraction_failure_feedback_mentions_parsing(self):
         client = ScriptedChatClient(["nothing useful", fenced(ABS_ANNOTATED)])
-        verifier = MockVerifier(verdicts=[pass_verdict()])
+        verifier = ScriptedVerifier([pass_verdict()])
         cfg = EndpointConfig(shot_count=0, max_rounds=3)
         program, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
         assert transcript.outcome == "verified"
@@ -582,7 +582,7 @@ class TestRunConversation:
 
     def test_script_exhaustion_aborts(self):
         client = ScriptedChatClient([])
-        verifier = MockVerifier(verdicts=[pass_verdict()])
+        verifier = ScriptedVerifier([pass_verdict()])
         cfg = EndpointConfig(shot_count=0, max_rounds=3)
         program, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
         assert program is None
@@ -595,7 +595,7 @@ class TestRunConversation:
             def complete(self, messages, cfg):
                 raise EndpointError("endpoint unreachable")
 
-        verifier = MockVerifier(verdicts=[pass_verdict()])
+        verifier = ScriptedVerifier([pass_verdict()])
         cfg = EndpointConfig(shot_count=0, max_rounds=3)
         program, transcript = run_conversation(
             ABS_PROGRAM, cfg, verifier, FailingClient()
@@ -606,7 +606,7 @@ class TestRunConversation:
 
     def test_round_prompts_recorded(self):
         client = ScriptedChatClient([fenced(ABS_ANNOTATED)] * 2)
-        verifier = MockVerifier(verdicts=[fail_verdict("first fault"), pass_verdict()])
+        verifier = ScriptedVerifier([fail_verdict("first fault"), pass_verdict()])
         cfg = EndpointConfig(shot_count=0, max_rounds=3)
         _, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
         assert DEFAULT_SYSTEM_ROLE in transcript.rounds[0].prompt
@@ -615,7 +615,7 @@ class TestRunConversation:
 
     def test_tiny_budget_evicts_shots_between_rounds(self):
         client = ScriptedChatClient([fenced(ABS_ANNOTATED)] * 2)
-        verifier = MockVerifier(verdicts=[fail_verdict("nope"), pass_verdict()])
+        verifier = ScriptedVerifier([fail_verdict("nope"), pass_verdict()])
         cfg = EndpointConfig(shot_count=3, max_rounds=3, history_token_budget=1)
         _, transcript = run_conversation(
             ABS_PROGRAM, cfg, verifier, client, shots=SHOTS
@@ -631,7 +631,7 @@ class TestRunConversation:
 
     def test_generous_budget_keeps_shots(self):
         client = ScriptedChatClient([fenced(ABS_ANNOTATED)] * 2)
-        verifier = MockVerifier(verdicts=[fail_verdict("nope"), pass_verdict()])
+        verifier = ScriptedVerifier([fail_verdict("nope"), pass_verdict()])
         cfg = EndpointConfig(shot_count=3, max_rounds=3)
         run_conversation(ABS_PROGRAM, cfg, verifier, client, shots=SHOTS)
         assert len(client.calls[1]) == 10  # 8 + assistant reply + feedback

@@ -19,7 +19,6 @@ from specsmith.evaluate import (
     Phase,
     TraceRecord,
     eval_expr,
-    extract_bounds,
     load_trace_file,
     record_from_dict,
 )
@@ -130,6 +129,14 @@ class TestSpecialForms:
         assert out is True
 
 
+def overwide_domain(range_text):
+    """The interval a quantifier over ``range_text`` would walk, read from
+    the error its over-wide domain raises before any element is evaluated."""
+    with pytest.raises(UnboundedQuantifier) as raised:
+        ev(f"(\\forall int v; {range_text}; true)")
+    return re.search(r"\[-?\d+, -?\d+\]", str(raised.value)).group()
+
+
 class TestQuantifiers:
     def test_forall_and_exists(self):
         bindings = {"arr": [2, 4, 6], "n": 3}
@@ -146,15 +153,15 @@ class TestQuantifiers:
         assert out is True
 
     def test_strict_bounds_tighten(self):
-        rec = record()
-        lo, hi = extract_bounds(parse_expr("0 < v && v < 5"), "v", rec)
-        assert (lo, hi) == (1, 4)
-        lo, hi = extract_bounds(parse_expr("0 <= v && v <= 5"), "v", rec)
-        assert (lo, hi) == (0, 5)
+        assert overwide_domain("0 < v && v < 2000000") == "[1, 1999999]"
+        assert overwide_domain("0 <= v && v <= 2000000") == "[0, 2000000]"
+        assert ev("(\\exists int v; 0 < v && v < 5; v == 1)") is True
+        assert ev("(\\exists int v; 0 < v && v < 5; v == 4)") is True
 
     def test_flipped_bounds_normalize(self):
-        lo, hi = extract_bounds(parse_expr("v >= 2 && 7 >= v"), "v", record())
-        assert (lo, hi) == (2, 7)
+        assert overwide_domain("v >= 2 && 3000000 >= v") == "[2, 3000000]"
+        assert overwide_domain("v > 2 && 3000000 > v") == "[3, 2999999]"
+        assert ev("(\\exists int v; v >= 2 && 7 >= v; v == 7)") is True
 
     def test_missing_bound_is_unbounded(self):
         with pytest.raises(UnboundedQuantifier):

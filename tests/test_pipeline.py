@@ -16,9 +16,9 @@ from specsmith.pipeline import (
     SUMMARY_SCHEMA,
     PipelineContext,
     aggregate_entries,
-    build_client,
     build_strategy,
     build_verifier,
+    client_factory,
     load_corpus,
     load_script,
     make_context,
@@ -150,6 +150,7 @@ class TestBuildVerifier:
         verifier = build_verifier(config)
         assert isinstance(verifier, MockVerifier)
         assert verifier.truth == frozenset(ABS_TRUTH)
+        assert verifier.failures_per_call == "all"
 
     def test_mock_requires_truth(self):
         config = config_from_dict({"verifier": {"adapter": "mock"}})
@@ -178,9 +179,23 @@ class TestBuildVerifier:
 
     def test_exec_adapter(self):
         config = config_from_dict(
-            {"verifier": {"adapter": "exec", "command": "check {file}"}}
+            {
+                "verifier": {
+                    "adapter": "exec",
+                    "command": "check {file}",
+                    "timeout_seconds": 5,
+                    "rules": [{"pattern": "cannot", "category": "syntax-error"}],
+                }
+            }
         )
-        assert isinstance(build_verifier(config), ExecVerifier)
+        verifier = build_verifier(config)
+        assert isinstance(verifier, ExecVerifier)
+        assert (verifier.command, verifier.timeout_seconds, verifier.failures_per_call) == (
+            "check {file}",
+            5.0,
+            "one",
+        )
+        assert verifier.rules == config.verifier.rules
 
     def test_exec_requires_command(self):
         config = config_from_dict({"verifier": {"adapter": "exec"}})
@@ -221,18 +236,18 @@ class TestLoadScript:
 
 class TestBuildClient:
     def test_live_mode(self):
-        assert isinstance(build_client(PipelineConfig()), HttpChatClient)
+        assert isinstance(client_factory(PipelineConfig())(0), HttpChatClient)
 
     def test_scripted_mode(self, tmp_path):
         config = scripted_mock_config(tmp_path, ["only response"])
-        client = build_client(config)
+        client = client_factory(config)(0)
         assert isinstance(client, ScriptedChatClient)
         assert client.responses == ["only response"]
 
     def test_scripted_mode_requires_script(self):
         config = config_from_dict({"endpoint": {"mode": "scripted"}})
         with pytest.raises(ConfigError, match="endpoint.script: required"):
-            build_client(config)
+            client_factory(config)
 
     def test_attempts_cycle_through_scripts(self, tmp_path):
         script = tmp_path / "script.json"
@@ -240,9 +255,10 @@ class TestBuildClient:
         config = config_from_dict(
             {"endpoint": {"mode": "scripted", "script": str(script)}}
         )
-        assert build_client(config, attempt=0).responses == ["first"]
-        assert build_client(config, attempt=1).responses == ["second"]
-        assert build_client(config, attempt=2).responses == ["first"]
+        clients = client_factory(config)
+        assert clients(0).responses == ["first"]
+        assert clients(1).responses == ["second"]
+        assert clients(2).responses == ["first"]
 
 
 class TestBuildStrategy:
@@ -302,7 +318,7 @@ def run_abs(config, responses=None):
         verifier=build_verifier(config),
         shots=[],
     )
-    client = build_client(config)
+    client = client_factory(config)(0)
     return run_pipeline("Abs", ABS_PROGRAM, context, client)
 
 
@@ -409,7 +425,7 @@ class TestRunPipeline:
             verifier = ClockedVerifier(truth=frozenset())
             monkeypatch.setattr(repair, "time", SimpleNamespace(monotonic=lambda: verifier.now))
             context = PipelineContext(config=config, verifier=verifier, shots=[])
-            entries.append(run_pipeline("Abs", ABS_PROGRAM, context, build_client(config)))
+            entries.append(run_pipeline("Abs", ABS_PROGRAM, context, client_factory(config)(0)))
         entry = entries[0]
         # The error quotes the configured budget, not the remainder repair got.
         assert entries[1] == entry
@@ -441,7 +457,7 @@ class TestRunPipeline:
         monkeypatch.setattr(repair, "time", SimpleNamespace(monotonic=lambda: 0.0))
         verifier = RecordingVerifier(MockVerifier(truth=frozenset()))
         context = PipelineContext(config=config, verifier=verifier, shots=[])
-        entry = run_pipeline("Abs", ABS_PROGRAM, context, build_client(config))
+        entry = run_pipeline("Abs", ABS_PROGRAM, context, client_factory(config)(0))
         assert entry["outcome"] == "aborted"
         assert entry["error"] == "repair loop exceeded what remained of the 10s pipeline budget"
         assert entry["verifier_calls_conversation"] == 2

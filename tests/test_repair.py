@@ -5,8 +5,10 @@ import pytest
 from conftest import (
     RandomizedVerifier,
     RecordingVerifier,
+    ScriptedVerifier,
     gen_mutation_clause,
     scale_weights,
+    score_variant,
     select_by_heuristic,
 )
 
@@ -19,7 +21,6 @@ from specsmith.mutation import (
     MutationKind,
     WeightTable,
     enumerate_variants,
-    score_variant,
 )
 from specsmith.parser import parse_expr
 from specsmith.repair import (
@@ -131,7 +132,7 @@ class TestExhaustionAndDrop:
         assert result.state.verifier_calls == 3
         assert result.program.clauses == ()
         assert result.passed  # vacuous: nothing is claimed any more
-        assert result.state.slots["method:check/requires/0"].dropped
+        assert result.state.slots["method:check/requires/0"].selected is None
 
     def test_call_bound_never_exceeded(self):
         program = make_program("a == b", "c < d")
@@ -165,7 +166,7 @@ class TestUnattributableFailures:
             ),
             VerifierVerdict(Outcome.PASS),
         ]
-        verifier = MockVerifier(verdicts=verdicts)
+        verifier = ScriptedVerifier(verdicts)
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
         assert result.passed and result.state.verifier_calls == 2
         assert [e.clause_id for e in result.state.refuted_history] == [
@@ -178,7 +179,7 @@ class TestUnattributableFailures:
             VerifierVerdict(Outcome.TIMEOUT, detail="verifier timed out"),
             VerifierVerdict(Outcome.PASS),
         ]
-        verifier = MockVerifier(verdicts=verdicts)
+        verifier = ScriptedVerifier(verdicts)
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
         assert result.passed and result.state.verifier_calls == 2
         assert len(result.state.refuted_history) == 1
@@ -214,9 +215,10 @@ class TestHoudiniFallback:
             assert not {event.text for event in result.state.refuted_history} & truth
             for tid, slot in result.state.slots.items():
                 reachable = any(v.text in truth for v in members[tid])
-                assert slot.dropped == (not reachable)
-                assert slot.selected is None or slot.selected.text in truth
-                outcomes[slot.dropped] += 1
+                dropped = slot.selected is None
+                assert dropped == (not reachable)
+                assert dropped or slot.selected.text in truth
+                outcomes[dropped] += 1
         assert min(outcomes.values()) > 100
 
     def test_unattributable_failure_refutes_exactly_the_selection(self):
@@ -354,7 +356,7 @@ class TestThrashWarning:
             built_before.append(len(slot.family._built))
             re_select(state, [slot.family.template.id], HeuristicStrategy(), len(built_before))
         fired_at, built, size = expected
-        assert (slot.replacements, built_before[-1], len(slot.family)) == expected
+        assert (len(slot.refuted), built_before[-1], len(slot.family)) == expected
         assert state.thrash_warnings == [
             f"template method:check/requires/0 replaced {fired_at} times "
             f"(family size {size}); verifier attribution may be thrashing"
@@ -438,7 +440,7 @@ class TestLazySelection:
             )
             result = mutation_based_gen(program, MockVerifier(truth=truth), HeuristicStrategy(), cap=cap)
             for tid, slot in result.state.slots.items():
-                bound = level_prefix(eager[tid], DEFAULT_WEIGHTS, slot.replacements + 1)
+                bound = level_prefix(eager[tid], DEFAULT_WEIGHTS, len(slot.refuted) + 1)
                 assert len(slot.family._built) <= bound
                 built_total += len(slot.family._built)
                 eager_total += len(eager[tid])

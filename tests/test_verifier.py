@@ -11,7 +11,6 @@ from specsmith.errors import CommandNotFound, ConfigError, ScriptExhausted
 from specsmith.evaluate import Phase, TraceRecord, eval_expr
 from specsmith.verifier import (
     DEFAULT_RULES,
-    ExecConfig,
     ExecVerifier,
     FailureCategory,
     FailureReport,
@@ -21,10 +20,9 @@ from specsmith.verifier import (
     VerifierVerdict,
     classify_failure,
     make_rules,
-    verify_exec,
 )
 
-from conftest import gen_trace_case, oracle_verify_trace
+from conftest import ScriptedVerifier, gen_trace_case, oracle_verify_trace
 
 ANNOTATED = """\
 class Abs {
@@ -101,8 +99,7 @@ def make_stub(tmp_path, name, script):
 class TestExecAdapter:
     def test_pass_on_clean_exit(self, tmp_path):
         stub = make_stub(tmp_path, "ok.py", "print('fine')\n")
-        cfg = ExecConfig(command=f"{stub} {{file}}")
-        verdict = ExecVerifier(cfg).verify(program())
+        verdict = ExecVerifier(f"{stub} {{file}}").verify(program())
         assert verdict.outcome is Outcome.PASS
 
     def test_diagnostic_attributed_to_nearest_clause_above(self, tmp_path):
@@ -115,8 +112,7 @@ class TestExecAdapter:
             sys.exit(1)
             """,
         )
-        cfg = ExecConfig(command=f"{stub} {{file}}")
-        verdict = ExecVerifier(cfg).verify(program())
+        verdict = ExecVerifier(f"{stub} {{file}}").verify(program())
         assert verdict.outcome is Outcome.FAIL
         failure = verdict.failures[0]
         assert failure.category is FailureCategory.UNPROVABLE_POSTCONDITION
@@ -134,32 +130,32 @@ class TestExecAdapter:
             raise SystemExit(1)
             """,
         )
-        one = ExecConfig(command=f"{stub} {{file}}", failures_per_call="one")
-        both = ExecConfig(command=f"{stub} {{file}}", failures_per_call="all")
-        assert len(verify_exec("class X {}", one).failures) == 1
-        assert len(verify_exec("class X {}", both).failures) == 2
+        one = ExecVerifier(f"{stub} {{file}}", failures_per_call="one")
+        both = ExecVerifier(f"{stub} {{file}}", failures_per_call="all")
+        assert len(one.verify(program()).failures) == 1
+        assert len(both.verify(program()).failures) == 2
 
     def test_nonzero_exit_without_diagnostics_is_crash(self, tmp_path):
         stub = make_stub(tmp_path, "crash.py", "raise SystemExit(3)\n")
-        cfg = ExecConfig(command=f"{stub} {{file}}")
-        verdict = verify_exec("class X {}", cfg)
+        verdict = ExecVerifier(f"{stub} {{file}}").verify(program())
         assert verdict.outcome is Outcome.CRASH
         assert "exit status 3" in verdict.detail
 
     def test_timeout(self, tmp_path):
         stub = make_stub(tmp_path, "slow.py", "import time\ntime.sleep(5)\n")
-        cfg = ExecConfig(command=f"{stub} {{file}}", timeout_seconds=1.0)
-        verdict = verify_exec("class X {}", cfg)
+        verifier = ExecVerifier(f"{stub} {{file}}", timeout_seconds=1.0)
+        verdict = verifier.verify(program())
         assert verdict.outcome is Outcome.TIMEOUT
 
     def test_missing_command(self):
-        cfg = ExecConfig(command="definitely-not-a-real-binary {file}")
+        verifier = ExecVerifier("definitely-not-a-real-binary {file}")
         with pytest.raises(CommandNotFound):
-            verify_exec("class X {}", cfg)
+            verifier.verify(program())
 
     def test_command_without_placeholder_rejected(self):
-        with pytest.raises(ConfigError):
-            verify_exec("class X {}", ExecConfig(command="javac"))
+        # Checked when the adapter is built, before any program is written.
+        with pytest.raises(ConfigError, match=r"needs a \{file\} placeholder"):
+            ExecVerifier("javac")
 
     def test_temp_file_receives_instrumented_text(self, tmp_path):
         stub = make_stub(
@@ -170,8 +166,7 @@ class TestExecAdapter:
             sys.stdout.write(open(sys.argv[1]).read())
             """,
         )
-        cfg = ExecConfig(command=f"{stub} {{file}}")
-        verdict = ExecVerifier(cfg).verify(program())
+        verdict = ExecVerifier(f"{stub} {{file}}").verify(program())
         # The stub's output is not diagnostic-shaped, so the run passes;
         # reaching PASS proves the instrumented file existed and was read.
         assert verdict.outcome is Outcome.PASS
@@ -291,27 +286,29 @@ class TestDecreases:
 
 
 class TestMockVerifier:
-    def test_exactly_one_mode_required(self):
-        with pytest.raises(ValueError):
-            MockVerifier()
-        with pytest.raises(ValueError):
-            MockVerifier(truth=frozenset(), verdicts=[])
-
     def test_truth_mode(self):
         clause = parse_clause("//@ requires a < b;", anchor=Anchor("f"), clause_id="c0")
-        accepted = MockVerifier(truth=frozenset({"//@ requires a < b;"}))
+        accepted = MockVerifier({"//@ requires a < b;"})
         verdict = accepted.verify(AnnotatedProgram("class X {}", (clause,)))
         assert verdict.outcome is Outcome.PASS
-        rejected = MockVerifier(truth=frozenset())
+        rejected = MockVerifier(frozenset())
         verdict = rejected.verify(AnnotatedProgram("class X {}", (clause,)))
         assert verdict.outcome is Outcome.FAIL
         assert verdict.failures[0].clause_id == "c0"
 
-    def test_verdict_mode_replays_and_exhausts(self):
-        verifier = MockVerifier(verdicts=[VerifierVerdict(Outcome.PASS)])
-        assert verifier.verify(AnnotatedProgram("x", ())).outcome is Outcome.PASS
-        with pytest.raises(ScriptExhausted):
-            verifier.verify(AnnotatedProgram("x", ()))
+    def test_failures_per_call(self):
+        clauses = tuple(
+            parse_clause(f"//@ requires a < {n};", anchor=Anchor("f"), clause_id=f"c{n}")
+            for n in range(3)
+        )
+        program = AnnotatedProgram("class X {}", clauses)
+        assert [f.clause_id for f in MockVerifier(()).verify(program).failures] == [
+            "c0",
+            "c1",
+            "c2",
+        ]
+        one = MockVerifier((), failures_per_call="one").verify(program)
+        assert [f.clause_id for f in one.failures] == ["c0"]
 
     def test_verify_keeps_no_per_call_state(self):
         # One mock serves a whole batch, so nothing may grow with its calls.
@@ -319,11 +316,22 @@ class TestMockVerifier:
             parse_clause("//@ requires a < b;", anchor=Anchor("f"), clause_id="c0"),
             parse_clause("//@ requires b < c;", anchor=Anchor("f"), clause_id="c1"),
         )
-        verifier = MockVerifier(truth=frozenset({"//@ requires a < b;"}))
+        verifier = MockVerifier({"//@ requires a < b;"})
         before = dict(vars(verifier))
         for i in range(10_000):
             verifier.verify(AnnotatedProgram("class X {}", clauses[: 1 + i % 2]))
         assert vars(verifier) == before
+
+
+class TestScriptedVerifier:
+    """The verdict-replay fake in conftest that the conversation, repair and
+    acceptance tests drive."""
+
+    def test_replays_and_exhausts(self):
+        verifier = ScriptedVerifier([VerifierVerdict(Outcome.PASS)])
+        assert verifier.verify(AnnotatedProgram("x", ())).outcome is Outcome.PASS
+        with pytest.raises(ScriptExhausted):
+            verifier.verify(AnnotatedProgram("x", ()))
 
 
 class TestTraceVerifierObject:
@@ -337,10 +345,6 @@ class TestTraceVerifierObject:
         records.clear()
         assert isinstance(verifier.traces, tuple)
         assert verifier.verify(program()).outcome is Outcome.FAIL
-
-
-def without_wall_time(verdict):
-    return dataclasses.replace(verdict, wall_time=0.0)
 
 
 def renumbered(clauses, rng, prefix):
@@ -365,7 +369,7 @@ class TestIndexedVerifierMatchesLinearScan:
         for call in range(4):
             program = AnnotatedProgram("", renumbered(pool, rng, f"call{call}/"))
             expected = oracle_verify_trace(program, traces, failures_per_call)
-            assert without_wall_time(verifier.verify(program)) == expected
+            assert verifier.verify(program) == expected
 
     def test_cases_cover_every_outcome(self):
         categories = set()
@@ -391,7 +395,7 @@ class TestIndexedVerifierMatchesLinearScan:
             record.bindings["k"] = record.bindings.get("i", 0)
         expected = oracle_verify_trace(loop_program, records)
         verdict = TraceVerifier(records).verify(loop_program)
-        assert without_wall_time(verdict) == expected
+        assert verdict == expected
         assert "at trace record 7: " in verdict.failures[0].raw_message
 
     def test_pre_post_at_a_loop_anchor_is_not_a_boundary(self):
@@ -399,7 +403,7 @@ class TestIndexedVerifierMatchesLinearScan:
         records = loop_trace([0, 0], 3)  # the measure repeats: 3 then 3
         records.insert(2, rec(Anchor("count", 0), Phase.POST, {"n": 3, "i": 0}))
         verdict = TraceVerifier(records).verify(loop_program)
-        assert without_wall_time(verdict) == oracle_verify_trace(loop_program, records)
+        assert verdict == oracle_verify_trace(loop_program, records)
         assert "fails to strictly decrease (3 then 3) at trace record 3" in (
             verdict.failures[0].raw_message
         )
@@ -435,5 +439,5 @@ class TestIndexedVerifierMatchesLinearScan:
         first = verifier.verify(loop_program)
         assert calls
         calls.clear()
-        assert without_wall_time(verifier.verify(loop_program)) == without_wall_time(first)
+        assert verifier.verify(loop_program) == first
         assert calls == []
