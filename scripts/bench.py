@@ -4,7 +4,8 @@ Each trial plants one "correct" variant inside a freshly generated clause
 family, with placement biased toward small, cheap mutation distances — the
 regime the weighted heuristic is designed for. Both strategies then repair
 the same family against a truth-set verifier and we compare how many
-verifier calls each one needed.
+verifier calls each one needed. ``strategy_benchmark.py`` runs it from the
+command line.
 """
 from __future__ import annotations
 
@@ -12,11 +13,11 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from .clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, render_clause
-from .expr import Binary, Expr, IntLit, Quantifier, Var
-from .mutation import Family, Variant, enumerate_variants
-from .repair import HeuristicStrategy, RandomStrategy, mutation_based_gen
-from .verifier import MockVerifier
+from specsmith.clauses import Anchor, AnnotatedProgram, Clause, ClauseKind
+from specsmith.expr import Binary, Expr, IntLit, Quantifier, Var
+from specsmith.mutation import Family, Variant, enumerate_variants
+from specsmith.repair import HeuristicStrategy, RandomStrategy, mutation_based_gen
+from specsmith.verifier import MockVerifier
 
 _SOURCE = """\
 class Bench {
@@ -140,7 +141,6 @@ def run_trial(seed: int) -> TrialResult:
     )
     family = enumerate_variants(clause)
     planted = plant_truth(family, rng)
-    truth_clause = clause.with_expr(planted.expr)
     program = AnnotatedProgram(source=_SOURCE, clauses=(clause,))
 
     calls = {}
@@ -148,13 +148,17 @@ def run_trial(seed: int) -> TrialResult:
         ("heuristic", HeuristicStrategy()),
         ("random", RandomStrategy(seed)),
     ):
-        verifier = MockVerifier({render_clause(truth_clause)})
-        result = mutation_based_gen(program, verifier, strategy)
-        assert result.passed, "planted variant must be reachable"
+        result = mutation_based_gen(program, MockVerifier({planted.text}), strategy)
+        repaired = [c.text for c in result.program.clauses]
+        if result.outcome != "verified" or repaired != [planted.text]:
+            raise RuntimeError(
+                f"trial {seed}: {name} selection ended {result.outcome} with "
+                f"{repaired}, not the planted {planted.text!r}"
+            )
         calls[name] = result.state.verifier_calls
     return TrialResult(
-        template_text=render_clause(clause),
-        truth_text=render_clause(truth_clause),
+        template_text=clause.text,
+        truth_text=planted.text,
         family_size=len(family),
         heuristic_calls=calls["heuristic"],
         random_calls=calls["random"],

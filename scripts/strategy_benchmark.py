@@ -2,7 +2,7 @@
 """Compare heuristic and random candidate selection on synthetic repairs."""
 import argparse
 
-from specsmith.bench import run_benchmark
+from bench import run_benchmark
 
 
 def main() -> None:

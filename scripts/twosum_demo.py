@@ -35,7 +35,7 @@ def main() -> None:
     program = (FIXTURES / "TwoSum.java").read_text(encoding="utf-8")
 
     print("== conversation phase ==")
-    verified, transcript = run_conversation(
+    transcript = run_conversation(
         program,
         config.endpoint,
         context.verifier,
@@ -53,6 +53,7 @@ def main() -> None:
         print(f"round {number:2d}: {line}")
     print(f"conversation outcome: {transcript.outcome} "
           f"({transcript.verifier_calls} verifier calls)")
+    verified = transcript.last_extracted if transcript.outcome == "verified" else None
 
     if verified is None and transcript.last_extracted is not None:
         print()
@@ -63,9 +64,9 @@ def main() -> None:
         for event in result.state.refuted_history:
             print(f"call {event.iteration}: refuted {event.clause_id}")
             print(f"         {event.text}")
-        print(f"repair outcome: {'pass' if result.passed else 'fail'} "
+        print(f"repair outcome: {result.outcome} "
               f"({result.state.verifier_calls} verifier calls)")
-        verified = result.program if result.passed else None
+        verified = result.program if result.outcome == "verified" else None
 
     if verified is not None:
         print()

@@ -8,7 +8,7 @@ lines — no full Java parsing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -57,17 +57,14 @@ class Clause:
 
     ``text``, its canonical line, is rendered on first read and kept. A
     :meth:`rendered` clause is made with its text instead; a :meth:`deferred`
-    one is too, and builds its expression on first read. :meth:`with_expr`
-    renders the new expression afresh.
+    one is too, and builds its expression on first read. A clause copied by
+    ``dataclasses.replace`` renders its expression afresh.
     """
 
     kind: ClauseKind
     expr: Expr
     anchor: Anchor | None = None
     id: str = ""
-
-    def with_expr(self, expr: Expr) -> Clause:
-        return replace(self, expr=expr)
 
     @classmethod
     def rendered(
@@ -268,7 +265,7 @@ def instrument_with_lines(program: AnnotatedProgram) -> tuple[str, list[tuple[in
     """Like :func:`instrument`, also returning (line number, clause id) pairs.
 
     Line numbers are 1-based positions of each annotation line in the output,
-    which is what external-verifier diagnostics refer to.
+    which is what external-verifier diagnostics refer to; they ascend.
     """
     lines = program.source.splitlines()
     anchors_by_line = scan_anchors(lines)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when the run itself fails (no program verified,
-verifier rejected the clauses, a clause could not be parsed), 2 on usage or
-configuration errors.
+verifier rejected the clauses, repair exhausted every family or ran out of
+its budget, a clause could not be parsed), 2 on usage or configuration
+errors.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from .clauses import extract_annotations, parse_clause, render_clause
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, SpecError, TimeoutBudgetExceeded
+from .errors import ConfigError, SpecError
 from .evaluate import load_trace_file
 from .mutation import enumerate_variants
 from .pipeline import (
@@ -111,28 +112,27 @@ def _print_repair_state(state: SelectionState) -> None:
 def cmd_repair(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args)
     program = extract_annotations(_read_text(args.file))
-    try:
-        result = mutation_based_gen(
-            program,
-            build_verifier(config),
-            build_strategy(config),
-            kinds=config.mutation.kinds,
-            weights=config.weights,
-            cap=config.mutation.variant_cap,
-            budget_seconds=config.budgets.pipeline_seconds,
-        )
-    except TimeoutBudgetExceeded as exc:
-        # The budget ran out mid-repair: show the work done so far.
-        _print_repair_state(exc.state)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = mutation_based_gen(
+        program,
+        build_verifier(config),
+        build_strategy(config),
+        kinds=config.mutation.kinds,
+        weights=config.weights,
+        cap=config.mutation.variant_cap,
+        budget_seconds=config.budgets.pipeline_seconds,
+    )
+    # Every ending shows the work done, a budget that ran out included.
     _print_repair_state(result.state)
-    if result.passed:
+    if result.outcome == "verified":
         print("repaired clauses:")
         for clause in result.program.clauses:
             print(f"  {render_clause(clause)}")
         return 0
-    print("repair failed: every candidate family was exhausted")
+    if result.outcome == "out-of-budget":
+        budget = config.budgets.pipeline_seconds
+        print(f"error: repair loop exceeded its {budget:g}s budget", file=sys.stderr)
+    else:
+        print("repair failed: every candidate family was exhausted")
     return 1
 
 

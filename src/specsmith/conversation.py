@@ -364,11 +364,12 @@ def run_conversation(
     shots: Sequence[tuple[str, str]] = (),
     system_role: str = DEFAULT_SYSTEM_ROLE,
     guidance: dict[FailureCategory, str] | None = None,
-) -> tuple[AnnotatedProgram | None, ConversationTranscript]:
+) -> ConversationTranscript:
     """Drive the chat until a pass or ``cfg.max_rounds`` rounds.
 
-    Returns the verified program, or None plus a transcript whose
-    ``last_extracted`` field seeds the mutation phase.
+    The transcript's ``outcome`` says how the chat ended; its
+    ``last_extracted`` is the verified program on ``"verified"``, and
+    otherwise the clause set that seeds the mutation phase (or None).
 
     Each round re-sends the whole annotated program, so the clause lines are
     parsed through one table that this call creates and shares across its
@@ -388,7 +389,7 @@ def run_conversation(
         except (EndpointError, ScriptExhausted) as exc:
             transcript.outcome = "aborted"
             transcript.error = str(exc)
-            return None, transcript
+            return transcript
 
         extraction = extract_specs(response, program, table)
         if isinstance(extraction, ExtractionFailure):
@@ -412,7 +413,7 @@ def run_conversation(
             if verdict.outcome is Outcome.PASS:
                 transcript.rounds.append(round_entry)
                 transcript.outcome = "verified"
-                return extraction, transcript
+                return transcript
             feedback_source = verdict
 
         transcript.rounds.append(round_entry)
@@ -422,4 +423,4 @@ def run_conversation(
         shot_pairs = _trim_history(messages, cfg.history_token_budget, shot_pairs)
 
     transcript.outcome = "exhausted"
-    return None, transcript
+    return transcript

@@ -1,11 +1,6 @@
 """Exception hierarchy shared across the toolchain."""
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .repair import SelectionState
-
 
 class SpecError(Exception):
     """Base class for every error raised by this package."""
@@ -92,18 +87,6 @@ class CommandNotFound(VerifierUnavailable):
 
 class ScriptExhausted(SpecError):
     """A scripted component ran out of canned entries."""
-
-
-class TimeoutBudgetExceeded(SpecError):
-    """The wall-clock budget for a repair run or pipeline was exceeded.
-
-    ``state`` is the repair loop's selection state when the budget ran out,
-    so its verifier calls and refutations so far are not lost.
-    """
-
-    def __init__(self, message: str, state: SelectionState | None = None):
-        super().__init__(message)
-        self.state = state
 
 
 class EndpointError(SpecError):

@@ -24,7 +24,7 @@ from .conversation import (
     ScriptedChatClient,
     run_conversation,
 )
-from .errors import ConfigError, SpecError, TimeoutBudgetExceeded
+from .errors import ConfigError, SpecError
 from .evaluate import load_trace_file, read_json_lines
 from .repair import (
     HeuristicStrategy,
@@ -174,7 +174,7 @@ def run_pipeline(
     }
 
     try:
-        verified, transcript = run_conversation(
+        transcript = run_conversation(
             program,
             config.endpoint,
             context.verifier,
@@ -187,7 +187,7 @@ def run_pipeline(
 
         if transcript.outcome == "verified":
             entry["outcome"] = "verified-by-conversation"
-            entry["final_clauses"] = [render_clause(c) for c in verified.clauses]
+            entry["final_clauses"] = [render_clause(c) for c in transcript.last_extracted.clauses]
         elif transcript.outcome == "aborted":
             entry["outcome"] = "aborted"
             entry["error"] = transcript.error
@@ -208,24 +208,24 @@ def run_pipeline(
                 budget_seconds=remaining,
             )
             _record_repair(entry, result.state)
-            if result.program.clauses and result.passed:
+            if result.outcome == "verified":
                 entry["outcome"] = "verified-by-mutation"
                 entry["final_clauses"] = [
                     render_clause(c) for c in result.program.clauses
                 ]
+            elif result.outcome == "out-of-budget":
+                entry["outcome"] = "aborted"
+                # The loop's own budget was what the conversation left of the
+                # pipeline's, which varies from run to run; quote the fixed one.
+                entry["error"] = (
+                    "repair loop exceeded what remained of the "
+                    f"{config.budgets.pipeline_seconds:g}s pipeline budget"
+                )
             else:
                 entry["outcome"] = "failed"
     except SpecError as exc:
         entry["outcome"] = "aborted"
         entry["error"] = str(exc)
-        if isinstance(exc, TimeoutBudgetExceeded) and exc.state is not None:
-            # The loop's own budget was what the conversation left of the
-            # pipeline's, which varies from run to run; quote the fixed one.
-            entry["error"] = (
-                "repair loop exceeded what remained of the "
-                f"{config.budgets.pipeline_seconds:g}s pipeline budget"
-            )
-            _record_repair(entry, exc.state)
 
     coverage = getattr(context.verifier, "traces", None) is not None
     entry["coverage_caveat"] = coverage

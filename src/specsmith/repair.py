@@ -11,6 +11,12 @@ Families are streams (see :class:`~specsmith.mutation.Family`): the heuristic
 reads them in order through a per-slot cursor, so a repair builds only the
 variants it reaches; the thrash check reads the family size, which costs
 no enumeration.
+
+A repair ends one of three ways, named by :attr:`RepairResult.outcome`:
+``"verified"`` (the verifier accepted a non-empty selection),
+``"exhausted"`` (every family ran dry, so nothing is left to claim) or
+``"out-of-budget"`` (the wall-clock budget ran out first). Each ending
+carries the selection state built so far.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
 from .clauses import AnnotatedProgram, Clause, render_clause
-from .errors import SpecError, TimeoutBudgetExceeded, UnknownClause
+from .errors import SpecError, UnknownClause
 from .mutation import (
     ALL_KINDS,
     Family,
@@ -29,7 +35,7 @@ from .mutation import (
     WeightTable,
     enumerate_variants,
 )
-from .verifier import Outcome, Verifier, VerifierVerdict
+from .verifier import Outcome, Verifier
 
 
 @dataclass
@@ -93,16 +99,9 @@ class SelectionState:
 
 @dataclass
 class RepairResult:
-    program: AnnotatedProgram
+    program: AnnotatedProgram  # the last selection; verified only on "verified"
     state: SelectionState
-    final_verdict: VerifierVerdict | None
-
-    @property
-    def passed(self) -> bool:
-        # An empty clause set is vacuously verified: nothing was claimed.
-        if not self.program.clauses:
-            return True
-        return self.final_verdict is not None and self.final_verdict.outcome is Outcome.PASS
+    outcome: str  # "verified" | "exhausted" | "out-of-budget"
 
 
 def spec_mutation(
@@ -183,19 +182,21 @@ def spec_selection(
     Exactly one verifier call per iteration. A failure that cannot be
     attributed to any currently selected clause refutes the whole selection —
     progress is guaranteed either way. An empty selection is verified once
-    for the record and then accepted vacuously.
+    for the record and ends the loop ``"exhausted"``. A budget that runs out
+    before an iteration ends it ``"out-of-budget"``, with that iteration's
+    selection unverified.
     """
     started = time.monotonic()
     while True:
-        if budget_seconds is not None and time.monotonic() - started >= budget_seconds:
-            raise TimeoutBudgetExceeded(
-                f"repair loop exceeded its {budget_seconds:g}s budget", state
-            )
         program = AnnotatedProgram(source, state.selected_clauses())
+        if budget_seconds is not None and time.monotonic() - started >= budget_seconds:
+            return RepairResult(program, state, "out-of-budget")
         verdict = verifier.verify(program)
         state.verifier_calls += 1
-        if not program.clauses or verdict.outcome is Outcome.PASS:
-            return RepairResult(program=program, state=state, final_verdict=verdict)
+        if not program.clauses:
+            return RepairResult(program, state, "exhausted")
+        if verdict.outcome is Outcome.PASS:
+            return RepairResult(program, state, "verified")
         selected_ids = {clause.id for clause in program.clauses}
         refuted = []
         for failure in verdict.failures:
@@ -217,7 +218,8 @@ def mutation_based_gen(
     cap: int = 4096,
     budget_seconds: float | None = None,
 ) -> RepairResult:
-    """Full mutation phase: build families, then select-and-verify to a pass."""
+    """Full mutation phase: build families, then select-and-verify until the
+    loop ends (see :func:`spec_selection`)."""
     families = spec_mutation(templates.clauses, kinds=kinds, cap=cap, weights=weights)
     state = init_state(families)
     return spec_selection(

@@ -8,11 +8,15 @@
 """
 from __future__ import annotations
 
+import contextlib
+import os
 import re
 import shlex
+import signal
 import subprocess
 import tempfile
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -109,7 +113,8 @@ def _parse_diagnostics(
     rules: Sequence[Rule],
     clause_lines: Sequence[tuple[int, str]],
 ) -> list[FailureReport]:
-    by_line = sorted(clause_lines)
+    """Recognized diagnostics, each blamed on the nearest clause line at or
+    above its source line; ``clause_lines`` ascend, as instrumented."""
     failures: list[FailureReport] = []
     for line in output.splitlines():
         if not line.strip():
@@ -121,9 +126,9 @@ def _parse_diagnostics(
         source_line = int(line_match.group(1)) if line_match else None
         clause_id = None
         if source_line is not None:
-            candidates = [cid for lineno, cid in by_line if lineno <= source_line]
-            if candidates:
-                clause_id = candidates[-1]
+            above = bisect_right(clause_lines, source_line, key=lambda pair: pair[0])
+            if above:
+                clause_id = clause_lines[above - 1][1]
         failures.append(
             FailureReport(
                 raw_message=line.strip(),
@@ -168,25 +173,37 @@ class ExecVerifier:
             tmp.close()
             argv = [part.replace("{file}", tmp.name) for part in shlex.split(self.command)]
             try:
-                proc = subprocess.run(
-                    argv, capture_output=True, text=True, timeout=self.timeout_seconds
-                )
-            except subprocess.TimeoutExpired:
-                return VerifierVerdict(
-                    Outcome.TIMEOUT, detail=f"command exceeded {self.timeout_seconds:.0f}s"
+                # Its own session, so a timeout can end the whole process
+                # group: a wrapper script's children as well as the script.
+                proc = subprocess.Popen(
+                    argv,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                    start_new_session=True,
                 )
             except FileNotFoundError as exc:
                 raise CommandNotFound(f"verifier command not found: {argv[0]}") from exc
+            with proc:
+                try:
+                    stdout, stderr = proc.communicate(timeout=self.timeout_seconds)
+                except subprocess.TimeoutExpired:
+                    with contextlib.suppress(ProcessLookupError):
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    proc.communicate()
+                    return VerifierVerdict(
+                        Outcome.TIMEOUT, detail=f"command exceeded {self.timeout_seconds:g}s"
+                    )
         finally:
             Path(tmp.name).unlink(missing_ok=True)
 
-        failures = _parse_diagnostics(proc.stdout + "\n" + proc.stderr, self.rules, clause_lines)
+        failures = _parse_diagnostics(stdout + "\n" + stderr, self.rules, clause_lines)
         if self.failures_per_call == "one":
             failures = failures[:1]
         if failures:
             return VerifierVerdict(Outcome.FAIL, tuple(failures))
         if proc.returncode != 0:
-            tail = (proc.stderr or proc.stdout).strip().splitlines()[-5:]
+            tail = (stderr or stdout).strip().splitlines()[-5:]
             return VerifierVerdict(
                 Outcome.CRASH, detail=f"exit status {proc.returncode}: " + " | ".join(tail)
             )

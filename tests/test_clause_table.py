@@ -5,6 +5,7 @@ clause by clause; the table may only save work. Scripts are the TwoSum
 fixture, generated multi-round scripts in the style of the benchmark's, and
 bare-clause responses, with malformed lines and lines that change anchor.
 """
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -44,7 +45,7 @@ def fenced(annotated: str) -> str:
 def converse(program: str, responses: list[str]):
     """Run every response as one round of a conversation that never passes."""
     cfg = EndpointConfig(max_rounds=len(responses), shot_count=0)
-    _, transcript = run_conversation(
+    transcript = run_conversation(
         program, cfg, MockVerifier(truth=frozenset()), ScriptedChatClient(responses)
     )
     assert transcript.outcome == "exhausted"
@@ -69,7 +70,7 @@ def assert_rounds_match_fresh_extraction(program: str, transcript, responses: li
         for clause in round_.extracted.clauses:
             # The text the table carries is the canonical rendering.
             assert clause.text == f"//@ {clause.kind.value} {render_expr(clause.expr)};"
-            assert clause.with_expr(clause.expr).text == clause.text
+            assert dataclasses.replace(clause, expr=clause.expr).text == clause.text
 
 
 def count_parses(monkeypatch) -> list[str]:

@@ -1,4 +1,6 @@
 """Annotation extraction, anchoring, rendering, and re-instrumentation."""
+import dataclasses
+
 import pytest
 
 from specsmith.clauses import (
@@ -220,7 +222,7 @@ class TestInstrument:
         program = extract_annotations(SIMPLE)
         swapped = AnnotatedProgram(
             program.source,
-            tuple(c.with_expr(parse_expr("x >= 17")) for c in program.clauses),
+            tuple(dataclasses.replace(c, expr=parse_expr("x >= 17")) for c in program.clauses),
         )
         text = instrument(swapped)
         assert text.count("x >= 17") == 2

@@ -402,7 +402,7 @@ class TestRepair:
         assert "//@ ensures \\result >= 0;" in captured.out
         assert "refuted (call 1) method:abs/ensures/0" in captured.out
 
-    def test_exhausted_families_fall_back_to_empty_pass(self, workspace, capsys):
+    def test_exhausted_families_exit_one(self, workspace, capsys):
         config = workspace / "config.yaml"
         data = yaml.safe_load(config.read_text(encoding="utf-8"))
         data["verifier"]["mock_truth"] = []  # no clause is ever accepted
@@ -416,11 +416,13 @@ class TestRepair:
             ]
         )
         captured = capsys.readouterr()
-        # Every family is exhausted, every slot dropped, and the remaining
-        # empty clause set passes vacuously: exit 0 with nothing to print.
-        assert code == 0
-        assert "repaired clauses:" in captured.out
-        assert "//@" not in captured.out.split("repaired clauses:")[1]
+        # Every family is exhausted and every slot dropped: nothing is
+        # verified, so the run fails after showing its refutations.
+        assert code == 1
+        assert "repaired clauses:" not in captured.out
+        assert captured.out.endswith("repair failed: every candidate family was exhausted\n")
+        assert "refuted (call 1) method:abs/requires/0" in captured.out
+        assert captured.err == ""
 
     def test_timeout_prints_the_partial_state(self, workspace, capsys, monkeypatch):
         near_miss = workspace / "AbsNearMiss.java"

@@ -506,12 +506,11 @@ class TestRunConversation:
         client = ScriptedChatClient([fenced(ABS_ANNOTATED)])
         verifier = ScriptedVerifier([pass_verdict()])
         cfg = EndpointConfig(shot_count=2, max_rounds=5)
-        program, transcript = run_conversation(
-            ABS_PROGRAM, cfg, verifier, client, shots=SHOTS
-        )
+        transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client, shots=SHOTS)
+        assert isinstance(transcript, ConversationTranscript)
         assert transcript.outcome == "verified"
-        assert program is not None
-        assert len(program.clauses) == 2
+        # On a pass, the last extracted program is the verified one.
+        assert len(transcript.last_extracted.clauses) == 2
         assert len(transcript.rounds) == 1
         assert transcript.verifier_calls == 1
         assert transcript.rounds[0].verdict.outcome is Outcome.PASS
@@ -533,7 +532,7 @@ class TestRunConversation:
             [fail_verdict("ensures clause fails when x == 0"), pass_verdict()]
         )
         cfg = EndpointConfig(shot_count=0, max_rounds=5)
-        program, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
+        transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
         assert transcript.outcome == "verified"
         assert len(transcript.rounds) == 2
         assert transcript.verifier_calls == 2
@@ -550,8 +549,7 @@ class TestRunConversation:
             [fail_verdict(f"round {k} problem") for k in (1, 2, 3)]
         )
         cfg = EndpointConfig(shot_count=0, max_rounds=3)
-        program, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
-        assert program is None
+        transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
         assert transcript.outcome == "exhausted"
         assert len(transcript.rounds) == 3
         assert transcript.verifier_calls == 3
@@ -560,8 +558,7 @@ class TestRunConversation:
         client = ScriptedChatClient([fenced(ABS_ANNOTATED), "no annotations, sorry"])
         verifier = ScriptedVerifier([fail_verdict("not provable")])
         cfg = EndpointConfig(shot_count=0, max_rounds=2)
-        program, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
-        assert program is None
+        transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
         assert transcript.outcome == "exhausted"
         assert transcript.last_extracted is not None
         assert len(transcript.last_extracted.clauses) == 2
@@ -574,7 +571,7 @@ class TestRunConversation:
         client = ScriptedChatClient(["nothing useful", fenced(ABS_ANNOTATED)])
         verifier = ScriptedVerifier([pass_verdict()])
         cfg = EndpointConfig(shot_count=0, max_rounds=3)
-        program, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
+        transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
         assert transcript.outcome == "verified"
         feedback = client.calls[1][-1]["content"]
         assert "could not be parsed" in feedback
@@ -584,8 +581,7 @@ class TestRunConversation:
         client = ScriptedChatClient([])
         verifier = ScriptedVerifier([pass_verdict()])
         cfg = EndpointConfig(shot_count=0, max_rounds=3)
-        program, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
-        assert program is None
+        transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
         assert transcript.outcome == "aborted"
         assert "no responses left" in transcript.error
         assert transcript.rounds == []
@@ -597,10 +593,7 @@ class TestRunConversation:
 
         verifier = ScriptedVerifier([pass_verdict()])
         cfg = EndpointConfig(shot_count=0, max_rounds=3)
-        program, transcript = run_conversation(
-            ABS_PROGRAM, cfg, verifier, FailingClient()
-        )
-        assert program is None
+        transcript = run_conversation(ABS_PROGRAM, cfg, verifier, FailingClient())
         assert transcript.outcome == "aborted"
         assert transcript.error == "endpoint unreachable"
 
@@ -608,7 +601,7 @@ class TestRunConversation:
         client = ScriptedChatClient([fenced(ABS_ANNOTATED)] * 2)
         verifier = ScriptedVerifier([fail_verdict("first fault"), pass_verdict()])
         cfg = EndpointConfig(shot_count=0, max_rounds=3)
-        _, transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
+        transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
         assert DEFAULT_SYSTEM_ROLE in transcript.rounds[0].prompt
         assert ABS_PROGRAM in transcript.rounds[0].prompt
         assert "Failure: first fault" in transcript.rounds[1].prompt
@@ -617,7 +610,7 @@ class TestRunConversation:
         client = ScriptedChatClient([fenced(ABS_ANNOTATED)] * 2)
         verifier = ScriptedVerifier([fail_verdict("nope"), pass_verdict()])
         cfg = EndpointConfig(shot_count=3, max_rounds=3, history_token_budget=1)
-        _, transcript = run_conversation(
+        transcript = run_conversation(
             ABS_PROGRAM, cfg, verifier, client, shots=SHOTS
         )
         first_call, second_call = client.calls

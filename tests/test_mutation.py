@@ -1,4 +1,5 @@
 """Operator mutation families: sites, rewrites, scoring, enumeration order."""
+import dataclasses
 import heapq
 import itertools
 import random
@@ -415,7 +416,7 @@ class TestRenderPlan:
             for weights in self.WEIGHTS:
                 family = enumerate_variants(clause, kinds=kinds, weights=weights, cap=1 << 20)
                 for variant in family.variants:
-                    assert variant.text == render_clause(clause.with_expr(variant.expr))
+                    assert variant.text == render_clause(dataclasses.replace(clause, expr=variant.expr))
 
     def test_generated_clauses(self):
         rng = random.Random(5)

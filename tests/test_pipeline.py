@@ -363,6 +363,22 @@ class TestRunPipeline:
         assert entry["verifier_calls_repair"] == 0
         assert entry["final_clauses"] == []
 
+    def test_failed_when_every_family_is_exhausted(self, tmp_path):
+        near_miss = ABS_CORRECT.replace("\\result >= 0", "\\result > 0")
+        # One failure per call, so each repair call refutes one variant.
+        config = scripted_mock_config(
+            tmp_path, [fenced(near_miss)] * 2, truth=[], verifier={"failures_per_call": "one"}
+        )
+        entry = run_abs(config)
+        families = repair.spec_mutation(extract_annotations(near_miss).clauses)
+        assert entry["outcome"] == "failed"
+        assert entry["error"] == ""
+        assert entry["final_clauses"] == []
+        assert entry["dropped_templates"] == sorted(families)
+        # Every variant is refuted once, then the empty selection is checked.
+        assert len(entry["refuted_history"]) == sum(len(f) for f in families.values())
+        assert entry["verifier_calls_repair"] == 1 + sum(len(f) for f in families.values())
+
     def test_aborted_when_script_runs_dry(self, tmp_path):
         config = scripted_mock_config(tmp_path, [])
         entry = run_abs(config)

@@ -1,4 +1,5 @@
 """The verify-and-replace loop: refutation, replacement, drop-out, bounds."""
+import dataclasses
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from conftest import (
 )
 
 from specsmith.clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, parse_clause, render_clause
-from specsmith.errors import SpecError, TimeoutBudgetExceeded, UnknownClause
+from specsmith.errors import SpecError, UnknownClause
 from specsmith import schemata
 from specsmith.expr import render_expr
 from specsmith.mutation import (
@@ -61,7 +62,7 @@ def make_program(*clause_texts: str) -> AnnotatedProgram:
 def truth_verifier(program: AnnotatedProgram, *accepted_exprs: str) -> MockVerifier:
     accepted = set()
     for i, text in enumerate(accepted_exprs):
-        clause = program.clauses[i].with_expr(parse_expr(text))
+        clause = dataclasses.replace(program.clauses[i], expr=parse_expr(text))
         accepted.add(render_clause(clause))
     return MockVerifier(truth=frozenset(accepted))
 
@@ -71,7 +72,7 @@ class TestSingleClauseRepair:
         program = make_program("a < b")
         verifier = truth_verifier(program, "a < b")
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
-        assert result.passed and result.state.verifier_calls == 1
+        assert result.outcome == "verified" and result.state.verifier_calls == 1
         assert result.state.refuted_history == []
 
     def test_tie_break_order_costs_one_extra_call(self):
@@ -81,7 +82,7 @@ class TestSingleClauseRepair:
         program = make_program("a <= b")
         verifier = truth_verifier(program, "a < b")
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
-        assert result.passed
+        assert result.outcome == "verified"
         assert result.state.verifier_calls == 3
         assert [event.text for event in result.state.refuted_history] == [
             "//@ requires a <= b;",
@@ -109,7 +110,7 @@ class TestMultiClauseRepair:
         program = make_program("a < b", "c == d")
         verifier = truth_verifier(program, "a < b", "c != d")
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
-        assert result.passed and result.state.verifier_calls == 2
+        assert result.outcome == "verified" and result.state.verifier_calls == 2
         assert [render_clause(c) for c in result.program.clauses] == [
             "//@ requires a < b;",
             "//@ requires c != d;",
@@ -120,7 +121,7 @@ class TestMultiClauseRepair:
         verifier = truth_verifier(program, "a != b", "c != d")
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
         # One call refutes both templates, the second accepts both swaps.
-        assert result.passed and result.state.verifier_calls == 2
+        assert result.outcome == "verified" and result.state.verifier_calls == 2
 
 
 class TestExhaustionAndDrop:
@@ -131,7 +132,7 @@ class TestExhaustionAndDrop:
         # Calls: template fail, swap fail, then empty selection verified once.
         assert result.state.verifier_calls == 3
         assert result.program.clauses == ()
-        assert result.passed  # vacuous: nothing is claimed any more
+        assert result.outcome == "exhausted"  # nothing is claimed any more
         assert result.state.slots["method:check/requires/0"].selected is None
 
     def test_call_bound_never_exceeded(self):
@@ -147,7 +148,7 @@ class TestExhaustionAndDrop:
         verifier = MockVerifier(truth=frozenset())
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
         assert result.state.verifier_calls == 1
-        assert result.passed
+        assert result.outcome == "exhausted"
 
 
 class TestUnattributableFailures:
@@ -168,7 +169,7 @@ class TestUnattributableFailures:
         ]
         verifier = ScriptedVerifier(verdicts)
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
-        assert result.passed and result.state.verifier_calls == 2
+        assert result.outcome == "verified" and result.state.verifier_calls == 2
         assert [e.clause_id for e in result.state.refuted_history] == [
             "method:check/requires/0"
         ]
@@ -181,7 +182,7 @@ class TestUnattributableFailures:
         ]
         verifier = ScriptedVerifier(verdicts)
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
-        assert result.passed and result.state.verifier_calls == 2
+        assert result.outcome == "verified" and result.state.verifier_calls == 2
         assert len(result.state.refuted_history) == 1
 
 
@@ -211,7 +212,8 @@ class TestHoudiniFallback:
         for _ in range(300):
             program, cap, members, truth, strategy = self.generated(rng)
             result = mutation_based_gen(program, MockVerifier(truth=truth), strategy, cap=cap)
-            assert result.passed
+            kept = any(v.text in truth for family in members.values() for v in family)
+            assert result.outcome == ("verified" if kept else "exhausted")
             assert not {event.text for event in result.state.refuted_history} & truth
             for tid, slot in result.state.slots.items():
                 reachable = any(v.text in truth for v in members[tid])
@@ -313,7 +315,7 @@ class TestStateMechanics:
     def test_repeated_ids_are_rejected(self):
         clause = make_program("a <= b").clauses[0]
         with pytest.raises(SpecError, match="'method:check/requires/0' is repeated"):
-            spec_mutation([clause, clause.with_expr(parse_expr("b <= c"))])
+            spec_mutation([clause, dataclasses.replace(clause, expr=parse_expr("b <= c"))])
 
     def test_kind_filter_threads_through(self):
         program = make_program("a + 1 <= b")
@@ -417,10 +419,10 @@ class TestLazySelection:
             )
             weights, cap = rng.choice(self.WEIGHTS), rng.choice((2, 8, 64))
             strategy = Checked(spec_mutation(program.clauses, cap=cap, weights=weights), weights)
-            result = mutation_based_gen(
-                program, RandomizedVerifier(rng), strategy, cap=cap, weights=weights
-            )
-            assert result.passed
+            verifier = RandomizedVerifier(rng)
+            result = mutation_based_gen(program, verifier, strategy, cap=cap, weights=weights)
+            # Only a pass ends a non-empty selection; an empty one ends exhausted.
+            assert result.outcome == ("verified" if verifier.calls[-1] else "exhausted")
             picks += strategy.picks
         assert picks > 300
 
@@ -454,11 +456,11 @@ class TestLazySelection:
         program = make_program("a + b <= c", "c < d && a >= b")
         verifier = truth_verifier(program, "a - b < c", "c <= d || a + 1 >= b")
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
-        assert result.passed and result.state.verifier_calls > 10
+        assert result.outcome == "verified" and result.state.verifier_calls > 10
 
 
 class TestBudget:
-    def test_budget_exceeded_raises(self):
+    def test_budget_exceeded_returns_the_state(self):
         program = make_program("a == b")
 
         class SlowVerifier:
@@ -477,12 +479,12 @@ class TestBudget:
                     ),
                 )
 
-        with pytest.raises(TimeoutBudgetExceeded) as raised:
-            mutation_based_gen(
-                program, SlowVerifier(), HeuristicStrategy(), budget_seconds=0.01
-            )
-        # The state made before the budget ran out travels with the error.
-        state = raised.value.state
+        result = mutation_based_gen(
+            program, SlowVerifier(), HeuristicStrategy(), budget_seconds=0.01
+        )
+        # The state made before the budget ran out comes back with the ending.
+        assert result.outcome == "out-of-budget"
+        state = result.state
         assert state.verifier_calls == 1
         assert [event.text for event in state.refuted_history] == ["//@ requires a == b;"]
 
@@ -495,7 +497,7 @@ class TestRandomStrategy:
             verifier = truth_verifier(program, "a - b < c")
             result = mutation_based_gen(program, verifier, RandomStrategy(5))
             calls.append(result.state.verifier_calls)
-            assert result.passed
+            assert result.outcome == "verified"
         assert calls[0] == calls[1]
 
     def test_different_seeds_can_differ(self):

@@ -3,10 +3,17 @@ import dataclasses
 import random
 import sys
 import textwrap
+import time
 
 import pytest
 
-from specsmith.clauses import Anchor, AnnotatedProgram, extract_annotations, parse_clause
+from specsmith.clauses import (
+    Anchor,
+    AnnotatedProgram,
+    extract_annotations,
+    instrument_with_lines,
+    parse_clause,
+)
 from specsmith.errors import CommandNotFound, ConfigError, ScriptExhausted
 from specsmith.evaluate import Phase, TraceRecord, eval_expr
 from specsmith.verifier import (
@@ -18,6 +25,7 @@ from specsmith.verifier import (
     Outcome,
     TraceVerifier,
     VerifierVerdict,
+    _parse_diagnostics,
     classify_failure,
     make_rules,
 )
@@ -147,6 +155,23 @@ class TestExecAdapter:
         verdict = verifier.verify(program())
         assert verdict.outcome is Outcome.TIMEOUT
 
+    def test_timeout_ends_the_wrapped_checker(self, tmp_path):
+        # A wrapper script that backgrounds the real work: the child would
+        # leave a marker after the limit unless the whole group is killed.
+        marker = tmp_path / "still-running"
+        wrapper = tmp_path / "wrapper.sh"
+        wrapper.write_text(
+            f"#!/bin/sh\n(sleep 1; touch '{marker}') &\nsleep 5\n", encoding="utf-8"
+        )
+        wrapper.chmod(0o755)
+        started = time.monotonic()
+        verdict = ExecVerifier(f"{wrapper} {{file}}", timeout_seconds=0.4).verify(program())
+        assert verdict.outcome is Outcome.TIMEOUT
+        assert verdict.detail == "command exceeded 0.4s"
+        assert time.monotonic() - started < 1.0
+        time.sleep(1.5)
+        assert not marker.exists()
+
     def test_missing_command(self):
         verifier = ExecVerifier("definitely-not-a-real-binary {file}")
         with pytest.raises(CommandNotFound):
@@ -170,6 +195,55 @@ class TestExecAdapter:
         # The stub's output is not diagnostic-shaped, so the run passes;
         # reaching PASS proves the instrumented file existed and was read.
         assert verdict.outcome is Outcome.PASS
+
+
+SUM_ANNOTATED = """\
+class Sum {
+    //@ requires n >= 0;
+    //@ ensures \\result >= 0;
+    static int sum(int n) {
+        int s = 0;
+        int i = 0;
+        //@ maintaining 0 <= i && i <= n;
+        while (i < n) {
+            s = s + i;
+            i = i + 1;
+        }
+        return s;
+    }
+}
+"""
+
+
+class TestDiagnosticAttribution:
+    """A diagnostic blames the clause instrumented nearest at or above its
+    line (clause lines 2, 3 and 7 here)."""
+
+    @staticmethod
+    def blamed(source_line):
+        _, clause_lines = instrument_with_lines(extract_annotations(SUM_ANNOTATED))
+        output = f"Sum.java:{source_line}: cannot prove postcondition"
+        (failure,) = _parse_diagnostics(output, DEFAULT_RULES, clause_lines)
+        assert failure.source_line == source_line
+        return failure.clause_id
+
+    def test_line_above_the_first_clause_blames_none(self):
+        assert self.blamed(1) is None
+
+    def test_a_clause_line_blames_that_clause(self):
+        assert [self.blamed(line) for line in (2, 3, 7)] == [
+            "method:sum/requires/0",
+            "method:sum/ensures/0",
+            "loop:sum:0/maintaining/0",
+        ]
+
+    def test_line_between_clauses_blames_the_nearest_above(self):
+        assert [self.blamed(line) for line in (4, 6, 8, 14)] == [
+            "method:sum/ensures/0",
+            "method:sum/ensures/0",
+            "loop:sum:0/maintaining/0",
+            "loop:sum:0/maintaining/0",
+        ]
 
 
 def rec(anchor, phase, bindings, result=None, old=None):
