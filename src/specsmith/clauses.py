@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .errors import (
     AnchorNotFound,
@@ -55,10 +54,11 @@ class Anchor:
 class Clause:
     """One annotation.
 
-    ``text``, its canonical line, is rendered on first read and kept. A
-    :meth:`rendered` clause is made with its text instead; a :meth:`deferred`
-    one is too, and builds its expression on first read. A clause copied by
-    ``dataclasses.replace`` renders its expression afresh.
+    ``text``, its canonical line, is rendered on first read and kept. A clause
+    made :meth:`of_line` has its text from the start, and without a given
+    expression parses it from that text on first read, so a clause's tree is
+    always the parse of its line. A clause copied by ``dataclasses.replace``
+    renders its expression afresh.
     """
 
     kind: ClauseKind
@@ -67,29 +67,26 @@ class Clause:
     id: str = ""
 
     @classmethod
-    def rendered(
-        cls, kind: ClauseKind, expr: Expr, text: str, anchor: Anchor | None, id: str
+    def of_line(
+        cls, kind: ClauseKind, text: str, anchor: Anchor | None, id: str, expr: Expr | None = None
     ) -> Clause:
-        """A clause made with ``text``, its canonical line, already rendered."""
+        """A clause whose canonical line is ``text``; ``expr``, when given,
+        must be that line's parse."""
         clause = object.__new__(cls)
-        clause.__dict__.update(kind=kind, expr=expr, anchor=anchor, id=id, text=text)
-        return clause
-
-    @classmethod
-    def deferred(cls, like: Clause, text: str, build: Callable[[], Expr]) -> Clause:
-        """A clause with ``like``'s kind, anchor and id, whose expression,
-        rendered as ``text``, is ``build()``, called on first read."""
-        clause = object.__new__(cls)
-        clause.__dict__.update(kind=like.kind, anchor=like.anchor, id=like.id, text=text, _build=build)
+        clause.__dict__.update(kind=kind, anchor=anchor, id=id, text=text)
+        if expr is not None:
+            clause.__dict__["expr"] = expr
         return clause
 
     def __getattr__(self, name: str):
         # Reached only for attributes missing from the instance: the text
-        # before its first read, and a deferred clause's expression.
+        # before its first read, and the expression of a clause made from its
+        # line alone. A line that does not parse raises ClauseSyntaxError on
+        # every read.
         if name == "text":
             value = f"//@ {self.kind.value} {render_expr(self.expr)};"
-        elif name == "expr" and "_build" in self.__dict__:
-            value = self.__dict__.pop("_build")()
+        elif name == "expr" and "text" in self.__dict__:
+            value = parse_clause_line(self.text)[1]
         else:
             raise AttributeError(name)
         self.__dict__[name] = value
@@ -244,7 +241,7 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
             ordinal = ordinals.get((anchor, kind), 0)
             ordinals[(anchor, kind)] = ordinal + 1
             clause_id = f"{anchor.key()}/{kind.value}/{ordinal}"
-            clauses.append(Clause.rendered(kind, expr, text, anchor, clause_id))
+            clauses.append(Clause.of_line(kind, text, anchor, clause_id, expr))
 
     if issues:
         raise ExtractionError(sorted(issues))

@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when the run itself fails (no program verified,
 verifier rejected the clauses, repair exhausted every family or ran out of
-its budget, a clause could not be parsed), 2 on usage or configuration
-errors.
+its budget), 2 on input that does not parse: usage, configuration, and
+clauses or annotations given on the command line or in an input file.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .clauses import extract_annotations, parse_clause, render_clause
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, SpecError
+from .errors import ClauseSyntaxError, ConfigError, ExtractionError, SpecError, TypeMismatch
 from .evaluate import load_trace_file
 from .mutation import enumerate_variants
 from .pipeline import (
@@ -218,10 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError, ClauseSyntaxError, TypeMismatch, ExtractionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpecError as exc:

@@ -103,15 +103,13 @@ class HttpChatClient:
 
 
 class ScriptedChatClient:
-    """Replays canned responses in order and records every request."""
+    """Replays canned responses in order, whatever the request."""
 
     def __init__(self, responses: Sequence[str]):
         self.responses = list(responses)
-        self.calls: list[list[Message]] = []
         self._next = 0
 
     def complete(self, messages: Sequence[Message], cfg: EndpointConfig) -> str:
-        self.calls.append([dict(m) for m in messages])
         if self._next >= len(self.responses):
             raise ScriptExhausted("scripted chat client has no responses left")
         response = self.responses[self._next]

@@ -18,9 +18,6 @@ class Expr:
     def children(self) -> tuple[Expr, ...]:
         return ()
 
-    def replace_child(self, index: int, child: Expr) -> Expr:
-        raise IndexError(f"{type(self).__name__} has no child {index}")
-
 
 @dataclass(frozen=True)
 class Quantifier(Expr):
@@ -34,13 +31,6 @@ class Quantifier(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.range, self.body)
 
-    def replace_child(self, index: int, child: Expr) -> Expr:
-        if index == 0:
-            return Quantifier(self.kind, self.var, child, self.body)
-        if index == 1:
-            return Quantifier(self.kind, self.var, self.range, child)
-        raise IndexError(f"Quantifier has no child {index}")
-
 
 @dataclass(frozen=True)
 class Binary(Expr):
@@ -51,13 +41,6 @@ class Binary(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.lhs, self.rhs)
 
-    def replace_child(self, index: int, child: Expr) -> Expr:
-        if index == 0:
-            return Binary(self.op, child, self.rhs)
-        if index == 1:
-            return Binary(self.op, self.lhs, child)
-        raise IndexError(f"Binary has no child {index}")
-
 
 @dataclass(frozen=True)
 class Unary(Expr):
@@ -66,11 +49,6 @@ class Unary(Expr):
 
     def children(self) -> tuple[Expr, ...]:
         return (self.operand,)
-
-    def replace_child(self, index: int, child: Expr) -> Expr:
-        if index == 0:
-            return Unary(self.op, child)
-        raise IndexError(f"Unary has no child {index}")
 
 
 @dataclass(frozen=True)
@@ -101,13 +79,6 @@ class ArrayIndex(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.base, self.index)
 
-    def replace_child(self, index: int, child: Expr) -> Expr:
-        if index == 0:
-            return ArrayIndex(child, self.index)
-        if index == 1:
-            return ArrayIndex(self.base, child)
-        raise IndexError(f"ArrayIndex has no child {index}")
-
 
 @dataclass(frozen=True)
 class FieldAccess(Expr):
@@ -116,11 +87,6 @@ class FieldAccess(Expr):
 
     def children(self) -> tuple[Expr, ...]:
         return (self.base,)
-
-    def replace_child(self, index: int, child: Expr) -> Expr:
-        if index == 0:
-            return FieldAccess(child, self.field)
-        raise IndexError(f"FieldAccess has no child {index}")
 
 
 @dataclass(frozen=True)
@@ -134,11 +100,6 @@ class OldRef(Expr):
 
     def children(self) -> tuple[Expr, ...]:
         return (self.inner,)
-
-    def replace_child(self, index: int, child: Expr) -> Expr:
-        if index == 0:
-            return OldRef(child)
-        raise IndexError(f"OldRef has no child {index}")
 
 
 # Precedence levels, low binds loosest. Equality sits below the relational

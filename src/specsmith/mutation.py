@@ -14,10 +14,11 @@ search), so it keeps no visited set.
 
 Members are made as mutant schemata (:mod:`specsmith.schemata`): the
 template is compiled once into a render plan, and each member's text is
-that plan filled from its assignment. A member's tree and per-kind counts
-are built on first read. The template member takes the template's own text
-and tree, and the plan is compiled only when a reader asks for a member past
-the template.
+that plan filled from its assignment. A member's tree is the parse of that
+text, made only when a reader asks for it (the trace adapter, on a clause it
+has not checked before); its per-kind counts are also built on first read.
+The template member takes the template's own text and tree, and the plan is
+compiled only when a reader asks for a member past the template.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ import bisect
 import heapq
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -90,7 +90,7 @@ class Variant:
     """One family member: its assignment (one option index per enabled site,
     in site order), its canonical clause line and its score.
 
-    Its clause, expression tree and per-kind counts are built on first read.
+    Its clause and per-kind counts are built on first read.
     Two members are equal when they render the same text by the same number
     of rewrites of each kind.
     """
@@ -114,16 +114,12 @@ class Variant:
 
     @property
     def clause(self) -> Clause:
-        """The template clause carrying this member's text and expression."""
+        """The template's kind, anchor and id with this member's text; its
+        expression is parsed from that text on first read."""
         if self._clause is None:
-            self._clause = Clause.deferred(
-                self._schema.template, self.text, partial(self._schema.tree, self.assignment)
-            )
+            template = self._schema.template
+            self._clause = Clause.of_line(template.kind, self.text, template.anchor, template.id)
         return self._clause
-
-    @property
-    def expr(self) -> Expr:
-        return self.clause.expr
 
     @property
     def counts(self) -> tuple[tuple[MutationKind, int], ...]:

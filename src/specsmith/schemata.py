@@ -5,7 +5,8 @@ built by rewriting and re-rendering the template's tree. The template is
 compiled once into a render plan: its clause line as a format with one hole
 per mutation site, for the operator token, and a parenthesis hole on each
 operand whose parentheses the sites' options change. A member's text is the
-plan filled from its assignment. Its tree is rebuilt only when asked for.
+plan filled from its assignment. Nothing else is built per member: a
+member's tree is the parse of its text (see :class:`specsmith.clauses.Clause`).
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .expr import (
     Binary,
     Expr,
     FieldAccess,
-    IntLit,
     OldRef,
     Quantifier,
     Unary,
@@ -56,8 +56,7 @@ class Schema:
     and the render plan, compiled on the first ``render``.
 
     A member is an assignment of one option index to every site, in site
-    order. Its text is filled in from the plan and its tree rebuilt from the
-    template; neither reads any other member.
+    order. Its text is filled in from the plan and reads no other member.
     """
 
     __slots__ = ("template", "sites", "options", "_plan")
@@ -79,14 +78,6 @@ class Schema:
                 for site, other, table in holes
             ]
         )
-
-    def tree(self, assignment: tuple[int, ...]) -> Expr:
-        chosen = {
-            site.path: replacement
-            for site, site_options, index in zip(self.sites, self.options, assignment)
-            if (replacement := site_options[index][1]) is not None
-        }
-        return _apply_combination(self.template.expr, chosen) if chosen else self.template.expr
 
 
 def _compile_plan(
@@ -224,35 +215,3 @@ def _parens(
         return (False, "parent", marks(column, "("), marks(column, ")"))
     return (False, "both", [marks(row, "(") for row in needed], [marks(row, ")") for row in needed])
 
-
-def _rewrite(node: Expr, replacement: str) -> Expr:
-    """Rewrite a site's node, a ``Quantifier`` or a mutable ``Binary``."""
-    if isinstance(node, Quantifier):
-        return Quantifier(replacement[1:], node.var, node.range, node.body)
-    if replacement in _STRUCTURAL:
-        shift, op = _STRUCTURAL[replacement]
-        return Binary(op, Binary(shift, node.lhs, IntLit(1)), node.rhs)
-    return Binary(replacement, node.lhs, node.rhs)
-
-
-def _apply_combination(
-    expr: Expr, chosen: dict[tuple[int, ...], str]
-) -> Expr:
-    """Apply many choices in one bottom-up rebuild.
-
-    Children are rebuilt before the node itself is rewritten, so a structural
-    rewrite wraps the already-mutated left operand and deeper site paths stay
-    valid regardless of combination order.
-    """
-
-    def build(node: Expr, path: tuple[int, ...]) -> Expr:
-        rebuilt = node
-        for index, child in enumerate(node.children()):
-            new_child = build(child, path + (index,))
-            if new_child is not child:
-                rebuilt = rebuilt.replace_child(index, new_child)
-        if path in chosen:
-            rebuilt = _rewrite(rebuilt, chosen[path])
-        return rebuilt
-
-    return build(expr, ())

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from .clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, instrument_with_lines
-from .errors import CommandNotFound, ConfigError, EvalError
+from .errors import ClauseSyntaxError, CommandNotFound, ConfigError, EvalError
 from .evaluate import Phase, TraceRecord, eval_expr
 
 
@@ -272,8 +272,10 @@ class TraceVerifier:
     non-negative at every loop iteration and strictly decrease across
     consecutive iterations of one loop activation (activations are delimited
     by pre/post records of the enclosing method). Evaluation errors surface
-    as type-error failures. A pass only means no counterexample appears in
-    the given traces, hence the coverage caveat on every verdict.
+    as type-error failures, and a clause whose line does not parse (a family
+    member nested past the parser's depth limit) as a syntax-error failure.
+    A pass only means no counterexample appears in the given traces, hence
+    the coverage caveat on every verdict.
 
     The records are indexed on the first ``verify``. Each distinct
     (kind, anchor, expression) is checked once; its outcome is kept, keyed by
@@ -293,8 +295,8 @@ class TraceVerifier:
             self._index = _TraceIndex(self.traces)
         failures: list[FailureReport] = []
         for clause in program.clauses:
-            # Rendering is exact: parse(render(e)) == e for every expression,
-            # and the text starts with the clause kind.
+            # A clause's tree is the parse of its text (rendering is exact:
+            # parse(render(e)) == e), and the text starts with the kind.
             key = (clause.anchor, clause.text)
             refutation = self._refutations.get(key, _UNSEEN)
             if refutation is _UNSEEN:
@@ -310,6 +312,10 @@ class TraceVerifier:
 
 
 def _refute(clause: Clause, index: _TraceIndex) -> _Refutation | None:
+    try:
+        clause.expr  # a family member's tree is parsed from its text here
+    except ClauseSyntaxError as exc:
+        return f"{_clause_label(clause)} does not parse: {exc}", FailureCategory.SYNTAX_ERROR
     if clause.kind is ClauseKind.DECREASES:
         method = clause.anchor.method if clause.anchor is not None else None
         return _check_decreases(clause, index.records(index.by_method.get(method)))

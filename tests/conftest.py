@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import heapq
 import itertools
 import json
@@ -167,6 +168,18 @@ class RecordingVerifier:
         return self.inner.verify(program)
 
 
+class RecordingChatClient:
+    """Wraps a chat client and records a copy of every request it was sent."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: list[list[dict]] = []
+
+    def complete(self, messages, cfg):
+        self.calls.append([dict(m) for m in messages])
+        return self.inner.complete(messages, cfg)
+
+
 # ---------------------------------------------------------------------------
 # Independent mutation-family oracle: its own operator table, its own
 # combination strategy (cartesian product applied deepest-path-first).
@@ -228,12 +241,34 @@ def _oracle_apply_one(node: Expr, replacement: str) -> Expr:
     return Binary(replacement, node.lhs, node.rhs)
 
 
+def with_child(node: Expr, index: int, child: Expr) -> Expr:
+    """``node`` with its ``index``-th child (in ``children()`` order) replaced."""
+    names = [f.name for f in dataclasses.fields(node) if isinstance(getattr(node, f.name), Expr)]
+    return dataclasses.replace(node, **{names[index]: child})
+
+
 def _oracle_apply(expr: Expr, path: tuple[int, ...], replacement: str) -> Expr:
     if not path:
         return _oracle_apply_one(expr, replacement)
-    children = list(expr.children())
-    children[path[0]] = _oracle_apply(children[path[0]], path[1:], replacement)
-    return expr.replace_child(path[0], children[path[0]])
+    return with_child(expr, path[0], _oracle_apply(expr.children()[path[0]], path[1:], replacement))
+
+
+# The oracle's name for each schema replacement spelled differently.
+_ORACLE_TOKEN = {"\\forall": "forall", "\\exists": "exists", "- 1 <=": DEC, "+ 1 >=": INC}
+
+
+def oracle_variant_tree(schema, assignment: tuple[int, ...]) -> Expr:
+    """The tree of the family member at ``assignment``, rebuilt from the
+    template by the oracle's own rewrites, deepest site first."""
+    chosen = [
+        (site.path, replacement)
+        for site, site_options, index in zip(schema.sites, schema.options, assignment)
+        if (replacement := site_options[index][1]) is not None
+    ]
+    tree = schema.template.expr
+    for path, replacement in sorted(chosen, key=lambda pair: -len(pair[0])):
+        tree = _oracle_apply(tree, path, _ORACLE_TOKEN.get(replacement, replacement))
+    return tree
 
 
 def oracle_family(
@@ -843,7 +878,7 @@ def _substitute_some_vars(rng: random.Random, expr: Expr, qv: str) -> Expr:
     for i, child in enumerate(expr.children()):
         if isinstance(expr, Quantifier) and i == 0:
             continue
-        out = out.replace_child(i, _substitute_some_vars(rng, child, qv))
+        out = with_child(out, i, _substitute_some_vars(rng, child, qv))
     return out
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from conftest import (
     RandomizedVerifier,
+    RecordingChatClient,
     ScriptedVerifier,
     eval_outcome,
     gen_eval_case,
@@ -310,7 +311,7 @@ def test_criterion_6_conversation_exhaustion_and_feedback():
         )
         for k in range(1, 11)
     ]
-    client = ScriptedChatClient(responses)
+    client = RecordingChatClient(ScriptedChatClient(responses))
     verifier = ScriptedVerifier(verdicts)
     cfg = EndpointConfig(shot_count=0, max_rounds=10)
     transcript = run_conversation(C6_PROGRAM, cfg, verifier, client)

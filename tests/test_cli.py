@@ -235,15 +235,15 @@ class TestMutate:
         assert info.value.code == 2
         assert "--cap: must be at least 1" in capsys.readouterr().err
 
-    def test_syntax_error_exits_one(self, capsys):
+    def test_syntax_error_exits_two(self, capsys):
         code = main(["mutate", "requires a + ;"])
-        assert code == 1
+        assert code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_deep_nesting_is_a_syntax_error(self, capsys):
         code = main(["mutate", "requires " + "(" * 300 + "a" + ")" * 300 + ";"])
         err = capsys.readouterr().err
-        assert code == 1
+        assert code == 2
         assert err.splitlines() == ["error: clause nests deeper than 100 levels (at offset 109)"]
 
 
@@ -448,7 +448,7 @@ class TestRepair:
         )
         assert captured.err == "error: repair loop exceeded its 0.15s budget\n"
 
-    def test_parse_error_exits_one(self, workspace, capsys):
+    def test_parse_error_exits_two(self, workspace, capsys):
         bad = workspace / "Bad.java"
         bad.write_text(
             "class Bad {\n"
@@ -460,7 +460,7 @@ class TestRepair:
         code = main(
             ["repair", str(bad), "--config", str(workspace / "config.yaml")]
         )
-        assert code == 1
+        assert code == 2
         assert "error:" in capsys.readouterr().err
 
 

@@ -4,7 +4,7 @@ import sys
 import types
 
 import pytest
-from conftest import ScriptedVerifier
+from conftest import RecordingChatClient, ScriptedVerifier
 
 from specsmith.conversation import (
     DEFAULT_GUIDANCE,
@@ -360,14 +360,14 @@ class TestHistoryTrimming:
 
 class TestScriptedChatClient:
     def test_replays_in_order_and_records_calls(self):
-        client = ScriptedChatClient(["one", "two"])
+        client = RecordingChatClient(ScriptedChatClient(["one", "two"]))
         cfg = EndpointConfig()
         assert client.complete([{"role": "user", "content": "a"}], cfg) == "one"
         assert client.complete([{"role": "user", "content": "b"}], cfg) == "two"
         assert [call[-1]["content"] for call in client.calls] == ["a", "b"]
 
     def test_records_copies_not_references(self):
-        client = ScriptedChatClient(["one"])
+        client = RecordingChatClient(ScriptedChatClient(["one"]))
         message = {"role": "user", "content": "original"}
         client.complete([message], EndpointConfig())
         message["content"] = "mutated"
@@ -516,7 +516,7 @@ class TestRunConversation:
         assert transcript.rounds[0].verdict.outcome is Outcome.PASS
 
     def test_first_call_carries_shots_and_query(self):
-        client = ScriptedChatClient([fenced(ABS_ANNOTATED)])
+        client = RecordingChatClient(ScriptedChatClient([fenced(ABS_ANNOTATED)]))
         verifier = ScriptedVerifier([pass_verdict()])
         cfg = EndpointConfig(shot_count=2, max_rounds=5)
         run_conversation(ABS_PROGRAM, cfg, verifier, client, shots=SHOTS)
@@ -527,7 +527,7 @@ class TestRunConversation:
 
     def test_verified_after_feedback(self):
         wrong = ABS_ANNOTATED.replace("\\result >= 0", "\\result > 0")
-        client = ScriptedChatClient([fenced(wrong), fenced(ABS_ANNOTATED)])
+        client = RecordingChatClient(ScriptedChatClient([fenced(wrong), fenced(ABS_ANNOTATED)]))
         verifier = ScriptedVerifier(
             [fail_verdict("ensures clause fails when x == 0"), pass_verdict()]
         )
@@ -568,7 +568,7 @@ class TestRunConversation:
         assert transcript.rounds[1].extraction_diagnostics
 
     def test_extraction_failure_feedback_mentions_parsing(self):
-        client = ScriptedChatClient(["nothing useful", fenced(ABS_ANNOTATED)])
+        client = RecordingChatClient(ScriptedChatClient(["nothing useful", fenced(ABS_ANNOTATED)]))
         verifier = ScriptedVerifier([pass_verdict()])
         cfg = EndpointConfig(shot_count=0, max_rounds=3)
         transcript = run_conversation(ABS_PROGRAM, cfg, verifier, client)
@@ -607,7 +607,7 @@ class TestRunConversation:
         assert "Failure: first fault" in transcript.rounds[1].prompt
 
     def test_tiny_budget_evicts_shots_between_rounds(self):
-        client = ScriptedChatClient([fenced(ABS_ANNOTATED)] * 2)
+        client = RecordingChatClient(ScriptedChatClient([fenced(ABS_ANNOTATED)] * 2))
         verifier = ScriptedVerifier([fail_verdict("nope"), pass_verdict()])
         cfg = EndpointConfig(shot_count=3, max_rounds=3, history_token_budget=1)
         transcript = run_conversation(
@@ -623,7 +623,7 @@ class TestRunConversation:
         assert SHOTS[0][0] not in json.dumps(second_call)
 
     def test_generous_budget_keeps_shots(self):
-        client = ScriptedChatClient([fenced(ABS_ANNOTATED)] * 2)
+        client = RecordingChatClient(ScriptedChatClient([fenced(ABS_ANNOTATED)] * 2))
         verifier = ScriptedVerifier([fail_verdict("nope"), pass_verdict()])
         cfg = EndpointConfig(shot_count=3, max_rounds=3)
         run_conversation(ABS_PROGRAM, cfg, verifier, client, shots=SHOTS)

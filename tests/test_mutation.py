@@ -1,5 +1,4 @@
 """Operator mutation families: sites, rewrites, scoring, enumeration order."""
-import dataclasses
 import heapq
 import itertools
 import random
@@ -9,13 +8,14 @@ import pytest
 from conftest import (
     gen_mutation_clause,
     oracle_family,
+    oracle_variant_tree,
     scale_weights,
     score_variant,
     select_by_heuristic,
     visited_set_family,
 )
 
-from specsmith import mutation, schemata
+from specsmith import clauses, mutation, schemata
 from specsmith.clauses import parse_clause, render_clause
 from specsmith.expr import render_expr
 from specsmith.mutation import (
@@ -224,7 +224,7 @@ class TestEnumerationOrder:
         family = enumerate_variants(clause)
         for variant in family.variants:
             reparsed = parse_clause(variant.text)
-            assert reparsed.expr == variant.expr
+            assert reparsed.expr == oracle_variant_tree(variant._schema, variant.assignment)
 
 
 def oracle_members(expr, cap, weights=DEFAULT_WEIGHTS):
@@ -404,8 +404,8 @@ class TestDistinctAssignments:
 
 
 class TestRenderPlan:
-    """A member's text, filled in from the template's render plan, is the
-    rendering of its tree, which is built from its assignment on its own."""
+    """A member's text, filled in from the template's render plan, parses to
+    the tree the oracle builds from its assignment on its own."""
 
     # Under the second table option 0 of a comparative site is a rewrite,
     # so the template's assignment is not all zeros.
@@ -416,7 +416,7 @@ class TestRenderPlan:
             for weights in self.WEIGHTS:
                 family = enumerate_variants(clause, kinds=kinds, weights=weights, cap=1 << 20)
                 for variant in family.variants:
-                    assert variant.text == render_clause(dataclasses.replace(clause, expr=variant.expr))
+                    assert variant.clause.expr == oracle_variant_tree(variant._schema, variant.assignment)
 
     def test_generated_clauses(self):
         rng = random.Random(5)
@@ -450,13 +450,14 @@ class TestRenderPlan:
         def fail(*args):
             raise AssertionError("built past the template")
 
-        monkeypatch.setattr(schemata, "_compile_plan", fail)
-        monkeypatch.setattr(schemata, "_apply_combination", fail)
         clause = parse_clause("//@ requires a + b <= c && c < d;")
+        monkeypatch.setattr(schemata, "_compile_plan", fail)
+        monkeypatch.setattr(clauses, "parse_clause_line", fail)
         family = enumerate_variants(clause)
         template = family.get(0)
         assert template is family.template_variant
-        assert template.expr is clause.expr and template.text == render_clause(clause)
+        assert template.clause is clause and template.clause.expr is clause.expr
+        assert template.text == render_clause(clause)
         with pytest.raises(AssertionError, match="built past the template"):
             family.get(1)
 

@@ -13,9 +13,18 @@ from conftest import (
     select_by_heuristic,
 )
 
-from specsmith.clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, parse_clause, render_clause
+from specsmith.clauses import (
+    Anchor,
+    AnnotatedProgram,
+    Clause,
+    ClauseKind,
+    extract_annotations,
+    parse_clause,
+    render_clause,
+)
 from specsmith.errors import SpecError, UnknownClause
-from specsmith import schemata
+from specsmith import clauses
+from specsmith.evaluate import Phase, TraceRecord
 from specsmith.expr import render_expr
 from specsmith.mutation import (
     DEFAULT_WEIGHTS,
@@ -39,6 +48,7 @@ from specsmith.verifier import (
     FailureReport,
     MockVerifier,
     Outcome,
+    TraceVerifier,
     VerifierVerdict,
 )
 
@@ -452,11 +462,56 @@ class TestLazySelection:
         def fail(*args):
             raise AssertionError("a variant tree was built")
 
-        monkeypatch.setattr(schemata, "_apply_combination", fail)
         program = make_program("a + b <= c", "c < d && a >= b")
         verifier = truth_verifier(program, "a - b < c", "c <= d || a + 1 >= b")
+        monkeypatch.setattr(clauses, "parse_clause_line", fail)
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
         assert result.outcome == "verified" and result.state.verifier_calls > 10
+
+
+class TestTooDeepMember:
+    """A member whose text nests past the parser's limit is refuted as a
+    syntax error by the trace adapter, and repair moves on.
+
+    The template's 100 conjuncts nest exactly 100 levels deep; shifting the
+    left operand of either of the two deepest comparisons by one adds a
+    level. Only x2 exceeds its bound, so the first member that parses and
+    weakens x2 <= y2 verifies.
+    """
+
+    LINE = "//@ requires " + " && ".join(f"x{i} <= y{i}" for i in range(100)) + ";"
+    SOURCE = f"class Deep {{\n    {LINE}\n    static boolean check() {{\n        return true;\n    }}\n}}\n"
+
+    def setup_method(self):
+        self.program = extract_annotations(self.SOURCE)
+        bindings = {f"{name}{i}": 0 for name in "xy" for i in range(100)} | {"x2": 1}
+        self.verifier = TraceVerifier([TraceRecord(Anchor("check"), Phase.PRE, bindings)])
+
+    def test_verdict_names_the_template_as_a_syntax_error(self):
+        template = self.program.clauses[0]
+        member = enumerate_variants(template).get(1)
+        assert member.text.startswith("//@ requires x0 - 1 <= y0 && x1 <= y1")
+        for _ in range(2):  # the second verdict comes from the memo
+            verdict = self.verifier.verify(AnnotatedProgram(self.program.source, (member.clause,)))
+            assert verdict.outcome is Outcome.FAIL
+            [failure] = verdict.failures
+            assert failure.clause_id == template.id == "method:check/requires/0"
+            assert failure.category is FailureCategory.SYNTAX_ERROR
+            assert failure.raw_message.endswith("does not parse: clause nests deeper than 100 levels")
+
+    def test_repair_refutes_it_and_verifies(self):
+        result = mutation_based_gen(self.program, self.verifier, HeuristicStrategy())
+        assert result.outcome == "verified" and result.state.verifier_calls == 6
+        refuted = [event.text for event in result.state.refuted_history]
+        assert [text[13:31] for text in refuted] == [
+            "x0 <= y0 && x1 <= ",
+            "x0 - 1 <= y0 && x1",
+            "x0 < y0 && x1 <= y",
+            "x0 <= y0 && x1 - 1",
+            "x0 <= y0 && x1 < y",
+        ]
+        [clause] = result.program.clauses
+        assert "x2 - 1 <= y2" in clause.text and clause.text.count(" - 1 ") == 1
 
 
 class TestBudget:
