@@ -50,7 +50,7 @@ class Anchor:
         raise ValueError(f"bad anchor key {key!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Clause:
     """One annotation.
 
@@ -58,7 +58,9 @@ class Clause:
     made :meth:`of_line` has its text from the start, and without a given
     expression parses it from that text on first read, so a clause's tree is
     always the parse of its line. A clause copied by ``dataclasses.replace``
-    renders its expression afresh.
+    renders its expression afresh. Clauses compare, hash and print by
+    (kind, text, anchor, id), so none of these parses: a member whose text
+    the parser rejects can still be compared, hashed and printed.
     """
 
     kind: ClauseKind
@@ -92,6 +94,23 @@ class Clause:
         self.__dict__[name] = value
         return value
 
+    def _key(self) -> tuple:
+        return (self.kind, self.text, self.anchor, self.id)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Clause):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"Clause(kind={self.kind}, text={self.text!r}, "
+            f"anchor={self.anchor!r}, id={self.id!r})"
+        )
+
 
 @dataclass(frozen=True)
 class AnnotatedProgram:
@@ -122,25 +141,6 @@ def parse_clause(text: str, anchor: Anchor | None = None, clause_id: str = "") -
     elif expr_type in ("int", "null"):
         raise TypeMismatch(f"{kind.value} clauses need a boolean expression")
     return Clause(kind=kind, expr=expr, anchor=anchor, id=clause_id)
-
-
-# Parsed annotation lines, keyed by the stripped line: the kind, expression
-# and canonical text of a line that parses, or the message of its error.
-ClauseTable = dict[str, tuple[ClauseKind, Expr, str] | str]
-
-
-def _table_entry(line: str, table: ClauseTable) -> tuple[ClauseKind, Expr, str] | str:
-    """``line``'s entry, parsing and rendering it on its first lookup."""
-    entry = table.get(line)
-    if entry is None:
-        try:
-            clause = parse_clause(line)
-        except (ClauseSyntaxError, TypeMismatch) as exc:
-            entry = str(exc)
-        else:
-            entry = (clause.kind, clause.expr, clause.text)
-        table[line] = entry
-    return entry
 
 
 _MODIFIERS = r"(?:(?:public|private|protected|static|final|synchronized|abstract|native|strictfp)\s+)*"
@@ -189,6 +189,53 @@ def scan_anchors(lines: list[str]) -> dict[int, Anchor]:
     return anchors
 
 
+class ClauseTable:
+    """Parsed annotation lines, and the anchors of the last program text.
+
+    ``lines`` maps a stripped ``//@`` line to the kind, expression and
+    canonical text of its clause, or to the message of its error; each
+    distinct line is parsed on its first lookup and kept, so the table grows
+    with the distinct lines seen, not with the calls made through it. The
+    anchor slot holds the :func:`scan_anchors` map of the last program text
+    scanned, which a conversation re-sends every round. Only immutable trees,
+    texts and the read-only anchor map are shared: callers build fresh
+    clauses, ids and ordinals from them on every call.
+    """
+
+    __slots__ = ("lines", "_anchored_text", "_anchors")
+
+    def __init__(self) -> None:
+        self.lines: dict[str, tuple[ClauseKind, Expr, str] | str] = {}
+        self._anchored_text: str | None = None
+        self._anchors: dict[int, Anchor] = {}
+
+    def entry(self, line: str) -> tuple[ClauseKind, Expr, str] | str:
+        """``line``'s entry, parsing and rendering it on its first lookup."""
+        entry = self.lines.get(line)
+        if entry is None:
+            try:
+                clause = parse_clause(line)
+            except (ClauseSyntaxError, TypeMismatch) as exc:
+                entry = str(exc)
+            else:
+                entry = (clause.kind, clause.expr, clause.text)
+            self.lines[line] = entry
+        return entry
+
+    def anchors(self, text: str) -> dict[int, Anchor]:
+        """The anchors of ``text``, a program's lines joined by newlines.
+
+        ``text`` is scanned only when it differs from the text asked for last.
+        The map is shared, so callers must not change it. Split lines hold no
+        newline, so ``text.split("\\n")`` gives them back (``[]`` comes back
+        as ``[""]``, and neither has an anchor).
+        """
+        if text != self._anchored_text:
+            self._anchors = scan_anchors(text.split("\n"))
+            self._anchored_text = text
+        return self._anchors
+
+
 _ORPHAN_MESSAGE = "annotation precedes neither a method header nor a loop"
 
 
@@ -200,12 +247,14 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
     errors, type mismatches, orphaned annotations — are collected per line
     and raised together as one :class:`ExtractionError`.
 
-    Each distinct line is parsed once through ``table``, which the caller may
-    share between calls (a conversation shares one across its rounds); the
-    anchors, ordinals and ids are assigned afresh on every call.
+    Each distinct line is parsed once through ``table``, and the anchors of
+    an annotation-free text scanned again only when it changes; the caller
+    may share the table between calls (a pipeline context shares one across
+    all its conversations). Without one, the call starts a fresh table. The
+    clauses, ordinals and ids are built afresh on every call.
     """
     if table is None:
-        table = {}
+        table = ClauseTable()
     lines = source.splitlines()
     stripped_lines: list[str] = []
     pending: list[tuple[int, str]] = []
@@ -224,7 +273,8 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
     for line_no, _ in pending:
         issues.append((line_no, _ORPHAN_MESSAGE))
 
-    anchors_by_line = scan_anchors(stripped_lines)
+    stripped = "\n".join(stripped_lines)
+    anchors_by_line = table.anchors(stripped)
     ordinals: dict[tuple[Anchor, ClauseKind], int] = {}
     clauses: list[Clause] = []
     for anchor_idx, block in blocks:
@@ -233,7 +283,7 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
             issues.extend((line_no, _ORPHAN_MESSAGE) for line_no, _ in block)
             continue
         for line_no, line in block:
-            entry = _table_entry(line, table)
+            entry = table.entry(line)
             if isinstance(entry, str):
                 issues.append((line_no, entry))
                 continue
@@ -246,7 +296,6 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
     if issues:
         raise ExtractionError(sorted(issues))
 
-    stripped = "\n".join(stripped_lines)
     if source.endswith("\n"):
         stripped += "\n"
     return AnnotatedProgram(stripped, tuple(clauses))

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .clauses import AnnotatedProgram, ClauseTable, extract_annotations, scan_anchors
+from .clauses import AnnotatedProgram, ClauseTable, extract_annotations
 from .errors import (
     EndpointError,
     ExtractionError,
@@ -196,8 +196,12 @@ def extract_specs(
     A block of bare ``//@`` lines is re-anchored onto the queried program,
     but only when that is unambiguous: one method, and at most one loop if
     loop clauses are present. All failures are returned as values. Clause
-    lines are parsed through ``table`` (see :func:`extract_annotations`).
+    lines are parsed, and the program's anchors scanned, through ``table``
+    (see :func:`extract_annotations`); without one, the call starts a fresh
+    table.
     """
+    if table is None:
+        table = ClauseTable()
     blocks = _FENCE_RE.findall(response)
     body = blocks[-1] if blocks else response
     lines = [line for line in body.splitlines() if line.strip()]
@@ -214,10 +218,10 @@ def extract_specs(
 
 
 def _anchor_bare_clauses(
-    body: str, program: str, table: ClauseTable | None
+    body: str, program: str, table: ClauseTable
 ) -> AnnotatedProgram | ExtractionFailure:
     program_lines = program.splitlines()
-    anchors = scan_anchors(program_lines)
+    anchors = table.anchors("\n".join(program_lines))
     methods = sorted({i for i, a in anchors.items() if a.loop is None})
     loops = sorted({i for i, a in anchors.items() if a.loop is not None})
     if len(methods) != 1:
@@ -362,6 +366,7 @@ def run_conversation(
     shots: Sequence[tuple[str, str]] = (),
     system_role: str = DEFAULT_SYSTEM_ROLE,
     guidance: dict[FailureCategory, str] | None = None,
+    table: ClauseTable | None = None,
 ) -> ConversationTranscript:
     """Drive the chat until a pass or ``cfg.max_rounds`` rounds.
 
@@ -370,16 +375,19 @@ def run_conversation(
     otherwise the clause set that seeds the mutation phase (or None).
 
     Each round re-sends the whole annotated program, so the clause lines are
-    parsed through one table that this call creates and shares across its
-    rounds: a line repeated from an earlier round is not parsed again. The
-    table lives exactly as long as this call; no two conversations share one.
+    parsed, and the program's anchors scanned, through one table shared by
+    all rounds: a line repeated from an earlier round is not parsed again,
+    nor an unchanged program scanned again. ``table`` is the caller's to
+    share beyond this call (a pipeline context shares one across all its
+    conversations); without one, this call starts a fresh table.
     """
     bundle = build_initial_prompt(program, shots, system_role, cfg.shot_count)
     messages = bundle.render_messages()
     shot_pairs = len(bundle.shots)
     transcript = ConversationTranscript()
     prompt_text = "\n\n".join(m["content"] for m in messages)
-    table: ClauseTable = {}
+    if table is None:
+        table = ClauseTable()
 
     for _ in range(cfg.max_rounds):
         try:

@@ -11,12 +11,12 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .clauses import extract_annotations, render_clause
+from .clauses import ClauseTable, extract_annotations, render_clause
 from .config import PipelineConfig, load_guidance_file
 from .conversation import (
     ChatClient,
@@ -121,12 +121,19 @@ def build_strategy(config: PipelineConfig, attempt: int = 0) -> SelectionStrateg
 
 @dataclass
 class PipelineContext:
-    """Shared collaborators, overridable in tests."""
+    """Shared collaborators, overridable in tests.
+
+    ``table`` is the clause table that every conversation run in this
+    context parses through. Like the trace adapter's verdict memo, it lives
+    as long as its holder and grows with the distinct ``//@`` lines seen,
+    not with the entries run.
+    """
 
     config: PipelineConfig
     verifier: Verifier
     shots: list[tuple[str, str]]
     guidance: dict | None = None
+    table: ClauseTable = field(default_factory=ClauseTable)
 
 
 def make_context(config: PipelineConfig) -> PipelineContext:
@@ -181,6 +188,7 @@ def run_pipeline(
             client,
             shots=context.shots,
             guidance=context.guidance,
+            table=context.table,
         )
         entry["rounds_used"] = len(transcript.rounds)
         entry["verifier_calls_conversation"] = transcript.verifier_calls

@@ -1,4 +1,4 @@
-"""The clause table one conversation shares across its rounds.
+"""The clause table a pipeline context shares across its conversations.
 
 Every round's extraction must equal a fresh extraction of the same response,
 clause by clause; the table may only save work. Scripts are the TwoSum
@@ -6,13 +6,19 @@ fixture, generated multi-round scripts in the style of the benchmark's, and
 bare-clause responses, with malformed lines and lines that change anchor.
 """
 import dataclasses
+import gc
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from specsmith import clauses, conversation
+from specsmith import clauses, conversation, pipeline
+from specsmith.clauses import ClauseTable, scan_anchors
+from specsmith.config import config_from_dict
 from specsmith.conversation import (
     EndpointConfig,
     ExtractionFailure,
@@ -21,6 +27,7 @@ from specsmith.conversation import (
     run_conversation,
 )
 from specsmith.expr import render_expr
+from specsmith.pipeline import make_context, run_batch, run_pipeline, write_report
 from specsmith.verifier import MockVerifier
 
 from conftest import gen_bool_expr, gen_int_expr
@@ -42,11 +49,15 @@ def fenced(annotated: str) -> str:
     return f"Here you go.\n\n```java\n{annotated}```\n"
 
 
-def converse(program: str, responses: list[str]):
+def converse(program: str, responses: list[str], table: ClauseTable | None = None):
     """Run every response as one round of a conversation that never passes."""
     cfg = EndpointConfig(max_rounds=len(responses), shot_count=0)
     transcript = run_conversation(
-        program, cfg, MockVerifier(truth=frozenset()), ScriptedChatClient(responses)
+        program,
+        cfg,
+        MockVerifier(truth=frozenset()),
+        ScriptedChatClient(responses),
+        table=table,
     )
     assert transcript.outcome == "exhausted"
     assert len(transcript.rounds) == len(responses)
@@ -205,7 +216,8 @@ def test_each_distinct_line_is_parsed_once_per_conversation(monkeypatch):
     assert sorted(parsed) == sorted(annotation_lines(responses))
 
 
-def test_a_malformed_line_keeps_its_diagnostics_across_rounds():
+def malformed_twosum_script() -> tuple[list[str], list[tuple[str, ...]]]:
+    """TwoSum rounds that repeat one malformed line, and their diagnostics."""
     anchor = "    static int[] twoSum"
     bad = "    //@ ensures \\result.length ? 2;\n"
     first = TWOSUM_RESPONSES[0].replace(anchor, bad + anchor)
@@ -213,14 +225,18 @@ def test_a_malformed_line_keeps_its_diagnostics_across_rounds():
     lower = first.replace(
         "    //@ requires nums", "    //@ requires target > 0;\n    //@ requires nums"
     )
-    responses = [first, first, lower, first]
-    transcript = converse(TWOSUM_PROGRAM, responses)
-    assert [round_.extraction_diagnostics for round_ in transcript.rounds] == [
+    return [first, first, lower, first], [
         ("line 5: unrecognized character '?' (at offset 23)",),
         ("line 5: unrecognized character '?' (at offset 23)",),
         ("line 6: unrecognized character '?' (at offset 23)",),
         ("line 5: unrecognized character '?' (at offset 23)",),
     ]
+
+
+def test_a_malformed_line_keeps_its_diagnostics_across_rounds():
+    responses, diagnostics = malformed_twosum_script()
+    transcript = converse(TWOSUM_PROGRAM, responses)
+    assert [round_.extraction_diagnostics for round_ in transcript.rounds] == diagnostics
     assert_rounds_match_fresh_extraction(TWOSUM_PROGRAM, transcript, responses)
 
 
@@ -258,21 +274,24 @@ class Sum {
 """
 
 
+BARE_BASE = [
+    "//@ requires n >= 0;",
+    "//@ ensures \\result >= 0;",
+    "//@ maintaining 0 <= i && i <= n;",
+    "//@ decreases n - i;",
+]
+BARE_RESPONSES = [
+    "\n".join(BARE_BASE),
+    "\n".join(BARE_BASE + ["//@ maintaining total >= 0;"]),
+    "\n".join(["//@ ensures total ? 0;"] + BARE_BASE),
+    "\n".join(["//@ ensures total ? 0;"] + BARE_BASE),
+    "\n".join(reversed(BARE_BASE)),
+    "```\n" + "\n".join(BARE_BASE[:2]) + "\n```",
+]
+
+
 def test_bare_clause_rounds_match_fresh_extraction():
-    base = [
-        "//@ requires n >= 0;",
-        "//@ ensures \\result >= 0;",
-        "//@ maintaining 0 <= i && i <= n;",
-        "//@ decreases n - i;",
-    ]
-    responses = [
-        "\n".join(base),
-        "\n".join(base + ["//@ maintaining total >= 0;"]),
-        "\n".join(["//@ ensures total ? 0;"] + base),
-        "\n".join(["//@ ensures total ? 0;"] + base),
-        "\n".join(reversed(base)),
-        "```\n" + "\n".join(base[:2]) + "\n```",
-    ]
+    responses = BARE_RESPONSES
     transcript = converse(BARE_PROGRAM, responses)
     assert [round_.extracted is None for round_ in transcript.rounds] == [
         False, False, True, True, False, False,
@@ -302,3 +321,156 @@ def test_conversations_never_share_a_table(monkeypatch):
     # ...and a new one for the next: it parses every line again.
     assert tables[0] is not first_tables[0]
     assert sorted(parsed) == sorted(first_parses) == sorted(annotation_lines(responses))
+
+
+# --- One table per pipeline context -------------------------------------------
+
+
+def twosum_config():
+    return config_from_dict(
+        {
+            "endpoint": {
+                "mode": "scripted",
+                "script": str(FIXTURES / "twosum_responses.json"),
+                "shot_count": 0,
+            },
+            "verifier": {
+                "adapter": "trace",
+                "trace_file": str(FIXTURES / "twosum_trace.jsonl"),
+            },
+            "report": {"deterministic_clock": True},
+        }
+    )
+
+
+def test_conversations_through_one_table_match_fresh_extraction():
+    """Back to back through one table, every round of every script still
+    equals a fresh extraction, and a malformed line repeated across
+    conversations keeps its diagnostics."""
+    malformed, diagnostics = malformed_twosum_script()
+    scripts = (
+        [(TWOSUM_PROGRAM, TWOSUM_RESPONSES), (TWOSUM_PROGRAM, malformed)]
+        + [(GEN_PROGRAM, generated_script(seed)) for seed in range(12)]
+        + [(BARE_PROGRAM, BARE_RESPONSES), (TWOSUM_PROGRAM, malformed)]
+    )
+    table = ClauseTable()
+    for program, responses in scripts:
+        transcript = converse(program, responses, table)
+        assert_rounds_match_fresh_extraction(program, transcript, responses)
+        if responses is malformed:
+            got = [round_.extraction_diagnostics for round_ in transcript.rounds]
+            assert got == diagnostics
+    assert set(table.lines) == set().union(*(annotation_lines(r) for _, r in scripts))
+
+
+def test_pipeline_runs_on_one_context_parse_each_line_once(monkeypatch):
+    context = make_context(twosum_config())
+    context.verifier = MockVerifier(truth=frozenset())  # all ten rounds run
+    gen_responses = generated_script(3, rounds=10)
+    parsed = count_parses(monkeypatch)
+    run_pipeline("TwoSum", TWOSUM_PROGRAM, context, ScriptedChatClient(TWOSUM_RESPONSES))
+    run_pipeline("Gen", GEN_PROGRAM, context, ScriptedChatClient(gen_responses), 1)
+    run_pipeline("TwoSum", TWOSUM_PROGRAM, context, ScriptedChatClient(TWOSUM_RESPONSES), 2)
+    lines = annotation_lines(TWOSUM_RESPONSES) | annotation_lines(gen_responses)
+    assert sorted(parsed) == sorted(lines)
+
+
+def test_batch_reports_match_a_fresh_table_per_conversation(tmp_path, monkeypatch):
+    def report(name):
+        entries, summary = run_batch([("TwoSum", TWOSUM_PROGRAM)], twosum_config(), attempts=3)
+        paths = write_report(str(tmp_path / name), entries, summary)
+        return entries, [path.read_bytes() for path in paths]
+
+    shared_entries, shared = report("shared")
+    real = pipeline.run_conversation
+
+    def fresh_table(*args, table=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_conversation", fresh_table)
+    _, fresh = report("fresh")
+    assert shared == fresh
+    first = shared_entries[0]
+    assert first["outcome"] == "verified-by-mutation"
+    assert [entry | {"attempt": 0} for entry in shared_entries] == [first] * 3
+
+
+def test_a_bare_clause_round_scans_the_program_once(monkeypatch):
+    scans = []
+    real = clauses.scan_anchors
+
+    def counting(lines):
+        scans.append(list(lines))
+        return real(lines)
+
+    monkeypatch.setattr(clauses, "scan_anchors", counting)
+    table = ClauseTable()
+    for response in BARE_RESPONSES[:2]:
+        extraction = extract_specs(response, BARE_PROGRAM, table)
+        assert len(extraction.clauses) >= 4
+    assert scans == [BARE_PROGRAM.splitlines()]
+
+
+_ANCHOR_TEST_LINES = (
+    "class C {",
+    "    static int f(int n) {",
+    "    public int[] g(int[] a, int k) {",
+    "        for (int i = 0; i < n; i++) {",
+    "        while (n > 0) {",
+    "        return n;",
+    "    }",
+    "",
+    "   ",
+)
+# Line breaks that str.splitlines honours, "\u2028" (line separator) included.
+_SEPARATORS = ("\n", "\r\n", "\r", "\u2028")
+
+program_texts = st.builds(
+    lambda parts, last: "".join(line + sep for line, sep in parts) + last,
+    st.lists(
+        st.tuples(st.sampled_from(_ANCHOR_TEST_LINES), st.sampled_from(_SEPARATORS)),
+        max_size=12,
+    ),
+    st.sampled_from(("",) + _ANCHOR_TEST_LINES),  # a last line with no break
+)
+
+
+@given(st.lists(program_texts, min_size=1, max_size=6))
+def test_the_anchor_slot_matches_a_fresh_scan(texts):
+    table = ClauseTable()
+    for text in texts + texts[:1] + [text for text in texts for _ in range(2)]:
+        lines = text.splitlines()
+        assert table.anchors("\n".join(lines)) == scan_anchors(lines)
+
+
+def test_the_anchor_slot_handles_no_lines_and_one_empty_line():
+    table = ClauseTable()
+    for lines in ([], [""], [], ["static int f() {"], [""]):
+        assert table.anchors("\n".join(lines)) == scan_anchors(lines)
+
+
+def test_the_table_stops_growing_after_the_first_run():
+    context = make_context(twosum_config())
+
+    def run(attempt):
+        client = ScriptedChatClient(TWOSUM_RESPONSES)
+        entry = run_pipeline("TwoSum", TWOSUM_PROGRAM, context, client, attempt)
+        assert entry["outcome"] == "verified-by-mutation"
+
+    run(0)
+    lines = dict(context.table.lines)
+    assert set(lines) == annotation_lines(TWOSUM_RESPONSES)
+    tracemalloc.start()
+    try:
+        for attempt in range(1, 200):
+            run(attempt)
+            if attempt == 20:
+                gc.collect()
+                settled, _ = tracemalloc.get_traced_memory()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert context.table.lines == lines
+    assert all(context.table.lines[line] is entry for line, entry in lines.items())
+    assert after - settled < 16 * 1024

@@ -1,7 +1,9 @@
 """Annotation extraction, anchoring, rendering, and re-instrumentation."""
 import dataclasses
+import random
 
 import pytest
+from conftest import gen_bool_expr
 
 from specsmith.clauses import (
     Anchor,
@@ -16,6 +18,7 @@ from specsmith.clauses import (
     scan_anchors,
 )
 from specsmith.errors import AnchorNotFound, ExtractionError, TypeMismatch
+from specsmith.expr import render_expr
 from specsmith.parser import parse_expr
 
 SIMPLE = """\
@@ -186,6 +189,33 @@ class TestParseClause:
     def test_render_round_trip(self):
         clause = parse_clause("//@ ensures \\result == \\old(x) + 1;")
         assert render_clause(clause) == "//@ ensures \\result == \\old(x) + 1;"
+
+
+class TestClauseIdentity:
+    """Clauses compare, hash and print by (kind, text, anchor, id)."""
+
+    def test_clauses_from_equal_trees_compare_and_hash_alike(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            self.check(rng)
+
+    @staticmethod
+    def check(rng):
+        expr = gen_bool_expr(rng, 3)
+        copy = parse_expr(render_expr(expr))
+        assert copy == expr and copy is not expr
+        anchor = Anchor("f", rng.choice((None, 0, 1)))
+        made = Clause(ClauseKind.ENSURES, expr, anchor, "method:f/ensures/0")
+        again = Clause(ClauseKind.ENSURES, copy, Anchor("f", anchor.loop), made.id)
+        of_line = Clause.of_line(ClauseKind.ENSURES, made.text, anchor, made.id)
+        for other in (again, of_line):
+            assert made == other and hash(made) == hash(other) and repr(made) == repr(other)
+        for other in (
+            dataclasses.replace(made, kind=ClauseKind.REQUIRES),
+            dataclasses.replace(made, anchor=Anchor("g", anchor.loop)),
+            dataclasses.replace(made, id="method:f/ensures/1"),
+        ):
+            assert made != other
 
 
 class TestInstrument:

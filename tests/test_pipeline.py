@@ -6,10 +6,10 @@ from types import SimpleNamespace
 import pytest
 from conftest import RecordingVerifier
 
-from specsmith.clauses import extract_annotations
+from specsmith.clauses import ClauseTable, extract_annotations
 from specsmith.config import PipelineConfig, config_from_dict
 from specsmith.conversation import HttpChatClient, ScriptedChatClient
-from specsmith import pipeline, repair
+from specsmith import clauses, pipeline, repair
 from specsmith.errors import ConfigError
 from specsmith.pipeline import (
     ENTRY_SCHEMA,
@@ -305,6 +305,17 @@ class TestMakeContext:
         )
         context = make_context(config)
         assert context.guidance == {FailureCategory.TYPE_ERROR: "watch the types"}
+
+    def test_clause_table_starts_empty(self, tmp_path, monkeypatch):
+        config = scripted_mock_config(tmp_path, ["x"])
+        context = make_context(config)
+        assert isinstance(context.table, ClauseTable)
+        assert context.table.lines == {}
+        assert context.table is not make_context(config).table
+        scans = []
+        monkeypatch.setattr(clauses, "scan_anchors", lambda lines: scans.append(lines) or {})
+        context.table.anchors("class Abs {")
+        assert scans == [["class Abs {"]]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from specsmith.clauses import (
     parse_clause,
     render_clause,
 )
-from specsmith.errors import SpecError, UnknownClause
+from specsmith.errors import ClauseSyntaxError, SpecError, UnknownClause
 from specsmith import clauses
 from specsmith.evaluate import Phase, TraceRecord
 from specsmith.expr import render_expr
@@ -498,6 +498,20 @@ class TestTooDeepMember:
             assert failure.clause_id == template.id == "method:check/requires/0"
             assert failure.category is FailureCategory.SYNTAX_ERROR
             assert failure.raw_message.endswith("does not parse: clause nests deeper than 100 levels")
+
+    def test_member_compares_hashes_and_prints_without_parsing(self):
+        template = self.program.clauses[0]
+        member = enumerate_variants(template).get(1).clause
+        same = Clause.of_line(member.kind, member.text, member.anchor, member.id)
+        assert member == member and member == same and member != template
+        assert hash(member) == hash(same)
+        assert len({member, same, template}) == 2
+        assert repr(member) == (
+            f"Clause(kind=ClauseKind.REQUIRES, text={member.text!r}, "
+            "anchor=Anchor(method='check', loop=None), id='method:check/requires/0')"
+        )
+        with pytest.raises(ClauseSyntaxError):
+            member.expr
 
     def test_repair_refutes_it_and_verifies(self):
         result = mutation_based_gen(self.program, self.verifier, HeuristicStrategy())
