@@ -13,8 +13,8 @@ import random
 import statistics
 from dataclasses import dataclass
 
-from specsmith.clauses import Anchor, AnnotatedProgram, Clause, ClauseKind
-from specsmith.expr import Binary, Expr, IntLit, Quantifier, Var
+from specsmith.clauses import Anchor, AnnotatedProgram, parse_clause
+from specsmith.expr import Binary, Expr, IntLit, Quantifier, Var, render_expr
 from specsmith.mutation import Family, Variant, enumerate_variants
 from specsmith.repair import HeuristicStrategy, RandomStrategy, mutation_based_gen
 from specsmith.verifier import MockVerifier
@@ -133,12 +133,7 @@ class BenchResult:
 def run_trial(seed: int) -> TrialResult:
     rng = random.Random(seed)
     template_expr = make_template(rng)
-    clause = Clause(
-        kind=ClauseKind.REQUIRES,
-        expr=template_expr,
-        anchor=_ANCHOR,
-        id="method:check/requires/0",
-    )
+    clause = parse_clause(f"requires {render_expr(template_expr)};", _ANCHOR, "method:check/requires/0")
     family = enumerate_variants(clause)
     planted = plant_truth(family, rng)
     program = AnnotatedProgram(source=_SOURCE, clauses=(clause,))

@@ -7,7 +7,7 @@ trace, printing every verifier interaction along the way.
 """
 from pathlib import Path
 
-from specsmith.clauses import instrument, render_clause
+from specsmith.clauses import instrument
 from specsmith.config import (
     EndpointSettings,
     PipelineConfig,
@@ -72,7 +72,7 @@ def main() -> None:
         print()
         print("== final clauses ==")
         for clause in verified.clauses:
-            print(render_clause(clause))
+            print(clause.text)
         print()
         print("== instrumented program ==")
         print(instrument(verified))

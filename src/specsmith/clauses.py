@@ -1,15 +1,17 @@
 """Clauses, program anchors, and annotation extraction/instrumentation.
 
-A clause is one ``//@ ...;`` annotation: a kind, an expression, and an anchor
-tying it to a method header or loop head in the program text. Programs are
-treated as plain text with recognizable method headers and ``for``/``while``
-lines — no full Java parsing.
+A clause is one ``//@ ...;`` annotation: a kind, its canonical line, and an
+anchor tying it to a method header or loop head in the program text.
+Programs are treated as plain text with recognizable method headers and
+``for``/``while`` lines — no full Java parsing.
 """
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     AnchorNotFound,
@@ -50,66 +52,31 @@ class Anchor:
         raise ValueError(f"bad anchor key {key!r}")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class Clause:
-    """One annotation.
+    """One annotation: its kind, its canonical line, and where it sits.
 
-    ``text``, its canonical line, is rendered on first read and kept. A clause
-    made :meth:`of_line` has its text from the start, and without a given
-    expression parses it from that text on first read, so a clause's tree is
-    always the parse of its line. A clause copied by ``dataclasses.replace``
-    renders its expression afresh. Clauses compare, hash and print by
-    (kind, text, anchor, id), so none of these parses: a member whose text
-    the parser rejects can still be compared, hashed and printed.
+    A clause is its line. It compares, hashes and prints by (kind, text,
+    anchor, id), so none of these parses. Its tree ``expr`` is the parse of
+    ``text``, made on first read and kept; a clause whose line does not parse
+    still compares, hashes and prints, and raises ClauseSyntaxError on every
+    read of ``expr``.
     """
 
     kind: ClauseKind
-    expr: Expr
+    text: str
     anchor: Anchor | None = None
     id: str = ""
 
-    @classmethod
-    def of_line(
-        cls, kind: ClauseKind, text: str, anchor: Anchor | None, id: str, expr: Expr | None = None
-    ) -> Clause:
-        """A clause whose canonical line is ``text``; ``expr``, when given,
-        must be that line's parse."""
-        clause = object.__new__(cls)
-        clause.__dict__.update(kind=kind, anchor=anchor, id=id, text=text)
-        if expr is not None:
-            clause.__dict__["expr"] = expr
+    @cached_property
+    def expr(self) -> Expr:
+        return parse_clause_line(self.text)[1]
+
+    def placed(self, anchor: Anchor | None, id: str) -> Clause:
+        """This clause at ``anchor`` under ``id``, sharing its tree."""
+        clause = Clause(self.kind, self.text, anchor, id)
+        clause.__dict__["expr"] = self.expr
         return clause
-
-    def __getattr__(self, name: str):
-        # Reached only for attributes missing from the instance: the text
-        # before its first read, and the expression of a clause made from its
-        # line alone. A line that does not parse raises ClauseSyntaxError on
-        # every read.
-        if name == "text":
-            value = f"//@ {self.kind.value} {render_expr(self.expr)};"
-        elif name == "expr" and "text" in self.__dict__:
-            value = parse_clause_line(self.text)[1]
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = value
-        return value
-
-    def _key(self) -> tuple:
-        return (self.kind, self.text, self.anchor, self.id)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Clause):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"Clause(kind={self.kind}, text={self.text!r}, "
-            f"anchor={self.anchor!r}, id={self.id!r})"
-        )
 
 
 @dataclass(frozen=True)
@@ -140,7 +107,9 @@ def parse_clause(text: str, anchor: Anchor | None = None, clause_id: str = "") -
             raise TypeMismatch("decreases clauses need an integer-valued expression")
     elif expr_type in ("int", "null"):
         raise TypeMismatch(f"{kind.value} clauses need a boolean expression")
-    return Clause(kind=kind, expr=expr, anchor=anchor, id=clause_id)
+    clause = Clause(kind, f"//@ {kind.value} {render_expr(expr)};", anchor, clause_id)
+    clause.__dict__["expr"] = expr  # its canonical line parses to this tree
+    return clause
 
 
 _MODIFIERS = r"(?:(?:public|private|protected|static|final|synchronized|abstract|native|strictfp)\s+)*"
@@ -192,33 +161,30 @@ def scan_anchors(lines: list[str]) -> dict[int, Anchor]:
 class ClauseTable:
     """Parsed annotation lines, and the anchors of the last program text.
 
-    ``lines`` maps a stripped ``//@`` line to the kind, expression and
-    canonical text of its clause, or to the message of its error; each
-    distinct line is parsed on its first lookup and kept, so the table grows
-    with the distinct lines seen, not with the calls made through it. The
-    anchor slot holds the :func:`scan_anchors` map of the last program text
-    scanned, which a conversation re-sends every round. Only immutable trees,
-    texts and the read-only anchor map are shared: callers build fresh
-    clauses, ids and ordinals from them on every call.
+    ``lines`` maps a stripped ``//@`` line to its clause, with no anchor or
+    id, or to the message of its error; each distinct line is parsed on its
+    first lookup and kept, so the table grows with the distinct lines seen,
+    not with the calls made through it. The anchor slot holds the
+    :func:`scan_anchors` map of the last program text scanned, which a
+    conversation re-sends every round. Callers place a table clause at its
+    anchor and id with :meth:`Clause.placed`, which shares its tree.
     """
 
     __slots__ = ("lines", "_anchored_text", "_anchors")
 
     def __init__(self) -> None:
-        self.lines: dict[str, tuple[ClauseKind, Expr, str] | str] = {}
+        self.lines: dict[str, Clause | str] = {}
         self._anchored_text: str | None = None
         self._anchors: dict[int, Anchor] = {}
 
-    def entry(self, line: str) -> tuple[ClauseKind, Expr, str] | str:
-        """``line``'s entry, parsing and rendering it on its first lookup."""
+    def entry(self, line: str) -> Clause | str:
+        """``line``'s entry, parsing it on its first lookup."""
         entry = self.lines.get(line)
         if entry is None:
             try:
-                clause = parse_clause(line)
+                entry = parse_clause(line)
             except (ClauseSyntaxError, TypeMismatch) as exc:
                 entry = str(exc)
-            else:
-                entry = (clause.kind, clause.expr, clause.text)
             self.lines[line] = entry
         return entry
 
@@ -250,8 +216,10 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
     Each distinct line is parsed once through ``table``, and the anchors of
     an annotation-free text scanned again only when it changes; the caller
     may share the table between calls (a pipeline context shares one across
-    all its conversations). Without one, the call starts a fresh table. The
-    clauses, ordinals and ids are built afresh on every call.
+    all its conversations). Without one, the call starts a fresh table.
+    Every call places the table's clauses afresh: each gets its anchor and
+    the id ``<anchor key>/<kind>/<ordinal>``, numbered per anchor and kind in
+    text order, and shares the table clause's tree.
     """
     if table is None:
         table = ClauseTable()
@@ -275,23 +243,23 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
 
     stripped = "\n".join(stripped_lines)
     anchors_by_line = table.anchors(stripped)
-    ordinals: dict[tuple[Anchor, ClauseKind], int] = {}
+    ordinals: dict[str, int] = {}  # by id prefix
     clauses: list[Clause] = []
     for anchor_idx, block in blocks:
         anchor = anchors_by_line.get(anchor_idx)
         if anchor is None:
             issues.extend((line_no, _ORPHAN_MESSAGE) for line_no, _ in block)
             continue
+        key = anchor.key()
         for line_no, line in block:
             entry = table.entry(line)
             if isinstance(entry, str):
                 issues.append((line_no, entry))
                 continue
-            kind, expr, text = entry
-            ordinal = ordinals.get((anchor, kind), 0)
-            ordinals[(anchor, kind)] = ordinal + 1
-            clause_id = f"{anchor.key()}/{kind.value}/{ordinal}"
-            clauses.append(Clause.of_line(kind, text, anchor, clause_id, expr))
+            prefix = f"{key}/{entry.kind.value}/"
+            ordinal = ordinals.get(prefix, 0)
+            ordinals[prefix] = ordinal + 1
+            clauses.append(entry.placed(anchor, f"{prefix}{ordinal}"))
 
     if issues:
         raise ExtractionError(sorted(issues))
@@ -311,19 +279,24 @@ def instrument_with_lines(program: AnnotatedProgram) -> tuple[str, list[tuple[in
     """Like :func:`instrument`, also returning (line number, clause id) pairs.
 
     Line numbers are 1-based positions of each annotation line in the output,
-    which is what external-verifier diagnostics refer to; they ascend.
+    which is what external-verifier diagnostics refer to; they ascend. A
+    clause whose anchor names no line, or more than one (an anchor is a
+    method name, so same-name methods share theirs), raises AnchorNotFound.
     """
     lines = program.source.splitlines()
     anchors_by_line = scan_anchors(lines)
-    line_for_anchor: dict[Anchor, int] = {}
-    for idx, anchor in anchors_by_line.items():
-        line_for_anchor.setdefault(anchor, idx)
+    line_counts = Counter(anchors_by_line.values())
 
     groups: dict[Anchor, list[Clause]] = {}
     for clause in program.clauses:
-        if clause.anchor is None or clause.anchor not in line_for_anchor:
+        count = line_counts[clause.anchor]
+        if count != 1:
+            # Same-name methods share an anchor, so their clauses could not
+            # be told apart.
             key = clause.anchor.key() if clause.anchor is not None else "<none>"
-            raise AnchorNotFound(f"anchor {key} does not resolve in the program source")
+            if count == 0:
+                raise AnchorNotFound(f"anchor {key} does not resolve in the program source")
+            raise AnchorNotFound(f"anchor {key} names {count} lines in the program source")
         groups.setdefault(clause.anchor, []).append(clause)
 
     out: list[str] = []
@@ -333,7 +306,7 @@ def instrument_with_lines(program: AnnotatedProgram) -> tuple[str, list[tuple[in
         if anchor is not None and anchor in groups:
             indent = line[: len(line) - len(line.lstrip())]
             for clause in groups[anchor]:
-                out.append(indent + render_clause(clause))
+                out.append(indent + clause.text)
                 clause_lines.append((len(out), clause.id))
         out.append(line)
 

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .clauses import extract_annotations, parse_clause, render_clause
+from .clauses import extract_annotations, parse_clause
 from .config import PipelineConfig, load_config
 from .errors import ClauseSyntaxError, ConfigError, ExtractionError, SpecError, TypeMismatch
 from .evaluate import load_trace_file
@@ -89,7 +89,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_mutate(args: argparse.Namespace) -> int:
     clause = parse_clause(args.clause)
     family = enumerate_variants(clause, cap=args.cap)
-    print(f"template: {render_clause(clause)}")
+    print(f"template: {clause.text}")
     print(f"variants: {len(family)} (raw combinations: {family.raw_count})")
     if family.truncated:
         print(f"note: enumeration truncated at cap {args.cap}")
@@ -126,7 +126,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
     if result.outcome == "verified":
         print("repaired clauses:")
         for clause in result.program.clauses:
-            print(f"  {render_clause(clause)}")
+            print(f"  {clause.text}")
         return 0
     if result.outcome == "out-of-budget":
         budget = config.budgets.pipeline_seconds

@@ -161,12 +161,14 @@ def _eval(expr: Expr, env: _Env) -> Value:
         inner_env = _Env(env.old, env.old, env.result, env.overlay)
         return _eval(expr.inner, inner_env)
     if isinstance(expr, ArrayIndex):
+        # As in Java, the index is evaluated before the base is checked.
         base = _eval(expr.base, env)
+        index = _eval(expr.index, env)
         if base is NULL:
             raise EvalTypeError("indexing a null array")
         if not isinstance(base, list):
             raise EvalTypeError(f"indexing a non-array value {base!r}")
-        index = _require_int(_eval(expr.index, env), "array index")
+        index = _require_int(index, "array index")
         if index < 0 or index >= len(base):
             raise IndexOutOfRange(f"index {index} out of range for length {len(base)}")
         return base[index]

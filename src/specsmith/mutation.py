@@ -29,7 +29,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Iterator
 
-from .clauses import Clause, render_clause
+from .clauses import Clause
 from .expr import Binary, Expr, Quantifier, walk
 from .schemata import DEC_LHS, INC_LHS, Options, Schema
 
@@ -118,7 +118,7 @@ class Variant:
         expression is parsed from that text on first read."""
         if self._clause is None:
             template = self._schema.template
-            self._clause = Clause.of_line(template.kind, self.text, template.anchor, template.id)
+            self._clause = Clause(template.kind, self.text, template.anchor, template.id)
         return self._clause
 
     @property
@@ -243,7 +243,7 @@ def enumerate_variants(
 
     schema = Schema(template, sites, options)
     unchanged = tuple([r for _, r in site_options].index(None) for site_options in options)
-    template_variant = Variant(schema, unchanged, render_clause(template), 0, clause=template)
+    template_variant = Variant(schema, unchanged, template.text, 0, clause=template)
     built: list[Variant] = []
     levels = _walk_levels(schema, template_variant, cap, built)
     family = Family(template, raw_count, cap, template_variant, levels, built)

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .clauses import ClauseTable, extract_annotations, render_clause
+from .clauses import ClauseTable, extract_annotations
 from .config import PipelineConfig, load_guidance_file
 from .conversation import (
     ChatClient,
@@ -195,7 +195,7 @@ def run_pipeline(
 
         if transcript.outcome == "verified":
             entry["outcome"] = "verified-by-conversation"
-            entry["final_clauses"] = [render_clause(c) for c in transcript.last_extracted.clauses]
+            entry["final_clauses"] = [c.text for c in transcript.last_extracted.clauses]
         elif transcript.outcome == "aborted":
             entry["outcome"] = "aborted"
             entry["error"] = transcript.error
@@ -218,9 +218,7 @@ def run_pipeline(
             _record_repair(entry, result.state)
             if result.outcome == "verified":
                 entry["outcome"] = "verified-by-mutation"
-                entry["final_clauses"] = [
-                    render_clause(c) for c in result.program.clauses
-                ]
+                entry["final_clauses"] = [c.text for c in result.program.clauses]
             elif result.outcome == "out-of-budget":
                 entry["outcome"] = "aborted"
                 # The loop's own budget was what the conversation left of the

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
-from .clauses import AnnotatedProgram, Clause, render_clause
+from .clauses import AnnotatedProgram, Clause
 from .errors import SpecError, UnknownClause
 from .mutation import (
     ALL_KINDS,
@@ -118,7 +118,7 @@ def spec_mutation(
     seen: set[str] = set()
     for template in templates:
         if not template.id:
-            raise SpecError(f"template {render_clause(template)!r} has an empty clause id")
+            raise SpecError(f"template {template.text!r} has an empty clause id")
         if template.id in seen:
             raise SpecError(f"clause id {template.id!r} is repeated across templates")
         seen.add(template.id)

@@ -92,87 +92,100 @@ def _compile_plan(
     new ``-``/``+`` node. Text that no option changes is rendered once, as
     ``render_expr`` renders it.
     """
-    site_at = {site.path: index for index, site in enumerate(sites)}
-    above_sites = {site.path[:depth] for site in sites for depth in range(len(site.path))}
-    replacements = [tuple([r for _, r in site_options]) for site_options in options]
-    form: list[str] = []  # the constant text before each hole
-    text: list[str] = []  # constant text since the last hole
-    holes: list[_Hole] = []
+    plan = _PlanBuilder(sites, options)
+    plan.text.append(f"//@ {template.kind.value} ")
+    plan.emit(template.expr, ())
+    plan.text.append(";")
+    plan.form.append("".join(plan.text).replace("%", "%%"))
+    return "%s".join(plan.form), plan.holes
 
-    def put(part: str | _Hole) -> None:
+
+class _PlanBuilder:
+    """The state of one :func:`_compile_plan` call. Its steps are methods,
+    not closures that call each other, so compiling leaves no reference
+    cycle for the cycle collector."""
+
+    __slots__ = ("site_at", "above_sites", "replacements", "form", "text", "holes")
+
+    def __init__(self, sites: Sequence[MutationSite], options: list[Options]):
+        self.site_at = {site.path: index for index, site in enumerate(sites)}
+        self.above_sites = {site.path[:depth] for site in sites for depth in range(len(site.path))}
+        self.replacements = [tuple([r for _, r in site_options]) for site_options in options]
+        self.form: list[str] = []  # the constant text before each hole
+        self.text: list[str] = []  # constant text since the last hole
+        self.holes: list[_Hole] = []
+
+    def put(self, part: str | _Hole) -> None:
         if isinstance(part, str):
-            text.append(part)
+            self.text.append(part)
         else:
-            form.append("".join(text).replace("%", "%%"))
-            text.clear()
-            holes.append(part)
+            self.form.append("".join(self.text).replace("%", "%%"))
+            self.text.clear()
+            self.holes.append(part)
 
-    def forms(node: Binary, path: tuple[int, ...]) -> tuple[int | None, tuple[tuple[str, ...], ...]]:
-        index = site_at.get(path)
-        return index, _binary_forms(node.op, (None,) if index is None else replacements[index])
+    def forms(self, node: Binary, path: tuple[int, ...]) -> tuple[int | None, tuple[tuple[str, ...], ...]]:
+        index = self.site_at.get(path)
+        return index, _binary_forms(node.op, (None,) if index is None else self.replacements[index])
 
-    def operand(node: Expr, path: tuple[int, ...], parent: int | None, parent_ops: tuple[str, ...], is_rhs: bool) -> None:
+    def operand(
+        self, node: Expr, path: tuple[int, ...], parent: int | None, parent_ops: tuple[str, ...], is_rhs: bool
+    ) -> None:
         if not isinstance(node, Binary):  # binds tighter than any binary operator
-            emit(node, path)
+            self.emit(node, path)
             return
-        index, (_, _, ops) = forms(node, path)
+        index, (_, _, ops) = self.forms(node, path)
         fixed, depends, opening, closing = _parens(parent_ops, ops, is_rhs)
         if not fixed:
             sites = (parent, None) if depends == "parent" else (index, None) if depends == "child" else (parent, index)
             opening, closing = (*sites, opening), (*sites, closing)
-        put(opening)
-        emit(node, path)
-        put(closing)
+        self.put(opening)
+        self.emit(node, path)
+        self.put(closing)
 
-    def emit(node: Expr, path: tuple[int, ...]) -> None:
-        if path not in site_at and path not in above_sites:
+    def emit(self, node: Expr, path: tuple[int, ...]) -> None:
+        text = self.text
+        if path not in self.site_at and path not in self.above_sites:
             text.append(render_expr(node))
         elif isinstance(node, Binary):
-            index, (tokens, shifts, ops) = forms(node, path)
-            operand(node.lhs, path + (0,), index, shifts, is_rhs=False)
-            put(tokens[0] if index is None else (index, None, tokens))
-            operand(node.rhs, path + (1,), index, ops, is_rhs=True)
+            index, (tokens, shifts, ops) = self.forms(node, path)
+            self.operand(node.lhs, path + (0,), index, shifts, is_rhs=False)
+            self.put(tokens[0] if index is None else (index, None, tokens))
+            self.operand(node.rhs, path + (1,), index, ops, is_rhs=True)
         elif isinstance(node, Quantifier):
-            index = site_at.get(path)
+            index = self.site_at.get(path)
             text.append("(")
             if index is None:
                 text.append(f"\\{node.kind}")
             else:
-                put((index, None, [f"\\{node.kind}" if r is None else r for r in replacements[index]]))
+                self.put((index, None, [f"\\{node.kind}" if r is None else r for r in self.replacements[index]]))
             text.append(f" int {node.var}; ")
-            emit(node.range, path + (0,))
+            self.emit(node.range, path + (0,))
             text.append("; ")
-            emit(node.body, path + (1,))
+            self.emit(node.body, path + (1,))
             text.append(")")
         elif isinstance(node, Unary):
             # The operand's first character is the same in every member.
             wrap = isinstance(node.operand, Binary) or render_expr(node.operand).startswith("-")
             text.append(("!" if node.op == "!" else "-") + ("(" if wrap else ""))
-            emit(node.operand, path + (0,))
+            self.emit(node.operand, path + (0,))
             text.append(")" if wrap else "")
         elif isinstance(node, (ArrayIndex, FieldAccess)):
             wrap = precedence(node.base) < LEVEL_POSTFIX
             text.append("(" if wrap else "")
-            emit(node.base, path + (0,))
+            self.emit(node.base, path + (0,))
             text.append(")" if wrap else "")
             if isinstance(node, ArrayIndex):
                 text.append("[")
-                emit(node.index, path + (1,))
+                self.emit(node.index, path + (1,))
                 text.append("]")
             else:
                 text.append(f".{node.field}")
         elif isinstance(node, OldRef):
             text.append("\\old(")
-            emit(node.inner, path + (0,))
+            self.emit(node.inner, path + (0,))
             text.append(")")
         else:
             raise TypeError(f"cannot compile {type(node).__name__}")
-
-    text.append(f"//@ {template.kind.value} ")
-    emit(template.expr, ())
-    text.append(";")
-    form.append("".join(text).replace("%", "%%"))
-    return "%s".join(form), holes
 
 
 @lru_cache(maxsize=None)

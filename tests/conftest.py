@@ -19,7 +19,6 @@ from specsmith.clauses import (
     Clause,
     ClauseKind,
     parse_clause,
-    render_clause,
 )
 from specsmith.errors import (
     ClauseSyntaxError,
@@ -127,7 +126,7 @@ class RandomizedVerifier:
         self.calls: list[list[tuple[str, str]]] = []
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
-        pairs = [(c.id, render_clause(c)) for c in program.clauses]
+        pairs = [(c.id, c.text) for c in program.clauses]
         self.calls.append(pairs)
         if not pairs or self.rng.random() < 0.15:
             return VerifierVerdict(Outcome.PASS)
@@ -804,8 +803,10 @@ def gen_eval_case(rng: random.Random) -> tuple[Expr, TraceRecord]:
     """Closed boolean expression plus a record that mostly binds it."""
     bindings = {name: rng.randrange(-20, 21) for name in INT_VARS}
     bindings["arr"] = [rng.randrange(-20, 21) for _ in range(rng.randrange(1, 7))]
+    if rng.random() < 0.1:
+        bindings["arr"] = NULL
     old = {name: rng.randrange(-20, 21) for name in INT_VARS}
-    old["arr"] = list(bindings["arr"])
+    old["arr"] = bindings["arr"] if bindings["arr"] is NULL else list(bindings["arr"])
     result = rng.randrange(-20, 21)
     record = TraceRecord(
         anchor=None,
@@ -825,8 +826,10 @@ def gen_eval_case(rng: random.Random) -> tuple[Expr, TraceRecord]:
             return ResultRef()
         if roll < 0.80:
             return FieldAccess(Var("arr"), "length")
-        if roll < 0.90:
+        if roll < 0.88:
             return ArrayIndex(Var("arr"), int_expr(depth - 1))
+        if roll < 0.94:
+            return Unary("-", int_expr(depth - 1))
         return OldRef(Var(rng.choice(INT_VARS)))
 
     def int_expr(depth: int) -> Expr:
@@ -835,10 +838,20 @@ def gen_eval_case(rng: random.Random) -> tuple[Expr, TraceRecord]:
         op = rng.choice(("+", "+", "-", "-", "*", "/", "%"))
         return Binary(op, int_expr(depth - 1), int_expr(depth - 1))
 
-    def relation(depth: int) -> Expr:
-        if rng.random() < 0.08:
-            return Binary(rng.choice(("==", "!=")), Var("arr"), NullLit())
+    def comparison(depth: int) -> Expr:
         return Binary(rng.choice(REL_OPS), int_expr(depth), int_expr(depth))
+
+    def relation(depth: int) -> Expr:
+        roll = rng.random()
+        if roll < 0.08:
+            return Binary(rng.choice(("==", "!=")), Var("arr"), NullLit())
+        if roll < 0.16:
+            # Equality over two booleans, or over a boolean and an int (a
+            # type error), either way round.
+            sides = [comparison(depth), comparison(depth) if rng.random() < 0.7 else int_expr(depth)]
+            rng.shuffle(sides)
+            return Binary(rng.choice(("==", "!=")), *sides)
+        return comparison(depth)
 
     def bool_expr(depth: int, quant_budget: int) -> Expr:
         if depth <= 0:

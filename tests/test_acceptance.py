@@ -33,7 +33,6 @@ from specsmith.conversation import (
 from specsmith.evaluate import eval_expr
 from specsmith.expr import render_expr
 from specsmith.mutation import DEFAULT_WEIGHTS, enumerate_variants
-from specsmith.parser import parse_expr
 from specsmith.pipeline import run_batch, write_report
 from specsmith.repair import HeuristicStrategy, RandomStrategy, mutation_based_gen
 from specsmith.verifier import (
@@ -42,7 +41,7 @@ from specsmith.verifier import (
     Outcome,
     VerifierVerdict,
 )
-from specsmith.clauses import Anchor, AnnotatedProgram, Clause, ClauseKind
+from specsmith.clauses import Anchor, AnnotatedProgram
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -201,12 +200,7 @@ REPAIR_SOURCE = (
 
 def make_repair_program(*exprs: str) -> AnnotatedProgram:
     clauses = tuple(
-        Clause(
-            kind=ClauseKind.REQUIRES,
-            expr=parse_expr(text),
-            anchor=Anchor("check"),
-            id=f"method:check/requires/{i}",
-        )
+        parse_clause(f"requires {text};", Anchor("check"), f"method:check/requires/{i}")
         for i, text in enumerate(exprs)
     )
     return AnnotatedProgram(REPAIR_SOURCE, clauses)

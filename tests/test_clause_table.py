@@ -5,7 +5,6 @@ clause by clause; the table may only save work. Scripts are the TwoSum
 fixture, generated multi-round scripts in the style of the benchmark's, and
 bare-clause responses, with malformed lines and lines that change anchor.
 """
-import dataclasses
 import gc
 import json
 import random
@@ -17,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from specsmith import clauses, conversation, pipeline
-from specsmith.clauses import ClauseTable, scan_anchors
+from specsmith.clauses import Clause, ClauseTable, scan_anchors
 from specsmith.config import config_from_dict
 from specsmith.conversation import (
     EndpointConfig,
@@ -27,6 +26,7 @@ from specsmith.conversation import (
     run_conversation,
 )
 from specsmith.expr import render_expr
+from specsmith.mutation import enumerate_variants
 from specsmith.pipeline import make_context, run_batch, run_pipeline, write_report
 from specsmith.verifier import MockVerifier
 
@@ -81,7 +81,7 @@ def assert_rounds_match_fresh_extraction(program: str, transcript, responses: li
         for clause in round_.extracted.clauses:
             # The text the table carries is the canonical rendering.
             assert clause.text == f"//@ {clause.kind.value} {render_expr(clause.expr)};"
-            assert dataclasses.replace(clause, expr=clause.expr).text == clause.text
+            assert Clause(clause.kind, clause.text).expr == clause.expr
 
 
 def count_parses(monkeypatch) -> list[str]:
@@ -214,6 +214,25 @@ def test_each_distinct_line_is_parsed_once_per_conversation(monkeypatch):
     parsed = count_parses(monkeypatch)
     converse(GEN_PROGRAM, responses)
     assert sorted(parsed) == sorted(annotation_lines(responses))
+
+
+def test_extracted_clauses_share_the_table_tree_and_never_parse_again(monkeypatch):
+    table = ClauseTable()
+    scripts = [(TWOSUM_PROGRAM, TWOSUM_RESPONSES)] + [(GEN_PROGRAM, generated_script(seed)) for seed in range(4)]
+    rounds = [r for program, responses in scripts for r in converse(program, responses, table).rounds]
+    extracted = [c for r in rounds if r.extracted is not None for c in r.extracted.clauses]
+    assert len(extracted) >= 50
+    entries = [entry for entry in table.lines.values() if isinstance(entry, Clause)]
+    for clause in extracted:
+        assert any(clause.expr is entry.expr for entry in entries if entry.text == clause.text)
+
+    def fail(*args):
+        raise AssertionError("parsed a line again")
+
+    monkeypatch.setattr(clauses, "parse_clause_line", fail)
+    for clause in extracted:
+        clause.expr
+        enumerate_variants(clause).variants
 
 
 def malformed_twosum_script() -> tuple[list[str], list[tuple[str, ...]]]:

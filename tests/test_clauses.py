@@ -1,6 +1,7 @@
 """Annotation extraction, anchoring, rendering, and re-instrumentation."""
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from conftest import gen_bool_expr
@@ -14,7 +15,6 @@ from specsmith.clauses import (
     instrument,
     instrument_with_lines,
     parse_clause,
-    render_clause,
     scan_anchors,
 )
 from specsmith.errors import AnchorNotFound, ExtractionError, TypeMismatch
@@ -33,6 +33,8 @@ class Abs {
     }
 }
 """
+
+OVERLOADS = (Path(__file__).parent / "fixtures" / "Overloads.java").read_text(encoding="utf-8")
 
 LOOPY = """\
 class SumTo {
@@ -105,6 +107,15 @@ class TestExtraction:
             "loop:sumTo:0/maintaining/0",
             "loop:sumTo:0/decreases/0",
             "loop:sumTo:1/maintaining/0",
+        ]
+
+    def test_same_name_methods_number_their_clauses_in_text_order(self):
+        # An anchor is a method name, so overloads share one and their
+        # clauses are numbered together.
+        program = extract_annotations(OVERLOADS)
+        assert [(c.id, c.text) for c in program.clauses] == [
+            ("method:f/requires/0", "//@ requires x > 0;"),
+            ("method:f/requires/1", "//@ requires y > 1;"),
         ]
 
     def test_stripped_source_has_no_annotations(self):
@@ -188,7 +199,7 @@ class TestParseClause:
 
     def test_render_round_trip(self):
         clause = parse_clause("//@ ensures \\result == \\old(x) + 1;")
-        assert render_clause(clause) == "//@ ensures \\result == \\old(x) + 1;"
+        assert clause.text == "//@ ensures \\result == \\old(x) + 1;"
 
 
 class TestClauseIdentity:
@@ -205,9 +216,10 @@ class TestClauseIdentity:
         copy = parse_expr(render_expr(expr))
         assert copy == expr and copy is not expr
         anchor = Anchor("f", rng.choice((None, 0, 1)))
-        made = Clause(ClauseKind.ENSURES, expr, anchor, "method:f/ensures/0")
-        again = Clause(ClauseKind.ENSURES, copy, Anchor("f", anchor.loop), made.id)
-        of_line = Clause.of_line(ClauseKind.ENSURES, made.text, anchor, made.id)
+        made = parse_clause(f"ensures {render_expr(expr)};", anchor, "method:f/ensures/0")
+        again = parse_clause(f"ensures {render_expr(copy)};", Anchor("f", anchor.loop), made.id)
+        of_line = Clause(ClauseKind.ENSURES, made.text, anchor, made.id)
+        assert made.expr == expr and of_line.expr == expr
         for other in (again, of_line):
             assert made == other and hash(made) == hash(other) and repr(made) == repr(other)
         for other in (
@@ -238,12 +250,7 @@ class TestInstrument:
         assert "    //@ requires x > 0;" in text
 
     def test_missing_anchor_raises(self):
-        clause = Clause(
-            kind=ClauseKind.REQUIRES,
-            expr=parse_expr("x > 0"),
-            anchor=Anchor("nope"),
-            id="method:nope/requires/0",
-        )
+        clause = Clause(ClauseKind.REQUIRES, "//@ requires x > 0;", Anchor("nope"), "method:nope/requires/0")
         program = AnnotatedProgram("class C {\n}\n", (clause,))
         with pytest.raises(AnchorNotFound):
             instrument(program)
@@ -252,11 +259,36 @@ class TestInstrument:
         program = extract_annotations(SIMPLE)
         swapped = AnnotatedProgram(
             program.source,
-            tuple(dataclasses.replace(c, expr=parse_expr("x >= 17")) for c in program.clauses),
+            tuple(dataclasses.replace(c, text=f"//@ {c.kind.value} x >= 17;") for c in program.clauses),
         )
         text = instrument(swapped)
         assert text.count("x >= 17") == 2
         assert extract_annotations(text).source == program.source
+
+    def test_an_anchor_of_two_same_name_methods_raises(self):
+        program = extract_annotations(OVERLOADS)
+        with pytest.raises(AnchorNotFound, match="anchor method:f names 2 lines"):
+            instrument(program)
+
+    def test_loop_anchors_of_same_name_methods_are_distinct(self):
+        source = (
+            "class L {\n"
+            "    static void f(int n) {\n"
+            "        //@ maintaining n >= 0;\n"
+            "        while (n > 0) { n = n - 1; }\n"
+            "    }\n"
+            "    static void f(int n, int m) {\n"
+            "        //@ maintaining m >= 0;\n"
+            "        while (m > 0) { m = m - 1; }\n"
+            "    }\n"
+            "}\n"
+        )
+        program = extract_annotations(source)
+        assert [c.id for c in program.clauses] == [
+            "loop:f:0/maintaining/0",
+            "loop:f:1/maintaining/0",
+        ]
+        assert instrument(program) == source
 
     def test_trailing_newline_state_preserved(self):
         no_newline = SIMPLE.rstrip("\n")

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 import itertools
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -304,6 +305,20 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 0
         assert "holds only for the recorded executions" in captured.out
+
+    def test_exec_on_same_name_methods_is_one_error_line(self, workspace, capsys):
+        config = workspace / "config.yaml"
+        data = yaml.safe_load(config.read_text(encoding="utf-8"))
+        data["verifier"] = {"adapter": "exec", "command": "true {file}"}
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        overloads = Path(__file__).parent / "fixtures" / "Overloads.java"
+        code = main(["verify", str(overloads), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: anchor method:f names 2 lines in the program source"
+        ]
 
     def test_null_config_value_is_one_error_line(self, workspace, capsys):
         config = workspace / "config.yaml"

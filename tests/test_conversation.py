@@ -21,7 +21,7 @@ from specsmith.conversation import (
     extract_specs,
     run_conversation,
 )
-from specsmith.clauses import AnnotatedProgram, render_clause
+from specsmith.clauses import AnnotatedProgram
 from specsmith.errors import EndpointError, InsufficientShots, ScriptExhausted
 from specsmith.verifier import (
     FailureCategory,
@@ -179,7 +179,7 @@ class TestExtractSpecs:
     def test_fenced_annotated_program(self):
         result = extract_specs(fenced(ABS_ANNOTATED), ABS_PROGRAM)
         assert isinstance(result, AnnotatedProgram)
-        texts = [render_clause(c) for c in result.clauses]
+        texts = [c.text for c in result.clauses]
         assert texts == [
             "//@ requires x > -1000;",
             "//@ ensures \\result >= 0;",
@@ -213,7 +213,7 @@ class TestExtractSpecs:
         )
         result = extract_specs(response, SUM_PROGRAM)
         assert isinstance(result, AnnotatedProgram)
-        by_id = {c.id: render_clause(c) for c in result.clauses}
+        by_id = {c.id: c.text for c in result.clauses}
         assert by_id == {
             "method:sum/requires/0": "//@ requires n >= 0;",
             "method:sum/ensures/0": "//@ ensures \\result >= 0;",

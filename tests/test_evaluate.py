@@ -22,9 +22,11 @@ from specsmith.evaluate import (
     load_trace_file,
     record_from_dict,
 )
+from specsmith.expr import Binary, Unary, walk
 from specsmith.parser import parse_expr
 
 from conftest import (
+    REL_OPS,
     dump_trace_file,
     eval_outcome,
     gen_eval_case,
@@ -124,6 +126,15 @@ class TestSpecialForms:
         assert ev("arr == null", bindings={"arr": NULL}) is True
         assert ev("null == null") is True
 
+    def test_index_is_evaluated_before_the_base_is_checked(self):
+        # As in Java: an index that fails to evaluate wins over a null base.
+        with pytest.raises(UnboundVariable):
+            ev("arr[\\result] == 0", bindings={"arr": NULL})
+        with pytest.raises(EvalTypeError, match="null array"):
+            ev("arr[0] == 0", bindings={"arr": NULL})
+        with pytest.raises(DivisionByZero):
+            ev("x[1 / 0] == 0", bindings={"x": 1})
+
     def test_array_equality_is_structural(self):
         out = ev("a == b", bindings={"a": [1, 2], "b": [1, 2]})
         assert out is True
@@ -196,6 +207,24 @@ class TestBruteForceOracle:
             assert actual == expected, f"{expr!r} -> {actual} != {expected}"
             checked += 1
         assert checked == 400
+
+
+    def test_generated_cases_reach_every_shape(self):
+        """The generator reaches unary minus, equality over booleans and over
+        a boolean and an int, and a null array."""
+        rng = random.Random(1234)
+        seen = set()
+        for _ in range(400):
+            expr, rec = gen_eval_case(rng)
+            if rec.bindings["arr"] is NULL:
+                seen.add("null array")
+            for _, node in walk(expr):
+                if isinstance(node, Unary) and node.op == "-":
+                    seen.add("unary minus")
+                if isinstance(node, Binary) and node.op in ("==", "!="):
+                    bools = sum(isinstance(side, Binary) and side.op in REL_OPS for side in (node.lhs, node.rhs))
+                    seen.add({2: "bool == bool", 1: "bool == int"}.get(bools))
+        assert seen >= {"null array", "unary minus", "bool == bool", "bool == int"}
 
 
 class TestTraceIO:

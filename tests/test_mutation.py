@@ -1,4 +1,5 @@
 """Operator mutation families: sites, rewrites, scoring, enumeration order."""
+import gc
 import heapq
 import itertools
 import random
@@ -16,7 +17,7 @@ from conftest import (
 )
 
 from specsmith import clauses, mutation, schemata
-from specsmith.clauses import parse_clause, render_clause
+from specsmith.clauses import parse_clause
 from specsmith.expr import render_expr
 from specsmith.mutation import (
     ALL_KINDS,
@@ -446,6 +447,25 @@ class TestRenderPlan:
     def test_fixed_clauses(self, text):
         self.check(parse_clause(f"//@ requires {text};"))
 
+    def test_compiled_plans_leave_no_reference_cycles(self):
+        templates = [
+            parse_clause(line)
+            for line in (
+                "//@ ensures (\\forall int k; 0 <= k && k < a.length; a[k] <= \\result + 1);",
+                "//@ requires !(a < b) || -(x + y) >= a[i + 1] % 2;",
+                "//@ requires a <==> b ==> c <==> d;",
+            )
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                for template in templates:
+                    assert len(enumerate_variants(template).variants) > 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_template_read_compiles_no_plan(self, monkeypatch):
         def fail(*args):
             raise AssertionError("built past the template")
@@ -457,7 +477,7 @@ class TestRenderPlan:
         template = family.get(0)
         assert template is family.template_variant
         assert template.clause is clause and template.clause.expr is clause.expr
-        assert template.text == render_clause(clause)
+        assert template.text == clause.text
         with pytest.raises(AssertionError, match="built past the template"):
             family.get(1)
 

@@ -1,6 +1,7 @@
 """Tests for corpus loading, component wiring, runs, and report output."""
 import json
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -395,6 +396,18 @@ class TestRunPipeline:
         entry = run_abs(config)
         assert entry["outcome"] == "aborted"
         assert "no responses left" in entry["error"]
+
+    def test_exec_on_same_name_methods_is_an_aborted_entry(self, tmp_path):
+        annotated = (Path(__file__).parent / "fixtures" / "Overloads.java").read_text(encoding="utf-8")
+        config = scripted_mock_config(
+            tmp_path, [fenced(annotated)], verifier={"adapter": "exec", "command": "true {file}"}
+        )
+        context = PipelineContext(config=config, verifier=build_verifier(config), shots=[])
+        program = extract_annotations(annotated).source
+        entry = run_pipeline("Overloads", program, context, client_factory(config)(0))
+        assert entry["outcome"] == "aborted"
+        assert entry["error"] == "anchor method:f names 2 lines in the program source"
+        assert entry["verifier_calls_conversation"] == 0
 
     def test_aborted_on_insufficient_shots(self, tmp_path):
         config = scripted_mock_config(

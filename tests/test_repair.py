@@ -20,7 +20,6 @@ from specsmith.clauses import (
     ClauseKind,
     extract_annotations,
     parse_clause,
-    render_clause,
 )
 from specsmith.errors import ClauseSyntaxError, SpecError, UnknownClause
 from specsmith import clauses
@@ -32,7 +31,6 @@ from specsmith.mutation import (
     WeightTable,
     enumerate_variants,
 )
-from specsmith.parser import parse_expr
 from specsmith.repair import (
     FamilySlot,
     HeuristicStrategy,
@@ -58,12 +56,7 @@ SOURCE = "class C {\n    static boolean check(int a, int b, int c, int d, int n)
 
 def make_program(*clause_texts: str) -> AnnotatedProgram:
     clauses = tuple(
-        Clause(
-            kind=ClauseKind.REQUIRES,
-            expr=parse_expr(text),
-            anchor=ANCHOR,
-            id=f"method:check/requires/{i}",
-        )
+        parse_clause(f"requires {text};", ANCHOR, f"method:check/requires/{i}")
         for i, text in enumerate(clause_texts)
     )
     return AnnotatedProgram(SOURCE, clauses)
@@ -72,8 +65,7 @@ def make_program(*clause_texts: str) -> AnnotatedProgram:
 def truth_verifier(program: AnnotatedProgram, *accepted_exprs: str) -> MockVerifier:
     accepted = set()
     for i, text in enumerate(accepted_exprs):
-        clause = dataclasses.replace(program.clauses[i], expr=parse_expr(text))
-        accepted.add(render_clause(clause))
+        accepted.add(parse_clause(f"{program.clauses[i].kind.value} {text};").text)
     return MockVerifier(truth=frozenset(accepted))
 
 
@@ -109,7 +101,7 @@ class TestSingleClauseRepair:
         program = make_program("a == b")
         verifier = truth_verifier(program, "a != b")
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
-        assert [render_clause(c) for c in result.program.clauses] == [
+        assert [c.text for c in result.program.clauses] == [
             "//@ requires a != b;"
         ]
         assert result.program.clauses[0].id == "method:check/requires/0"
@@ -121,7 +113,7 @@ class TestMultiClauseRepair:
         verifier = truth_verifier(program, "a < b", "c != d")
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
         assert result.outcome == "verified" and result.state.verifier_calls == 2
-        assert [render_clause(c) for c in result.program.clauses] == [
+        assert [c.text for c in result.program.clauses] == [
             "//@ requires a < b;",
             "//@ requires c != d;",
         ]
@@ -288,7 +280,7 @@ class TestStateMechanics:
     def test_init_state_selects_templates(self):
         program = make_program("a <= b", "c < d")
         state = init_state(spec_mutation(program.clauses))
-        assert [render_clause(c) for c in state.selected_clauses()] == [
+        assert [c.text for c in state.selected_clauses()] == [
             "//@ requires a <= b;",
             "//@ requires c < d;",
         ]
@@ -325,7 +317,7 @@ class TestStateMechanics:
     def test_repeated_ids_are_rejected(self):
         clause = make_program("a <= b").clauses[0]
         with pytest.raises(SpecError, match="'method:check/requires/0' is repeated"):
-            spec_mutation([clause, dataclasses.replace(clause, expr=parse_expr("b <= c"))])
+            spec_mutation([clause, dataclasses.replace(clause, text="//@ requires b <= c;")])
 
     def test_kind_filter_threads_through(self):
         program = make_program("a + 1 <= b")
@@ -502,12 +494,12 @@ class TestTooDeepMember:
     def test_member_compares_hashes_and_prints_without_parsing(self):
         template = self.program.clauses[0]
         member = enumerate_variants(template).get(1).clause
-        same = Clause.of_line(member.kind, member.text, member.anchor, member.id)
+        same = Clause(member.kind, member.text, member.anchor, member.id)
         assert member == member and member == same and member != template
         assert hash(member) == hash(same)
         assert len({member, same, template}) == 2
         assert repr(member) == (
-            f"Clause(kind=ClauseKind.REQUIRES, text={member.text!r}, "
+            f"Clause(kind=<ClauseKind.REQUIRES: 'requires'>, text={member.text!r}, "
             "anchor=Anchor(method='check', loop=None), id='method:check/requires/0')"
         )
         with pytest.raises(ClauseSyntaxError):

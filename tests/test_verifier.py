@@ -4,6 +4,7 @@ import random
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,7 @@ from specsmith.clauses import (
     instrument_with_lines,
     parse_clause,
 )
-from specsmith.errors import CommandNotFound, ConfigError, ScriptExhausted
+from specsmith.errors import AnchorNotFound, CommandNotFound, ConfigError, ScriptExhausted
 from specsmith.evaluate import Phase, TraceRecord, eval_expr
 from specsmith.verifier import (
     DEFAULT_RULES,
@@ -104,7 +105,25 @@ def make_stub(tmp_path, name, script):
     return str(path)
 
 
+OVERLOADS = (Path(__file__).parent / "fixtures" / "Overloads.java").read_text(encoding="utf-8")
+
+
 class TestExecAdapter:
+    def test_same_name_methods_fail_before_the_command_runs(self, tmp_path):
+        ran = tmp_path / "ran"
+        verifier = ExecVerifier(f"touch {ran} {{file}}")
+        with pytest.raises(AnchorNotFound, match="anchor method:f names 2 lines"):
+            verifier.verify(extract_annotations(OVERLOADS))
+        assert not ran.exists()
+
+    def test_the_other_adapters_accept_same_name_methods(self):
+        program = extract_annotations(OVERLOADS)
+        truth = frozenset(c.text for c in program.clauses)
+        assert MockVerifier(truth=truth).verify(program).outcome is Outcome.PASS
+        # Records carry a method name only, so each binds both parameters.
+        records = [rec(Anchor("f"), Phase.PRE, {"x": 1, "y": 2}), rec(Anchor("f"), Phase.PRE, {"x": 3, "y": 4})]
+        assert TraceVerifier(records).verify(program).outcome is Outcome.PASS
+
     def test_pass_on_clean_exit(self, tmp_path):
         stub = make_stub(tmp_path, "ok.py", "print('fine')\n")
         verdict = ExecVerifier(f"{stub} {{file}}").verify(program())
