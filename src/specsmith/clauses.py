@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import Iterable, Mapping
 
 from .errors import (
     AnchorNotFound,
@@ -269,6 +270,23 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
     return AnnotatedProgram(stripped, tuple(clauses))
 
 
+def repeated_anchors(source: str) -> dict[Anchor, int]:
+    """Lines per anchor, for the anchors that name more than one line of
+    ``source``. Anchors are method names, so same-name methods share one."""
+    counts = Counter(scan_anchors(source.splitlines()).values())
+    return {anchor: count for anchor, count in counts.items() if count > 1}
+
+
+def check_anchors(clauses: Iterable[Clause], line_counts: Mapping[Anchor, int]) -> None:
+    """Raise AnchorNotFound for the first clause whose anchor names more than
+    one line (``line_counts`` holds lines per anchor): the clauses of
+    same-name methods could not be told apart."""
+    for clause in clauses:
+        count = line_counts.get(clause.anchor, 0)
+        if count > 1:
+            raise AnchorNotFound(f"anchor {clause.anchor.key()} names {count} lines in the program source")
+
+
 def instrument(program: AnnotatedProgram) -> str:
     """Emit the program text with each clause rendered above its anchor."""
     text, _ = instrument_with_lines(program)
@@ -286,17 +304,13 @@ def instrument_with_lines(program: AnnotatedProgram) -> tuple[str, list[tuple[in
     lines = program.source.splitlines()
     anchors_by_line = scan_anchors(lines)
     line_counts = Counter(anchors_by_line.values())
+    check_anchors(program.clauses, line_counts)
 
     groups: dict[Anchor, list[Clause]] = {}
     for clause in program.clauses:
-        count = line_counts[clause.anchor]
-        if count != 1:
-            # Same-name methods share an anchor, so their clauses could not
-            # be told apart.
+        if clause.anchor not in line_counts:
             key = clause.anchor.key() if clause.anchor is not None else "<none>"
-            if count == 0:
-                raise AnchorNotFound(f"anchor {key} does not resolve in the program source")
-            raise AnchorNotFound(f"anchor {key} names {count} lines in the program source")
+            raise AnchorNotFound(f"anchor {key} does not resolve in the program source")
         groups.setdefault(clause.anchor, []).append(clause)
 
     out: list[str] = []

@@ -175,13 +175,14 @@ def build_initial_prompt(
 
 @dataclass(frozen=True)
 class ExtractionFailure:
-    """Extraction diagnostics, fed back to the model as a syntax failure."""
+    """Extraction diagnostics (at least one), fed back to the model as a
+    syntax failure."""
 
     diagnostics: tuple[str, ...]
 
     @property
     def first_message(self) -> str:
-        return self.diagnostics[0] if self.diagnostics else "no annotations found"
+        return self.diagnostics[0]
 
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
@@ -222,8 +223,8 @@ def _anchor_bare_clauses(
 ) -> AnnotatedProgram | ExtractionFailure:
     program_lines = program.splitlines()
     anchors = table.anchors("\n".join(program_lines))
-    methods = sorted({i for i, a in anchors.items() if a.loop is None})
-    loops = sorted({i for i, a in anchors.items() if a.loop is not None})
+    methods = [i for i, a in anchors.items() if a.loop is None]  # in line order
+    loops = [i for i, a in anchors.items() if a.loop is not None]
     if len(methods) != 1:
         return ExtractionFailure(
             (

@@ -77,12 +77,8 @@ class UnknownClause(SpecError):
     """A clause id is not known to the selection state."""
 
 
-class VerifierUnavailable(SpecError):
-    """The verifier adapter cannot run at all (as opposed to a verdict)."""
-
-
-class CommandNotFound(VerifierUnavailable):
-    pass
+class CommandNotFound(SpecError):
+    """The exec adapter's command does not exist (as opposed to a verdict)."""
 
 
 class ScriptExhausted(SpecError):

@@ -14,16 +14,16 @@ search), so it keeps no visited set.
 
 Members are made as mutant schemata (:mod:`specsmith.schemata`): the
 template is compiled once into a render plan, and each member's text is
-that plan filled from its assignment. A member's tree is the parse of that
-text, made only when a reader asks for it (the trace adapter, on a clause it
-has not checked before); its per-kind counts are also built on first read.
-The template member takes the template's own text and tree, and the plan is
+that plan filled from its assignment. A member is its template, assignment,
+text and score; its tree is the parse of its text, made only when a reader
+asks for it (the trace adapter, on a clause it has not checked before). The
+template member takes the template's own text and tree, and the plan is
 compiled only when a reader asks for a member past the template.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 from .clauses import Clause
 from .expr import Binary, Expr, Quantifier, walk
-from .schemata import DEC_LHS, INC_LHS, Options, Schema
+from .schemata import DEC_LHS, INC_LHS, Options, render_plan
 
 
 class MutationKind(Enum):
@@ -87,59 +87,36 @@ class MutationSite:
 
 
 class Variant:
-    """One family member: its assignment (one option index per enabled site,
-    in site order), its canonical clause line and its score.
+    """One family member: its template, its assignment (one option index per
+    enabled site, in site order), its canonical clause line and its score.
 
-    Its clause and per-kind counts are built on first read.
-    Two members are equal when they render the same text by the same number
-    of rewrites of each kind.
+    Its clause is built on first read.
     """
 
-    __slots__ = ("assignment", "text", "score", "_schema", "_clause", "_counts")
+    __slots__ = ("template", "assignment", "text", "score", "_clause")
 
     def __init__(
         self,
-        schema: Schema,
+        template: Clause,
         assignment: tuple[int, ...],
         text: str,
         score: int,
         clause: Clause | None = None,
     ):
+        self.template = template
         self.assignment = assignment
         self.text = text
         self.score = score
-        self._schema = schema
         self._clause = clause
-        self._counts: tuple[tuple[MutationKind, int], ...] | None = None
 
     @property
     def clause(self) -> Clause:
         """The template's kind, anchor and id with this member's text; its
         expression is parsed from that text on first read."""
         if self._clause is None:
-            template = self._schema.template
+            template = self.template
             self._clause = Clause(template.kind, self.text, template.anchor, template.id)
         return self._clause
-
-    @property
-    def counts(self) -> tuple[tuple[MutationKind, int], ...]:
-        """(kind, rewrites of that kind) for all four kinds, in fixed order."""
-        if self._counts is None:
-            tally = dict.fromkeys(MutationKind, 0)
-            schema = self._schema
-            for site, site_options, index in zip(schema.sites, schema.options, self.assignment):
-                if site_options[index][1] is not None:
-                    tally[site.kind] += 1
-            self._counts = tuple(tally.items())
-        return self._counts
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Variant):
-            return NotImplemented
-        return self.text == other.text and self.counts == other.counts
-
-    def __hash__(self) -> int:
-        return hash(self.text)
 
     def __repr__(self) -> str:
         return f"Variant({self.text!r}, score={self.score})"
@@ -148,28 +125,27 @@ class Variant:
 class Family:
     """The variants of one template clause, built best-first on demand.
 
-    Members are ordered by score (descending), then text (ascending). The
+    ``sites`` are the template's enabled mutation sites and ``options`` their
+    options, best score first. Members are ordered by score (descending),
+    then text (ascending), except that the template, a member by definition,
+    takes the last place within the cap when it would miss it. The
     enumeration advances one score level at a time and only as far as a
     reader asks: ``get(i)`` builds just enough levels, ``variants`` builds the
     whole family, and ``len()`` and ``truncated`` build nothing, since every
     raw combination is a distinct member up to the cap.
     """
 
-    def __init__(
-        self,
-        template: Clause,
-        raw_count: int,
-        cap: int,
-        template_variant: Variant,
-        levels: Iterator[bool],
-        built: list[Variant],
-    ):
+    def __init__(self, template: Clause, sites: list[MutationSite], options: list[Options], cap: int):
         self.template = template
-        self.template_variant = template_variant  # the zero-mutation member
-        self.raw_count = raw_count
+        self.sites = sites
+        self.options = options
+        self.raw_count = math.prod(len(site_options) for site_options in options)
         self.cap = cap
-        self._levels = levels  # each step appends a score level to ``built``
-        self._built = built
+        unchanged = tuple([r for _, r in site_options].index(None) for site_options in options)
+        self.template_variant = Variant(template, unchanged, template.text, 0, template)
+        self._built: list[Variant] = []
+        # Each step appends a score level to ``_built``.
+        self._levels = _walk_levels(self.template_variant, sites, options, cap, self._built)
 
     def get(self, index: int) -> Variant | None:
         """The member at ``index`` in family order, or None past the end."""
@@ -221,8 +197,9 @@ def enumerate_variants(
     The zero-mutation template variant is always a member. Variants come in
     descending score order (ties by text, ascending); when more than ``cap``
     combinations exist the family keeps the first ``cap`` and has its
-    truncated flag set. Nothing is built until a reader asks for members
-    (see :class:`Family`).
+    truncated flag set, and a template that would miss the cap takes the
+    last place. Nothing is built until a reader asks for members (see
+    :class:`Family`).
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -233,34 +210,31 @@ def enumerate_variants(
     # Per-site options ordered best score first. The all-zeros assignment is
     # the argmax and bumping any index can only lower the score.
     options: list[Options] = []
-    raw_count = 1
     for site in sites:
         site_options: Options = [(0, None)]
         site_options.extend((weights[site.kind], repl) for repl in REPLACEMENTS[site.original_op][1])
         site_options.sort(key=lambda pair: -pair[0])
         options.append(site_options)
-        raw_count *= len(site_options)
-
-    schema = Schema(template, sites, options)
-    unchanged = tuple([r for _, r in site_options].index(None) for site_options in options)
-    template_variant = Variant(schema, unchanged, template.text, 0, clause=template)
-    built: list[Variant] = []
-    levels = _walk_levels(schema, template_variant, cap, built)
-    family = Family(template, raw_count, cap, template_variant, levels, built)
-    template_leads = all(delta < 0 for site_options in options for delta, _ in site_options[1:])
-    if raw_count > cap and not template_leads:
-        # Unless every rewrite lowers the score, the template can miss the
-        # cap; it then evicts the worst member and reorders the tail. Build
-        # it all now, so no reader ever sees a member that is later moved.
-        family.variants
-    return family
+    return Family(template, sites, options, cap)
 
 
 def _walk_levels(
-    schema: Schema, template_variant: Variant, cap: int, built: list[Variant]
+    template_variant: Variant,
+    sites: list[MutationSite],
+    options: list[Options],
+    cap: int,
+    built: list[Variant],
 ) -> Iterator[bool]:
-    """Append one score level to ``built`` per step (each yields True)."""
-    deltas = [[delta for delta, _ in site_options] for site_options in schema.options]
+    """Append one score level to ``built`` per step (each yields True).
+
+    The template is a member even where its place would miss the cap, so
+    while it is unemitted the other members fill at most ``cap - 1`` places;
+    if the walk ends without it, it is appended last. An unemitted template follows
+    every member built so far in family order, so no built member moves.
+    """
+    template, template_assignment = template_variant.template, template_variant.assignment
+    render = None  # the render plan, compiled for the first member past the template
+    deltas = [[delta for delta, _ in site_options] for site_options in options]
     # Best-first walk over assignments: pop everything at one score, order
     # that batch by text, emit, then descend to the next score. Heap entries
     # hold the negated score, the assignment and its last bumped site (-1
@@ -281,8 +255,8 @@ def _walk_levels(
     # have popped in an earlier level; no lower, as a descends from it)
     # and no greater than a, so it would have popped before b. Each level
     # thus pops in lexicographic order of assignment, zero-delta bumps
-    # included, and the batch-limit cut, the cap and the template eviction
-    # below get the same inputs as in the visited-set walk.
+    # included, and the batch-limit cut and the cap get the same inputs as
+    # in the visited-set walk.
     heappush, heappop = heapq.heappush, heapq.heappop
     n = len(deltas)
     start = (0,) * n
@@ -292,7 +266,8 @@ def _walk_levels(
     first_steps = [site[0] - site[1] for site in deltas]
     heap: list[tuple[int, tuple[int, ...], int]] = [(-sum(site[0] for site in deltas), start, -1)]
     batch_limit = max(4 * cap, 16384)
-    stopped_early = template_emitted = False
+    room = cap - 1  # places for members other than the template
+    stopped_early = False
     while heap and not stopped_early:
         batch_cost = heap[0][0]
         batch: list[tuple[int, ...]] = []
@@ -313,26 +288,23 @@ def _walk_levels(
                     heappush(heap, (cost, assignment[:last] + (index + 1,) + start[last + 1 :], last))
             for i in range(last + 1, n):
                 heappush(heap, (batch_cost + first_steps[i], assignment[:i] + tails[i], i))
+        if render is None and batch != [template_assignment]:
+            render = render_plan(template, sites, options)
         members = [
             template_variant
-            if assignment == template_variant.assignment
-            else Variant(schema, assignment, schema.render(assignment), -batch_cost)
+            if assignment == template_assignment
+            else Variant(template, assignment, render(assignment), -batch_cost)
             for assignment in batch
         ]
         members.sort(key=attrgetter("text"))
         for variant in members:
-            if len(built) >= cap:
+            if variant is template_variant:
+                room = cap
+            elif len(built) >= room:
                 stopped_early = True
                 break
             built.append(variant)
-            template_emitted = template_emitted or variant is template_variant
         yield True
 
-    if not template_emitted:
-        # Only reachable under exotic weight tables where positive weights
-        # push the template below the cap; the template is a family member
-        # by definition, so evict the worst variant to make room.
-        if len(built) >= cap:
-            built.pop()
-        bisect.insort(built, template_variant, key=lambda v: (-v.score, v.text))
-
+    if room < cap:
+        built.append(template_variant)

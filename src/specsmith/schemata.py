@@ -2,16 +2,17 @@
 
 Following Untch, Offutt & Harrold (ISSTA 1993), a family's members are not
 built by rewriting and re-rendering the template's tree. The template is
-compiled once into a render plan: its clause line as a format with one hole
-per mutation site, for the operator token, and a parenthesis hole on each
-operand whose parentheses the sites' options change. A member's text is the
-plan filled from its assignment. Nothing else is built per member: a
-member's tree is the parse of its text (see :class:`specsmith.clauses.Clause`).
+compiled once into a render plan (:func:`render_plan`): its clause line as a
+format with one hole per mutation site, for the operator token, and a
+parenthesis hole on each operand whose parentheses the sites' options
+change. A member's text is the plan filled from its assignment. Nothing
+else is built per member: a member's tree is the parse of its text (see
+:class:`specsmith.clauses.Clause`).
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .clauses import Clause
 from .expr import (
@@ -51,33 +52,23 @@ Options = list[tuple[int, "str | None"]]
 _Hole = tuple[int, "int | None", list]
 
 
-class Schema:
-    """A template compiled for its family: its enabled sites, their options,
-    and the render plan, compiled on the first ``render``.
+def render_plan(
+    template: Clause, sites: Sequence[MutationSite], options: list[Options]
+) -> Callable[[tuple[int, ...]], str]:
+    """The template's render plan: a function from a member's assignment (one
+    option index per site, in site order) to its clause line. The plan is
+    compiled here, once; a member's text reads no other member."""
+    form, holes = _compile_plan(template, sites, options)
 
-    A member is an assignment of one option index to every site, in site
-    order. Its text is filled in from the plan and reads no other member.
-    """
-
-    __slots__ = ("template", "sites", "options", "_plan")
-
-    def __init__(self, template: Clause, sites: Sequence[MutationSite], options: list[Options]):
-        self.template = template
-        self.sites = sites
-        self.options = options
-        self._plan: tuple[str, list[_Hole]] | None = None
-
-    def render(self, assignment: tuple[int, ...]) -> str:
-        """The clause line of ``assignment``, filled in from the plan."""
-        if self._plan is None:
-            self._plan = _compile_plan(self.template, self.sites, self.options)
-        form, holes = self._plan
+    def render(assignment: tuple[int, ...]) -> str:
         return form % tuple(
             [
                 table[assignment[site]] if other is None else table[assignment[site]][assignment[other]]
                 for site, other, table in holes
             ]
         )
+
+    return render
 
 
 def _compile_plan(

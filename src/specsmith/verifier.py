@@ -22,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from .clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, instrument_with_lines
+from .clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, check_anchors, instrument_with_lines, repeated_anchors
 from .errors import ClauseSyntaxError, CommandNotFound, ConfigError, EvalError
 from .evaluate import Phase, TraceRecord, eval_expr
 
@@ -275,7 +275,9 @@ class TraceVerifier:
     as type-error failures, and a clause whose line does not parse (a family
     member nested past the parser's depth limit) as a syntax-error failure.
     A pass only means no counterexample appears in the given traces, hence
-    the coverage caveat on every verdict.
+    the coverage caveat on every verdict. Records name a method only, so a
+    clause above one of two same-name methods raises AnchorNotFound, as in
+    the exec adapter; each distinct program text is scanned for them once.
 
     The records are indexed on the first ``verify``. Each distinct
     (kind, anchor, expression) is checked once; its outcome is kept, keyed by
@@ -289,10 +291,16 @@ class TraceVerifier:
         self.failures_per_call = failures_per_call
         self._index: _TraceIndex | None = None
         self._refutations: dict[tuple[Anchor | None, str], _Refutation | None] = {}
+        self._repeated: dict[str, dict[Anchor, int]] = {}  # by program text
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
         if self._index is None:
             self._index = _TraceIndex(self.traces)
+        repeated = self._repeated.get(program.source)
+        if repeated is None:
+            repeated = self._repeated[program.source] = repeated_anchors(program.source)
+        if repeated:  # same-name methods: raise as the exec adapter does
+            check_anchors(program.clauses, repeated)
         failures: list[FailureReport] = []
         for clause in program.clauses:
             # A clause's tree is the parse of its text (rendering is exact:

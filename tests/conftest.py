@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import heapq
 import itertools
 import json
@@ -49,6 +50,7 @@ from specsmith.expr import (
 )
 from specsmith import mutation
 from specsmith.mutation import MutationKind, Variant, WeightTable
+from specsmith.schemata import render_plan
 from specsmith.verifier import FailureCategory, FailureReport, Outcome, VerifierVerdict
 
 # ---------------------------------------------------------------------------
@@ -256,15 +258,15 @@ def _oracle_apply(expr: Expr, path: tuple[int, ...], replacement: str) -> Expr:
 _ORACLE_TOKEN = {"\\forall": "forall", "\\exists": "exists", "- 1 <=": DEC, "+ 1 >=": INC}
 
 
-def oracle_variant_tree(schema, assignment: tuple[int, ...]) -> Expr:
+def oracle_variant_tree(family, assignment: tuple[int, ...]) -> Expr:
     """The tree of the family member at ``assignment``, rebuilt from the
     template by the oracle's own rewrites, deepest site first."""
     chosen = [
         (site.path, replacement)
-        for site, site_options, index in zip(schema.sites, schema.options, assignment)
+        for site, site_options, index in zip(family.sites, family.options, assignment)
         if (replacement := site_options[index][1]) is not None
     ]
-    tree = schema.template.expr
+    tree = family.template.expr
     for path, replacement in sorted(chosen, key=lambda pair: -len(pair[0])):
         tree = _oracle_apply(tree, path, _ORACLE_TOKEN.get(replacement, replacement))
     return tree
@@ -300,10 +302,18 @@ def oracle_family(
     return best
 
 
+@functools.lru_cache(maxsize=256)
+def _oracle_scores(template: Expr, weights: WeightTable) -> dict[str, int]:
+    return oracle_family(template, {kind.value: weights[kind] for kind in MutationKind})
+
+
 def score_variant(variant: Variant, weights: WeightTable) -> int:
     """Scoring oracle, the paper's formula: the sum over kinds of
-    (rewrites of that kind) x (kind weight)."""
-    return sum(weights[kind] * count for kind, count in variant.counts)
+    (rewrites of that kind) x (kind weight), read from the oracle's own
+    brute-force family of the variant's template (with every kind enabled:
+    each text is one assignment, so one set of rewrites)."""
+    expression = variant.text.split(" ", 2)[2][:-1]  # "//@ <kind> <expr>;"
+    return _oracle_scores(variant.template.expr, weights)[expression]
 
 
 def scale_weights(weights: WeightTable, factor: int) -> WeightTable:
@@ -317,9 +327,12 @@ def scale_weights(weights: WeightTable, factor: int) -> WeightTable:
 # whichever neighbor reaches it first.
 
 
-def visited_set_walk_levels(schema, template_variant, cap, built):
-    """Drop-in for ``mutation._walk_levels``: one score level per step."""
-    deltas = [[delta for delta, _ in site_options] for site_options in schema.options]
+def visited_set_walk_levels(template_variant, sites, options, cap, built):
+    """Drop-in for ``mutation._walk_levels``: one score level per step, and
+    a template that misses the cap evicts the worst member at the end."""
+    template = template_variant.template
+    render = render_plan(template, sites, options)
+    deltas = [[delta for delta, _ in site_options] for site_options in options]
     start = tuple(0 for _ in deltas)
     heap = [(-sum(site[0] for site in deltas), start)]
     visited = {start}
@@ -345,7 +358,7 @@ def visited_set_walk_levels(schema, template_variant, cap, built):
         members = [
             template_variant
             if assignment == template_variant.assignment
-            else Variant(schema, assignment, schema.render(assignment), -batch_cost)
+            else Variant(template, assignment, render(assignment), -batch_cost)
             for assignment in batch
         ]
         members.sort(key=attrgetter("text"))
@@ -365,11 +378,14 @@ def visited_set_walk_levels(schema, template_variant, cap, built):
 
 def visited_set_family(template, **kwargs):
     """``enumerate_variants`` with the visited-set walk in place of the
-    canonical-parent one; the family keeps the oracle walk when read later."""
+    canonical-parent one, built whole: its end-of-walk eviction can still
+    move a member."""
     walk = mutation._walk_levels
     mutation._walk_levels = visited_set_walk_levels
     try:
-        return mutation.enumerate_variants(template, **kwargs)
+        family = mutation.enumerate_variants(template, **kwargs)
+        family.variants
+        return family
     finally:
         mutation._walk_levels = walk
 

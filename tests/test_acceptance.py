@@ -58,10 +58,7 @@ def expression_of(text: str) -> str:
 def scored_family(clause_text: str) -> set[tuple[str, int]]:
     family = enumerate_variants(parse_clause(clause_text))
     assert not family.truncated
-    return {
-        (expression_of(v.text), score_variant(v, DEFAULT_WEIGHTS))
-        for v in family.variants
-    }
+    return {(expression_of(v.text), v.score) for v in family.variants}
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +134,12 @@ def test_criterion_2_family_enumeration_matches_brute_force():
         family = enumerate_variants(clause)
         assert not family.truncated
         expected = oracle_family(expr)
-        got = {
-            expression_of(v.text): score_variant(v, DEFAULT_WEIGHTS)
-            for v in family.variants
-        }
+        got = {expression_of(v.text): v.score for v in family.variants}
         assert got == expected
         # texts are unique and listed best score first, ties by text
         texts = [v.text for v in family.variants]
         assert len(set(texts)) == len(texts) == len(family)
-        keys = [(-score_variant(v, DEFAULT_WEIGHTS), v.text) for v in family.variants]
+        keys = [(-v.score, v.text) for v in family.variants]
         assert keys == sorted(keys)
     assert time.monotonic() - started < 30.0
 
@@ -159,10 +153,7 @@ def test_criterion_2_family_enumeration_matches_brute_force():
 def test_criterion_3_scoring_and_scale_invariance():
     started = time.monotonic()
     family = enumerate_variants(parse_clause("//@ requires a + b <= c && x > y;"))
-    by_text = {
-        expression_of(v.text): score_variant(v, DEFAULT_WEIGHTS)
-        for v in family.variants
-    }
+    by_text = {expression_of(v.text): v.score for v in family.variants}
     assert by_text["a + b <= c && x > y"] == 0  # template
     assert by_text["a + b < c && x > y"] == -1  # one comparative
     assert by_text["a - b <= c || x > y"] == -6  # arithmetic + logical
@@ -170,13 +161,15 @@ def test_criterion_3_scoring_and_scale_invariance():
     rng = random.Random(17)
     for _ in range(100):
         expr = gen_mutation_clause(rng, max_sites=4)
-        family = enumerate_variants(parse_clause(f"//@ requires {render_expr(expr)};"))
-        base = {v.text: score_variant(v, DEFAULT_WEIGHTS) for v in family.variants}
+        clause = parse_clause(f"//@ requires {render_expr(expr)};")
+        base = {v.text: v.score for v in enumerate_variants(clause).variants}
         best = max(base.values())
         argmax = {text for text, score in base.items() if score == best}
         for factor in (2, 3, 10):
             scaled_weights = scale_weights(DEFAULT_WEIGHTS, factor)
-            scaled = {v.text: score_variant(v, scaled_weights) for v in family.variants}
+            scaled_family = enumerate_variants(clause, weights=scaled_weights).variants
+            scaled = {v.text: v.score for v in scaled_family}
+            assert scaled == {v.text: score_variant(v, scaled_weights) for v in scaled_family}
             scaled_best = max(scaled.values())
             assert scaled_best == best * factor
             assert {t for t, s in scaled.items() if s == scaled_best} == argmax

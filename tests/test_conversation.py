@@ -250,9 +250,6 @@ class TestExtractSpecs:
         assert isinstance(result, ExtractionFailure)
         assert "boolean" in result.first_message
 
-    def test_empty_failure_has_fallback_message(self):
-        assert ExtractionFailure(()).first_message == "no annotations found"
-
 
 # ---------------------------------------------------------------------------
 # Feedback prompts

@@ -151,8 +151,9 @@ class TestGoldenFamilies:
 class TestScoring:
     def test_zero_for_template(self):
         family = enumerate_variants(parse_clause("//@ requires a <= b;"))
-        template = next(v for v in family.variants if not any(dict(v.counts).values()))
-        assert score_variant(template, DEFAULT_WEIGHTS) == 0
+        template = family.template_variant
+        assert template in family.variants and template.text == family.template.text
+        assert template.score == score_variant(template, DEFAULT_WEIGHTS) == 0
 
     def test_default_weights(self):
         assert DEFAULT_WEIGHTS[MutationKind.COMPARATIVE] == -1
@@ -168,11 +169,12 @@ class TestScoring:
         assert score_variant(by_text["a - b <= c"], DEFAULT_WEIGHTS) == -4
 
     def test_counts_recorded_per_kind(self):
-        family = enumerate_variants(parse_clause("//@ requires a + b <= c;"))
+        # Each kind's weight is its own power of ten, so the score spells out
+        # the rewrites of each kind: one arithmetic and one comparative.
+        weights = WeightTable(comparative=-1, logical=-10, arithmetic=-100, predicative=-1000)
+        family = enumerate_variants(parse_clause("//@ requires a + b <= c;"), weights=weights)
         variant = next(v for v in family.variants if body(v.text) == "a - b < c")
-        assert dict(variant.counts)[MutationKind.ARITHMETIC] == 1
-        assert dict(variant.counts)[MutationKind.COMPARATIVE] == 1
-        assert sum(dict(variant.counts).values()) == 2
+        assert variant.score == score_variant(variant, weights) == -101
 
     def test_scaled_weights_keep_argmax(self):
         clause = parse_clause("//@ requires a + 1 <= b && b < n;")
@@ -181,7 +183,8 @@ class TestScoring:
         best = select_by_heuristic(candidates, DEFAULT_WEIGHTS)
         assert best == select_by_heuristic(candidates, scale_weights(DEFAULT_WEIGHTS, 7))
         scaled = enumerate_variants(clause, weights=scale_weights(DEFAULT_WEIGHTS, 7))
-        assert HeuristicStrategy().pick(refuted_template_slot(scaled)) == best
+        pick = HeuristicStrategy().pick(refuted_template_slot(scaled))
+        assert (pick.text, pick.score) == (best.text, 7 * best.score)
 
 
 class TestEnumerationOrder:
@@ -197,7 +200,7 @@ class TestEnumerationOrder:
         )
         assert body(pick.text) == "a - 1 <= b"
         fresh = enumerate_variants(parse_clause("//@ requires a <= b;"))
-        assert HeuristicStrategy().pick(refuted_template_slot(fresh)) == pick
+        assert read([HeuristicStrategy().pick(refuted_template_slot(fresh))]) == read([pick])
 
     def test_cap_truncates_best_first(self):
         clause = parse_clause("//@ requires a <= b && c >= d;")
@@ -225,7 +228,7 @@ class TestEnumerationOrder:
         family = enumerate_variants(clause)
         for variant in family.variants:
             reparsed = parse_clause(variant.text)
-            assert reparsed.expr == oracle_variant_tree(variant._schema, variant.assignment)
+            assert reparsed.expr == oracle_variant_tree(family, variant.assignment)
 
 
 def oracle_members(expr, cap, weights=DEFAULT_WEIGHTS):
@@ -252,9 +255,9 @@ class TestStream:
         # Size and flag are read before any member is built.
         assert (len(lazy), lazy.truncated) == (len(members), truncated)
         k = rng.randrange(0, len(members) + 2)
-        assert [lazy.get(i) for i in range(k)] == (members + [None, None])[:k]
-        assert lazy.variants == members
-        assert lazy.template_variant in members
+        assert read([lazy.get(i) for i in range(k)]) == read((members + [None, None])[:k])
+        assert read(lazy.variants) == read(members)
+        assert lazy.template_variant in lazy.variants
         return eager
 
     @pytest.mark.parametrize("cap", [1, 8, 64, 4096])
@@ -274,10 +277,19 @@ class TestStream:
     def test_unflagged_family_builds_nothing_for_its_flag(self):
         family = enumerate_variants(parse_clause("//@ requires a <= b && c >= d;"))
         assert not family.truncated and family._built == []
-        assert family.get(0) == family.template_variant and len(family._built) == 1
+        assert family.get(0) is family.template_variant and len(family._built) == 1
         wide = enumerate_variants(parse_clause(WIDE_CLAUSE), cap=4096)
         assert wide.truncated and wide.raw_count == 12288 and len(wide) == 4096
         assert wide._built == []
+
+    def test_a_template_past_the_cap_builds_nothing_up_front(self):
+        # Every comparative rewrite raises the score, so the template would
+        # miss the cap of 8 and takes the last place; no member is built
+        # before a reader asks for one.
+        clause = parse_clause("//@ requires a <= b && c >= d && e < f;")
+        family = enumerate_variants(clause, cap=8, weights=WeightTable(comparative=1))
+        assert family.truncated and family.raw_count == 72 and family._built == []
+        assert family.get(7) is family.template_variant and family.variants[-1] is family.template_variant
 
     @pytest.mark.parametrize(
         "weights",
@@ -294,7 +306,7 @@ class TestStream:
                 assert ([v.text for v in eager.variants], eager.truncated) == oracle_members(
                     expr, cap, weights
                 )
-                displaced += eager.variants[0] != eager.template_variant
+                displaced += eager.variants[0] is not eager.template_variant
         assert displaced > 0
 
     def test_batch_limit(self):
@@ -417,7 +429,7 @@ class TestRenderPlan:
             for weights in self.WEIGHTS:
                 family = enumerate_variants(clause, kinds=kinds, weights=weights, cap=1 << 20)
                 for variant in family.variants:
-                    assert variant.clause.expr == oracle_variant_tree(variant._schema, variant.assignment)
+                    assert variant.clause.expr == oracle_variant_tree(family, variant.assignment)
 
     def test_generated_clauses(self):
         rng = random.Random(5)
@@ -461,7 +473,9 @@ class TestRenderPlan:
         try:
             for _ in range(10):
                 for template in templates:
-                    assert len(enumerate_variants(template).variants) > 1
+                    members = enumerate_variants(template).variants
+                    assert len(members) > 1
+                    assert all(member.clause.expr is not None for member in members)
             assert gc.collect() == 0
         finally:
             gc.enable()

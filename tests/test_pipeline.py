@@ -409,6 +409,20 @@ class TestRunPipeline:
         assert entry["error"] == "anchor method:f names 2 lines in the program source"
         assert entry["verifier_calls_conversation"] == 0
 
+    def test_trace_on_same_name_methods_is_an_aborted_entry(self, tmp_path):
+        annotated = (Path(__file__).parent / "fixtures" / "Overloads.java").read_text(encoding="utf-8")
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"anchor": "method:f", "bindings": {"x": 1, "y": 2}, "phase": "pre"}\n', encoding="utf-8")
+        config = scripted_mock_config(
+            tmp_path, [fenced(annotated)], verifier={"adapter": "trace", "trace_file": str(trace)}
+        )
+        context = PipelineContext(config=config, verifier=build_verifier(config), shots=[])
+        program = extract_annotations(annotated).source
+        entry = run_pipeline("Overloads", program, context, client_factory(config)(0))
+        assert entry["outcome"] == "aborted"
+        assert entry["error"] == "anchor method:f names 2 lines in the program source"
+        assert entry["verifier_calls_conversation"] == 0
+
     def test_aborted_on_insufficient_shots(self, tmp_path):
         config = scripted_mock_config(
             tmp_path, [fenced(ABS_CORRECT)], endpoint={"shot_count": 4}

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from specsmith import verifier as verifier_module
 from specsmith.clauses import (
     Anchor,
     AnnotatedProgram,
     extract_annotations,
     instrument_with_lines,
     parse_clause,
+    repeated_anchors,
 )
 from specsmith.errors import AnchorNotFound, CommandNotFound, ConfigError, ScriptExhausted
 from specsmith.evaluate import Phase, TraceRecord, eval_expr
@@ -116,13 +118,25 @@ class TestExecAdapter:
             verifier.verify(extract_annotations(OVERLOADS))
         assert not ran.exists()
 
-    def test_the_other_adapters_accept_same_name_methods(self):
+    def test_trace_raises_and_mock_accepts_same_name_methods(self, monkeypatch):
         program = extract_annotations(OVERLOADS)
         truth = frozenset(c.text for c in program.clauses)
         assert MockVerifier(truth=truth).verify(program).outcome is Outcome.PASS
-        # Records carry a method name only, so each binds both parameters.
-        records = [rec(Anchor("f"), Phase.PRE, {"x": 1, "y": 2}), rec(Anchor("f"), Phase.PRE, {"x": 3, "y": 4})]
-        assert TraceVerifier(records).verify(program).outcome is Outcome.PASS
+        # Records name a method only, so they cannot tell the two apart.
+        scans = []
+
+        def scan(text):
+            scans.append(text)
+            return repeated_anchors(text)
+
+        monkeypatch.setattr(verifier_module, "repeated_anchors", scan)
+        verifier = TraceVerifier([rec(Anchor("f"), Phase.PRE, {"x": 1, "y": 2})])
+        for clauses in (program.clauses, program.clauses[1:], program.clauses):
+            with pytest.raises(AnchorNotFound, match="^anchor method:f names 2 lines in the program source$"):
+                verifier.verify(AnnotatedProgram(program.source, clauses))
+        assert scans == [program.source]  # once per distinct program text
+        single = extract_annotations(OVERLOADS.replace("f(int x, int y)", "g(int x, int y)"))
+        assert verifier.verify(AnnotatedProgram(single.source, single.clauses[:1])).outcome is Outcome.PASS
 
     def test_pass_on_clean_exit(self, tmp_path):
         stub = make_stub(tmp_path, "ok.py", "print('fine')\n")
