@@ -7,7 +7,7 @@ trace, printing every verifier interaction along the way.
 """
 from pathlib import Path
 
-from specsmith.clauses import instrument
+from specsmith.clauses import instrument_with_lines
 from specsmith.config import (
     EndpointSettings,
     PipelineConfig,
@@ -75,7 +75,7 @@ def main() -> None:
             print(clause.text)
         print()
         print("== instrumented program ==")
-        print(instrument(verified))
+        print(instrument_with_lines(verified)[0])
 
 
 if __name__ == "__main__":

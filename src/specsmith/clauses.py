@@ -204,15 +204,26 @@ class ClauseTable:
 
 
 _ORPHAN_MESSAGE = "annotation precedes neither a method header nor a loop"
+# A tuple: ``in`` finds a member by identity, which is cheaper than reading
+# members off the Enum class or hashing one.
+_LOOP_KINDS = (ClauseKind.MAINTAINING, ClauseKind.DECREASES)
+
+
+def _misplaced(kind: ClauseKind, above_loop: bool) -> str:
+    if above_loop:
+        return f"{kind.value} clauses belong above a method header, not a loop"
+    return f"{kind.value} clauses belong above a loop, not a method header"
 
 
 def extract_annotations(source: str, table: ClauseTable | None = None) -> AnnotatedProgram:
     """Pull ``//@`` lines out of the text and anchor them by adjacency.
 
     Annotation lines must sit immediately above a method header or a loop
-    line (other annotation lines in between are fine). Problems — parse
-    errors, type mismatches, orphaned annotations — are collected per line
-    and raised together as one :class:`ExtractionError`.
+    line (other annotation lines in between are fine): ``requires`` and
+    ``ensures`` above a method header, ``maintaining`` and ``decreases``
+    above a loop. Problems — parse errors, type mismatches, orphaned or
+    misplaced annotations — are collected per line and raised together as
+    one :class:`ExtractionError`.
 
     Each distinct line is parsed once through ``table``, and the anchors of
     an annotation-free text scanned again only when it changes; the caller
@@ -252,12 +263,17 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
             issues.extend((line_no, _ORPHAN_MESSAGE) for line_no, _ in block)
             continue
         key = anchor.key()
+        above_loop = anchor.loop is not None
         for line_no, line in block:
             entry = table.entry(line)
             if isinstance(entry, str):
                 issues.append((line_no, entry))
                 continue
-            prefix = f"{key}/{entry.kind.value}/"
+            kind = entry.kind
+            if (kind in _LOOP_KINDS) is not above_loop:
+                issues.append((line_no, _misplaced(kind, above_loop)))
+                continue
+            prefix = f"{key}/{kind.value}/"
             ordinal = ordinals.get(prefix, 0)
             ordinals[prefix] = ordinal + 1
             clauses.append(entry.placed(anchor, f"{prefix}{ordinal}"))
@@ -287,14 +303,9 @@ def check_anchors(clauses: Iterable[Clause], line_counts: Mapping[Anchor, int]) 
             raise AnchorNotFound(f"anchor {clause.anchor.key()} names {count} lines in the program source")
 
 
-def instrument(program: AnnotatedProgram) -> str:
-    """Emit the program text with each clause rendered above its anchor."""
-    text, _ = instrument_with_lines(program)
-    return text
-
-
 def instrument_with_lines(program: AnnotatedProgram) -> tuple[str, list[tuple[int, str]]]:
-    """Like :func:`instrument`, also returning (line number, clause id) pairs.
+    """The program text with each clause's line above its anchor, and the
+    (line number, clause id) pairs of those lines.
 
     Line numbers are 1-based positions of each annotation line in the output,
     which is what external-verifier diagnostics refer to; they ascend. A

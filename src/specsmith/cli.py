@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when the run itself fails (no program verified,
-verifier rejected the clauses, repair exhausted every family or ran out of
-its budget), 2 on input that does not parse: usage, configuration, and
-clauses or annotations given on the command line or in an input file.
+verifier rejected the clauses, repair exhausted every family, ran out of its
+budget or got no verdict), 2 on input that does not parse: usage,
+configuration, and clauses or annotations given on the command line or in an
+input file.
 """
 from __future__ import annotations
 
@@ -131,6 +132,8 @@ def cmd_repair(args: argparse.Namespace) -> int:
     if result.outcome == "out-of-budget":
         budget = config.budgets.pipeline_seconds
         print(f"error: repair loop exceeded its {budget:g}s budget", file=sys.stderr)
+    elif result.outcome == "no-verdict":
+        print(f"error: repair stopped without a verdict: {result.detail}", file=sys.stderr)
     else:
         print("repair failed: every candidate family was exhausted")
     return 1

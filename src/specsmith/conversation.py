@@ -130,47 +130,23 @@ _QUERY_TEMPLATE = "Add JML specifications to this Java program:\n```java\n{progr
 _SHOT_ANSWER_TEMPLATE = "```java\n{annotated}\n```"
 
 
-@dataclass(frozen=True)
-class PromptBundle:
-    system_role: str
-    shots: tuple[tuple[str, str], ...]  # (program, annotated program) pairs
-    query_program: str
-
-    def render_messages(self) -> list[Message]:
-        messages: list[Message] = [{"role": "system", "content": self.system_role}]
-        for program, annotated in self.shots:
-            messages.append(
-                {"role": "user", "content": _QUERY_TEMPLATE.format(program=program)}
-            )
-            messages.append(
-                {
-                    "role": "assistant",
-                    "content": _SHOT_ANSWER_TEMPLATE.format(annotated=annotated),
-                }
-            )
-        messages.append(
-            {"role": "user", "content": _QUERY_TEMPLATE.format(program=self.query_program)}
-        )
-        return messages
-
-
-def build_initial_prompt(
-    program: str,
-    shots: Sequence[tuple[str, str]],
-    system_role: str = DEFAULT_SYSTEM_ROLE,
-    shot_count: int | None = None,
-) -> PromptBundle:
-    """Assemble the round-one bundle from the first shot_count corpus pairs."""
-    wanted = len(shots) if shot_count is None else shot_count
-    if wanted > len(shots):
+def _round_one(
+    program: str, shots: Sequence[tuple[str, str]], shot_count: int
+) -> list[Message]:
+    """The system role, the first ``shot_count`` (program, annotated program)
+    pairs as query and answer, then the query for ``program``."""
+    if shot_count > len(shots):
         raise InsufficientShots(
-            f"need {wanted} few-shot examples but the corpus holds {len(shots)}"
+            f"need {shot_count} few-shot examples but the corpus holds {len(shots)}"
         )
-    return PromptBundle(
-        system_role=system_role,
-        shots=tuple(shots[:wanted]),
-        query_program=program,
-    )
+    messages: list[Message] = [{"role": "system", "content": DEFAULT_SYSTEM_ROLE}]
+    for shot, annotated in shots[:shot_count]:
+        messages.append({"role": "user", "content": _QUERY_TEMPLATE.format(program=shot)})
+        messages.append(
+            {"role": "assistant", "content": _SHOT_ANSWER_TEMPLATE.format(annotated=annotated)}
+        )
+    messages.append({"role": "user", "content": _QUERY_TEMPLATE.format(program=program)})
+    return messages
 
 
 @dataclass(frozen=True)
@@ -180,12 +156,9 @@ class ExtractionFailure:
 
     diagnostics: tuple[str, ...]
 
-    @property
-    def first_message(self) -> str:
-        return self.diagnostics[0]
-
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
+_LOOP_CLAUSE_RE = re.compile(r"//@\s*(?:maintaining|decreases)\b")
 
 
 def extract_specs(
@@ -205,11 +178,13 @@ def extract_specs(
         table = ClauseTable()
     blocks = _FENCE_RE.findall(response)
     body = blocks[-1] if blocks else response
-    lines = [line for line in body.splitlines() if line.strip()]
-    if not any(line.strip().startswith("//@") for line in lines):
+    lines = [line for line in map(str.strip, body.splitlines()) if line]
+    if not any(line.startswith("//@") for line in lines):
         return ExtractionFailure(("the response contains no //@ annotation lines",))
-    if lines and all(line.strip().startswith("//@") for line in lines):
-        return _anchor_bare_clauses(body, program, table)
+    if all(line.startswith("//@") for line in lines):
+        body = _anchor_bare_clauses(lines, program, table)
+        if isinstance(body, ExtractionFailure):
+            return body
     try:
         return extract_annotations(body, table)
     except ExtractionError as exc:
@@ -219,8 +194,10 @@ def extract_specs(
 
 
 def _anchor_bare_clauses(
-    body: str, program: str, table: ClauseTable
-) -> AnnotatedProgram | ExtractionFailure:
+    clause_lines: list[str], program: str, table: ClauseTable
+) -> str | ExtractionFailure:
+    """``program`` with its lines rejoined and the clause lines placed above
+    its one method header, loop clauses above its one loop."""
     program_lines = program.splitlines()
     anchors = table.anchors("\n".join(program_lines))
     methods = [i for i, a in anchors.items() if a.loop is None]  # in line order
@@ -232,16 +209,10 @@ def _anchor_bare_clauses(
                 f"has {len(methods)} methods; return the full annotated program",
             )
         )
-    clause_lines = [line.strip() for line in body.splitlines() if line.strip()]
-
-    def clause_keyword(line: str) -> str:
-        match = re.match(r"//@\s*(\w+)", line)
-        return match.group(1) if match else ""
-
     # Unrecognized keywords ride along with the method group so they reach
     # the parser and produce a proper diagnostic instead of vanishing.
-    loop_clauses = [l for l in clause_lines if clause_keyword(l) in ("maintaining", "decreases")]
-    method_clauses = [l for l in clause_lines if l not in loop_clauses]
+    loop_clauses = [line for line in clause_lines if _LOOP_CLAUSE_RE.match(line)]
+    method_clauses = [line for line in clause_lines if not _LOOP_CLAUSE_RE.match(line)]
     if loop_clauses and len(loops) != 1:
         return ExtractionFailure(
             (
@@ -251,17 +222,12 @@ def _anchor_bare_clauses(
         )
     rebuilt: list[str] = []
     for idx, line in enumerate(program_lines):
-        if methods and idx == methods[0]:
+        if idx == methods[0]:
             rebuilt.extend(method_clauses)
-        if loops and idx == loops[0]:
+        elif loops and idx == loops[0]:
             rebuilt.extend(loop_clauses)
         rebuilt.append(line)
-    try:
-        return extract_annotations("\n".join(rebuilt), table)
-    except ExtractionError as exc:
-        return ExtractionFailure(
-            tuple(f"line {line}: {message}" for line, message in exc.issues)
-        )
+    return "\n".join(rebuilt)
 
 
 # Category -> guidance text inserted after the failure message. At most one
@@ -305,7 +271,7 @@ def build_feedback_prompt(
     """One failure message, optional guidance for its category, instruction."""
     guidance = DEFAULT_GUIDANCE if guidance is None else guidance
     if isinstance(verdict, ExtractionFailure):
-        message = verdict.first_message
+        message = verdict.diagnostics[0]
         category = FailureCategory.SYNTAX_ERROR
         header = "The previous response could not be parsed."
     elif verdict.failures:
@@ -365,7 +331,6 @@ def run_conversation(
     verifier: Verifier,
     client: ChatClient,
     shots: Sequence[tuple[str, str]] = (),
-    system_role: str = DEFAULT_SYSTEM_ROLE,
     guidance: dict[FailureCategory, str] | None = None,
     table: ClauseTable | None = None,
 ) -> ConversationTranscript:
@@ -382,9 +347,8 @@ def run_conversation(
     share beyond this call (a pipeline context shares one across all its
     conversations); without one, this call starts a fresh table.
     """
-    bundle = build_initial_prompt(program, shots, system_role, cfg.shot_count)
-    messages = bundle.render_messages()
-    shot_pairs = len(bundle.shots)
+    messages = _round_one(program, shots, cfg.shot_count)
+    shot_pairs = cfg.shot_count
     transcript = ConversationTranscript()
     prompt_text = "\n\n".join(m["content"] for m in messages)
     if table is None:
@@ -400,30 +364,20 @@ def run_conversation(
 
         extraction = extract_specs(response, program, table)
         if isinstance(extraction, ExtractionFailure):
-            round_entry = Round(
-                prompt=prompt_text,
-                response=response,
-                extracted=None,
-                extraction_diagnostics=extraction.diagnostics,
+            transcript.rounds.append(
+                Round(prompt_text, response, None, extraction_diagnostics=extraction.diagnostics)
             )
             feedback_source: VerifierVerdict | ExtractionFailure = extraction
         else:
             transcript.last_extracted = extraction
             verdict = verifier.verify(extraction)
             transcript.verifier_calls += 1
-            round_entry = Round(
-                prompt=prompt_text,
-                response=response,
-                extracted=extraction,
-                verdict=verdict,
-            )
+            transcript.rounds.append(Round(prompt_text, response, extraction, verdict=verdict))
             if verdict.outcome is Outcome.PASS:
-                transcript.rounds.append(round_entry)
                 transcript.outcome = "verified"
                 return transcript
             feedback_source = verdict
 
-        transcript.rounds.append(round_entry)
         prompt_text = build_feedback_prompt(feedback_source, guidance)
         messages.append({"role": "assistant", "content": response})
         messages.append({"role": "user", "content": prompt_text})

@@ -11,10 +11,10 @@ operator is right-associative and another of its level follows, that
 operand is extended by the rest of the chain. Unary operators, postfix
 indexing and field access, atoms and quantifiers are recursive descent.
 
-``parse_expr`` handles bare expressions; ``parse_clause_line`` handles full
-annotation lines (``//@ <kind> <expr>;`` or the same without the comment
-marker) and returns the raw (kind keyword, expression) pair. Clause
-construction and the type pass live in :mod:`specsmith.clauses`.
+``parse_clause_line`` handles full annotation lines (``//@ <kind> <expr>;``
+or the same without the comment marker) and returns the raw (kind keyword,
+expression) pair. Clause construction and the type pass live in
+:mod:`specsmith.clauses`.
 """
 from __future__ import annotations
 
@@ -273,16 +273,6 @@ def _check_end(parser: _Parser, expected: str) -> None:
     kind, text, offset = parser.tokens[parser.pos]
     if kind != "eof":
         raise ClauseSyntaxError(f"trailing input {text!r}", offset=offset, expected=expected)
-
-
-def parse_expr(text: str) -> Expr:
-    """Parse a bare expression; the whole string must be consumed."""
-    parser = _Parser(tokenize(text))
-    node = parser.parse_expr()
-    _check_end(parser, "end of expression")
-    if len(parser.tokens) > MAX_NESTING:
-        _check_depth(node)
-    return node
 
 
 def parse_clause_line(text: str) -> tuple[str, Expr]:

@@ -219,6 +219,9 @@ def run_pipeline(
             if result.outcome == "verified":
                 entry["outcome"] = "verified-by-mutation"
                 entry["final_clauses"] = [c.text for c in result.program.clauses]
+            elif result.outcome == "no-verdict":
+                entry["outcome"] = "aborted"
+                entry["error"] = f"repair stopped without a verdict: {result.detail}"
             elif result.outcome == "out-of-budget":
                 entry["outcome"] = "aborted"
                 # The loop's own budget was what the conversation left of the

@@ -12,11 +12,12 @@ reads them in order through a per-slot cursor, so a repair builds only the
 variants it reaches; the thrash check reads the family size, which costs
 no enumeration.
 
-A repair ends one of three ways, named by :attr:`RepairResult.outcome`:
+A repair ends one of four ways, named by :attr:`RepairResult.outcome`:
 ``"verified"`` (the verifier accepted a non-empty selection),
-``"exhausted"`` (every family ran dry, so nothing is left to claim) or
-``"out-of-budget"`` (the wall-clock budget ran out first). Each ending
-carries the selection state built so far.
+``"exhausted"`` (every family ran dry, so nothing is left to claim),
+``"out-of-budget"`` (the wall-clock budget ran out first) or
+``"no-verdict"`` (the verifier timed out or crashed, which says nothing
+about any clause). Each ending carries the selection state built so far.
 """
 from __future__ import annotations
 
@@ -101,7 +102,8 @@ class SelectionState:
 class RepairResult:
     program: AnnotatedProgram  # the last selection; verified only on "verified"
     state: SelectionState
-    outcome: str  # "verified" | "exhausted" | "out-of-budget"
+    outcome: str  # "verified" | "exhausted" | "out-of-budget" | "no-verdict"
+    detail: str = ""  # on "no-verdict": the verifier's outcome and detail
 
 
 def spec_mutation(
@@ -180,11 +182,12 @@ def spec_selection(
     """Verify-and-replace until the verifier accepts the selected set.
 
     Exactly one verifier call per iteration. A failure that cannot be
-    attributed to any currently selected clause refutes the whole selection —
-    progress is guaranteed either way. An empty selection is verified once
-    for the record and ends the loop ``"exhausted"``. A budget that runs out
-    before an iteration ends it ``"out-of-budget"``, with that iteration's
-    selection unverified.
+    attributed to any currently selected clause refutes the whole selection
+    (Houdini's rule) — progress is guaranteed either way. A timeout or crash
+    refutes nothing and ends the loop ``"no-verdict"``. An empty selection is
+    verified once for the record and ends the loop ``"exhausted"``. A budget
+    that runs out before an iteration ends it ``"out-of-budget"``, with that
+    iteration's selection unverified.
     """
     started = time.monotonic()
     while True:
@@ -197,14 +200,19 @@ def spec_selection(
             return RepairResult(program, state, "exhausted")
         if verdict.outcome is Outcome.PASS:
             return RepairResult(program, state, "verified")
+        if not verdict.failures:  # a timeout or crash; a fail always carries failures
+            detail = f"verifier {verdict.outcome.value}"
+            if verdict.detail:
+                detail += f" ({verdict.detail})"
+            return RepairResult(program, state, "no-verdict", detail)
         selected_ids = {clause.id for clause in program.clauses}
         refuted = []
         for failure in verdict.failures:
             if failure.clause_id in selected_ids and failure.clause_id not in refuted:
                 refuted.append(failure.clause_id)
         if not refuted:
-            # Unattributable failure (or timeout/crash): refute everything
-            # currently selected rather than loop forever on the same set.
+            # Unattributable failure: refute everything currently selected
+            # rather than loop forever on the same set.
             refuted = [clause.id for clause in program.clauses]
         re_select(state, refuted, strategy, iteration=state.verifier_calls)
 

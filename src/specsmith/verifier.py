@@ -237,9 +237,9 @@ class _TraceIndex:
 
     ``pointwise`` maps (phase, anchor) to the positions of its records;
     ``by_method`` maps a method name to the positions of its pre/post
-    boundary records (loop-free anchor) and its iter records, which is all a
-    decreases clause walks. Positions ascend, so walks keep trace order and
-    failure messages cite the original record index.
+    boundary records (loop-free anchor) and its loops' iter records, which
+    is all a decreases clause walks. Positions ascend, so walks keep trace
+    order and failure messages cite the original record index.
     """
 
     __slots__ = ("traces", "pointwise", "by_method")
@@ -251,7 +251,7 @@ class _TraceIndex:
         for position, record in enumerate(traces):
             key = (record.phase, record.anchor)
             self.pointwise.setdefault(key, array("L")).append(position)
-            if record.phase is Phase.ITER or record.anchor.loop is None:
+            if (record.phase is Phase.ITER) is (record.anchor.loop is not None):
                 self.by_method.setdefault(record.anchor.method, array("L")).append(position)
 
     def records(self, positions: array | None) -> Iterator[tuple[int, TraceRecord]]:
@@ -270,14 +270,16 @@ class TraceVerifier:
     A clause fails iff some record falsifies it; the first falsifying record
     index is cited in the failure message. Decreases clauses must be
     non-negative at every loop iteration and strictly decrease across
-    consecutive iterations of one loop activation (activations are delimited
-    by pre/post records of the enclosing method). Evaluation errors surface
-    as type-error failures, and a clause whose line does not parse (a family
-    member nested past the parser's depth limit) as a syntax-error failure.
-    A pass only means no counterexample appears in the given traces, hence
-    the coverage caveat on every verdict. Records name a method only, so a
-    clause above one of two same-name methods raises AnchorNotFound, as in
-    the exec adapter; each distinct program text is scanned for them once.
+    consecutive iterations of one loop activation (an activation ends at a
+    pre/post record of the enclosing method, or at an iteration of a loop
+    earlier in the method's text, such as an enclosing one). Evaluation
+    errors surface as type-error failures, and a clause whose line does not
+    parse (a family member nested past the parser's depth limit) as a
+    syntax-error failure. A pass only means no counterexample appears in the
+    given traces, hence the coverage caveat on every verdict. Records name a
+    method only, so a clause above one of two same-name methods raises
+    AnchorNotFound, as in the exec adapter; each distinct program text is
+    scanned for them once.
 
     The records are indexed on the first ``verify``. Each distinct
     (kind, anchor, expression) is checked once; its outcome is kept, keyed by
@@ -325,8 +327,10 @@ def _refute(clause: Clause, index: _TraceIndex) -> _Refutation | None:
     except ClauseSyntaxError as exc:
         return f"{_clause_label(clause)} does not parse: {exc}", FailureCategory.SYNTAX_ERROR
     if clause.kind is ClauseKind.DECREASES:
-        method = clause.anchor.method if clause.anchor is not None else None
-        return _check_decreases(clause, index.records(index.by_method.get(method)))
+        anchor = clause.anchor
+        if anchor is None or anchor.loop is None:
+            return None  # no loop, so no iteration to measure
+        return _check_decreases(clause, index.records(index.by_method.get(anchor.method)))
     key = (_PHASE_FOR_KIND[clause.kind], clause.anchor)
     return _check_pointwise(clause, index.records(index.pointwise.get(key)))
 
@@ -358,8 +362,9 @@ def _check_pointwise(
 def _check_decreases(
     clause: Clause, records: Iterator[tuple[int, TraceRecord]]
 ) -> _Refutation | None:
-    """``records`` are the boundary and iter records of the clause's method."""
-    loop = clause.anchor.loop if clause.anchor is not None else None
+    """``records`` are the boundary and iter records of the clause's method,
+    whose anchor is a loop."""
+    loop = clause.anchor.loop
     activation: list[tuple[int, int]] = []  # (record index, measure value)
 
     def check_activation() -> _Refutation | None:
@@ -380,13 +385,16 @@ def _check_decreases(
         return None
 
     for index, record in records:
-        if record.phase is not Phase.ITER:  # a pre/post boundary of the method
+        # A pre/post boundary of the method ends an activation, and so does
+        # an iteration of a loop before this one in the text: an enclosing
+        # loop precedes the loops nested in it.
+        if record.phase is not Phase.ITER or record.anchor.loop < loop:
             refutation = check_activation()
             if refutation is not None:
                 return refutation
             activation = []
             continue
-        if record.anchor.loop != loop:  # an iteration of another loop
+        if record.anchor.loop != loop:  # an iteration of a later loop
             continue
         try:
             value = eval_expr(clause.expr, record)

@@ -50,8 +50,21 @@ from specsmith.expr import (
 )
 from specsmith import mutation
 from specsmith.mutation import MutationKind, Variant, WeightTable
+from specsmith.parser import MAX_NESTING, _check_depth, _check_end, _Parser, tokenize
 from specsmith.schemata import render_plan
 from specsmith.verifier import FailureCategory, FailureReport, Outcome, VerifierVerdict
+
+
+def parse_expr(text: str) -> Expr:
+    """Parse a bare expression with the clause parser; the whole string must
+    be consumed, and the clause nesting limit applies."""
+    parser = _Parser(tokenize(text))
+    node = parser.parse_expr()
+    _check_end(parser, "end of expression")
+    if len(parser.tokens) > MAX_NESTING:
+        _check_depth(node)
+    return node
+
 
 # ---------------------------------------------------------------------------
 # Seeded random expression generators (plain `random`, no hypothesis).
@@ -477,12 +490,19 @@ def _oracle_decreases(clause, traces):
                 )
         return None
 
+    loop = clause.anchor.loop if clause.anchor is not None else None
     for index, record in enumerate(traces):
-        if (
-            record.phase in (Phase.PRE, Phase.POST)
-            and record.anchor.loop is None
-            and record.anchor.method == method
-        ):
+        if record.anchor.method != method:
+            continue
+        boundary = record.phase in (Phase.PRE, Phase.POST) and record.anchor.loop is None
+        # An enclosing loop precedes the loops nested in it, so an iteration
+        # of an earlier loop starts a fresh activation of this one.
+        earlier_loop = (
+            record.phase is Phase.ITER
+            and None not in (loop, record.anchor.loop)
+            and record.anchor.loop < loop
+        )
+        if boundary or earlier_loop:
             report = check_activation()
             if report is not None:
                 return report

@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from conftest import gen_bool_expr
+from conftest import gen_bool_expr, parse_expr
 
 from specsmith.clauses import (
     Anchor,
@@ -12,14 +12,12 @@ from specsmith.clauses import (
     Clause,
     ClauseKind,
     extract_annotations,
-    instrument,
     instrument_with_lines,
     parse_clause,
     scan_anchors,
 )
 from specsmith.errors import AnchorNotFound, ExtractionError, TypeMismatch
 from specsmith.expr import render_expr
-from specsmith.parser import parse_expr
 
 SIMPLE = """\
 class Abs {
@@ -179,6 +177,27 @@ class TestExtraction:
             extract_annotations(source)
         assert any("boolean" in msg for _, msg in info.value.issues)
 
+    def test_a_kind_that_does_not_fit_its_anchor_is_rejected(self):
+        twosum = (Path(__file__).parent / "fixtures" / "TwoSum.java").read_text(encoding="utf-8")
+        source = (
+            twosum.replace("    static int[]", "    //@ maintaining false;\n    static int[]")
+            .replace("        for (int i", "        //@ requires false;\n        //@ ensures false;\n        for (int i")
+            .replace("            for (int j", "            //@ requires false;\n            //@ ensures false;\n            for (int j")
+        )
+        with pytest.raises(ExtractionError) as info:
+            extract_annotations(source)
+        above_loop = "clauses belong above a method header, not a loop"
+        assert info.value.issues == [
+            (2, "maintaining clauses belong above a loop, not a method header"),
+            (5, f"requires {above_loop}"),
+            (6, f"ensures {above_loop}"),
+            (8, f"requires {above_loop}"),
+            (9, f"ensures {above_loop}"),
+        ]
+        decreases = twosum.replace("    static int[]", "    //@ decreases n;\n    static int[]")
+        with pytest.raises(ExtractionError, match="line 2: decreases clauses belong above a loop"):
+            extract_annotations(decreases)
+
     def test_unannotated_program_yields_no_clauses(self):
         program = extract_annotations("class C {\n    static int f(int x) { return x; }\n}\n")
         assert program.clauses == ()
@@ -234,7 +253,7 @@ class TestInstrument:
     def test_extraction_instrument_round_trip(self):
         for source in (SIMPLE, LOOPY):
             program = extract_annotations(source)
-            assert instrument(program) == source
+            assert instrument_with_lines(program)[0] == source
 
     def test_instrument_reports_annotation_lines(self):
         program = extract_annotations(SIMPLE)
@@ -246,14 +265,14 @@ class TestInstrument:
 
     def test_instrument_preserves_indentation(self):
         program = extract_annotations(SIMPLE)
-        text = instrument(program)
+        text = instrument_with_lines(program)[0]
         assert "    //@ requires x > 0;" in text
 
     def test_missing_anchor_raises(self):
         clause = Clause(ClauseKind.REQUIRES, "//@ requires x > 0;", Anchor("nope"), "method:nope/requires/0")
         program = AnnotatedProgram("class C {\n}\n", (clause,))
         with pytest.raises(AnchorNotFound):
-            instrument(program)
+            instrument_with_lines(program)
 
     def test_replacing_clause_expressions_keeps_layout(self):
         program = extract_annotations(SIMPLE)
@@ -261,14 +280,14 @@ class TestInstrument:
             program.source,
             tuple(dataclasses.replace(c, text=f"//@ {c.kind.value} x >= 17;") for c in program.clauses),
         )
-        text = instrument(swapped)
+        text = instrument_with_lines(swapped)[0]
         assert text.count("x >= 17") == 2
         assert extract_annotations(text).source == program.source
 
     def test_an_anchor_of_two_same_name_methods_raises(self):
         program = extract_annotations(OVERLOADS)
         with pytest.raises(AnchorNotFound, match="anchor method:f names 2 lines"):
-            instrument(program)
+            instrument_with_lines(program)
 
     def test_loop_anchors_of_same_name_methods_are_distinct(self):
         source = (
@@ -288,9 +307,9 @@ class TestInstrument:
             "loop:f:0/maintaining/0",
             "loop:f:1/maintaining/0",
         ]
-        assert instrument(program) == source
+        assert instrument_with_lines(program)[0] == source
 
     def test_trailing_newline_state_preserved(self):
         no_newline = SIMPLE.rstrip("\n")
         program = extract_annotations(no_newline)
-        assert instrument(program) == no_newline
+        assert instrument_with_lines(program)[0] == no_newline

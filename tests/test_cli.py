@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 import itertools
 import json
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -368,6 +369,28 @@ class TestEval:
         assert code == 1
         assert "outcome: fail" in captured.out
 
+    @pytest.mark.parametrize(
+        "line, code",
+        [("//@ decreases n - j;", 0), ("//@ decreases j;", 1), ("//@ requires nums != null;", 2)],
+    )
+    def test_clauses_above_twosum_inner_loop(self, tmp_path, capsys, line, code):
+        # Each entry into the inner loop starts a fresh activation of its
+        # measure; a requires clause belongs above a method header.
+        fixtures = Path(__file__).parent / "fixtures"
+        source = (fixtures / "TwoSum.java").read_text(encoding="utf-8")
+        annotated = tmp_path / "TwoSum.java"
+        annotated.write_text(
+            source.replace("            for (int j", f"            {line}\n            for (int j"),
+            encoding="utf-8",
+        )
+        assert main(["eval", str(annotated), str(fixtures / "twosum_trace.jsonl")]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err == (
+                "error: annotation extraction failed: line 5: "
+                "requires clauses belong above a method header, not a loop\n"
+            )
+
     def test_missing_trace_file(self, workspace, capsys):
         code = main(
             [
@@ -462,6 +485,24 @@ class TestRepair:
             "  refuted (call 1) method:abs/ensures/0: //@ ensures \\result > 0;\n"
         )
         assert captured.err == "error: repair loop exceeded its 0.15s budget\n"
+
+    def test_a_crashed_verifier_prints_the_state_and_an_error(self, workspace, capsys):
+        config = workspace / "config.yaml"
+        data = yaml.safe_load(config.read_text(encoding="utf-8"))
+        data["verifier"] = {
+            "adapter": "exec",
+            "command": f"{sys.executable} -c \"import sys; sys.exit('checker broke')\" {{file}}",
+        }
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        code = main(["repair", str(workspace / "AbsAnnotated.java"), "--config", str(config)])
+        captured = capsys.readouterr()
+        # A crash blames no clause: nothing is refuted, and the run fails.
+        assert code == 1
+        assert captured.out == "verifier calls: 1\n"
+        assert captured.err == (
+            "error: repair stopped without a verdict: "
+            "verifier crash (exit status 1: checker broke)\n"
+        )
 
     def test_parse_error_exits_two(self, workspace, capsys):
         bad = workspace / "Bad.java"

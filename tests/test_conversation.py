@@ -13,11 +13,9 @@ from specsmith.conversation import (
     EndpointConfig,
     ExtractionFailure,
     HttpChatClient,
-    PromptBundle,
     ScriptedChatClient,
     _trim_history,
     build_feedback_prompt,
-    build_initial_prompt,
     extract_specs,
     run_conversation,
 )
@@ -124,50 +122,67 @@ class TestEndpointConfig:
 # ---------------------------------------------------------------------------
 
 
+def round_one(shot_count: int, shots=SHOTS) -> tuple[list[dict[str, str]], str]:
+    """The messages of the first chat request of a conversation on
+    ABS_PROGRAM, and the prompt its transcript records for round one."""
+    client = RecordingChatClient(ScriptedChatClient([fenced(ABS_ANNOTATED)]))
+    cfg = EndpointConfig(shot_count=shot_count, max_rounds=1)
+    transcript = run_conversation(
+        ABS_PROGRAM, cfg, ScriptedVerifier([pass_verdict()]), client, shots=shots
+    )
+    return client.calls[0], transcript.rounds[0].prompt
+
+
 class TestPromptAssembly:
+    @pytest.mark.parametrize("shot_count", range(len(SHOTS) + 1))
+    def test_round_one_messages_for_every_shot_count(self, shot_count):
+        messages, prompt = round_one(shot_count)
+        expected = [{"role": "system", "content": DEFAULT_SYSTEM_ROLE}]
+        for program, annotated in SHOTS[:shot_count]:
+            expected.append({
+                "role": "user",
+                "content": f"Add JML specifications to this Java program:\n```java\n{program}\n```",
+            })
+            expected.append({"role": "assistant", "content": f"```java\n{annotated}\n```"})
+        expected.append({
+            "role": "user",
+            "content": f"Add JML specifications to this Java program:\n```java\n{ABS_PROGRAM}\n```",
+        })
+        assert messages == expected
+        assert prompt == "\n\n".join(m["content"] for m in expected)
+
     def test_message_layout(self):
-        bundle = build_initial_prompt(ABS_PROGRAM, SHOTS, shot_count=2)
-        messages = bundle.render_messages()
+        messages, _ = round_one(2)
         assert [m["role"] for m in messages] == [
             "system", "user", "assistant", "user", "assistant", "user",
         ]
         assert messages[0]["content"] == DEFAULT_SYSTEM_ROLE
 
     def test_query_message_embeds_program(self):
-        bundle = build_initial_prompt(ABS_PROGRAM, SHOTS, shot_count=1)
-        query = bundle.render_messages()[-1]["content"]
-        assert query == (
+        messages, _ = round_one(1)
+        assert messages[-1]["content"] == (
             "Add JML specifications to this Java program:\n"
             f"```java\n{ABS_PROGRAM}\n```"
         )
 
     def test_shot_pair_contents(self):
-        bundle = build_initial_prompt(ABS_PROGRAM, SHOTS, shot_count=2)
-        messages = bundle.render_messages()
+        messages, _ = round_one(2)
         assert SHOTS[0][0] in messages[1]["content"]
         assert messages[2]["content"] == f"```java\n{SHOTS[0][1]}\n```"
         assert SHOTS[1][0] in messages[3]["content"]
 
     def test_shot_count_takes_prefix(self):
-        bundle = build_initial_prompt(ABS_PROGRAM, SHOTS, shot_count=2)
-        assert bundle.shots == tuple(SHOTS[:2])
-
-    def test_shot_count_defaults_to_all(self):
-        bundle = build_initial_prompt(ABS_PROGRAM, SHOTS)
-        assert bundle.shots == tuple(SHOTS)
+        messages, _ = round_one(2)
+        assert SHOTS[1][1] in messages[4]["content"]
+        assert SHOTS[2][0] not in json.dumps(messages)
 
     def test_zero_shots(self):
-        bundle = build_initial_prompt(ABS_PROGRAM, SHOTS, shot_count=0)
-        messages = bundle.render_messages()
+        messages, _ = round_one(0)
         assert len(messages) == 2  # system + query only
 
     def test_insufficient_shots(self):
         with pytest.raises(InsufficientShots, match="4 few-shot examples"):
-            build_initial_prompt(ABS_PROGRAM, SHOTS, shot_count=4)
-
-    def test_custom_system_role(self):
-        bundle = build_initial_prompt(ABS_PROGRAM, [], system_role="be terse")
-        assert bundle.render_messages()[0]["content"] == "be terse"
+            round_one(4)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +217,7 @@ class TestExtractSpecs:
     def test_no_annotations_anywhere(self):
         result = extract_specs("I cannot annotate that program.", ABS_PROGRAM)
         assert isinstance(result, ExtractionFailure)
-        assert "no //@ annotation lines" in result.first_message
+        assert "no //@ annotation lines" in result.diagnostics[0]
 
     def test_bare_clauses_anchored_onto_program(self):
         response = fenced(
@@ -230,25 +245,25 @@ class TestExtractSpecs:
         )
         result = extract_specs(fenced("//@ requires x >= 0;\n"), program)
         assert isinstance(result, ExtractionFailure)
-        assert "2 methods" in result.first_message
+        assert "2 methods" in result.diagnostics[0]
 
     def test_bare_loop_clauses_without_loop(self):
         result = extract_specs(fenced("//@ maintaining i <= n;\n"), ABS_PROGRAM)
         assert isinstance(result, ExtractionFailure)
-        assert "0 loops" in result.first_message
+        assert "0 loops" in result.diagnostics[0]
 
     def test_parse_error_becomes_diagnostics(self):
         bad = ABS_ANNOTATED.replace("x > -1000", "x > >")
         result = extract_specs(fenced(bad), ABS_PROGRAM)
         assert isinstance(result, ExtractionFailure)
         assert result.diagnostics
-        assert result.first_message.startswith("line ")
+        assert result.diagnostics[0].startswith("line ")
 
     def test_type_error_becomes_diagnostics(self):
         bad = ABS_ANNOTATED.replace("x > -1000", "x + 1")
         result = extract_specs(fenced(bad), ABS_PROGRAM)
         assert isinstance(result, ExtractionFailure)
-        assert "boolean" in result.first_message
+        assert "boolean" in result.diagnostics[0]
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +588,24 @@ class TestRunConversation:
         feedback = client.calls[1][-1]["content"]
         assert "could not be parsed" in feedback
         assert "no //@ annotation lines" in feedback
+
+    def test_misplaced_clause_is_fed_back_as_a_syntax_failure(self):
+        misplaced = SUM_PROGRAM.replace(
+            "        while", "        //@ requires n >= 0;\n        while"
+        )
+        client = RecordingChatClient(ScriptedChatClient([fenced(misplaced)] * 2))
+        cfg = EndpointConfig(shot_count=0, max_rounds=2)
+        transcript = run_conversation(SUM_PROGRAM, cfg, ScriptedVerifier([]), client)
+        assert transcript.outcome == "exhausted"
+        assert transcript.verifier_calls == 0
+        diagnostic = "line 5: requires clauses belong above a method header, not a loop"
+        assert transcript.rounds[0].extraction_diagnostics == (diagnostic,)
+        assert client.calls[1][-1]["content"] == (
+            "The previous response could not be parsed.\n"
+            f"Failure: {diagnostic}\n"
+            f"Guidance: {DEFAULT_GUIDANCE[FailureCategory.SYNTAX_ERROR]}\n"
+            "Return the full corrected annotated program in one fenced code block."
+        )
 
     def test_script_exhaustion_aborts(self):
         client = ScriptedChatClient([])

@@ -23,7 +23,6 @@ from specsmith.evaluate import (
     record_from_dict,
 )
 from specsmith.expr import Binary, Unary, walk
-from specsmith.parser import parse_expr
 
 from conftest import (
     REL_OPS,
@@ -31,6 +30,7 @@ from conftest import (
     eval_outcome,
     gen_eval_case,
     oracle_eval,
+    parse_expr,
     record_to_dict,
 )
 

@@ -10,6 +10,7 @@ from conftest import (
     gen_mutation_clause,
     oracle_family,
     oracle_variant_tree,
+    parse_expr,
     scale_weights,
     score_variant,
     select_by_heuristic,
@@ -27,7 +28,6 @@ from specsmith.mutation import (
     enumerate_sites,
     enumerate_variants,
 )
-from specsmith.parser import parse_expr
 from specsmith.repair import FamilySlot, HeuristicStrategy, RandomStrategy
 
 

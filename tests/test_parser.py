@@ -23,9 +23,9 @@ from specsmith.expr import (
     infer_type,
     render_expr,
 )
-from specsmith.parser import MAX_NESTING, parse_clause_line, parse_expr, tokenize
+from specsmith.parser import MAX_NESTING, parse_clause_line, tokenize
 
-from conftest import bool_exprs, gen_bool_expr, int_exprs, oracle_tokenize
+from conftest import bool_exprs, gen_bool_expr, int_exprs, oracle_tokenize, parse_expr
 
 
 # Pieces of clause text plus characters no token starts with, so drawn

@@ -29,7 +29,14 @@ from specsmith.pipeline import (
     write_report,
 )
 from specsmith.repair import HeuristicStrategy, RandomStrategy
-from specsmith.verifier import ExecVerifier, FailureCategory, MockVerifier, TraceVerifier
+from specsmith.verifier import (
+    ExecVerifier,
+    FailureCategory,
+    MockVerifier,
+    Outcome,
+    TraceVerifier,
+    VerifierVerdict,
+)
 
 ABS_PROGRAM = """\
 class Abs {
@@ -422,6 +429,33 @@ class TestRunPipeline:
         assert entry["outcome"] == "aborted"
         assert entry["error"] == "anchor method:f names 2 lines in the program source"
         assert entry["verifier_calls_conversation"] == 0
+
+    def test_verifier_timeout_in_repair_is_an_aborted_entry(self, tmp_path):
+        class SlowAtFirst(MockVerifier):
+            """The truth-set mock, except that its first three calls time out:
+            both conversation rounds and the first repair call."""
+
+            calls = 0
+
+            def verify(self, program):
+                self.calls += 1
+                if self.calls <= 3:
+                    return VerifierVerdict(Outcome.TIMEOUT, detail="command exceeded 5s")
+                return super().verify(program)
+
+        # The truth is exactly the response's two templates.
+        config = scripted_mock_config(tmp_path, [fenced(ABS_CORRECT)] * 2)
+        context = PipelineContext(config=config, verifier=SlowAtFirst(ABS_TRUTH), shots=[])
+        entry = run_pipeline("Abs", ABS_PROGRAM, context, client_factory(config)(0))
+        assert entry["outcome"] == "aborted"
+        assert entry["error"] == (
+            "repair stopped without a verdict: verifier timeout (command exceeded 5s)"
+        )
+        assert entry["verifier_calls_conversation"] == 2
+        assert entry["verifier_calls_repair"] == 1
+        assert entry["refuted_history"] == []
+        assert entry["dropped_templates"] == []
+        assert entry["final_clauses"] == []
 
     def test_aborted_on_insufficient_shots(self, tmp_path):
         config = scripted_mock_config(

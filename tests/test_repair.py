@@ -176,16 +176,21 @@ class TestUnattributableFailures:
             "method:check/requires/0"
         ]
 
-    def test_timeout_refutes_all_selected(self):
-        program = make_program("a == b")
-        verdicts = [
-            VerifierVerdict(Outcome.TIMEOUT, detail="verifier timed out"),
-            VerifierVerdict(Outcome.PASS),
-        ]
-        verifier = ScriptedVerifier(verdicts)
-        result = mutation_based_gen(program, verifier, HeuristicStrategy())
-        assert result.outcome == "verified" and result.state.verifier_calls == 2
-        assert len(result.state.refuted_history) == 1
+    def test_timeout_and_crash_refute_nothing(self):
+        # A timeout or crash blames no clause: repair stops with the
+        # templates unrefuted and never reaches the scripted pass.
+        program = make_program("a == b", "c < d")
+        for verdict, detail in [
+            (VerifierVerdict(Outcome.TIMEOUT, detail="command exceeded 5s"),
+             "verifier timeout (command exceeded 5s)"),
+            (VerifierVerdict(Outcome.CRASH), "verifier crash"),
+        ]:
+            verifier = ScriptedVerifier([verdict, VerifierVerdict(Outcome.PASS)])
+            result = mutation_based_gen(program, verifier, HeuristicStrategy())
+            assert (result.outcome, result.detail) == ("no-verdict", detail)
+            assert result.state.verifier_calls == 1
+            assert result.state.refuted_history == []
+            assert result.program.clauses == program.clauses
 
 
 class TestHoudiniFallback:
@@ -226,9 +231,11 @@ class TestHoudiniFallback:
         assert min(outcomes.values()) > 100
 
     def test_unattributable_failure_refutes_exactly_the_selection(self):
-        unattributable = [
+        silent = [
             VerifierVerdict(Outcome.TIMEOUT, detail="verifier timed out"),
             VerifierVerdict(Outcome.CRASH, detail="verifier crashed"),
+        ]
+        unattributable = [
             VerifierVerdict(Outcome.FAIL, (FailureReport("cannot tell", FailureCategory.UNKNOWN),)),
             VerifierVerdict(
                 Outcome.FAIL,
@@ -237,24 +244,28 @@ class TestHoudiniFallback:
         ]
 
         class Blurred:
-            """The truth-set mock, except that a quarter of its calls
-            answer with a verdict that names no selected clause."""
+            """The truth-set mock, except that a quarter of its calls answer
+            with a failure that names no selected clause, and one in twenty
+            with a timeout or crash."""
 
             def __init__(self, truth, rng):
                 self.mock = MockVerifier(truth=truth)
                 self.rng = rng
-                self.calls = []  # (selected (id, text) pairs, attributable)
+                self.calls = []  # (selected (id, text) pairs, verdict or None if the mock's)
 
             def verify(self, program):
                 shown = {(c.id, c.text) for c in program.clauses}
-                attributable = self.rng.random() >= 0.25
-                self.calls.append((shown, attributable))
-                if attributable:
-                    return self.mock.verify(program)
-                return self.rng.choice(unattributable)
+                roll = self.rng.random()
+                verdict = None
+                if roll < 0.05:
+                    verdict = self.rng.choice(silent)
+                elif roll < 0.30:
+                    verdict = self.rng.choice(unattributable)
+                self.calls.append((shown, verdict))
+                return self.mock.verify(program) if verdict is None else verdict
 
         rng = random.Random(1996)
-        fallbacks = 0
+        fallbacks = no_verdicts = 0
         for _ in range(300):
             program, cap, _, truth, strategy = self.generated(rng)
             verifier = Blurred(truth, rng)
@@ -263,17 +274,23 @@ class TestHoudiniFallback:
             for event in result.state.refuted_history:
                 refuted.setdefault(event.iteration, []).append((event.clause_id, event.text))
             assert len(verifier.calls) == result.state.verifier_calls
-            for call, (shown, attributable) in enumerate(verifier.calls, start=1):
+            for call, (shown, verdict) in enumerate(verifier.calls, start=1):
                 pairs = refuted.get(call, [])
                 assert len(pairs) == len(set(pairs))
                 if not shown:
                     assert pairs == []
-                elif attributable:
+                elif verdict is None:
                     assert set(pairs) == {(cid, text) for cid, text in shown if text not in truth}
-                else:
+                elif verdict.outcome is Outcome.FAIL:
                     assert set(pairs) == shown
                     fallbacks += 1
-        assert fallbacks > 100
+                else:  # a timeout or crash refutes nothing and ends the repair
+                    assert pairs == [] and call == len(verifier.calls)
+                    assert result.outcome == "no-verdict"
+                    no_verdicts += 1
+            if result.outcome == "no-verdict":
+                assert verifier.calls[-1][1] in silent
+        assert fallbacks > 100 and no_verdicts > 50
 
 
 class TestStateMechanics:

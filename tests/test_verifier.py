@@ -18,7 +18,7 @@ from specsmith.clauses import (
     repeated_anchors,
 )
 from specsmith.errors import AnchorNotFound, CommandNotFound, ConfigError, ScriptExhausted
-from specsmith.evaluate import Phase, TraceRecord, eval_expr
+from specsmith.evaluate import Phase, TraceRecord, eval_expr, load_trace_file
 from specsmith.verifier import (
     DEFAULT_RULES,
     ExecVerifier,
@@ -390,6 +390,64 @@ class TestDecreases:
         ]
         verdict = TraceVerifier(records, "all").verify(program)
         assert any(f.category is FailureCategory.TYPE_ERROR for f in verdict.failures)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+TWOSUM = (FIXTURES / "TwoSum.java").read_text(encoding="utf-8")
+TWOSUM_OUTER = "        for (int i"
+TWOSUM_INNER = "            for (int j"
+
+
+def twosum_with(line: str, loop_head: str) -> str:
+    """TwoSum with ``line`` above the loop whose head starts ``loop_head``."""
+    indent = loop_head[: len(loop_head) - len(loop_head.lstrip())]
+    return TWOSUM.replace(loop_head, f"{indent}{line}\n{loop_head}", 1)
+
+
+class TestNestedDecreases:
+    """TwoSum's inner loop is entered once per outer iteration: each entry
+    starts a fresh activation, so a measure may rise between them."""
+
+    @pytest.mark.parametrize(
+        "line, loop_head, failure",
+        [
+            ("//@ decreases n - j;", TWOSUM_INNER, None),
+            ("//@ decreases j;", TWOSUM_INNER, "j fails to strictly decrease (1 then 2) at trace record 3"),
+            ("//@ decreases n - i;", TWOSUM_OUTER, None),
+            ("//@ decreases i;", TWOSUM_OUTER, "i fails to strictly decrease (0 then 1) at trace record 5"),
+        ],
+    )
+    def test_fixture_trace(self, line, loop_head, failure):
+        program = extract_annotations(twosum_with(line, loop_head))
+        traces = load_trace_file(str(FIXTURES / "twosum_trace.jsonl"))
+        verdict = TraceVerifier(traces).verify(program)
+        assert verdict == oracle_verify_trace(program, traces)
+        if failure is None:
+            assert verdict.outcome is Outcome.PASS
+        else:
+            assert [f.raw_message for f in verdict.failures] == [f"decreases {failure}"]
+
+    def test_random_nested_runs_match_the_oracle(self):
+        rng = random.Random(2002)
+        outer, inner = Anchor("twoSum", 0), Anchor("twoSum", 1)
+        inner_passes = 0
+        for _ in range(200):
+            n = rng.randrange(0, 6)
+            records = [rec(Anchor("twoSum"), Phase.PRE, {"n": n})]
+            for i in range(n):
+                records.append(rec(outer, Phase.ITER, {"n": n, "i": i}))
+                for j in range(i + 1, n):
+                    step = j if rng.random() < 0.95 else j - 1  # sometimes no progress
+                    records.append(rec(inner, Phase.ITER, {"n": n, "i": i, "j": step}))
+            records.append(rec(Anchor("twoSum"), Phase.POST, {"n": n}, result=None))
+            measure = rng.choice(("n - j", "j", "n - i", "i", "n - i - j", "j - i - 1"))
+            loop_head = rng.choice((TWOSUM_OUTER, TWOSUM_INNER))
+            program = extract_annotations(twosum_with(f"//@ decreases {measure};", loop_head))
+            verdict = TraceVerifier(records).verify(program)
+            assert verdict == oracle_verify_trace(program, records)
+            if verdict.outcome is Outcome.PASS and program.clauses[0].anchor == inner:
+                inner_passes += 1
+        assert inner_passes > 20
 
 
 class TestMockVerifier:
