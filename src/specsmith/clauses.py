@@ -209,7 +209,12 @@ _ORPHAN_MESSAGE = "annotation precedes neither a method header nor a loop"
 _LOOP_KINDS = (ClauseKind.MAINTAINING, ClauseKind.DECREASES)
 
 
-def _misplaced(kind: ClauseKind, above_loop: bool) -> str:
+def misplacement(kind: ClauseKind, above_loop: bool) -> str | None:
+    """Why a ``kind`` clause may not sit above a loop (``above_loop``) or a
+    method header, or None where it may: ``requires`` and ``ensures`` belong
+    above a method header, ``maintaining`` and ``decreases`` above a loop."""
+    if (kind in _LOOP_KINDS) is above_loop:
+        return None
     if above_loop:
         return f"{kind.value} clauses belong above a method header, not a loop"
     return f"{kind.value} clauses belong above a loop, not a method header"
@@ -219,11 +224,10 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
     """Pull ``//@`` lines out of the text and anchor them by adjacency.
 
     Annotation lines must sit immediately above a method header or a loop
-    line (other annotation lines in between are fine): ``requires`` and
-    ``ensures`` above a method header, ``maintaining`` and ``decreases``
-    above a loop. Problems — parse errors, type mismatches, orphaned or
-    misplaced annotations — are collected per line and raised together as
-    one :class:`ExtractionError`.
+    line (other annotation lines in between are fine), each kind where
+    :func:`misplacement` allows it. Problems — parse errors, type
+    mismatches, orphaned or misplaced annotations — are collected per line
+    and raised together as one :class:`ExtractionError`.
 
     Each distinct line is parsed once through ``table``, and the anchors of
     an annotation-free text scanned again only when it changes; the caller
@@ -270,8 +274,9 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
                 issues.append((line_no, entry))
                 continue
             kind = entry.kind
-            if (kind in _LOOP_KINDS) is not above_loop:
-                issues.append((line_no, _misplaced(kind, above_loop)))
+            issue = misplacement(kind, above_loop)
+            if issue is not None:
+                issues.append((line_no, issue))
                 continue
             prefix = f"{key}/{kind.value}/"
             ordinal = ordinals.get(prefix, 0)

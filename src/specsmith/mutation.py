@@ -19,6 +19,13 @@ text and score; its tree is the parse of its text, made only when a reader
 asks for it (the trace adapter, on a clause it has not checked before). The
 template member takes the template's own text and tree, and the plan is
 compiled only when a reader asks for a member past the template.
+
+Everything a family needs that depends only on the template's line, the
+enabled kinds and the weight table is a :class:`TemplatePlan`: the sites,
+their options, the walk's tables and the render plan. A caller that keeps a
+dict of plans (a pipeline context does) makes each one once and shares it
+between every family of that line; a family adds its template clause, with
+its anchor and id, and its cap.
 """
 from __future__ import annotations
 
@@ -26,8 +33,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .clauses import Clause
 from .expr import Binary, Expr, Quantifier, walk
@@ -122,30 +128,88 @@ class Variant:
         return f"Variant({self.text!r}, score={self.score})"
 
 
+class TemplatePlan:
+    """What every family of one template line shares, for one set of enabled
+    kinds and one weight table: the enabled sites, their options (best
+    score first), the raw combination count, the template's assignment,
+    the walk's per-site tables, and the render plan, compiled the first time
+    a family needs a member past its template.
+
+    A plan holds the template's kind and tree, never its anchor or id, so
+    the families of every clause with that line can share it. Two threads
+    that race on the compile only do the work twice.
+    """
+
+    __slots__ = (
+        "sites",
+        "options",
+        "raw_count",
+        "assignment",
+        "deltas",
+        "tails",
+        "first_steps",
+        "top",
+        "_template",
+        "_render",
+    )
+
+    def __init__(self, template: Clause, kinds: Iterable[MutationKind], weights: WeightTable):
+        enabled = set(kinds)
+        self.sites = [s for s in enumerate_sites(template.expr) if s.kind in enabled]
+        # Per-site options ordered best score first. The all-zeros assignment
+        # is the argmax and bumping any index can only lower the score.
+        self.options: list[Options] = []
+        for site in self.sites:
+            site_options: Options = [(0, None)]
+            site_options.extend((weights[site.kind], repl) for repl in REPLACEMENTS[site.original_op][1])
+            site_options.sort(key=lambda pair: -pair[0])
+            self.options.append(site_options)
+        self.raw_count = math.prod(len(site_options) for site_options in self.options)
+        self.assignment = tuple([r for _, r in site_options].index(None) for site_options in self.options)
+        self.deltas = [[delta for delta, _ in site_options] for site_options in self.options]
+        n = len(self.deltas)
+        # Bumping a site i past the last bumped one: the assignment's first i
+        # indexes, then ``tails[i]``, at a cost of ``first_steps[i]``.
+        self.tails = [(1,) + (0,) * (n - i - 1) for i in range(n)]
+        self.first_steps = [site[0] - site[1] for site in self.deltas]
+        self.top = sum(site[0] for site in self.deltas)  # the best score
+        self._template = template.placed(None, "")
+        self._render: Callable[[tuple[int, ...]], str] | None = None
+
+    @property
+    def render(self) -> Callable[[tuple[int, ...]], str]:
+        """The render plan (:func:`~specsmith.schemata.render_plan`)."""
+        render = self._render
+        if render is None:
+            render = self._render = render_plan(self._template, self.sites, self.options)
+        return render
+
+
+# Template plans by (template line, enabled kinds, weight table).
+Plans = dict[tuple[str, frozenset[MutationKind], WeightTable], TemplatePlan]
+
+
 class Family:
     """The variants of one template clause, built best-first on demand.
 
-    ``sites`` are the template's enabled mutation sites and ``options`` their
-    options, best score first. Members are ordered by score (descending),
-    then text (ascending), except that the template, a member by definition,
-    takes the last place within the cap when it would miss it. The
-    enumeration advances one score level at a time and only as far as a
-    reader asks: ``get(i)`` builds just enough levels, ``variants`` builds the
-    whole family, and ``len()`` and ``truncated`` build nothing, since every
-    raw combination is a distinct member up to the cap.
+    ``plan`` is the template's :class:`TemplatePlan`. Members are ordered by
+    score (descending), then text (ascending), except that the template, a
+    member by definition, takes the last place within the cap when it would
+    miss it. The enumeration advances one score level at a time and only as
+    far as a reader asks: ``get(i)`` builds just enough levels, ``variants``
+    builds the whole family, and ``len()`` and ``truncated`` build nothing,
+    since every raw combination is a distinct member up to the cap.
     """
 
-    def __init__(self, template: Clause, sites: list[MutationSite], options: list[Options], cap: int):
+    def __init__(self, template: Clause, plan: TemplatePlan, cap: int):
         self.template = template
-        self.sites = sites
-        self.options = options
-        self.raw_count = math.prod(len(site_options) for site_options in options)
+        self.plan = plan
+        self.raw_count = plan.raw_count
         self.cap = cap
-        unchanged = tuple([r for _, r in site_options].index(None) for site_options in options)
-        self.template_variant = Variant(template, unchanged, template.text, 0, template)
+        self.template_variant = Variant(template, plan.assignment, template.text, 0, template)
         self._built: list[Variant] = []
         # Each step appends a score level to ``_built``.
-        self._levels = _walk_levels(self.template_variant, sites, options, cap, self._built)
+        self._levels = _walk_levels(self.template_variant, plan, cap, self._built)
 
     def get(self, index: int) -> Variant | None:
         """The member at ``index`` in family order, or None past the end."""
@@ -191,6 +255,7 @@ def enumerate_variants(
     kinds: Iterable[MutationKind] = ALL_KINDS,
     cap: int = 4096,
     weights: WeightTable | None = None,
+    plans: Plans | None = None,
 ) -> Family:
     """The family of every combination of per-site replacements.
 
@@ -200,31 +265,24 @@ def enumerate_variants(
     truncated flag set, and a template that would miss the cap takes the
     last place. Nothing is built until a reader asks for members (see
     :class:`Family`).
+
+    ``plans`` maps (template line, kinds, weights) to the template's plan;
+    a plan missing from it is made and kept there. Without it, the family
+    gets a plan of its own.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     weights = weights or DEFAULT_WEIGHTS
-    enabled = set(kinds)
-    sites = [s for s in enumerate_sites(template.expr) if s.kind in enabled]
-
-    # Per-site options ordered best score first. The all-zeros assignment is
-    # the argmax and bumping any index can only lower the score.
-    options: list[Options] = []
-    for site in sites:
-        site_options: Options = [(0, None)]
-        site_options.extend((weights[site.kind], repl) for repl in REPLACEMENTS[site.original_op][1])
-        site_options.sort(key=lambda pair: -pair[0])
-        options.append(site_options)
-    return Family(template, sites, options, cap)
+    if plans is None:
+        return Family(template, TemplatePlan(template, kinds, weights), cap)
+    key = (template.text, frozenset(kinds), weights)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = TemplatePlan(template, kinds, weights)
+    return Family(template, plan, cap)
 
 
-def _walk_levels(
-    template_variant: Variant,
-    sites: list[MutationSite],
-    options: list[Options],
-    cap: int,
-    built: list[Variant],
-) -> Iterator[bool]:
+def _walk_levels(template_variant: Variant, plan: TemplatePlan, cap: int, built: list[Variant]) -> Iterator[bool]:
     """Append one score level to ``built`` per step (each yields True).
 
     The template is a member even where its place would miss the cap, so
@@ -233,8 +291,9 @@ def _walk_levels(
     every member built so far in family order, so no built member moves.
     """
     template, template_assignment = template_variant.template, template_variant.assignment
+    template_text = template_variant.text
     render = None  # the render plan, compiled for the first member past the template
-    deltas = [[delta for delta, _ in site_options] for site_options in options]
+    deltas, tails, first_steps = plan.deltas, plan.tails, plan.first_steps
     # Best-first walk over assignments: pop everything at one score, order
     # that batch by text, emit, then descend to the next score. Heap entries
     # hold the negated score, the assignment and its last bumped site (-1
@@ -260,11 +319,7 @@ def _walk_levels(
     heappush, heappop = heapq.heappush, heapq.heappop
     n = len(deltas)
     start = (0,) * n
-    # Bumping a site i past the last bumped one: the assignment's first i
-    # indexes, then ``tails[i]``, at a cost of ``first_steps[i]``.
-    tails = [(1,) + start[i + 1 :] for i in range(n)]
-    first_steps = [site[0] - site[1] for site in deltas]
-    heap: list[tuple[int, tuple[int, ...], int]] = [(-sum(site[0] for site in deltas), start, -1)]
+    heap: list[tuple[int, tuple[int, ...], int]] = [(-plan.top, start, -1)]
     batch_limit = max(4 * cap, 16384)
     room = cap - 1  # places for members other than the template
     stopped_early = False
@@ -289,21 +344,23 @@ def _walk_levels(
             for i in range(last + 1, n):
                 heappush(heap, (batch_cost + first_steps[i], assignment[:i] + tails[i], i))
         if render is None and batch != [template_assignment]:
-            render = render_plan(template, sites, options)
-        members = [
-            template_variant
-            if assignment == template_assignment
-            else Variant(template, assignment, render(assignment), -batch_cost)
+            render = plan.render
+        # The level in family order (distinct assignments render distinct
+        # texts, so the texts decide it); a member is made only once kept.
+        level = [
+            (template_text if assignment == template_assignment else render(assignment), assignment)
             for assignment in batch
         ]
-        members.sort(key=attrgetter("text"))
-        for variant in members:
-            if variant is template_variant:
+        level.sort()
+        for text, assignment in level:
+            if assignment == template_assignment:
                 room = cap
+                built.append(template_variant)
             elif len(built) >= room:
                 stopped_early = True
                 break
-            built.append(variant)
+            else:
+                built.append(Variant(template, assignment, text, -batch_cost))
         yield True
 
     if room < cap:

@@ -26,6 +26,7 @@ from .conversation import (
 )
 from .errors import ConfigError, SpecError
 from .evaluate import load_trace_file, read_json_lines
+from .mutation import Plans
 from .repair import (
     HeuristicStrategy,
     RandomStrategy,
@@ -124,9 +125,11 @@ class PipelineContext:
     """Shared collaborators, overridable in tests.
 
     ``table`` is the clause table that every conversation run in this
-    context parses through. Like the trace adapter's verdict memo, it lives
-    as long as its holder and grows with the distinct ``//@`` lines seen,
-    not with the entries run.
+    context parses through, and ``plans`` holds the mutation plan of every
+    template line repaired in it (see :class:`~specsmith.mutation.TemplatePlan`),
+    keyed by the line, the enabled kinds and the weight table. Like the
+    trace adapter's verdict memo, both live as long as their holder and grow
+    with the distinct ``//@`` lines seen, not with the entries run.
     """
 
     config: PipelineConfig
@@ -134,6 +137,7 @@ class PipelineContext:
     shots: list[tuple[str, str]]
     guidance: dict | None = None
     table: ClauseTable = field(default_factory=ClauseTable)
+    plans: Plans = field(default_factory=dict)
 
 
 def make_context(config: PipelineConfig) -> PipelineContext:
@@ -214,6 +218,7 @@ def run_pipeline(
                 weights=config.weights,
                 cap=config.mutation.variant_cap,
                 budget_seconds=remaining,
+                plans=context.plans,
             )
             _record_repair(entry, result.state)
             if result.outcome == "verified":

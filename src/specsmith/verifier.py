@@ -22,7 +22,16 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from .clauses import Anchor, AnnotatedProgram, Clause, ClauseKind, check_anchors, instrument_with_lines, repeated_anchors
+from .clauses import (
+    Anchor,
+    AnnotatedProgram,
+    Clause,
+    ClauseKind,
+    check_anchors,
+    instrument_with_lines,
+    misplacement,
+    repeated_anchors,
+)
 from .errors import ClauseSyntaxError, CommandNotFound, ConfigError, EvalError
 from .evaluate import Phase, TraceRecord, eval_expr
 
@@ -273,8 +282,9 @@ class TraceVerifier:
     consecutive iterations of one loop activation (an activation ends at a
     pre/post record of the enclosing method, or at an iteration of a loop
     earlier in the method's text, such as an enclosing one). Evaluation
-    errors surface as type-error failures, and a clause whose line does not
-    parse (a family member nested past the parser's depth limit) as a
+    errors surface as type-error failures. A clause whose kind does not fit
+    its anchor (:func:`~specsmith.clauses.misplacement`) or whose line does
+    not parse (a family member nested past the parser's depth limit) is a
     syntax-error failure. A pass only means no counterexample appears in the
     given traces, hence the coverage caveat on every verdict. Records name a
     method only, so a clause above one of two same-name methods raises
@@ -322,13 +332,17 @@ class TraceVerifier:
 
 
 def _refute(clause: Clause, index: _TraceIndex) -> _Refutation | None:
+    anchor = clause.anchor
+    if anchor is not None:
+        issue = misplacement(clause.kind, anchor.loop is not None)
+        if issue is not None:
+            return f"{_clause_label(clause)} at {anchor.key()}: {issue}", FailureCategory.SYNTAX_ERROR
     try:
         clause.expr  # a family member's tree is parsed from its text here
     except ClauseSyntaxError as exc:
         return f"{_clause_label(clause)} does not parse: {exc}", FailureCategory.SYNTAX_ERROR
     if clause.kind is ClauseKind.DECREASES:
-        anchor = clause.anchor
-        if anchor is None or anchor.loop is None:
+        if anchor is None:
             return None  # no loop, so no iteration to measure
         return _check_decreases(clause, index.records(index.by_method.get(anchor.method)))
     key = (_PHASE_FOR_KIND[clause.kind], clause.anchor)

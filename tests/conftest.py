@@ -276,7 +276,7 @@ def oracle_variant_tree(family, assignment: tuple[int, ...]) -> Expr:
     template by the oracle's own rewrites, deepest site first."""
     chosen = [
         (site.path, replacement)
-        for site, site_options, index in zip(family.sites, family.options, assignment)
+        for site, site_options, index in zip(family.plan.sites, family.plan.options, assignment)
         if (replacement := site_options[index][1]) is not None
     ]
     tree = family.template.expr
@@ -340,12 +340,12 @@ def scale_weights(weights: WeightTable, factor: int) -> WeightTable:
 # whichever neighbor reaches it first.
 
 
-def visited_set_walk_levels(template_variant, sites, options, cap, built):
+def visited_set_walk_levels(template_variant, plan, cap, built):
     """Drop-in for ``mutation._walk_levels``: one score level per step, and
     a template that misses the cap evicts the worst member at the end."""
     template = template_variant.template
-    render = render_plan(template, sites, options)
-    deltas = [[delta for delta, _ in site_options] for site_options in options]
+    render = render_plan(template, plan.sites, plan.options)
+    deltas = [[delta for delta, _ in site_options] for site_options in plan.options]
     start = tuple(0 for _ in deltas)
     heap = [(-sum(site[0] for site in deltas), start)]
     visited = {start}
@@ -418,8 +418,10 @@ def select_by_heuristic(variants, weights):
 def oracle_verify_trace(program, traces, failures_per_call="all") -> VerifierVerdict:
     failures = []
     for clause in program.clauses:
-        check = _oracle_decreases if clause.kind is ClauseKind.DECREASES else _oracle_pointwise
-        report = check(clause, traces)
+        report = _oracle_placement(clause)
+        if report is None:
+            check = _oracle_decreases if clause.kind is ClauseKind.DECREASES else _oracle_pointwise
+            report = check(clause, traces)
         if report is not None:
             failures.append(report)
     if failures_per_call == "one":
@@ -447,6 +449,23 @@ def _oracle_label(clause) -> str:
 
 def _oracle_report(clause, message, category=FailureCategory.TYPE_ERROR) -> FailureReport:
     return FailureReport(message, category, clause_id=clause.id)
+
+
+def _oracle_placement(clause):
+    """Contracts sit above a method header and loop clauses above a loop;
+    any other placement is a syntax error. A clause with no anchor has no
+    placement to check."""
+    if clause.anchor is None:
+        return None
+    at_loop = clause.anchor.loop is not None
+    if (clause.kind in (ClauseKind.MAINTAINING, ClauseKind.DECREASES)) == at_loop:
+        return None
+    place = "a method header, not a loop" if at_loop else "a loop, not a method header"
+    return _oracle_report(
+        clause,
+        f"{_oracle_label(clause)} at {clause.anchor.key()}: {clause.kind.value} clauses belong above {place}",
+        FailureCategory.SYNTAX_ERROR,
+    )
 
 
 def _oracle_pointwise(clause, traces):

@@ -18,7 +18,7 @@ from conftest import (
 )
 
 from specsmith import clauses, mutation, schemata
-from specsmith.clauses import parse_clause
+from specsmith.clauses import Anchor, parse_clause
 from specsmith.expr import render_expr
 from specsmith.mutation import (
     ALL_KINDS,
@@ -381,6 +381,98 @@ class TestCanonicalParentWalk:
 KIND_SUBSETS = [
     frozenset(kinds) for size in range(5) for kinds in itertools.combinations(MutationKind, size)
 ]
+
+
+class TestKeptMembersOnly:
+    """The level the cap cuts makes a member only for the places it keeps."""
+
+    @pytest.mark.parametrize("cap", [64, 4096])
+    def test_full_read_makes_one_variant_per_member(self, cap, monkeypatch):
+        made = []
+
+        class CountedVariant(mutation.Variant):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made.append(args[1])
+                super().__init__(*args)
+
+        monkeypatch.setattr(mutation, "Variant", CountedVariant)
+        family = enumerate_variants(parse_clause(WIDE_CLAUSE), cap=cap)
+        members = family.variants
+        assert family.truncated and len(members) == cap
+        assert sorted(made) == sorted(v.assignment for v in members)  # the template included
+
+
+class TestTemplatePlans:
+    """Families built through a shared plan dict are the families built
+    afresh, and each carries its own template's anchor and id."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 64, 4096])
+    def test_shared_plans_match_fresh_builds(self, cap):
+        rng = random.Random(cap)
+        plans = {}
+        for number in range(30):
+            line = f"//@ requires {render_expr(gen_mutation_clause(rng, max_sites=6))};"
+            for weights in WALK_WEIGHTS:
+                first = parse_clause(line, Anchor("f"), f"first{number}")
+                second = parse_clause(line, Anchor("g"), f"second{number}")
+                enumerate_variants(first, cap=cap, weights=weights, plans=plans).variants
+                shared = enumerate_variants(second, cap=cap, weights=weights, plans=plans)
+                assert shared.plan is plans[(line, ALL_KINDS, weights)]
+                fresh = enumerate_variants(second, cap=cap, weights=weights)
+                k = rng.randrange(0, len(fresh) + 2)
+                assert read(map(shared.get, range(k))) == read(map(fresh.get, range(k)))
+                members = shared.variants
+                assert [(v.text, v.score, v.assignment) for v in members] == [
+                    (v.text, v.score, v.assignment) for v in fresh.variants
+                ]
+                assert (len(shared), shared.raw_count, shared.truncated) == (
+                    len(fresh),
+                    fresh.raw_count,
+                    fresh.truncated,
+                )
+                for member in members:
+                    assert (member.clause.anchor, member.clause.id) == (Anchor("g"), f"second{number}")
+
+    def test_kinds_and_weights_key_separate_plans(self):
+        plans = {}
+        clause = parse_clause("//@ requires a + b <= c && d;")
+        keys = [
+            (ALL_KINDS, DEFAULT_WEIGHTS),
+            (frozenset({MutationKind.COMPARATIVE}), DEFAULT_WEIGHTS),
+            (ALL_KINDS, WeightTable(comparative=1)),
+        ]
+        families = [enumerate_variants(clause, kinds=k, weights=w, plans=plans) for k, w in keys]
+        assert len(plans) == 3 and len({id(family.plan) for family in families}) == 3
+        assert [len(family) for family in families] == [12, 3, 12]
+        assert families[0].get(0).text == clause.text != families[2].get(0).text
+        # A list of kinds keys the same plan as the set of them.
+        again = enumerate_variants(clause, kinds=[MutationKind.COMPARATIVE], plans=plans)
+        assert again.plan is families[1].plan and len(plans) == 3
+
+    def test_a_plan_compiles_its_render_once(self, monkeypatch):
+        compiled = []
+        compile_plan = schemata._compile_plan
+
+        def counting(template, *args):
+            compiled.append(template.text)
+            return compile_plan(template, *args)
+
+        monkeypatch.setattr(schemata, "_compile_plan", counting)
+        plans = {}
+        for method in ("f", "g", "h"):
+            clause = parse_clause("//@ requires a + b <= c;", Anchor(method), method)
+            assert len(enumerate_variants(clause, plans=plans).variants) == 6
+        assert compiled == ["//@ requires a + b <= c;"]
+
+    def test_a_plan_holds_no_anchor_or_id(self):
+        plans = {}
+        clause = parse_clause("//@ requires a < b;", Anchor("f", 0), "loop:f:0/requires/0")
+        family = enumerate_variants(clause, plans=plans)
+        family.variants  # compiles the render plan
+        assert family.plan._template.anchor is None and family.plan._template.id == ""
+        assert family.plan._template.expr is clause.expr
 
 # Structural rewrites next to operands that already end in +/- 1.
 STRUCTURAL_CASES = [

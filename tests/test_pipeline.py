@@ -10,7 +10,7 @@ from conftest import RecordingVerifier
 from specsmith.clauses import ClauseTable, extract_annotations
 from specsmith.config import PipelineConfig, config_from_dict
 from specsmith.conversation import HttpChatClient, ScriptedChatClient
-from specsmith import clauses, pipeline, repair
+from specsmith import clauses, pipeline, repair, schemata
 from specsmith.errors import ConfigError
 from specsmith.pipeline import (
     ENTRY_SCHEMA,
@@ -659,6 +659,43 @@ class TestRunBatch:
         first = run_batch([("Abs", ABS_PROGRAM)], config, attempts=2)
         second = run_batch([("Abs", ABS_PROGRAM)], config, attempts=2)
         assert first == second
+
+    def test_each_template_line_compiles_once_per_batch(self, monkeypatch):
+        fixtures = Path(__file__).parent / "fixtures"
+        config = config_from_dict(
+            {
+                "endpoint": {"mode": "scripted", "script": str(fixtures / "twosum_responses.json"), "shot_count": 0},
+                "verifier": {"adapter": "trace", "trace_file": str(fixtures / "twosum_trace.jsonl")},
+                "report": {"deterministic_clock": True},
+            }
+        )
+        contexts, templates, compiled = [], [], []
+        enumerate_variants, compile_plan = repair.enumerate_variants, schemata._compile_plan
+
+        def recording_context(config):
+            contexts.append(make_context(config))
+            return contexts[-1]
+
+        def recording_enumerate(template, **kwargs):
+            templates.append(template)
+            return enumerate_variants(template, **kwargs)
+
+        def counting_compile(template, *args):
+            compiled.append(template.text)
+            return compile_plan(template, *args)
+
+        monkeypatch.setattr(pipeline, "make_context", recording_context)
+        monkeypatch.setattr(repair, "enumerate_variants", recording_enumerate)
+        monkeypatch.setattr(schemata, "_compile_plan", counting_compile)
+        program = (fixtures / "TwoSum.java").read_text(encoding="utf-8")
+        entries, _ = run_batch([("TwoSum", program)], config, attempts=3)
+        assert [e["outcome"] for e in entries] == ["verified-by-mutation"] * 3
+        lines = {template.text for template in templates}
+        assert len(templates) == 3 * len(lines)  # every attempt repairs the same lines
+        assert len(contexts[0].plans) == len(lines)
+        # Each attempt reads past the template of the same refuted line; only
+        # the first compiles its render plan.
+        assert len(compiled) == len(set(compiled)) == 1 and set(compiled) <= lines
 
 
 class TestWriteReport:

@@ -17,7 +17,7 @@ from specsmith.clauses import (
     parse_clause,
     repeated_anchors,
 )
-from specsmith.errors import AnchorNotFound, CommandNotFound, ConfigError, ScriptExhausted
+from specsmith.errors import AnchorNotFound, CommandNotFound, ConfigError, ExtractionError, ScriptExhausted
 from specsmith.evaluate import Phase, TraceRecord, eval_expr, load_trace_file
 from specsmith.verifier import (
     DEFAULT_RULES,
@@ -450,6 +450,49 @@ class TestNestedDecreases:
         assert inner_passes > 20
 
 
+class TestPlacement:
+    """A clause whose kind does not fit its anchor fails the trace check as a
+    syntax error that quotes extraction's message for the same line."""
+
+    TWOSUM_HEADER = "    static int[] twoSum"
+
+    @pytest.mark.parametrize(
+        "line, anchor, line_head",
+        [
+            ("//@ requires false;", Anchor("twoSum", 0), TWOSUM_OUTER),
+            ("//@ ensures false;", Anchor("twoSum", 1), TWOSUM_INNER),
+            ("//@ maintaining false;", Anchor("twoSum"), TWOSUM_HEADER),
+            ("//@ decreases 0 - 1;", Anchor("twoSum"), TWOSUM_HEADER),
+        ],
+    )
+    def test_misplaced_clause_is_a_syntax_error(self, line, anchor, line_head):
+        with pytest.raises(ExtractionError) as caught:
+            extract_annotations(twosum_with(line, line_head))
+        [(_, message)] = caught.value.issues
+        traces = load_trace_file(str(FIXTURES / "twosum_trace.jsonl"))
+        verifier = TraceVerifier(traces)
+        program = AnnotatedProgram(TWOSUM, (parse_clause(line, anchor, "x"),))
+        expected = FailureReport(
+            f"{line[4:-1]} at {anchor.key()}: {message}", FailureCategory.SYNTAX_ERROR, clause_id="x"
+        )
+        for _ in range(2):  # checked, then read from the memo
+            verdict = verifier.verify(program)
+            assert verdict.failures == (expected,)
+            assert verdict == oracle_verify_trace(program, traces)
+
+    def test_fitting_kinds_are_checked_against_the_records(self):
+        traces = load_trace_file(str(FIXTURES / "twosum_trace.jsonl"))
+        clauses = (
+            parse_clause("//@ requires false;", Anchor("twoSum"), "pre"),
+            parse_clause("//@ maintaining false;", Anchor("twoSum", 0), "inv"),
+        )
+        verdict = TraceVerifier(traces).verify(AnnotatedProgram(TWOSUM, clauses))
+        assert [(f.clause_id, f.category) for f in verdict.failures] == [
+            ("pre", FailureCategory.UNPROVABLE_PRECONDITION),
+            ("inv", FailureCategory.UNPROVABLE_INVARIANT),
+        ]
+
+
 class TestMockVerifier:
     def test_truth_mode(self):
         clause = parse_clause("//@ requires a < b;", anchor=Anchor("f"), clause_id="c0")
@@ -575,9 +618,14 @@ class TestIndexedVerifierMatchesLinearScan:
 
     def test_none_and_unknown_anchors_read_no_records(self):
         records = trace_for_abs(0, -1)
+        # Each clause's kind fits its anchor, so only the records could refute it.
+        placed = (
+            ("//@ ensures \\result > 0;", None),
+            ("//@ ensures \\result > 0;", Anchor("nope")),
+            ("//@ maintaining false;", Anchor("abs", 0)),
+        )
         clauses = tuple(
-            parse_clause("//@ ensures \\result > 0;", anchor=anchor, clause_id=f"c{n}")
-            for n, anchor in enumerate((None, Anchor("nope"), Anchor("abs", 0)))
+            parse_clause(line, anchor=anchor, clause_id=f"c{n}") for n, (line, anchor) in enumerate(placed)
         )
         verdict = TraceVerifier(records).verify(AnnotatedProgram("", clauses))
         assert verdict.outcome is Outcome.PASS
