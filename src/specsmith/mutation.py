@@ -153,8 +153,7 @@ class TemplatePlan:
         "_render",
     )
 
-    def __init__(self, template: Clause, kinds: Iterable[MutationKind], weights: WeightTable):
-        enabled = set(kinds)
+    def __init__(self, template: Clause, enabled: frozenset[MutationKind], weights: WeightTable):
         self.sites = [s for s in enumerate_sites(template.expr) if s.kind in enabled]
         # Per-site options ordered best score first. The all-zeros assignment
         # is the argmax and bumping any index can only lower the score.
@@ -273,12 +272,13 @@ def enumerate_variants(
     if cap < 1:
         raise ValueError("cap must be at least 1")
     weights = weights or DEFAULT_WEIGHTS
+    enabled = frozenset(kinds)
     if plans is None:
-        return Family(template, TemplatePlan(template, kinds, weights), cap)
-    key = (template.text, frozenset(kinds), weights)
+        return Family(template, TemplatePlan(template, enabled, weights), cap)
+    key = (template.text, enabled, weights)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = TemplatePlan(template, kinds, weights)
+        plan = plans[key] = TemplatePlan(template, enabled, weights)
     return Family(template, plan, cap)
 
 

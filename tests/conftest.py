@@ -548,9 +548,12 @@ def _oracle_decreases(clause, traces):
 def gen_trace_case(rng: random.Random) -> tuple[list[TraceRecord], list[Clause]]:
     """A trace of nested, interleaved method activations plus a clause pool.
 
-    Anchors include ``None``, loop-free method anchors, loops of two methods
-    and anchors no record carries. Some records leave a variable unbound or
-    bind a boolean, so evaluation errors and non-integer measures occur.
+    A clause's anchor is mostly one its kind fits (a method anchor for a
+    contract, a loop anchor for a loop clause), sometimes ``None`` and
+    sometimes one of the other side, which the adapter refuses as misplaced
+    before it reads any record. Either side includes anchors no record
+    carries. Some records leave a variable unbound or bind a boolean, so
+    evaluation errors and non-integer measures occur.
     """
     methods = ("f", "g")
     traces: list[TraceRecord] = []
@@ -582,14 +585,20 @@ def gen_trace_case(rng: random.Random) -> tuple[list[TraceRecord], list[Clause]]
     for _ in range(rng.randrange(1, 6)):
         activation(2)
 
-    anchors = (None, Anchor("f"), Anchor("g"), Anchor("f", 0), Anchor("f", 1),
-               Anchor("g", 0), Anchor("h"), Anchor("f", 7))
+    method_anchors = (Anchor("f"), Anchor("g"), Anchor("h"))
+    loop_anchors = (Anchor("f", 0), Anchor("f", 1), Anchor("g", 0), Anchor("f", 7))
     measures = ("n - i", "n - i + 1", "i", "n - i - 2", "x")
     conditions = ("i <= n", "0 <= i", "i < n", "n >= 0", "x < 7")
     clauses: list[Clause] = []
     for number in range(rng.randrange(2, 9)):
         kind = rng.choice(list(ClauseKind))
-        anchor = rng.choice(anchors)
+        fits, misfits = (
+            (loop_anchors, method_anchors)
+            if kind in (ClauseKind.MAINTAINING, ClauseKind.DECREASES)
+            else (method_anchors, loop_anchors)
+        )
+        draw = rng.random()
+        anchor = None if draw < 0.1 else rng.choice(misfits if draw < 0.2 else fits)
         if kind is ClauseKind.DECREASES:
             fixed, generated = measures, gen_int_expr(rng, 2)
         else:

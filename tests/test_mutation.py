@@ -451,6 +451,13 @@ class TestTemplatePlans:
         again = enumerate_variants(clause, kinds=[MutationKind.COMPARATIVE], plans=plans)
         assert again.plan is families[1].plan and len(plans) == 3
 
+    def test_kinds_given_once_as_a_generator(self):
+        plans = {}
+        clause = parse_clause("//@ requires a + b <= c;")
+        family = enumerate_variants(clause, kinds=(kind for kind in ALL_KINDS), plans=plans)
+        assert len(family.plan.sites) == 2 and len(family) == 6
+        assert enumerate_variants(clause, plans=plans).plan is family.plan
+
     def test_a_plan_compiles_its_render_once(self, monkeypatch):
         compiled = []
         compile_plan = schemata._compile_plan

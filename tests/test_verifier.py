@@ -593,6 +593,7 @@ class TestIndexedVerifierMatchesLinearScan:
             FailureCategory.UNPROVABLE_PRECONDITION,
             FailureCategory.UNPROVABLE_POSTCONDITION,
             FailureCategory.UNPROVABLE_INVARIANT,
+            FailureCategory.SYNTAX_ERROR,  # a misplaced clause
         }
 
     def test_eval_error_cites_the_original_record_index(self):
