@@ -8,10 +8,9 @@ Programs are treated as plain text with recognizable method headers and
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -135,48 +134,62 @@ def _method_header_name(line: str) -> str | None:
     return name
 
 
-def scan_anchors(lines: list[str]) -> dict[int, Anchor]:
-    """Map line index -> anchor for every method header and loop head.
+# Line index -> anchor, and lines per anchor.
+ProgramAnchors = tuple[dict[int, Anchor], dict[Anchor, int]]
 
-    Loop ordinals are 0-based in textual order within the enclosing method.
-    """
-    anchors: dict[int, Anchor] = {}
+
+def _scan_anchors(text: str) -> ProgramAnchors:
+    by_line: dict[int, Anchor] = {}
+    line_counts: dict[Anchor, int] = {}
     current_method: str | None = None
     loop_counts: dict[str, int] = {}
-    for idx, line in enumerate(lines):
+    for idx, line in enumerate(text.splitlines()):
         name = _method_header_name(line)
         if name is not None:
             current_method = name
             loop_counts.setdefault(name, 0)
-            anchors[idx] = Anchor(name)
-            continue
-        if _LOOP_RE.match(line):
-            if current_method is None:
-                continue  # loop outside any method: nothing to anchor to
+            anchor = Anchor(name)
+        elif current_method is not None and _LOOP_RE.match(line):
+            # A loop outside any method has nothing to anchor to.
             ordinal = loop_counts[current_method]
             loop_counts[current_method] = ordinal + 1
-            anchors[idx] = Anchor(current_method, ordinal)
-    return anchors
+            anchor = Anchor(current_method, ordinal)
+        else:
+            continue
+        by_line[idx] = anchor
+        line_counts[anchor] = line_counts.get(anchor, 0) + 1
+    return by_line, line_counts
+
+
+@lru_cache(maxsize=64)
+def program_anchors(text: str) -> ProgramAnchors:
+    """The anchors of ``text``: line index (as :meth:`str.splitlines` splits
+    it) -> anchor for every method header and loop head, and how many lines
+    each anchor names. Anchors are method names, so same-name methods share
+    one; loop ordinals are 0-based in textual order within the method.
+
+    Every caller keys on the text it already holds, so one program is
+    scanned once while it stays among the last 64 texts asked for. The cache
+    is safe to share between threads, and the maps are shared, so callers
+    must not change them.
+    """
+    return _scan_anchors(text)
 
 
 class ClauseTable:
-    """Parsed annotation lines, and the anchors of the last program text.
+    """Parsed annotation lines.
 
     ``lines`` maps a stripped ``//@`` line to its clause, with no anchor or
     id, or to the message of its error; each distinct line is parsed on its
     first lookup and kept, so the table grows with the distinct lines seen,
-    not with the calls made through it. The anchor slot holds the
-    :func:`scan_anchors` map of the last program text scanned, which a
-    conversation re-sends every round. Callers place a table clause at its
+    not with the calls made through it. Callers place a table clause at its
     anchor and id with :meth:`Clause.placed`, which shares its tree.
     """
 
-    __slots__ = ("lines", "_anchored_text", "_anchors")
+    __slots__ = ("lines",)
 
     def __init__(self) -> None:
         self.lines: dict[str, Clause | str] = {}
-        self._anchored_text: str | None = None
-        self._anchors: dict[int, Anchor] = {}
 
     def entry(self, line: str) -> Clause | str:
         """``line``'s entry, parsing it on its first lookup."""
@@ -188,19 +201,6 @@ class ClauseTable:
                 entry = str(exc)
             self.lines[line] = entry
         return entry
-
-    def anchors(self, text: str) -> dict[int, Anchor]:
-        """The anchors of ``text``, a program's lines joined by newlines.
-
-        ``text`` is scanned only when it differs from the text asked for last.
-        The map is shared, so callers must not change it. Split lines hold no
-        newline, so ``text.split("\\n")`` gives them back (``[]`` comes back
-        as ``[""]``, and neither has an anchor).
-        """
-        if text != self._anchored_text:
-            self._anchors = scan_anchors(text.split("\n"))
-            self._anchored_text = text
-        return self._anchors
 
 
 _ORPHAN_MESSAGE = "annotation precedes neither a method header nor a loop"
@@ -229,10 +229,11 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
     mismatches, orphaned or misplaced annotations — are collected per line
     and raised together as one :class:`ExtractionError`.
 
-    Each distinct line is parsed once through ``table``, and the anchors of
-    an annotation-free text scanned again only when it changes; the caller
-    may share the table between calls (a pipeline context shares one across
-    all its conversations). Without one, the call starts a fresh table.
+    Each distinct line is parsed once through ``table``; the caller may
+    share the table between calls (a pipeline context shares one across all
+    its conversations). Without one, the call starts a fresh table. The
+    anchors come from :func:`program_anchors` of the returned source, which
+    is the key a verifier of that program looks up too.
     Every call places the table's clauses afresh: each gets its anchor and
     the id ``<anchor key>/<kind>/<ordinal>``, numbered per anchor and kind in
     text order, and shares the table clause's tree.
@@ -258,7 +259,9 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
         issues.append((line_no, _ORPHAN_MESSAGE))
 
     stripped = "\n".join(stripped_lines)
-    anchors_by_line = table.anchors(stripped)
+    if source.endswith("\n"):
+        stripped += "\n"
+    anchors_by_line = program_anchors(stripped)[0]
     ordinals: dict[str, int] = {}  # by id prefix
     clauses: list[Clause] = []
     for anchor_idx, block in blocks:
@@ -285,17 +288,7 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
 
     if issues:
         raise ExtractionError(sorted(issues))
-
-    if source.endswith("\n"):
-        stripped += "\n"
     return AnnotatedProgram(stripped, tuple(clauses))
-
-
-def repeated_anchors(source: str) -> dict[Anchor, int]:
-    """Lines per anchor, for the anchors that name more than one line of
-    ``source``. Anchors are method names, so same-name methods share one."""
-    counts = Counter(scan_anchors(source.splitlines()).values())
-    return {anchor: count for anchor, count in counts.items() if count > 1}
 
 
 def check_anchors(clauses: Iterable[Clause], line_counts: Mapping[Anchor, int]) -> None:
@@ -318,8 +311,7 @@ def instrument_with_lines(program: AnnotatedProgram) -> tuple[str, list[tuple[in
     method name, so same-name methods share theirs), raises AnchorNotFound.
     """
     lines = program.source.splitlines()
-    anchors_by_line = scan_anchors(lines)
-    line_counts = Counter(anchors_by_line.values())
+    anchors_by_line, line_counts = program_anchors(program.source)
     check_anchors(program.clauses, line_counts)
 
     groups: dict[Anchor, list[Clause]] = {}

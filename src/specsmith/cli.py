@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument("files", nargs="+", help="Java source files to annotate")
     generate.add_argument("--config", default=None, help="YAML configuration file")
-    generate.add_argument("--attempts", type=int, default=1, help="attempts per program")
+    generate.add_argument("--attempts", type=_at_least_one, default=1, help="attempts per program")
     generate.add_argument("--strategy", choices=("heuristic", "random"), default=None)
     generate.add_argument("--seed", type=int, default=None, help="random strategy seed")
     generate.add_argument("--out", default=None, help="report directory")

@@ -200,6 +200,8 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("verifier.adapter: must be exec, trace, or mock")
     if config.verifier.failures_per_call not in (None, "one", "all"):
         raise ConfigError("verifier.failures_per_call: must be one or all")
+    if config.verifier.timeout_seconds <= 0:
+        raise ConfigError("verifier.timeout_seconds: must be positive")
     if config.mutation.variant_cap < 1:
         raise ConfigError("mutation.variant_cap: must be at least 1")
     if config.strategy.name not in ("heuristic", "random"):

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .clauses import AnnotatedProgram, ClauseTable, extract_annotations
+from .clauses import AnnotatedProgram, ClauseTable, extract_annotations, program_anchors
 from .errors import (
     EndpointError,
     ExtractionError,
@@ -46,6 +46,12 @@ class EndpointConfig:
             raise ValueError("max_rounds must be at least 1")
         if self.shot_count < 0:
             raise ValueError("shot_count cannot be negative")
+        if self.request_timeout <= 0:
+            raise ValueError("request_timeout must be positive")
+        if self.retries < 0:
+            raise ValueError("retries cannot be negative")
+        if self.retry_backoff < 0:
+            raise ValueError("retry_backoff cannot be negative")
 
 
 class ChatClient(Protocol):
@@ -170,9 +176,8 @@ def extract_specs(
     A block of bare ``//@`` lines is re-anchored onto the queried program,
     but only when that is unambiguous: one method, and at most one loop if
     loop clauses are present. All failures are returned as values. Clause
-    lines are parsed, and the program's anchors scanned, through ``table``
-    (see :func:`extract_annotations`); without one, the call starts a fresh
-    table.
+    lines are parsed through ``table`` (see :func:`extract_annotations`);
+    without one, the call starts a fresh table.
     """
     if table is None:
         table = ClauseTable()
@@ -182,7 +187,7 @@ def extract_specs(
     if not any(line.startswith("//@") for line in lines):
         return ExtractionFailure(("the response contains no //@ annotation lines",))
     if all(line.startswith("//@") for line in lines):
-        body = _anchor_bare_clauses(lines, program, table)
+        body = _anchor_bare_clauses(lines, program)
         if isinstance(body, ExtractionFailure):
             return body
     try:
@@ -193,13 +198,13 @@ def extract_specs(
         )
 
 
-def _anchor_bare_clauses(
-    clause_lines: list[str], program: str, table: ClauseTable
-) -> str | ExtractionFailure:
+def _anchor_bare_clauses(clause_lines: list[str], program: str) -> str | ExtractionFailure:
     """``program`` with its lines rejoined and the clause lines placed above
-    its one method header, loop clauses above its one loop."""
+    its one method header, loop clauses above its one loop. The rejoined
+    program is the text whose anchors are looked up here, and the source
+    that extracting the result returns, so both share one scan."""
     program_lines = program.splitlines()
-    anchors = table.anchors("\n".join(program_lines))
+    anchors = program_anchors("\n".join(program_lines))[0]
     methods = [i for i, a in anchors.items() if a.loop is None]  # in line order
     loops = [i for i, a in anchors.items() if a.loop is not None]
     if len(methods) != 1:
@@ -341,9 +346,8 @@ def run_conversation(
     otherwise the clause set that seeds the mutation phase (or None).
 
     Each round re-sends the whole annotated program, so the clause lines are
-    parsed, and the program's anchors scanned, through one table shared by
-    all rounds: a line repeated from an earlier round is not parsed again,
-    nor an unchanged program scanned again. ``table`` is the caller's to
+    parsed through one table shared by all rounds: a line repeated from an
+    earlier round is not parsed again. ``table`` is the caller's to
     share beyond this call (a pipeline context shares one across all its
     conversations); without one, this call starts a fresh table.
     """

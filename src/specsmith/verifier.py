@@ -30,7 +30,7 @@ from .clauses import (
     check_anchors,
     instrument_with_lines,
     misplacement,
-    repeated_anchors,
+    program_anchors,
 )
 from .errors import ClauseSyntaxError, CommandNotFound, ConfigError, EvalError
 from .evaluate import Phase, TraceRecord, eval_expr
@@ -288,8 +288,8 @@ class TraceVerifier:
     syntax-error failure. A pass only means no counterexample appears in the
     given traces, hence the coverage caveat on every verdict. Records name a
     method only, so a clause above one of two same-name methods raises
-    AnchorNotFound, as in the exec adapter; each distinct program text is
-    scanned for them once.
+    AnchorNotFound, as in the exec adapter; the program's anchors come from
+    :func:`~specsmith.clauses.program_anchors` of its source.
 
     The records are indexed on the first ``verify``. Each distinct
     (kind, anchor, expression) is checked once; its outcome is kept, keyed by
@@ -303,16 +303,13 @@ class TraceVerifier:
         self.failures_per_call = failures_per_call
         self._index: _TraceIndex | None = None
         self._refutations: dict[tuple[Anchor | None, str], _Refutation | None] = {}
-        self._repeated: dict[str, dict[Anchor, int]] = {}  # by program text
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
         if self._index is None:
             self._index = _TraceIndex(self.traces)
-        repeated = self._repeated.get(program.source)
-        if repeated is None:
-            repeated = self._repeated[program.source] = repeated_anchors(program.source)
-        if repeated:  # same-name methods: raise as the exec adapter does
-            check_anchors(program.clauses, repeated)
+        by_line, line_counts = program_anchors(program.source)
+        if len(line_counts) < len(by_line):  # same-name methods: raise as the exec adapter does
+            check_anchors(program.clauses, line_counts)
         failures: list[FailureReport] = []
         for clause in program.clauses:
             # A clause's tree is the parse of its text (rendering is exact:

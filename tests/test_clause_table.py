@@ -4,11 +4,15 @@ Every round's extraction must equal a fresh extraction of the same response,
 clause by clause; the table may only save work. Scripts are the TwoSum
 fixture, generated multi-round scripts in the style of the benchmark's, and
 bare-clause responses, with malformed lines and lines that change anchor.
+The rounds, their verifier calls and a repair share one anchor scan of the
+program (``clauses.program_anchors``).
 """
 import gc
 import json
 import random
+import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from specsmith import clauses, conversation, pipeline
-from specsmith.clauses import Clause, ClauseTable, scan_anchors
+from specsmith.clauses import Anchor, Clause, ClauseTable, program_anchors
 from specsmith.config import config_from_dict
 from specsmith.conversation import (
     EndpointConfig,
@@ -28,7 +32,7 @@ from specsmith.conversation import (
 from specsmith.expr import render_expr
 from specsmith.mutation import enumerate_variants
 from specsmith.pipeline import make_context, run_batch, run_pipeline, write_report
-from specsmith.verifier import MockVerifier
+from specsmith.verifier import ExecVerifier, MockVerifier
 
 from conftest import gen_bool_expr, gen_int_expr
 
@@ -414,20 +418,96 @@ def test_batch_reports_match_a_fresh_table_per_conversation(tmp_path, monkeypatc
     assert [entry | {"attempt": 0} for entry in shared_entries] == [first] * 3
 
 
-def test_a_bare_clause_round_scans_the_program_once(monkeypatch):
-    scans = []
-    real = clauses.scan_anchors
+@pytest.fixture
+def scans(monkeypatch):
+    """The texts scanned for anchors from here on: the cache is cleared
+    first, so every text counts once on its first lookup."""
+    scanned = []
+    real = clauses._scan_anchors
 
-    def counting(lines):
-        scans.append(list(lines))
-        return real(lines)
+    def counting(text):
+        scanned.append(text)
+        return real(text)
 
-    monkeypatch.setattr(clauses, "scan_anchors", counting)
+    program_anchors.cache_clear()
+    monkeypatch.setattr(clauses, "_scan_anchors", counting)
+    return scanned
+
+
+def test_a_bare_clause_round_scans_the_program_once(scans):
     table = ClauseTable()
     for response in BARE_RESPONSES[:2]:
         extraction = extract_specs(response, BARE_PROGRAM, table)
         assert len(extraction.clauses) >= 4
-    assert scans == [BARE_PROGRAM.splitlines()]
+    assert scans == ["\n".join(BARE_PROGRAM.splitlines())]
+
+
+SUM_TRACE = [
+    {"anchor": "method:sum", "phase": "pre", "bindings": {"n": 3}},
+    *(
+        {"anchor": "loop:sum:0", "phase": "iter", "bindings": {"n": 3, "i": i, "total": t}}
+        for i, t in ((0, 0), (1, 0), (2, 1), (3, 3))
+    ),
+    {"anchor": "method:sum", "phase": "post", "bindings": {"n": 3}, "result": 3, "old": {"n": 3}},
+]
+
+
+def test_rounds_their_verifications_and_a_repair_scan_the_program_once(tmp_path, scans):
+    """A bare-clause round and a full round (an unfenced reply, so its
+    program text is the rejoined one), each checked against the traces, then
+    a repair of the one refuted clause."""
+    trace = tmp_path / "sum.jsonl"
+    trace.write_text("".join(json.dumps(record) + "\n" for record in SUM_TRACE), encoding="utf-8")
+    wrong = BARE_BASE[:1] + ["//@ ensures \\result > 3;"] + BARE_BASE[2:]
+    program_lines = BARE_PROGRAM.splitlines()
+    full = program_lines[:1] + wrong[:2] + program_lines[1:3] + wrong[2:] + program_lines[3:]
+    config = config_from_dict(
+        {
+            "endpoint": {"mode": "scripted", "shot_count": 0, "max_rounds": 2},
+            "verifier": {"adapter": "trace", "trace_file": str(trace)},
+        }
+    )
+    context = make_context(config)
+    scans.clear()  # the corpus files' scans
+    client = ScriptedChatClient(["\n".join(wrong), "\n".join(full)])
+    entry = run_pipeline("Sum", BARE_PROGRAM, context, client)
+    assert entry["outcome"] == "verified-by-mutation"
+    assert entry["rounds_used"] == entry["verifier_calls_conversation"] == 2
+    assert entry["verifier_calls_repair"] >= 2
+    assert "//@ ensures \\result >= 3;" in entry["final_clauses"]
+    assert scans == ["\n".join(program_lines)]
+
+
+TWOSUM_EXEC_STUB = """\
+import json, sys
+
+truth = set(json.load(open(sys.argv[1], encoding="utf-8")))
+path = sys.argv[2]
+for number, line in enumerate(open(path, encoding="utf-8"), start=1):
+    if line.strip().startswith("//@") and line.strip() not in truth:
+        print(f"{path}:{number}: postcondition might not hold")
+"""
+
+
+def test_an_exec_repair_scans_the_program_once(tmp_path, scans):
+    """Every exec call of a conversation and its repair looks up the one
+    scan that extraction made."""
+    config = twosum_config()
+    context = make_context(config)
+    entry = run_pipeline("TwoSum", TWOSUM_PROGRAM, context, ScriptedChatClient(TWOSUM_RESPONSES))
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(entry["final_clauses"]), encoding="utf-8")
+    stub = tmp_path / "stub.py"
+    stub.write_text(TWOSUM_EXEC_STUB, encoding="utf-8")
+
+    program_anchors.cache_clear()
+    scans.clear()
+    context.verifier = ExecVerifier(f"{sys.executable} {stub} {truth} {{file}}")
+    exec_entry = run_pipeline("TwoSum", TWOSUM_PROGRAM, context, ScriptedChatClient(TWOSUM_RESPONSES))
+    assert exec_entry["outcome"] == "verified-by-mutation"
+    assert exec_entry["final_clauses"] == entry["final_clauses"]
+    assert exec_entry["verifier_calls_conversation"] + exec_entry["verifier_calls_repair"] > 2
+    assert len(scans) == 1
 
 
 _ANCHOR_TEST_LINES = (
@@ -455,17 +535,20 @@ program_texts = st.builds(
 
 
 @given(st.lists(program_texts, min_size=1, max_size=6))
-def test_the_anchor_slot_matches_a_fresh_scan(texts):
-    table = ClauseTable()
+def test_program_anchors_match_a_fresh_scan(texts):
+    """Cached or not, and with its lines rejoined by newlines as extraction
+    keys it, a text has the anchors a fresh scan finds."""
     for text in texts + texts[:1] + [text for text in texts for _ in range(2)]:
-        lines = text.splitlines()
-        assert table.anchors("\n".join(lines)) == scan_anchors(lines)
+        by_line, line_counts = fresh = clauses._scan_anchors(text)
+        assert program_anchors(text) == program_anchors("\n".join(text.splitlines())) == fresh
+        assert line_counts == Counter(by_line.values())
 
 
-def test_the_anchor_slot_handles_no_lines_and_one_empty_line():
-    table = ClauseTable()
+def test_program_anchors_handle_no_lines_and_one_empty_line():
     for lines in ([], [""], [], ["static int f() {"], [""]):
-        assert table.anchors("\n".join(lines)) == scan_anchors(lines)
+        assert program_anchors("\n".join(lines)) == clauses._scan_anchors("\n".join(lines))
+    assert program_anchors("") == program_anchors("\n") == ({}, {})
+    assert program_anchors("static int f() {") == ({0: Anchor("f")}, {Anchor("f"): 1})
 
 
 def test_the_table_stops_growing_after_the_first_run():

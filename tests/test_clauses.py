@@ -14,7 +14,7 @@ from specsmith.clauses import (
     extract_annotations,
     instrument_with_lines,
     parse_clause,
-    scan_anchors,
+    program_anchors,
 )
 from specsmith.errors import AnchorNotFound, ExtractionError, TypeMismatch
 from specsmith.expr import render_expr
@@ -68,23 +68,29 @@ class TestAnchor:
 
 class TestScanAnchors:
     def test_methods_and_loops(self):
-        anchors = scan_anchors(LOOPY.splitlines())
+        anchors = program_anchors(LOOPY)[0]
         by_key = {a.key() for a in anchors.values()}
         assert by_key == {"method:sumTo", "loop:sumTo:0", "loop:sumTo:1"}
 
     def test_loop_ordinals_in_textual_order(self):
-        anchors = scan_anchors(LOOPY.splitlines())
+        anchors = program_anchors(LOOPY)[0]
         ordered = [anchors[i] for i in sorted(anchors) if anchors[i].loop is not None]
         assert [a.loop for a in ordered] == [0, 1]
 
     def test_control_keywords_not_methods(self):
         lines = ["if (a) {", "while (x) {", "return f(x);", "new Thing(1);"]
-        anchors = scan_anchors(lines)
+        anchors = program_anchors("\n".join(lines))[0]
         assert all(a.loop is not None for a in anchors.values())
 
     def test_array_return_type(self):
-        anchors = scan_anchors(["static int[] twoSum(int[] nums, int target) {"])
+        anchors = program_anchors("static int[] twoSum(int[] nums, int target) {")[0]
         assert anchors[0] == Anchor("twoSum")
+
+    def test_lines_per_anchor(self):
+        text = "static int f(int x) {\n  while (x > 0) {\nstatic int f(int x, int y) {\n  for (;;) {\n"
+        by_line, line_counts = program_anchors(text)
+        assert by_line == {0: Anchor("f"), 1: Anchor("f", 0), 2: Anchor("f"), 3: Anchor("f", 1)}
+        assert line_counts == {Anchor("f"): 2, Anchor("f", 0): 1, Anchor("f", 1): 1}
 
 
 class TestExtraction:

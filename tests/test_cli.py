@@ -207,6 +207,51 @@ class TestGenerate:
         assert requests == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("attempts", ["0", "-3"])
+    def test_attempts_below_one_is_a_usage_error(self, workspace, capsys, attempts):
+        out = workspace / "runs"
+        with pytest.raises(SystemExit) as info:
+            main(
+                [
+                    "generate",
+                    str(workspace / "Abs.java"),
+                    "--config",
+                    str(workspace / "config.yaml"),
+                    "--out",
+                    str(out),
+                    "--attempts",
+                    attempts,
+                ]
+            )
+        assert info.value.code == 2
+        assert f"--attempts: must be at least 1, got {attempts}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("endpoint", "request_timeout", 0, "endpoint: request_timeout must be positive"),
+            ("endpoint", "retry_backoff", -1, "endpoint: retry_backoff cannot be negative"),
+            ("endpoint", "retries", -1, "endpoint: retries cannot be negative"),
+            ("verifier", "timeout_seconds", -5, "verifier.timeout_seconds: must be positive"),
+        ],
+    )
+    def test_out_of_range_timings_exit_two_before_any_chat(
+        self, workspace, capsys, monkeypatch, section, key, value, message
+    ):
+        config = workspace / "config.yaml"
+        data = yaml.safe_load(config.read_text(encoding="utf-8"))
+        data[section][key] = value
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        requests = []
+        monkeypatch.setattr(
+            ScriptedChatClient, "complete", lambda self, *args: requests.append(args)
+        )
+        code = main(["generate", str(workspace / "Abs.java"), "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert requests == []
+
 
 class TestMutate:
     def test_family_listing(self, capsys):

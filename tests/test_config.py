@@ -292,6 +292,29 @@ class TestValidation:
         with pytest.raises(ConfigError, match="pipeline_seconds: must be positive"):
             config_from_dict({"budgets": {"pipeline_seconds": 0}})
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("request_timeout", 0, "request_timeout must be positive"),
+            ("retry_backoff", -1, "retry_backoff cannot be negative"),
+            ("retries", -1, "retries cannot be negative"),
+        ],
+    )
+    def test_endpoint_timings_checked(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"^endpoint: {message}$"):
+            config_from_dict({"endpoint": {key: value}})
+
+    def test_endpoint_timing_edges_load(self):
+        endpoint = config_from_dict(
+            {"endpoint": {"request_timeout": 0.5, "retries": 0, "retry_backoff": 0}}
+        ).endpoint
+        assert (endpoint.request_timeout, endpoint.retries, endpoint.retry_backoff) == (0.5, 0, 0.0)
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_exec_timeout_positive(self, value):
+        with pytest.raises(ConfigError, match="^verifier.timeout_seconds: must be positive$"):
+            config_from_dict({"verifier": {"timeout_seconds": value}})
+
 
 class TestEffectiveFailuresPerCall:
     def test_exec_defaults_to_one(self):

@@ -10,7 +10,7 @@ from conftest import RecordingVerifier
 from specsmith.clauses import ClauseTable, extract_annotations
 from specsmith.config import PipelineConfig, config_from_dict
 from specsmith.conversation import HttpChatClient, ScriptedChatClient
-from specsmith import clauses, pipeline, repair, schemata
+from specsmith import pipeline, repair, schemata
 from specsmith.errors import ConfigError
 from specsmith.pipeline import (
     ENTRY_SCHEMA,
@@ -314,16 +314,12 @@ class TestMakeContext:
         context = make_context(config)
         assert context.guidance == {FailureCategory.TYPE_ERROR: "watch the types"}
 
-    def test_clause_table_starts_empty(self, tmp_path, monkeypatch):
+    def test_clause_table_starts_empty(self, tmp_path):
         config = scripted_mock_config(tmp_path, ["x"])
         context = make_context(config)
         assert isinstance(context.table, ClauseTable)
         assert context.table.lines == {}
         assert context.table is not make_context(config).table
-        scans = []
-        monkeypatch.setattr(clauses, "scan_anchors", lambda lines: scans.append(lines) or {})
-        context.table.anchors("class Abs {")
-        assert scans == [["class Abs {"]]
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from specsmith import verifier as verifier_module
+from specsmith import clauses as clauses_module
 from specsmith.clauses import (
     Anchor,
     AnnotatedProgram,
     extract_annotations,
     instrument_with_lines,
     parse_clause,
-    repeated_anchors,
+    program_anchors,
 )
 from specsmith.errors import AnchorNotFound, CommandNotFound, ConfigError, ExtractionError, ScriptExhausted
 from specsmith.evaluate import Phase, TraceRecord, eval_expr, load_trace_file
@@ -124,12 +124,14 @@ class TestExecAdapter:
         assert MockVerifier(truth=truth).verify(program).outcome is Outcome.PASS
         # Records name a method only, so they cannot tell the two apart.
         scans = []
+        real = clauses_module._scan_anchors
 
         def scan(text):
             scans.append(text)
-            return repeated_anchors(text)
+            return real(text)
 
-        monkeypatch.setattr(verifier_module, "repeated_anchors", scan)
+        program_anchors.cache_clear()
+        monkeypatch.setattr(clauses_module, "_scan_anchors", scan)
         verifier = TraceVerifier([rec(Anchor("f"), Phase.PRE, {"x": 1, "y": 2})])
         for clauses in (program.clauses, program.clauses[1:], program.clauses):
             with pytest.raises(AnchorNotFound, match="^anchor method:f names 2 lines in the program source$"):
