@@ -176,31 +176,21 @@ def program_anchors(text: str) -> ProgramAnchors:
     return _scan_anchors(text)
 
 
-class ClauseTable:
-    """Parsed annotation lines.
+@lru_cache(maxsize=1024)
+def clause_line(line: str) -> Clause | str:
+    """A stripped ``//@`` line parsed by :func:`parse_clause`: its clause,
+    with no anchor or id, or the message of its ClauseSyntaxError or
+    TypeMismatch.
 
-    ``lines`` maps a stripped ``//@`` line to its clause, with no anchor or
-    id, or to the message of its error; each distinct line is parsed on its
-    first lookup and kept, so the table grows with the distinct lines seen,
-    not with the calls made through it. Callers place a table clause at its
-    anchor and id with :meth:`Clause.placed`, which shares its tree.
+    Each distinct line is parsed once while it stays among the last 1024
+    lines asked for. Callers place the clause at its anchor and id with
+    :meth:`Clause.placed`, which shares its tree. The cache is safe to share
+    between threads, and the clauses are shared, so nothing may change them.
     """
-
-    __slots__ = ("lines",)
-
-    def __init__(self) -> None:
-        self.lines: dict[str, Clause | str] = {}
-
-    def entry(self, line: str) -> Clause | str:
-        """``line``'s entry, parsing it on its first lookup."""
-        entry = self.lines.get(line)
-        if entry is None:
-            try:
-                entry = parse_clause(line)
-            except (ClauseSyntaxError, TypeMismatch) as exc:
-                entry = str(exc)
-            self.lines[line] = entry
-        return entry
+    try:
+        return parse_clause(line)
+    except (ClauseSyntaxError, TypeMismatch) as exc:
+        return str(exc)
 
 
 _ORPHAN_MESSAGE = "annotation precedes neither a method header nor a loop"
@@ -220,7 +210,7 @@ def misplacement(kind: ClauseKind, above_loop: bool) -> str | None:
     return f"{kind.value} clauses belong above a loop, not a method header"
 
 
-def extract_annotations(source: str, table: ClauseTable | None = None) -> AnnotatedProgram:
+def extract_annotations(source: str) -> AnnotatedProgram:
     """Pull ``//@`` lines out of the text and anchor them by adjacency.
 
     Annotation lines must sit immediately above a method header or a loop
@@ -229,17 +219,13 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
     mismatches, orphaned or misplaced annotations — are collected per line
     and raised together as one :class:`ExtractionError`.
 
-    Each distinct line is parsed once through ``table``; the caller may
-    share the table between calls (a pipeline context shares one across all
-    its conversations). Without one, the call starts a fresh table. The
-    anchors come from :func:`program_anchors` of the returned source, which
-    is the key a verifier of that program looks up too.
-    Every call places the table's clauses afresh: each gets its anchor and
-    the id ``<anchor key>/<kind>/<ordinal>``, numbered per anchor and kind in
-    text order, and shares the table clause's tree.
+    Each line is parsed through :func:`clause_line`, and the anchors come
+    from :func:`program_anchors` of the returned source, which is the key a
+    verifier of that program looks up too. Every call places the parsed
+    clauses afresh: each gets its anchor and the id
+    ``<anchor key>/<kind>/<ordinal>``, numbered per anchor and kind in text
+    order, and shares the parsed clause's tree.
     """
-    if table is None:
-        table = ClauseTable()
     lines = source.splitlines()
     stripped_lines: list[str] = []
     pending: list[tuple[int, str]] = []
@@ -272,7 +258,7 @@ def extract_annotations(source: str, table: ClauseTable | None = None) -> Annota
         key = anchor.key()
         above_loop = anchor.loop is not None
         for line_no, line in block:
-            entry = table.entry(line)
+            entry = clause_line(line)
             if isinstance(entry, str):
                 issues.append((line_no, entry))
                 continue

@@ -72,9 +72,13 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args)
-    programs = []
+    programs, paths = [], {}
     for path in args.files:
-        programs.append((Path(path).stem, _read_text(path)))
+        name = Path(path).stem
+        if name in paths:
+            raise ConfigError(f"{paths[name]} and {path} both name the program {name!r}")
+        paths[name] = path
+        programs.append((name, _read_text(path)))
     entries, summary = run_batch(programs, config, attempts=args.attempts)
     out_dir = args.out or config.paths.output_dir
     entries_path, summary_path = write_report(out_dir, entries, summary)

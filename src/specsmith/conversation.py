@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .clauses import AnnotatedProgram, ClauseTable, extract_annotations, program_anchors
+from .clauses import AnnotatedProgram, extract_annotations, program_anchors
 from .errors import (
     EndpointError,
     ExtractionError,
@@ -167,20 +167,14 @@ _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 _LOOP_CLAUSE_RE = re.compile(r"//@\s*(?:maintaining|decreases)\b")
 
 
-def extract_specs(
-    response: str, program: str, table: ClauseTable | None = None
-) -> AnnotatedProgram | ExtractionFailure:
+def extract_specs(response: str, program: str) -> AnnotatedProgram | ExtractionFailure:
     """Pull the clause set out of a model response.
 
     Uses the last fenced code block (the whole response when there is none).
     A block of bare ``//@`` lines is re-anchored onto the queried program,
     but only when that is unambiguous: one method, and at most one loop if
-    loop clauses are present. All failures are returned as values. Clause
-    lines are parsed through ``table`` (see :func:`extract_annotations`);
-    without one, the call starts a fresh table.
+    loop clauses are present. All failures are returned as values.
     """
-    if table is None:
-        table = ClauseTable()
     blocks = _FENCE_RE.findall(response)
     body = blocks[-1] if blocks else response
     lines = [line for line in map(str.strip, body.splitlines()) if line]
@@ -191,7 +185,7 @@ def extract_specs(
         if isinstance(body, ExtractionFailure):
             return body
     try:
-        return extract_annotations(body, table)
+        return extract_annotations(body)
     except ExtractionError as exc:
         return ExtractionFailure(
             tuple(f"line {line}: {message}" for line, message in exc.issues)
@@ -199,12 +193,13 @@ def extract_specs(
 
 
 def _anchor_bare_clauses(clause_lines: list[str], program: str) -> str | ExtractionFailure:
-    """``program`` with its lines rejoined and the clause lines placed above
-    its one method header, loop clauses above its one loop. The rejoined
-    program is the text whose anchors are looked up here, and the source
-    that extracting the result returns, so both share one scan."""
+    """``program`` with the clause lines placed above its one method header,
+    loop clauses above its one loop. Its lines are rejoined by newlines and
+    its final newline is kept, so extracting the result returns ``program``
+    itself as the source (when its lines end in newlines), and both look up
+    the anchors of one text."""
     program_lines = program.splitlines()
-    anchors = program_anchors("\n".join(program_lines))[0]
+    anchors = program_anchors(program)[0]
     methods = [i for i, a in anchors.items() if a.loop is None]  # in line order
     loops = [i for i, a in anchors.items() if a.loop is not None]
     if len(methods) != 1:
@@ -232,6 +227,8 @@ def _anchor_bare_clauses(clause_lines: list[str], program: str) -> str | Extract
         elif loops and idx == loops[0]:
             rebuilt.extend(loop_clauses)
         rebuilt.append(line)
+    if program.endswith("\n"):
+        rebuilt.append("")
     return "\n".join(rebuilt)
 
 
@@ -337,7 +334,6 @@ def run_conversation(
     client: ChatClient,
     shots: Sequence[tuple[str, str]] = (),
     guidance: dict[FailureCategory, str] | None = None,
-    table: ClauseTable | None = None,
 ) -> ConversationTranscript:
     """Drive the chat until a pass or ``cfg.max_rounds`` rounds.
 
@@ -345,18 +341,14 @@ def run_conversation(
     ``last_extracted`` is the verified program on ``"verified"``, and
     otherwise the clause set that seeds the mutation phase (or None).
 
-    Each round re-sends the whole annotated program, so the clause lines are
-    parsed through one table shared by all rounds: a line repeated from an
-    earlier round is not parsed again. ``table`` is the caller's to
-    share beyond this call (a pipeline context shares one across all its
-    conversations); without one, this call starts a fresh table.
+    Each round re-sends the whole annotated program; a clause line repeated
+    from an earlier round, or from another conversation, is not parsed
+    again (see :func:`~specsmith.clauses.clause_line`).
     """
     messages = _round_one(program, shots, cfg.shot_count)
     shot_pairs = cfg.shot_count
     transcript = ConversationTranscript()
     prompt_text = "\n\n".join(m["content"] for m in messages)
-    if table is None:
-        table = ClauseTable()
 
     for _ in range(cfg.max_rounds):
         try:
@@ -366,7 +358,7 @@ def run_conversation(
             transcript.error = str(exc)
             return transcript
 
-        extraction = extract_specs(response, program, table)
+        extraction = extract_specs(response, program)
         if isinstance(extraction, ExtractionFailure):
             transcript.rounds.append(
                 Round(prompt_text, response, None, extraction_diagnostics=extraction.diagnostics)

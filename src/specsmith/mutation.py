@@ -22,10 +22,9 @@ compiled only when a reader asks for a member past the template.
 
 Everything a family needs that depends only on the template's line, the
 enabled kinds and the weight table is a :class:`TemplatePlan`: the sites,
-their options, the walk's tables and the render plan. A caller that keeps a
-dict of plans (a pipeline context does) makes each one once and shares it
-between every family of that line; a family adds its template clause, with
-its anchor and id, and its cap.
+their options, the walk's tables and the render plan. :func:`template_plan`
+makes each one once and shares it between every family of that line; a
+family adds its template clause, with its anchor and id, and its cap.
 """
 from __future__ import annotations
 
@@ -33,10 +32,12 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .clauses import Clause
+from .clauses import Clause, ClauseKind, clause_line
 from .expr import Binary, Expr, Quantifier, walk
+from .parser import parse_clause_line
 from .schemata import DEC_LHS, INC_LHS, Options, render_plan
 
 
@@ -135,9 +136,9 @@ class TemplatePlan:
     the walk's per-site tables, and the render plan, compiled the first time
     a family needs a member past its template.
 
-    A plan holds the template's kind and tree, never its anchor or id, so
-    the families of every clause with that line can share it. Two threads
-    that race on the compile only do the work twice.
+    ``template`` has no anchor or id, so the families of every clause with
+    that line can share the plan. Two threads that race on the compile only
+    do the work twice.
     """
 
     __slots__ = (
@@ -172,7 +173,7 @@ class TemplatePlan:
         self.tails = [(1,) + (0,) * (n - i - 1) for i in range(n)]
         self.first_steps = [site[0] - site[1] for site in self.deltas]
         self.top = sum(site[0] for site in self.deltas)  # the best score
-        self._template = template.placed(None, "")
+        self._template = template
         self._render: Callable[[tuple[int, ...]], str] | None = None
 
     @property
@@ -184,8 +185,21 @@ class TemplatePlan:
         return render
 
 
-# Template plans by (template line, enabled kinds, weight table).
-Plans = dict[tuple[str, frozenset[MutationKind], WeightTable], TemplatePlan]
+@lru_cache(maxsize=1024)
+def template_plan(text: str, enabled: frozenset[MutationKind], weights: WeightTable) -> TemplatePlan:
+    """The plan that every family of the template line ``text`` shares.
+
+    The plan takes the tree of :func:`~specsmith.clauses.clause_line`, so it
+    keeps no second copy; ``text`` is parsed here only when the clause-level
+    type pass refuses it. Each plan is made once while it stays among the
+    last 1024 asked for. The cache is safe to share between threads.
+    """
+    template = clause_line(text)
+    if isinstance(template, str):
+        kind, expr = parse_clause_line(text)
+        template = Clause(ClauseKind(kind), text)
+        template.__dict__["expr"] = expr
+    return TemplatePlan(template, enabled, weights)
 
 
 class Family:
@@ -254,7 +268,6 @@ def enumerate_variants(
     kinds: Iterable[MutationKind] = ALL_KINDS,
     cap: int = 4096,
     weights: WeightTable | None = None,
-    plans: Plans | None = None,
 ) -> Family:
     """The family of every combination of per-site replacements.
 
@@ -263,22 +276,12 @@ def enumerate_variants(
     combinations exist the family keeps the first ``cap`` and has its
     truncated flag set, and a template that would miss the cap takes the
     last place. Nothing is built until a reader asks for members (see
-    :class:`Family`).
-
-    ``plans`` maps (template line, kinds, weights) to the template's plan;
-    a plan missing from it is made and kept there. Without it, the family
-    gets a plan of its own.
+    :class:`Family`). The family shares the plan of its line
+    (:func:`template_plan`).
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    weights = weights or DEFAULT_WEIGHTS
-    enabled = frozenset(kinds)
-    if plans is None:
-        return Family(template, TemplatePlan(template, enabled, weights), cap)
-    key = (template.text, enabled, weights)
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = TemplatePlan(template, enabled, weights)
+    plan = template_plan(template.text, frozenset(kinds), weights or DEFAULT_WEIGHTS)
     return Family(template, plan, cap)
 
 

@@ -11,12 +11,12 @@ import json
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
-from .clauses import ClauseTable, extract_annotations
+from .clauses import extract_annotations
 from .config import PipelineConfig, load_guidance_file
 from .conversation import (
     ChatClient,
@@ -26,7 +26,6 @@ from .conversation import (
 )
 from .errors import ConfigError, SpecError
 from .evaluate import load_trace_file, read_json_lines
-from .mutation import Plans
 from .repair import (
     HeuristicStrategy,
     RandomStrategy,
@@ -124,20 +123,17 @@ def build_strategy(config: PipelineConfig, attempt: int = 0) -> SelectionStrateg
 class PipelineContext:
     """Shared collaborators, overridable in tests.
 
-    ``table`` is the clause table that every conversation run in this
-    context parses through, and ``plans`` holds the mutation plan of every
-    template line repaired in it (see :class:`~specsmith.mutation.TemplatePlan`),
-    keyed by the line, the enabled kinds and the weight table. Like the
-    trace adapter's verdict memo, both live as long as their holder and grow
-    with the distinct ``//@`` lines seen, not with the entries run.
+    A context holds no per-line state: parsed clause lines and mutation
+    plans are cached by the modules that make them
+    (:func:`~specsmith.clauses.clause_line`,
+    :func:`~specsmith.mutation.template_plan`), bounded and shared by every
+    context in the process.
     """
 
     config: PipelineConfig
     verifier: Verifier
     shots: list[tuple[str, str]]
     guidance: dict | None = None
-    table: ClauseTable = field(default_factory=ClauseTable)
-    plans: Plans = field(default_factory=dict)
 
 
 def make_context(config: PipelineConfig) -> PipelineContext:
@@ -192,7 +188,6 @@ def run_pipeline(
             client,
             shots=context.shots,
             guidance=context.guidance,
-            table=context.table,
         )
         entry["rounds_used"] = len(transcript.rounds)
         entry["verifier_calls_conversation"] = transcript.verifier_calls
@@ -218,7 +213,6 @@ def run_pipeline(
                 weights=config.weights,
                 cap=config.mutation.variant_cap,
                 budget_seconds=remaining,
-                plans=context.plans,
             )
             _record_repair(entry, result.state)
             if result.outcome == "verified":
@@ -268,6 +262,14 @@ def run_batch(
     config: PipelineConfig,
     attempts: int = 1,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    """Every (program, attempt) in order, and the summary. Entries and the
+    summary are keyed by program name, so a repeated name is a ConfigError,
+    raised before any chat request."""
+    names: set[str] = set()
+    for name, _ in programs:
+        if name in names:
+            raise ConfigError(f"program name {name!r} is given twice; each program needs its own")
+        names.add(name)
     context = make_context(config)
     clients = client_factory(config)
     entries: list[dict[str, Any]] = []

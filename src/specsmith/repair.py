@@ -32,7 +32,6 @@ from .mutation import (
     ALL_KINDS,
     Family,
     MutationKind,
-    Plans,
     Variant,
     WeightTable,
     enumerate_variants,
@@ -112,13 +111,11 @@ def spec_mutation(
     kinds: Iterable[MutationKind] = ALL_KINDS,
     cap: int = 4096,
     weights: WeightTable | None = None,
-    plans: Plans | None = None,
 ) -> dict[str, Family]:
     """Enumerate one family per template, keyed by template id.
 
     Every template needs its own non-empty id (extraction assigns them), so
     that no two templates share a family and every refutation finds its slot.
-    ``plans`` is the template plans' dict (see :func:`enumerate_variants`).
     """
     seen: set[str] = set()
     for template in templates:
@@ -128,7 +125,7 @@ def spec_mutation(
             raise SpecError(f"clause id {template.id!r} is repeated across templates")
         seen.add(template.id)
     return {
-        template.id: enumerate_variants(template, kinds=kinds, cap=cap, weights=weights, plans=plans)
+        template.id: enumerate_variants(template, kinds=kinds, cap=cap, weights=weights)
         for template in templates
     }
 
@@ -228,12 +225,10 @@ def mutation_based_gen(
     weights: WeightTable | None = None,
     cap: int = 4096,
     budget_seconds: float | None = None,
-    plans: Plans | None = None,
 ) -> RepairResult:
     """Full mutation phase: build families, then select-and-verify until the
-    loop ends (see :func:`spec_selection`). ``plans`` is the template plans'
-    dict (see :func:`~specsmith.mutation.enumerate_variants`)."""
-    families = spec_mutation(templates.clauses, kinds=kinds, cap=cap, weights=weights, plans=plans)
+    loop ends (see :func:`spec_selection`)."""
+    families = spec_mutation(templates.clauses, kinds=kinds, cap=cap, weights=weights)
     state = init_state(families)
     return spec_selection(
         state, templates.source, verifier, strategy, budget_seconds=budget_seconds

@@ -153,9 +153,10 @@ class ExecVerifier:
     """The exec adapter: writes the instrumented program to a temp file, runs
     ``command`` on it and classifies the diagnostics with ``rules``.
 
-    ``command`` is a template with a ``{file}`` placeholder, checked here. A
-    diagnostic is attributed to the clause instrumented nearest above its
-    reported source line.
+    ``command`` is a template with a ``{file}`` placeholder. It is split
+    into arguments once, here, and a command that does not split or has no
+    placeholder is a ConfigError. A diagnostic is attributed to the clause
+    instrumented nearest above its reported source line.
     """
 
     def __init__(
@@ -167,6 +168,10 @@ class ExecVerifier:
     ):
         if "{file}" not in command:
             raise ConfigError("verifier command template needs a {file} placeholder")
+        try:
+            self._argv = shlex.split(command)
+        except ValueError as exc:
+            raise ConfigError(f"verifier command template does not split into arguments: {exc}") from exc
         self.command = command
         self.timeout_seconds = timeout_seconds
         self.failures_per_call = failures_per_call
@@ -180,7 +185,7 @@ class ExecVerifier:
         try:
             tmp.write(text)
             tmp.close()
-            argv = [part.replace("{file}", tmp.name) for part in shlex.split(self.command)]
+            argv = [part.replace("{file}", tmp.name) for part in self._argv]
             try:
                 # Its own session, so a timeout can end the whole process
                 # group: a wrapper script's children as well as the script.

@@ -1,11 +1,12 @@
-"""The clause table a pipeline context shares across its conversations.
+"""The parsed clause lines (``clauses.clause_line``) that every conversation
+and every mutation plan shares.
 
 Every round's extraction must equal a fresh extraction of the same response,
-clause by clause; the table may only save work. Scripts are the TwoSum
-fixture, generated multi-round scripts in the style of the benchmark's, and
-bare-clause responses, with malformed lines and lines that change anchor.
-The rounds, their verifier calls and a repair share one anchor scan of the
-program (``clauses.program_anchors``).
+every line parsed anew, clause by clause; the cache may only save work.
+Scripts are the TwoSum fixture, generated multi-round scripts in the style
+of the benchmark's, and bare-clause responses, with malformed lines and
+lines that change anchor. The rounds, their verifier calls and a repair
+share one anchor scan of the program (``clauses.program_anchors``).
 """
 import gc
 import json
@@ -19,8 +20,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specsmith import clauses, conversation, pipeline
-from specsmith.clauses import Anchor, Clause, ClauseTable, program_anchors
+from specsmith import clauses, conversation, repair
+from specsmith.clauses import Anchor, Clause, clause_line, program_anchors
 from specsmith.config import config_from_dict
 from specsmith.conversation import (
     EndpointConfig,
@@ -29,8 +30,9 @@ from specsmith.conversation import (
     extract_specs,
     run_conversation,
 )
+from specsmith.errors import ClauseSyntaxError, TypeMismatch
 from specsmith.expr import render_expr
-from specsmith.mutation import enumerate_variants
+from specsmith.mutation import enumerate_variants, template_plan
 from specsmith.pipeline import make_context, run_batch, run_pipeline, write_report
 from specsmith.verifier import ExecVerifier, MockVerifier
 
@@ -53,7 +55,7 @@ def fenced(annotated: str) -> str:
     return f"Here you go.\n\n```java\n{annotated}```\n"
 
 
-def converse(program: str, responses: list[str], table: ClauseTable | None = None):
+def converse(program: str, responses: list[str]):
     """Run every response as one round of a conversation that never passes."""
     cfg = EndpointConfig(max_rounds=len(responses), shot_count=0)
     transcript = run_conversation(
@@ -61,7 +63,6 @@ def converse(program: str, responses: list[str], table: ClauseTable | None = Non
         cfg,
         MockVerifier(truth=frozenset()),
         ScriptedChatClient(responses),
-        table=table,
     )
     assert transcript.outcome == "exhausted"
     assert len(transcript.rounds) == len(responses)
@@ -72,9 +73,16 @@ def clause_fields(clause):
     return (clause.kind, clause.expr, clause.text, clause.anchor, clause.id)
 
 
+def fresh_extraction(response: str, program: str):
+    """``extract_specs`` with every line parsed anew, past the cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clauses, "clause_line", clause_line.__wrapped__)
+        return extract_specs(response, program)
+
+
 def assert_rounds_match_fresh_extraction(program: str, transcript, responses: list[str]):
     for round_, response in zip(transcript.rounds, responses):
-        fresh = extract_specs(response, program)
+        fresh = fresh_extraction(response, program)
         if isinstance(fresh, ExtractionFailure):
             assert round_.extracted is None
             assert round_.extraction_diagnostics == fresh.diagnostics
@@ -83,12 +91,16 @@ def assert_rounds_match_fresh_extraction(program: str, transcript, responses: li
         got = [clause_fields(c) for c in round_.extracted.clauses]
         assert got == [clause_fields(c) for c in fresh.clauses]
         for clause in round_.extracted.clauses:
-            # The text the table carries is the canonical rendering.
+            # The text the cache carries is the canonical rendering.
             assert clause.text == f"//@ {clause.kind.value} {render_expr(clause.expr)};"
             assert Clause(clause.kind, clause.text).expr == clause.expr
 
 
 def count_parses(monkeypatch) -> list[str]:
+    """The lines parsed from here on: both caches are cleared first, so
+    every line counts once on its first lookup."""
+    clause_line.cache_clear()
+    template_plan.cache_clear()
     parsed: list[str] = []
     real = clauses.parse_clause
 
@@ -221,22 +233,31 @@ def test_each_distinct_line_is_parsed_once_per_conversation(monkeypatch):
 
 
 def test_extracted_clauses_share_the_table_tree_and_never_parse_again(monkeypatch):
-    table = ClauseTable()
+    clause_line.cache_clear()
+    template_plan.cache_clear()
     scripts = [(TWOSUM_PROGRAM, TWOSUM_RESPONSES)] + [(GEN_PROGRAM, generated_script(seed)) for seed in range(4)]
-    rounds = [r for program, responses in scripts for r in converse(program, responses, table).rounds]
+    rounds = [r for program, responses in scripts for r in converse(program, responses).rounds]
     extracted = [c for r in rounds if r.extracted is not None for c in r.extracted.clauses]
     assert len(extracted) >= 50
-    entries = [entry for entry in table.lines.values() if isinstance(entry, Clause)]
+    lines = set().union(*(annotation_lines(responses) for _, responses in scripts))
+    entries = [entry for entry in map(clause_line, lines) if isinstance(entry, Clause)]
     for clause in extracted:
         assert any(clause.expr is entry.expr for entry in entries if entry.text == clause.text)
 
-    def fail(*args):
-        raise AssertionError("parsed a line again")
-
-    monkeypatch.setattr(clauses, "parse_clause_line", fail)
+    parsed = []
+    parse_clause_line = clauses.parse_clause_line
+    monkeypatch.setattr(clauses, "parse_clause_line", lambda text: parsed.append(text) or parse_clause_line(text))
     for clause in extracted:
         clause.expr
         enumerate_variants(clause).variants
+    # A family's plan takes the tree of its template's canonical line, which
+    # is parsed once more only where it arrived spaced otherwise.
+    respaced = {clause.text for clause in extracted} - lines
+    assert respaced and sorted(parsed) == sorted(respaced)
+    parsed.clear()
+    for clause in extracted:
+        enumerate_variants(clause).variants
+    assert parsed == []
 
 
 def malformed_twosum_script() -> tuple[list[str], list[tuple[str, ...]]]:
@@ -322,31 +343,55 @@ def test_bare_clause_rounds_match_fresh_extraction():
     assert_rounds_match_fresh_extraction(BARE_PROGRAM, transcript, responses)
 
 
-def test_conversations_never_share_a_table(monkeypatch):
-    tables = []
-    real = conversation.extract_specs
-
-    def spy(response, program, table=None):
-        tables.append(table)
-        return real(response, program, table)
-
-    monkeypatch.setattr(conversation, "extract_specs", spy)
+def test_conversations_share_one_parse_per_line(monkeypatch):
     parsed = count_parses(monkeypatch)
     responses = TWOSUM_RESPONSES[:4]
     converse(TWOSUM_PROGRAM, responses)
-    first_tables, first_parses = tables[:], parsed[:]
-    tables.clear()
+    assert sorted(parsed) == sorted(annotation_lines(responses))
     parsed.clear()
     converse(TWOSUM_PROGRAM, responses)
-    # One table per conversation, shared by all of its rounds...
-    assert all(table is first_tables[0] for table in first_tables)
-    assert all(table is tables[0] for table in tables)
-    # ...and a new one for the next: it parses every line again.
-    assert tables[0] is not first_tables[0]
-    assert sorted(parsed) == sorted(first_parses) == sorted(annotation_lines(responses))
+    assert parsed == []
 
 
-# --- One table per pipeline context -------------------------------------------
+def fresh_parse(line: str) -> Clause | str:
+    try:
+        return clauses.parse_clause(line)
+    except (ClauseSyntaxError, TypeMismatch) as exc:
+        return str(exc)
+
+
+def grammar_line(seed: int, kind: str, respaced: bool) -> str:
+    rng = random.Random(seed)
+    expr = gen_int_expr(rng, 3) if kind == "decreases" else gen_bool_expr(rng, 3)
+    line = f"//@ {kind} {render_expr(expr)};"
+    return line.replace(" ", "") if respaced else line
+
+
+clause_lines = st.one_of(
+    st.builds(
+        grammar_line,
+        st.integers(0, 10**6),
+        st.sampled_from(("requires", "ensures", "maintaining", "decreases")),
+        st.booleans(),
+    ),
+    st.sampled_from(MALFORMED),
+    st.text(max_size=30).map(lambda text: "//@ " + text),
+)
+
+
+@given(st.lists(clause_lines, min_size=1, max_size=8))
+def test_clause_line_matches_a_fresh_parse(lines):
+    """Cached or not, a line's entry is the clause a fresh parse gives, tree
+    included, or the same message."""
+    for line in lines + lines[:1]:
+        cached, fresh = clause_line(line), fresh_parse(line)
+        assert cached == fresh
+        if isinstance(fresh, Clause):
+            assert cached.expr == fresh.expr
+            assert (cached.anchor, cached.id) == (None, "")
+
+
+# --- Pipeline runs -------------------------------------------------------------
 
 
 def twosum_config():
@@ -367,7 +412,7 @@ def twosum_config():
 
 
 def test_conversations_through_one_table_match_fresh_extraction():
-    """Back to back through one table, every round of every script still
+    """Back to back through the cache, every round of every script still
     equals a fresh extraction, and a malformed line repeated across
     conversations keeps its diagnostics."""
     malformed, diagnostics = malformed_twosum_script()
@@ -376,26 +421,37 @@ def test_conversations_through_one_table_match_fresh_extraction():
         + [(GEN_PROGRAM, generated_script(seed)) for seed in range(12)]
         + [(BARE_PROGRAM, BARE_RESPONSES), (TWOSUM_PROGRAM, malformed)]
     )
-    table = ClauseTable()
+    clause_line.cache_clear()
     for program, responses in scripts:
-        transcript = converse(program, responses, table)
+        transcript = converse(program, responses)
         assert_rounds_match_fresh_extraction(program, transcript, responses)
         if responses is malformed:
             got = [round_.extraction_diagnostics for round_ in transcript.rounds]
             assert got == diagnostics
-    assert set(table.lines) == set().union(*(annotation_lines(r) for _, r in scripts))
+    # Each distinct line was parsed once, by its first lookup.
+    assert clause_line.cache_info().misses == len(set().union(*(annotation_lines(r) for _, r in scripts)))
 
 
 def test_pipeline_runs_on_one_context_parse_each_line_once(monkeypatch):
     context = make_context(twosum_config())
     context.verifier = MockVerifier(truth=frozenset())  # all ten rounds run
     gen_responses = generated_script(3, rounds=10)
+    templates = []
+    enumerate_variants = repair.enumerate_variants
+
+    def recording(template, **kwargs):
+        templates.append(template.text)
+        return enumerate_variants(template, **kwargs)
+
+    monkeypatch.setattr(repair, "enumerate_variants", recording)
     parsed = count_parses(monkeypatch)
     run_pipeline("TwoSum", TWOSUM_PROGRAM, context, ScriptedChatClient(TWOSUM_RESPONSES))
     run_pipeline("Gen", GEN_PROGRAM, context, ScriptedChatClient(gen_responses), 1)
     run_pipeline("TwoSum", TWOSUM_PROGRAM, context, ScriptedChatClient(TWOSUM_RESPONSES), 2)
     lines = annotation_lines(TWOSUM_RESPONSES) | annotation_lines(gen_responses)
-    assert sorted(parsed) == sorted(lines)
+    # Each line once, and once more the canonical line of any template that
+    # arrived spaced otherwise (its plan's tree).
+    assert sorted(parsed) == sorted(lines | set(templates))
 
 
 def test_batch_reports_match_a_fresh_table_per_conversation(tmp_path, monkeypatch):
@@ -405,14 +461,23 @@ def test_batch_reports_match_a_fresh_table_per_conversation(tmp_path, monkeypatc
         return entries, [path.read_bytes() for path in paths]
 
     shared_entries, shared = report("shared")
-    real = pipeline.run_conversation
+    cleared = []
 
-    def fresh_table(*args, table=None, **kwargs):
-        return real(*args, **kwargs)
+    def clearing(real):
+        def call(*args, **kwargs):
+            clause_line.cache_clear()
+            template_plan.cache_clear()
+            cleared.append(real)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "run_conversation", fresh_table)
+        return call
+
+    # Both caches emptied before every extraction and every family.
+    monkeypatch.setattr(conversation, "extract_specs", clearing(conversation.extract_specs))
+    monkeypatch.setattr(repair, "enumerate_variants", clearing(repair.enumerate_variants))
     _, fresh = report("fresh")
     assert shared == fresh
+    assert len(set(cleared)) == 2
     first = shared_entries[0]
     assert first["outcome"] == "verified-by-mutation"
     assert [entry | {"attempt": 0} for entry in shared_entries] == [first] * 3
@@ -435,11 +500,29 @@ def scans(monkeypatch):
 
 
 def test_a_bare_clause_round_scans_the_program_once(scans):
-    table = ClauseTable()
     for response in BARE_RESPONSES[:2]:
-        extraction = extract_specs(response, BARE_PROGRAM, table)
+        extraction = extract_specs(response, BARE_PROGRAM)
         assert len(extraction.clauses) >= 4
-    assert scans == ["\n".join(BARE_PROGRAM.splitlines())]
+    assert scans == [BARE_PROGRAM]
+
+
+def annotated_sum(clause_lines: list[str]) -> str:
+    """The Sum program with its two method clauses above the method header
+    and the rest above the loop."""
+    program_lines = BARE_PROGRAM.splitlines()
+    return "\n".join(
+        program_lines[:1] + clause_lines[:2] + program_lines[1:3] + clause_lines[2:] + program_lines[3:]
+    ) + "\n"
+
+
+def test_a_bare_and_a_fenced_round_scan_the_program_once(scans):
+    """A bare-clause round keeps the program's final newline, so its source
+    is the one a fenced full round of the same program returns."""
+    bare = extract_specs("\n".join(BARE_BASE), BARE_PROGRAM)
+    full = extract_specs(fenced(annotated_sum(BARE_BASE)), BARE_PROGRAM)
+    assert bare.source == full.source == BARE_PROGRAM
+    assert bare.clauses == full.clauses
+    assert scans == [BARE_PROGRAM]
 
 
 SUM_TRACE = [
@@ -453,14 +536,11 @@ SUM_TRACE = [
 
 
 def test_rounds_their_verifications_and_a_repair_scan_the_program_once(tmp_path, scans):
-    """A bare-clause round and a full round (an unfenced reply, so its
-    program text is the rejoined one), each checked against the traces, then
-    a repair of the one refuted clause."""
+    """A bare-clause round and a fenced full round, each checked against the
+    traces, then a repair of the one refuted clause."""
     trace = tmp_path / "sum.jsonl"
     trace.write_text("".join(json.dumps(record) + "\n" for record in SUM_TRACE), encoding="utf-8")
     wrong = BARE_BASE[:1] + ["//@ ensures \\result > 3;"] + BARE_BASE[2:]
-    program_lines = BARE_PROGRAM.splitlines()
-    full = program_lines[:1] + wrong[:2] + program_lines[1:3] + wrong[2:] + program_lines[3:]
     config = config_from_dict(
         {
             "endpoint": {"mode": "scripted", "shot_count": 0, "max_rounds": 2},
@@ -469,13 +549,13 @@ def test_rounds_their_verifications_and_a_repair_scan_the_program_once(tmp_path,
     )
     context = make_context(config)
     scans.clear()  # the corpus files' scans
-    client = ScriptedChatClient(["\n".join(wrong), "\n".join(full)])
+    client = ScriptedChatClient(["\n".join(wrong), fenced(annotated_sum(wrong))])
     entry = run_pipeline("Sum", BARE_PROGRAM, context, client)
     assert entry["outcome"] == "verified-by-mutation"
     assert entry["rounds_used"] == entry["verifier_calls_conversation"] == 2
     assert entry["verifier_calls_repair"] >= 2
     assert "//@ ensures \\result >= 3;" in entry["final_clauses"]
-    assert scans == ["\n".join(program_lines)]
+    assert scans == [BARE_PROGRAM]
 
 
 TWOSUM_EXEC_STUB = """\
@@ -552,6 +632,8 @@ def test_program_anchors_handle_no_lines_and_one_empty_line():
 
 
 def test_the_table_stops_growing_after_the_first_run():
+    clause_line.cache_clear()
+    template_plan.cache_clear()
     context = make_context(twosum_config())
 
     def run(attempt):
@@ -560,8 +642,8 @@ def test_the_table_stops_growing_after_the_first_run():
         assert entry["outcome"] == "verified-by-mutation"
 
     run(0)
-    lines = dict(context.table.lines)
-    assert set(lines) == annotation_lines(TWOSUM_RESPONSES)
+    lines = {line: clause_line(line) for line in annotation_lines(TWOSUM_RESPONSES)}
+    misses = clause_line.cache_info().misses, template_plan.cache_info().misses
     tracemalloc.start()
     try:
         for attempt in range(1, 200):
@@ -573,6 +655,6 @@ def test_the_table_stops_growing_after_the_first_run():
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert context.table.lines == lines
-    assert all(context.table.lines[line] is entry for line, entry in lines.items())
+    assert (clause_line.cache_info().misses, template_plan.cache_info().misses) == misses
+    assert all(clause_line(line) is entry for line, entry in lines.items())
     assert after - settled < 16 * 1024

@@ -207,6 +207,48 @@ class TestGenerate:
         assert requests == []
         assert not out.exists()
 
+    def test_exec_command_that_does_not_split_exits_before_any_chat(
+        self, workspace, capsys, monkeypatch
+    ):
+        config = workspace / "config.yaml"
+        data = yaml.safe_load(config.read_text(encoding="utf-8"))
+        data["verifier"] = {"adapter": "exec", "command": 'true "{file}'}
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        requests = []
+        monkeypatch.setattr(
+            ScriptedChatClient, "complete", lambda self, *args: requests.append(args)
+        )
+        out = workspace / "runs"
+        code = main(
+            ["generate", str(workspace / "Abs.java"), "--config", str(config), "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: verifier command template does not split into arguments: No closing quotation\n"
+        )
+        assert requests == []
+        assert not out.exists()
+
+    def test_two_files_with_one_stem_exit_before_any_chat(self, workspace, capsys, monkeypatch):
+        other = workspace / "other"
+        other.mkdir()
+        (other / "Abs.java").write_text(ABS_PROGRAM, encoding="utf-8")
+        requests = []
+        monkeypatch.setattr(
+            ScriptedChatClient, "complete", lambda self, *args: requests.append(args)
+        )
+        out = workspace / "runs"
+        first, second = str(workspace / "Abs.java"), str(other / "Abs.java")
+        code = main(
+            ["generate", first, second, "--config", str(workspace / "config.yaml"), "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {first} and {second} both name the program 'Abs'\n"
+        assert requests == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("attempts", ["0", "-3"])
     def test_attempts_below_one_is_a_usage_error(self, workspace, capsys, attempts):
         out = workspace / "runs"
@@ -364,6 +406,19 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: anchor method:f names 2 lines in the program source"
+        ]
+
+    def test_exec_command_that_does_not_split_is_one_error_line(self, workspace, capsys):
+        config = workspace / "config.yaml"
+        data = yaml.safe_load(config.read_text(encoding="utf-8"))
+        data["verifier"] = {"adapter": "exec", "command": 'true "{file}'}
+        config.write_text(yaml.safe_dump(data), encoding="utf-8")
+        code = main(["verify", str(workspace / "AbsAnnotated.java"), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: verifier command template does not split into arguments: No closing quotation"
         ]
 
     def test_null_config_value_is_one_error_line(self, workspace, capsys):

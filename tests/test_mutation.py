@@ -18,15 +18,19 @@ from conftest import (
 )
 
 from specsmith import clauses, mutation, schemata
-from specsmith.clauses import Anchor, parse_clause
+from specsmith.clauses import Anchor, Clause, ClauseKind, clause_line, parse_clause
+from specsmith.errors import ClauseSyntaxError
 from specsmith.expr import render_expr
 from specsmith.mutation import (
     ALL_KINDS,
     DEFAULT_WEIGHTS,
     MutationKind,
     WeightTable,
+    Family,
+    TemplatePlan,
     enumerate_sites,
     enumerate_variants,
+    template_plan,
 )
 from specsmith.repair import FamilySlot, HeuristicStrategy, RandomStrategy
 
@@ -405,22 +409,22 @@ class TestKeptMembersOnly:
 
 
 class TestTemplatePlans:
-    """Families built through a shared plan dict are the families built
-    afresh, and each carries its own template's anchor and id."""
+    """Families built through the plan cache are the families built afresh,
+    and each carries its own template's anchor and id."""
 
     @pytest.mark.parametrize("cap", [1, 2, 5, 64, 4096])
     def test_shared_plans_match_fresh_builds(self, cap):
         rng = random.Random(cap)
-        plans = {}
+        template_plan.cache_clear()
         for number in range(30):
             line = f"//@ requires {render_expr(gen_mutation_clause(rng, max_sites=6))};"
             for weights in WALK_WEIGHTS:
                 first = parse_clause(line, Anchor("f"), f"first{number}")
                 second = parse_clause(line, Anchor("g"), f"second{number}")
-                enumerate_variants(first, cap=cap, weights=weights, plans=plans).variants
-                shared = enumerate_variants(second, cap=cap, weights=weights, plans=plans)
-                assert shared.plan is plans[(line, ALL_KINDS, weights)]
-                fresh = enumerate_variants(second, cap=cap, weights=weights)
+                enumerate_variants(first, cap=cap, weights=weights).variants
+                shared = enumerate_variants(second, cap=cap, weights=weights)
+                assert shared.plan is template_plan(line, ALL_KINDS, weights)
+                fresh = Family(second, TemplatePlan(parse_clause(line), ALL_KINDS, weights), cap)
                 k = rng.randrange(0, len(fresh) + 2)
                 assert read(map(shared.get, range(k))) == read(map(fresh.get, range(k)))
                 members = shared.variants
@@ -434,29 +438,34 @@ class TestTemplatePlans:
                 )
                 for member in members:
                     assert (member.clause.anchor, member.clause.id) == (Anchor("g"), f"second{number}")
+        # One plan per (line, weights): the second clause of each line hit.
+        info = template_plan.cache_info()
+        assert info.misses == info.currsize == 30 * len(WALK_WEIGHTS)
 
     def test_kinds_and_weights_key_separate_plans(self):
-        plans = {}
+        template_plan.cache_clear()
         clause = parse_clause("//@ requires a + b <= c && d;")
         keys = [
             (ALL_KINDS, DEFAULT_WEIGHTS),
             (frozenset({MutationKind.COMPARATIVE}), DEFAULT_WEIGHTS),
             (ALL_KINDS, WeightTable(comparative=1)),
         ]
-        families = [enumerate_variants(clause, kinds=k, weights=w, plans=plans) for k, w in keys]
-        assert len(plans) == 3 and len({id(family.plan) for family in families}) == 3
+        families = [enumerate_variants(clause, kinds=k, weights=w) for k, w in keys]
+        assert template_plan.cache_info().currsize == 3
+        assert len({id(family.plan) for family in families}) == 3
         assert [len(family) for family in families] == [12, 3, 12]
         assert families[0].get(0).text == clause.text != families[2].get(0).text
         # A list of kinds keys the same plan as the set of them.
-        again = enumerate_variants(clause, kinds=[MutationKind.COMPARATIVE], plans=plans)
-        assert again.plan is families[1].plan and len(plans) == 3
+        again = enumerate_variants(clause, kinds=[MutationKind.COMPARATIVE])
+        assert again.plan is families[1].plan
+        assert template_plan.cache_info().currsize == 3
 
     def test_kinds_given_once_as_a_generator(self):
-        plans = {}
+        template_plan.cache_clear()
         clause = parse_clause("//@ requires a + b <= c;")
-        family = enumerate_variants(clause, kinds=(kind for kind in ALL_KINDS), plans=plans)
+        family = enumerate_variants(clause, kinds=(kind for kind in ALL_KINDS))
         assert len(family.plan.sites) == 2 and len(family) == 6
-        assert enumerate_variants(clause, plans=plans).plan is family.plan
+        assert enumerate_variants(clause).plan is family.plan
 
     def test_a_plan_compiles_its_render_once(self, monkeypatch):
         compiled = []
@@ -467,19 +476,52 @@ class TestTemplatePlans:
             return compile_plan(template, *args)
 
         monkeypatch.setattr(schemata, "_compile_plan", counting)
-        plans = {}
+        template_plan.cache_clear()
         for method in ("f", "g", "h"):
             clause = parse_clause("//@ requires a + b <= c;", Anchor(method), method)
-            assert len(enumerate_variants(clause, plans=plans).variants) == 6
+            assert len(enumerate_variants(clause).variants) == 6
         assert compiled == ["//@ requires a + b <= c;"]
 
     def test_a_plan_holds_no_anchor_or_id(self):
-        plans = {}
         clause = parse_clause("//@ requires a < b;", Anchor("f", 0), "loop:f:0/requires/0")
-        family = enumerate_variants(clause, plans=plans)
+        family = enumerate_variants(clause)
         family.variants  # compiles the render plan
         assert family.plan._template.anchor is None and family.plan._template.id == ""
-        assert family.plan._template.expr is clause.expr
+        assert family.plan._template.expr is clause_line(clause.text).expr
+
+    def test_a_plan_takes_the_parsed_line_and_parses_no_other(self, monkeypatch):
+        parsed = []
+        real = clauses.parse_clause_line
+
+        def counting(text):
+            parsed.append(text)
+            return real(text)
+
+        monkeypatch.setattr(clauses, "parse_clause_line", counting)
+        clause_line.cache_clear()
+        template_plan.cache_clear()
+        for line in ("//@ requires a + b <= c;", "//@ requires a+b<=c;"):
+            entry = clause_line(line)
+            family = enumerate_variants(entry.placed(Anchor("f"), "f"))
+            assert family.plan._template is clause_line(entry.text)
+            assert len(family.variants) == 6
+        # The second line's clause has the first one's canonical text.
+        assert parsed == ["//@ requires a + b <= c;", "//@ requires a+b<=c;"]
+        assert template_plan.cache_info().currsize == 1
+
+    def test_a_line_the_type_pass_refuses_still_has_a_plan(self):
+        line = "//@ requires a + 1;"
+        assert clause_line(line) == "requires clauses need a boolean expression"
+        clause = Clause(ClauseKind.REQUIRES, line, Anchor("f"), "f")
+        family = enumerate_variants(clause)
+        assert family.plan._template.text == line
+        assert [v.text for v in family.variants] == [line, "//@ requires a - 1;"]
+
+    def test_a_line_that_does_not_parse_has_no_plan(self):
+        clause = Clause(ClauseKind.REQUIRES, "//@ requires a <;", Anchor("f"), "f")
+        with pytest.raises(ClauseSyntaxError):
+            enumerate_variants(clause)
+
 
 # Structural rewrites next to operands that already end in +/- 1.
 STRUCTURAL_CASES = [
@@ -584,6 +626,7 @@ class TestRenderPlan:
             raise AssertionError("built past the template")
 
         clause = parse_clause("//@ requires a + b <= c && c < d;")
+        clause_line(clause.text)  # the plan's tree: the template's line, parsed once
         monkeypatch.setattr(schemata, "_compile_plan", fail)
         monkeypatch.setattr(clauses, "parse_clause_line", fail)
         family = enumerate_variants(clause)

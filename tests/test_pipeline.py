@@ -7,9 +7,10 @@ from types import SimpleNamespace
 import pytest
 from conftest import RecordingVerifier
 
-from specsmith.clauses import ClauseTable, extract_annotations
+from specsmith.clauses import extract_annotations
 from specsmith.config import PipelineConfig, config_from_dict
 from specsmith.conversation import HttpChatClient, ScriptedChatClient
+from specsmith.mutation import template_plan
 from specsmith import pipeline, repair, schemata
 from specsmith.errors import ConfigError
 from specsmith.pipeline import (
@@ -86,6 +87,34 @@ def scripted_mock_config(tmp_path, responses, truth=ABS_TRUTH, **overrides):
     for section, values in overrides.items():
         data.setdefault(section, {}).update(values)
     return config_from_dict(data)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+TWOSUM_PROGRAM = (FIXTURES / "TwoSum.java").read_text(encoding="utf-8")
+
+
+def twosum_trace_config():
+    """The TwoSum fixture's responses, checked against its trace."""
+    return config_from_dict(
+        {
+            "endpoint": {"mode": "scripted", "script": str(FIXTURES / "twosum_responses.json"), "shot_count": 0},
+            "verifier": {"adapter": "trace", "trace_file": str(FIXTURES / "twosum_trace.jsonl")},
+            "report": {"deterministic_clock": True},
+        }
+    )
+
+
+def record_families(monkeypatch) -> list:
+    """The families the mutation phase builds from here on."""
+    families = []
+    enumerate_variants = repair.enumerate_variants
+
+    def recording(template, **kwargs):
+        families.append(enumerate_variants(template, **kwargs))
+        return families[-1]
+
+    monkeypatch.setattr(repair, "enumerate_variants", recording)
+    return families
 
 
 # ---------------------------------------------------------------------------
@@ -314,12 +343,21 @@ class TestMakeContext:
         context = make_context(config)
         assert context.guidance == {FailureCategory.TYPE_ERROR: "watch the types"}
 
-    def test_clause_table_starts_empty(self, tmp_path):
-        config = scripted_mock_config(tmp_path, ["x"])
-        context = make_context(config)
-        assert isinstance(context.table, ClauseTable)
-        assert context.table.lines == {}
-        assert context.table is not make_context(config).table
+    def test_contexts_share_one_plan_per_line(self, monkeypatch):
+        """A context keeps no plans of its own: the runs of two contexts
+        repair each line through one plan."""
+        config = twosum_trace_config()
+        families = record_families(monkeypatch)
+        template_plan.cache_clear()
+        for context in (make_context(config), make_context(config)):
+            client = pipeline.client_factory(config)(0)
+            entry = run_pipeline("TwoSum", TWOSUM_PROGRAM, context, client)
+            assert entry["outcome"] == "verified-by-mutation"
+        plans = {}
+        for family in families:
+            assert plans.setdefault(family.template.text, family.plan) is family.plan
+        assert len(families) == 2 * len(plans)
+        assert template_plan.cache_info().misses == len(plans)
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +670,15 @@ class TestRunBatch:
         assert summary["success_probability"] == {"Abs": 1.0}
         assert summary["strategy"] == "heuristic"
 
+    def test_a_repeated_program_name_raises_before_any_chat(self, tmp_path, monkeypatch):
+        config = scripted_mock_config(tmp_path, [fenced(ABS_CORRECT)])
+        contexts = []
+        monkeypatch.setattr(pipeline, "make_context", lambda config: contexts.append(config))
+        programs = [("Abs", ABS_PROGRAM), ("Other", ABS_PROGRAM), ("Abs", ABS_CORRECT)]
+        with pytest.raises(ConfigError, match="program name 'Abs' is given twice"):
+            run_batch(programs, config)
+        assert contexts == []
+
     def test_script_is_loaded_once_per_batch(self, tmp_path, monkeypatch):
         script = tmp_path / "script.json"
         script.write_text(json.dumps([[fenced(ABS_CORRECT)], ["no code here"]]), encoding="utf-8")
@@ -657,38 +704,21 @@ class TestRunBatch:
         assert first == second
 
     def test_each_template_line_compiles_once_per_batch(self, monkeypatch):
-        fixtures = Path(__file__).parent / "fixtures"
-        config = config_from_dict(
-            {
-                "endpoint": {"mode": "scripted", "script": str(fixtures / "twosum_responses.json"), "shot_count": 0},
-                "verifier": {"adapter": "trace", "trace_file": str(fixtures / "twosum_trace.jsonl")},
-                "report": {"deterministic_clock": True},
-            }
-        )
-        contexts, templates, compiled = [], [], []
-        enumerate_variants, compile_plan = repair.enumerate_variants, schemata._compile_plan
-
-        def recording_context(config):
-            contexts.append(make_context(config))
-            return contexts[-1]
-
-        def recording_enumerate(template, **kwargs):
-            templates.append(template)
-            return enumerate_variants(template, **kwargs)
+        compiled = []
+        compile_plan = schemata._compile_plan
 
         def counting_compile(template, *args):
             compiled.append(template.text)
             return compile_plan(template, *args)
 
-        monkeypatch.setattr(pipeline, "make_context", recording_context)
-        monkeypatch.setattr(repair, "enumerate_variants", recording_enumerate)
+        families = record_families(monkeypatch)
         monkeypatch.setattr(schemata, "_compile_plan", counting_compile)
-        program = (fixtures / "TwoSum.java").read_text(encoding="utf-8")
-        entries, _ = run_batch([("TwoSum", program)], config, attempts=3)
+        template_plan.cache_clear()
+        entries, _ = run_batch([("TwoSum", TWOSUM_PROGRAM)], twosum_trace_config(), attempts=3)
         assert [e["outcome"] for e in entries] == ["verified-by-mutation"] * 3
-        lines = {template.text for template in templates}
-        assert len(templates) == 3 * len(lines)  # every attempt repairs the same lines
-        assert len(contexts[0].plans) == len(lines)
+        lines = {family.template.text for family in families}
+        assert len(families) == 3 * len(lines)  # every attempt repairs the same lines
+        assert template_plan.cache_info().misses == len(lines)
         # Each attempt reads past the template of the same refuted line; only
         # the first compiles its render plan.
         assert len(compiled) == len(set(compiled)) == 1 and set(compiled) <= lines

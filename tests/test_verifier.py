@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from specsmith import clauses as clauses_module
+from specsmith import verifier as verifier_module
 from specsmith.clauses import (
     Anchor,
     AnnotatedProgram,
@@ -216,6 +217,22 @@ class TestExecAdapter:
         # Checked when the adapter is built, before any program is written.
         with pytest.raises(ConfigError, match=r"needs a \{file\} placeholder"):
             ExecVerifier("javac")
+
+    def test_command_that_does_not_split_rejected(self):
+        # An unbalanced quote: refused when the adapter is built, too.
+        with pytest.raises(ConfigError, match="does not split into arguments: No closing quotation"):
+            ExecVerifier('true "{file}')
+
+    def test_command_is_split_once(self, tmp_path, monkeypatch):
+        stub = make_stub(tmp_path, "quiet.py", "pass\n")
+        verifier = ExecVerifier(f"'{stub}' {{file}}")
+
+        def fail(*args):
+            raise AssertionError("split the command again")
+
+        monkeypatch.setattr(verifier_module.shlex, "split", fail)
+        for _ in range(3):
+            assert verifier.verify(program()).outcome is Outcome.PASS
 
     def test_temp_file_receives_instrumented_text(self, tmp_path):
         stub = make_stub(
