@@ -23,6 +23,7 @@ from .pipeline import (
     aggregate_entries,
     build_strategy,
     build_verifier,
+    check_program_names,
     load_entries,
     run_batch,
     summary_table,
@@ -72,13 +73,9 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config = _load_pipeline_config(args)
-    programs, paths = [], {}
-    for path in args.files:
-        name = Path(path).stem
-        if name in paths:
-            raise ConfigError(f"{paths[name]} and {path} both name the program {name!r}")
-        paths[name] = path
-        programs.append((name, _read_text(path)))
+    names = [Path(path).stem for path in args.files]
+    check_program_names(names, args.files)
+    programs = [(name, _read_text(path)) for name, path in zip(names, args.files)]
     entries, summary = run_batch(programs, config, attempts=args.attempts)
     out_dir = args.out or config.paths.output_dir
     entries_path, summary_path = write_report(out_dir, entries, summary)

@@ -35,9 +35,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .clauses import Clause, ClauseKind, clause_line
+from .clauses import Clause
 from .expr import Binary, Expr, Quantifier, walk
-from .parser import parse_clause_line
 from .schemata import DEC_LHS, INC_LHS, Options, render_plan
 
 
@@ -186,19 +185,15 @@ class TemplatePlan:
 
 
 @lru_cache(maxsize=1024)
-def template_plan(text: str, enabled: frozenset[MutationKind], weights: WeightTable) -> TemplatePlan:
-    """The plan that every family of the template line ``text`` shares.
+def template_plan(template: Clause, enabled: frozenset[MutationKind], weights: WeightTable) -> TemplatePlan:
+    """The plan that every family of ``template``'s line shares.
 
-    The plan takes the tree of :func:`~specsmith.clauses.clause_line`, so it
-    keeps no second copy; ``text`` is parsed here only when the clause-level
-    type pass refuses it. Each plan is made once while it stays among the
-    last 1024 asked for. The cache is safe to share between threads.
+    ``template`` has no anchor or id; a clause compares and hashes by its
+    kind and canonical line, so every clause of that line finds the plan
+    made on the first one's tree, and nothing is parsed here. Each plan is
+    made once while it stays among the last 1024 asked for. The cache is
+    safe to share between threads.
     """
-    template = clause_line(text)
-    if isinstance(template, str):
-        kind, expr = parse_clause_line(text)
-        template = Clause(ClauseKind(kind), text)
-        template.__dict__["expr"] = expr
     return TemplatePlan(template, enabled, weights)
 
 
@@ -281,7 +276,7 @@ def enumerate_variants(
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    plan = template_plan(template.text, frozenset(kinds), weights or DEFAULT_WEIGHTS)
+    plan = template_plan(template.placed(None, ""), frozenset(kinds), weights or DEFAULT_WEIGHTS)
     return Family(template, plan, cap)
 
 

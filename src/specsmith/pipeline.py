@@ -257,19 +257,29 @@ def _record_repair(entry: dict[str, Any], state: SelectionState) -> None:
     entry["thrash_warnings"] = list(state.thrash_warnings)
 
 
+def check_program_names(names: Sequence[str], origins: Sequence[str] | None = None) -> None:
+    """Raise ConfigError at the first name given twice: entries and the
+    summary are keyed by program name. ``origins`` say where each program
+    came from, for the message (the CLI passes its paths); by default they
+    are the programs' positions."""
+    if origins is None:
+        origins = [f"program {i + 1}" for i in range(len(names))]
+    first: dict[str, str] = {}
+    for name, origin in zip(names, origins):
+        if name in first:
+            raise ConfigError(f"{first[name]} and {origin} both name the program {name!r}")
+        first[name] = origin
+
+
 def run_batch(
     programs: Sequence[tuple[str, str]],
     config: PipelineConfig,
     attempts: int = 1,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
-    """Every (program, attempt) in order, and the summary. Entries and the
-    summary are keyed by program name, so a repeated name is a ConfigError,
-    raised before any chat request."""
-    names: set[str] = set()
-    for name, _ in programs:
-        if name in names:
-            raise ConfigError(f"program name {name!r} is given twice; each program needs its own")
-        names.add(name)
+    """Every (program, attempt) in order, and the summary. A repeated program
+    name is a ConfigError, raised before any chat request (see
+    :func:`check_program_names`)."""
+    check_program_names([name for name, _ in programs])
     context = make_context(config)
     clients = client_factory(config)
     entries: list[dict[str, Any]] = []

@@ -244,20 +244,13 @@ def test_extracted_clauses_share_the_table_tree_and_never_parse_again(monkeypatc
     for clause in extracted:
         assert any(clause.expr is entry.expr for entry in entries if entry.text == clause.text)
 
-    parsed = []
-    parse_clause_line = clauses.parse_clause_line
-    monkeypatch.setattr(clauses, "parse_clause_line", lambda text: parsed.append(text) or parse_clause_line(text))
+    def fail(*args):
+        raise AssertionError("parsed a line again")
+
+    monkeypatch.setattr(clauses, "parse_clause_line", fail)
     for clause in extracted:
         clause.expr
         enumerate_variants(clause).variants
-    # A family's plan takes the tree of its template's canonical line, which
-    # is parsed once more only where it arrived spaced otherwise.
-    respaced = {clause.text for clause in extracted} - lines
-    assert respaced and sorted(parsed) == sorted(respaced)
-    parsed.clear()
-    for clause in extracted:
-        enumerate_variants(clause).variants
-    assert parsed == []
 
 
 def malformed_twosum_script() -> tuple[list[str], list[tuple[str, ...]]]:
@@ -436,22 +429,12 @@ def test_pipeline_runs_on_one_context_parse_each_line_once(monkeypatch):
     context = make_context(twosum_config())
     context.verifier = MockVerifier(truth=frozenset())  # all ten rounds run
     gen_responses = generated_script(3, rounds=10)
-    templates = []
-    enumerate_variants = repair.enumerate_variants
-
-    def recording(template, **kwargs):
-        templates.append(template.text)
-        return enumerate_variants(template, **kwargs)
-
-    monkeypatch.setattr(repair, "enumerate_variants", recording)
     parsed = count_parses(monkeypatch)
     run_pipeline("TwoSum", TWOSUM_PROGRAM, context, ScriptedChatClient(TWOSUM_RESPONSES))
     run_pipeline("Gen", GEN_PROGRAM, context, ScriptedChatClient(gen_responses), 1)
     run_pipeline("TwoSum", TWOSUM_PROGRAM, context, ScriptedChatClient(TWOSUM_RESPONSES), 2)
     lines = annotation_lines(TWOSUM_RESPONSES) | annotation_lines(gen_responses)
-    # Each line once, and once more the canonical line of any template that
-    # arrived spaced otherwise (its plan's tree).
-    assert sorted(parsed) == sorted(lines | set(templates))
+    assert sorted(parsed) == sorted(lines)
 
 
 def test_batch_reports_match_a_fresh_table_per_conversation(tmp_path, monkeypatch):

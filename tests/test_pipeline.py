@@ -675,7 +675,7 @@ class TestRunBatch:
         contexts = []
         monkeypatch.setattr(pipeline, "make_context", lambda config: contexts.append(config))
         programs = [("Abs", ABS_PROGRAM), ("Other", ABS_PROGRAM), ("Abs", ABS_CORRECT)]
-        with pytest.raises(ConfigError, match="program name 'Abs' is given twice"):
+        with pytest.raises(ConfigError, match="program 1 and program 3 both name the program 'Abs'"):
             run_batch(programs, config)
         assert contexts == []
 

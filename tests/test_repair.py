@@ -479,8 +479,6 @@ class TestLazySelection:
 
         program = make_program("a + b <= c", "c < d && a >= b")
         verifier = truth_verifier(program, "a - b < c", "c <= d || a + 1 >= b")
-        for template in program.clauses:
-            clauses.clause_line(template.text)  # the plans' trees: the template lines, parsed once
         monkeypatch.setattr(clauses, "parse_clause_line", fail)
         result = mutation_based_gen(program, verifier, HeuristicStrategy())
         assert result.outcome == "verified" and result.state.verifier_calls > 10
