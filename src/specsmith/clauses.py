@@ -72,11 +72,42 @@ class Clause:
     def expr(self) -> Expr:
         return parse_clause_line(self.text)[1]
 
+    @cached_property
+    def unplaced(self) -> Clause:
+        """This clause with no anchor or id, sharing its tree: itself if it
+        has neither. Every clause placed from this one shares it too."""
+        if self.anchor is None and not self.id:
+            return self
+        return _clause({"kind": self.kind, "text": self.text, "anchor": None, "id": "", "expr": self.expr})
+
     def placed(self, anchor: Anchor | None, id: str) -> Clause:
         """This clause at ``anchor`` under ``id``, sharing its tree."""
-        clause = Clause(self.kind, self.text, anchor, id)
-        clause.__dict__["expr"] = self.expr
-        return clause
+        return _clause(
+            {
+                "kind": self.kind,
+                "text": self.text,
+                "anchor": anchor,
+                "id": id,
+                "expr": self.expr,
+                "unplaced": self.unplaced,
+            }
+        )
+
+
+# A repair iteration makes clauses, so the hot paths make one by storing its
+# whole ``__dict__`` at once, where the dataclass constructor makes one
+# ``object.__setattr__`` call per field.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _clause(values: dict) -> Clause:
+    """The clause whose ``__dict__`` is ``values``: its fields, and ``expr``
+    where the tree is known. Parsing, placing and a family member's
+    :attr:`~specsmith.mutation.Variant.clause` make clauses through it."""
+    clause = _new(Clause)
+    _set(clause, "__dict__", values)
+    return clause
 
 
 @dataclass(frozen=True)
@@ -107,9 +138,8 @@ def parse_clause(text: str, anchor: Anchor | None = None, clause_id: str = "") -
             raise TypeMismatch("decreases clauses need an integer-valued expression")
     elif expr_type in ("int", "null"):
         raise TypeMismatch(f"{kind.value} clauses need a boolean expression")
-    clause = Clause(kind, f"//@ {kind.value} {render_expr(expr)};", anchor, clause_id)
-    clause.__dict__["expr"] = expr  # its canonical line parses to this tree
-    return clause
+    text = f"//@ {kind.value} {render_expr(expr)};"  # its canonical line, which parses to ``expr``
+    return _clause({"kind": kind, "text": text, "anchor": anchor, "id": clause_id, "expr": expr})
 
 
 _MODIFIERS = r"(?:(?:public|private|protected|static|final|synchronized|abstract|native|strictfp)\s+)*"

@@ -35,7 +35,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .clauses import Clause
+from .clauses import Clause, _clause
 from .expr import Binary, Expr, Quantifier, walk
 from .schemata import DEC_LHS, INC_LHS, Options, render_plan
 
@@ -119,10 +119,13 @@ class Variant:
     def clause(self) -> Clause:
         """The template's kind, anchor and id with this member's text; its
         expression is parsed from that text on first read."""
-        if self._clause is None:
+        clause = self._clause
+        if clause is None:
             template = self.template
-            self._clause = Clause(template.kind, self.text, template.anchor, template.id)
-        return self._clause
+            clause = self._clause = _clause(
+                {"kind": template.kind, "text": self.text, "anchor": template.anchor, "id": template.id}
+            )
+        return clause
 
     def __repr__(self) -> str:
         return f"Variant({self.text!r}, score={self.score})"
@@ -276,7 +279,7 @@ def enumerate_variants(
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    plan = template_plan(template.placed(None, ""), frozenset(kinds), weights or DEFAULT_WEIGHTS)
+    plan = template_plan(template.unplaced, frozenset(kinds), weights or DEFAULT_WEIGHTS)
     return Family(template, plan, cap)
 
 

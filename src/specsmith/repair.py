@@ -7,6 +7,11 @@ from the family's unrefuted members. A family that runs dry drops its slot.
 Every refutation marks one more family member, so the loop performs at most
 1 + sum(family sizes) calls.
 
+The selection is kept, not rebuilt: :class:`SelectionState` holds the
+selected clause of every live slot, in template order, and
+:func:`re_select` changes only the slots it refutes. So an iteration costs
+its verifier call plus work on the refuted slots.
+
 Families are streams (see :class:`~specsmith.mutation.Family`): the heuristic
 reads them in order through a per-slot cursor, so a repair builds only the
 variants it reaches; the thrash check reads the family size, which costs
@@ -38,6 +43,8 @@ from .mutation import (
 )
 from .verifier import Outcome, Verifier
 
+_PASS = Outcome.PASS  # a module name reads faster than an Enum member
+
 
 @dataclass
 class FamilySlot:
@@ -46,6 +53,14 @@ class FamilySlot:
     refuted: set[str] = field(default_factory=set)  # texts, never selected again
     cursor: int = 0  # heuristic: every family member before it is refuted
     warned: bool = False
+    size: int = field(init=False)  # the family's size, which the thrash check reads
+    # random: the unrefuted members in family order, and the index of the
+    # last pick among them; kept from one pick to the next.
+    live: list[Variant] | None = field(default=None, repr=False)
+    live_at: int = 0
+
+    def __post_init__(self):
+        self.size = len(self.family)
 
 
 class SelectionStrategy(Protocol):
@@ -57,25 +72,39 @@ class HeuristicStrategy:
     the weighted mutation-count score, ties by text."""
 
     def pick(self, slot: FamilySlot) -> Variant | None:
-        family = slot.family
-        while (variant := family.get(slot.cursor)) is not None and variant.text in slot.refuted:
-            slot.cursor += 1
+        get, refuted, cursor = slot.family.get, slot.refuted, slot.cursor
+        while (variant := get(cursor)) is not None and variant.text in refuted:
+            cursor += 1
+        slot.cursor = cursor
         return variant
 
 
 class RandomStrategy:
     """Uniform choice among the unrefuted variants, with a private
-    deterministic generator."""
+    deterministic generator.
+
+    The unrefuted members are kept on the slot. A pick drops the variant just
+    refuted, which is still the slot's selection and was the last pick. The
+    refuted set only grows, so the kept list holds every unrefuted member,
+    and it holds no other just when the counts agree; when they do not, the
+    family is listed afresh.
+    """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._rng = random.Random(seed)
 
     def pick(self, slot: FamilySlot) -> Variant | None:
-        candidates = [v for v in slot.family.variants if v.text not in slot.refuted]
-        if not candidates:
+        live, at, refuted = slot.live, slot.live_at, slot.refuted
+        if live is not None and at < len(live) and live[at] is slot.selected and live[at].text in refuted:
+            del live[at]
+        if live is None or len(live) != slot.size - len(refuted):
+            live = slot.live = [v for v in slot.family.variants if v.text not in refuted]
+        if not live:
             return None
-        return self._rng.choice(candidates)
+        # The index random.choice(live) would draw, from the same draws.
+        slot.live_at = at = self._rng.choice(range(len(live)))
+        return live[at]
 
 
 @dataclass
@@ -91,11 +120,19 @@ class SelectionState:
     refuted_history: list[RefutationEvent] = field(default_factory=list)
     verifier_calls: int = 0
     thrash_warnings: list[str] = field(default_factory=list)
+    # Template id -> the clause of its selected variant, in template order;
+    # a dropped slot has none. :func:`re_select` keeps it current.
+    selection: dict[str, Clause] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.selection = {
+            template_id: slot.selected.clause
+            for template_id, slot in self.slots.items()
+            if slot.selected is not None
+        }
 
     def selected_clauses(self) -> tuple[Clause, ...]:
-        return tuple(
-            slot.selected.clause for slot in self.slots.values() if slot.selected is not None
-        )
+        return tuple(self.selection.values())
 
 
 @dataclass
@@ -151,25 +188,28 @@ def re_select(
     clause from now on. A slot that has been refuted more than half its
     family size records a thrash warning, once.
     """
+    slots, selection, history = state.slots, state.selection, state.refuted_history
     for clause_id in refuted_ids:
-        if clause_id not in state.slots:
+        slot = slots.get(clause_id)
+        if slot is None:
             raise UnknownClause(f"no family for clause id {clause_id!r}")
-        slot = state.slots[clause_id]
-        if slot.selected is None:
-            raise UnknownClause(f"clause id {clause_id!r} has no selected variant")
         refuted = slot.selected
-        state.refuted_history.append(
-            RefutationEvent(iteration=iteration, clause_id=clause_id, text=refuted.text)
-        )
+        if refuted is None:
+            raise UnknownClause(f"clause id {clause_id!r} has no selected variant")
+        history.append(RefutationEvent(iteration, clause_id, refuted.text))
         slot.refuted.add(refuted.text)
-        if not slot.warned and 2 * len(slot.refuted) > len(slot.family):
+        if not slot.warned and 2 * len(slot.refuted) > slot.size:
             slot.warned = True
             state.thrash_warnings.append(
                 f"template {clause_id} replaced {len(slot.refuted)} times "
-                f"(family size {len(slot.family)}); "
+                f"(family size {slot.size}); "
                 "verifier attribution may be thrashing"
             )
-        slot.selected = strategy.pick(slot)
+        replacement = slot.selected = strategy.pick(slot)
+        if replacement is None:
+            del selection[clause_id]
+        else:
+            selection[clause_id] = replacement.clause
 
 
 def spec_selection(
@@ -190,31 +230,32 @@ def spec_selection(
     iteration's selection unverified.
     """
     started = time.monotonic()
+    selection = state.selection  # a selected clause's id is its template id
     while True:
-        program = AnnotatedProgram(source, state.selected_clauses())
+        program = AnnotatedProgram(source, tuple(selection.values()))
         if budget_seconds is not None and time.monotonic() - started >= budget_seconds:
             return RepairResult(program, state, "out-of-budget")
         verdict = verifier.verify(program)
         state.verifier_calls += 1
-        if not program.clauses:
+        if not selection:
             return RepairResult(program, state, "exhausted")
-        if verdict.outcome is Outcome.PASS:
+        if verdict.outcome is _PASS:
             return RepairResult(program, state, "verified")
         if not verdict.failures:  # a timeout or crash; a fail always carries failures
             detail = f"verifier {verdict.outcome.value}"
             if verdict.detail:
                 detail += f" ({verdict.detail})"
             return RepairResult(program, state, "no-verdict", detail)
-        selected_ids = {clause.id for clause in program.clauses}
         refuted = []
         for failure in verdict.failures:
-            if failure.clause_id in selected_ids and failure.clause_id not in refuted:
-                refuted.append(failure.clause_id)
+            clause_id = failure.clause_id
+            if clause_id in selection and clause_id not in refuted:
+                refuted.append(clause_id)
         if not refuted:
             # Unattributable failure: refute everything currently selected
             # rather than loop forever on the same set.
-            refuted = [clause.id for clause in program.clauses]
-        re_select(state, refuted, strategy, iteration=state.verifier_calls)
+            refuted = list(selection)
+        re_select(state, refuted, strategy, state.verifier_calls)
 
 
 def mutation_based_gen(

@@ -53,26 +53,48 @@ class FailureCategory(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+# Every verifier call makes a verdict and its failures, so each stores its
+# whole ``__dict__`` at once, where a frozen dataclass's own constructor
+# makes one ``object.__setattr__`` call per field.
+_set = object.__setattr__
+_PASS, _FAIL = Outcome.PASS, Outcome.FAIL
+
+
+@dataclass(frozen=True, init=False)
 class FailureReport:
     raw_message: str
     category: FailureCategory
     clause_id: str | None = None
     source_line: int | None = None
 
+    def __init__(self, raw_message, category, clause_id=None, source_line=None):
+        _set(
+            self,
+            "__dict__",
+            {"raw_message": raw_message, "category": category, "clause_id": clause_id, "source_line": source_line},
+        )
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class VerifierVerdict:
+    """A PASS carries no failures, and a FAIL at least one."""
+
     outcome: Outcome
     failures: tuple[FailureReport, ...] = ()
     detail: str = ""  # context for crash/timeout outcomes
     coverage_caveat: bool = False  # True when the check only covers the traces seen
 
-    def __post_init__(self):
-        if self.outcome is Outcome.PASS and self.failures:
-            raise ValueError("a passing verdict cannot carry failures")
-        if self.outcome is Outcome.FAIL and not self.failures:
+    def __init__(self, outcome, failures=(), detail="", coverage_caveat=False):
+        if failures:
+            if outcome is _PASS:
+                raise ValueError("a passing verdict cannot carry failures")
+        elif outcome is _FAIL:
             raise ValueError("a failing verdict needs at least one failure")
+        _set(
+            self,
+            "__dict__",
+            {"outcome": outcome, "failures": failures, "detail": detail, "coverage_caveat": coverage_caveat},
+        )
 
 
 class Verifier(Protocol):
@@ -431,6 +453,8 @@ def _check_decreases(
 
 # --- Truth-set mock ---------------------------------------------------------
 
+_UNKNOWN = FailureCategory.UNKNOWN
+
 
 class MockVerifier:
     """The mock adapter: accepts exactly the clause texts in ``truth``."""
@@ -440,17 +464,14 @@ class MockVerifier:
         self.failures_per_call = failures_per_call
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
-        failures = tuple(
-            FailureReport(
-                raw_message=f"clause not in the accepted set: {clause.text}",
-                category=FailureCategory.UNKNOWN,
-                clause_id=clause.id,
-            )
-            for clause in program.clauses
-            if clause.text not in self.truth
-        )
+        truth, one = self.truth, self.failures_per_call == "one"
+        failures = []
+        for clause in program.clauses:
+            text = clause.text
+            if text not in truth:
+                failures.append(FailureReport(f"clause not in the accepted set: {text}", _UNKNOWN, clause.id))
+                if one:
+                    break
         if failures:
-            if self.failures_per_call == "one":
-                failures = failures[:1]
-            return VerifierVerdict(Outcome.FAIL, failures)
-        return VerifierVerdict(Outcome.PASS)
+            return VerifierVerdict(_FAIL, tuple(failures))
+        return VerifierVerdict(_PASS)

@@ -51,6 +51,7 @@ from specsmith.expr import (
 from specsmith import mutation
 from specsmith.mutation import MutationKind, Variant, WeightTable
 from specsmith.parser import MAX_NESTING, _check_depth, _check_end, _Parser, tokenize
+from specsmith.repair import RefutationEvent, RepairResult
 from specsmith.schemata import render_plan
 from specsmith.verifier import FailureCategory, FailureReport, Outcome, VerifierVerdict
 
@@ -154,6 +155,76 @@ class RandomizedVerifier:
             for cid in chosen
         )
         return VerifierVerdict(Outcome.FAIL, failures)
+
+
+# ---------------------------------------------------------------------------
+# Repair-loop oracle: the verify-and-replace loop as it was before it kept
+# its selection. Every iteration rebuilds the selected clauses from the
+# slots and the set of ids a failure may blame, every refutation reads the
+# family's size, and the random strategy lists the unrefuted members afresh
+# on every pick.
+
+
+class RescanRandomStrategy:
+    """A uniform choice among the family members not yet refuted, listed
+    afresh on every pick, with a private generator seeded like
+    :class:`~specsmith.repair.RandomStrategy`'s."""
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+
+    def pick(self, slot):
+        candidates = [v for v in slot.family.variants if v.text not in slot.refuted]
+        if not candidates:
+            return None
+        return self._rng.choice(candidates)
+
+
+def rebuilt_selection(state) -> tuple[Clause, ...]:
+    """The selected clauses, read off the slots in template order."""
+    return tuple(slot.selected.clause for slot in state.slots.values() if slot.selected is not None)
+
+
+def oracle_re_select(state, refuted_ids, strategy, iteration: int) -> None:
+    for clause_id in refuted_ids:
+        slot = state.slots[clause_id]
+        refuted = slot.selected
+        state.refuted_history.append(RefutationEvent(iteration=iteration, clause_id=clause_id, text=refuted.text))
+        slot.refuted.add(refuted.text)
+        if not slot.warned and 2 * len(slot.refuted) > len(slot.family):
+            slot.warned = True
+            state.thrash_warnings.append(
+                f"template {clause_id} replaced {len(slot.refuted)} times "
+                f"(family size {len(slot.family)}); "
+                "verifier attribution may be thrashing"
+            )
+        slot.selected = strategy.pick(slot)
+
+
+def oracle_spec_selection(state, source: str, verifier, strategy) -> RepairResult:
+    """:func:`~specsmith.repair.spec_selection` with no budget, rebuilding
+    what the loop keeps."""
+    while True:
+        program = AnnotatedProgram(source, rebuilt_selection(state))
+        verdict = verifier.verify(program)
+        state.verifier_calls += 1
+        if not program.clauses:
+            return RepairResult(program, state, "exhausted")
+        if verdict.outcome is Outcome.PASS:
+            return RepairResult(program, state, "verified")
+        if not verdict.failures:
+            detail = f"verifier {verdict.outcome.value}"
+            if verdict.detail:
+                detail += f" ({verdict.detail})"
+            return RepairResult(program, state, "no-verdict", detail)
+        selected_ids = {clause.id for clause in program.clauses}
+        refuted = []
+        for failure in verdict.failures:
+            if failure.clause_id in selected_ids and failure.clause_id not in refuted:
+                refuted.append(failure.clause_id)
+        if not refuted:
+            refuted = [clause.id for clause in program.clauses]
+        oracle_re_select(state, refuted, strategy, iteration=state.verifier_calls)
 
 
 class ScriptedVerifier:

@@ -18,6 +18,7 @@ from specsmith.clauses import (
 )
 from specsmith.errors import AnchorNotFound, ExtractionError, TypeMismatch
 from specsmith.expr import render_expr
+from specsmith.mutation import enumerate_variants
 
 SIMPLE = """\
 class Abs {
@@ -253,6 +254,65 @@ class TestClauseIdentity:
             dataclasses.replace(made, id="method:f/ensures/1"),
         ):
             assert made != other
+
+
+def member(template, text):
+    """The member of ``template``'s family with ``text``."""
+    return next(v for v in enumerate_variants(template).variants if v.text == text)
+
+
+class TestClauseValues:
+    """However a clause is made (the dataclass constructor, parsing,
+    placing, a family member's clause), it is a frozen value: it compares,
+    hashes and prints by its fields and refuses assignment."""
+
+    FIELDS = (ClauseKind.REQUIRES, "//@ requires a + b <= c;", Anchor("f", 0), "loop:f:0/requires/0")
+
+    def made(self):
+        _, text, anchor, clause_id = self.FIELDS
+        parsed = parse_clause(text, anchor, clause_id)
+        return [
+            Clause(*self.FIELDS),
+            parsed,
+            parse_clause(text).placed(anchor, clause_id),
+            parsed.unplaced.placed(anchor, clause_id),
+            member(parse_clause("requires a - b <= c;", anchor, clause_id), text).clause,
+            member(parse_clause("requires a + b < c;", anchor, clause_id), text).clause,
+        ]
+
+    def test_every_make_compares_hashes_and_prints_alike(self):
+        for clause in self.made():
+            assert clause == Clause(*self.FIELDS)
+            assert hash(clause) == hash(self.FIELDS)
+            assert repr(clause) == (
+                "Clause(kind=<ClauseKind.REQUIRES: 'requires'>, text='//@ requires a + b <= c;', "
+                "anchor=Anchor(method='f', loop=0), id='loop:f:0/requires/0')"
+            )
+            assert dataclasses.astuple(clause)[:2] == self.FIELDS[:2]
+            assert clause.expr == parse_clause(self.FIELDS[1]).expr
+
+    def test_assignment_is_refused(self):
+        for clause in self.made():
+            for name, value in zip(("kind", "text", "anchor", "id", "expr"), self.FIELDS + (None,)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(clause, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del clause.text
+            assert clause == Clause(*self.FIELDS)
+
+    def test_placing_shares_the_tree_and_the_unplaced_clause(self):
+        template = parse_clause("requires a + b <= c;", Anchor("f"), "method:f/requires/0")
+        unplaced = template.unplaced
+        assert (unplaced.anchor, unplaced.id, unplaced.text) == (None, "", template.text)
+        assert unplaced.expr is template.expr and unplaced.unplaced is unplaced
+        for anchor, clause_id in ((Anchor("g", 1), "loop:g:1/requires/0"), (None, "")):
+            moved = template.placed(anchor, clause_id)
+            assert (moved.anchor, moved.id) == (anchor, clause_id)
+            assert moved.expr is template.expr and moved.unplaced is unplaced
+        rewritten = member(template, "//@ requires a - b <= c;").clause
+        assert (rewritten.kind, rewritten.anchor, rewritten.id) == (template.kind, template.anchor, template.id)
+        assert "expr" not in vars(rewritten)  # parsed on first read
+        assert rewritten.expr == parse_clause("requires a - b <= c;").expr
 
 
 class TestInstrument:

@@ -562,6 +562,19 @@ class TestRepair:
         assert "refuted (call 1) method:abs/requires/0" in captured.out
         assert captured.err == ""
 
+    def test_random_exhaustion_prints_the_fixture(self, tmp_path, capsys):
+        # The smoke step in CI runs the same command and compares its output.
+        config = tmp_path / "random.yaml"
+        config.write_text(
+            "verifier:\n  adapter: mock\n  mock_truth: []\nstrategy:\n  name: random\n", encoding="utf-8"
+        )
+        abs_java = Path(repair.__file__).parent / "corpus" / "Abs.java"
+        code = main(["repair", str(abs_java), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        fixture = Path(__file__).parent / "fixtures" / "abs_random_exhausted.txt"
+        assert captured.out == fixture.read_text(encoding="utf-8")
+
     def test_timeout_prints_the_partial_state(self, workspace, capsys, monkeypatch):
         near_miss = workspace / "AbsNearMiss.java"
         near_miss.write_text(

@@ -6,12 +6,17 @@ import pytest
 from conftest import (
     RandomizedVerifier,
     RecordingVerifier,
+    RescanRandomStrategy,
     ScriptedVerifier,
     gen_mutation_clause,
+    oracle_spec_selection,
+    rebuilt_selection,
     scale_weights,
     score_variant,
     select_by_heuristic,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsmith.clauses import (
     Anchor,
@@ -22,7 +27,7 @@ from specsmith.clauses import (
     parse_clause,
 )
 from specsmith.errors import ClauseSyntaxError, SpecError, UnknownClause
-from specsmith import clauses
+from specsmith import clauses, repair
 from specsmith.evaluate import Phase, TraceRecord
 from specsmith.expr import render_expr
 from specsmith.mutation import (
@@ -592,3 +597,140 @@ class TestRandomStrategy:
             result = mutation_based_gen(program, verifier, RandomStrategy(seed))
             counts.add(result.state.verifier_calls)
         assert len(counts) > 1
+
+    def test_picks_match_a_rescan_of_the_family(self):
+        """The kept list of unrefuted members draws what a fresh listing
+        would, pick for pick, whether a member is refuted by the loop, added
+        to the refuted set by hand, or picked again unrefuted."""
+        rng = random.Random(1103)
+        picks = outside = 0
+        for _ in range(200):
+            clause = make_program(render_expr(gen_mutation_clause(rng, max_sites=5))).clauses[0]
+            cap, seed = rng.choice((2, 8, 64, 4096)), rng.randrange(1000)
+            slots = [FamilySlot(enumerate_variants(clause, cap=cap), selected=None) for _ in range(2)]
+            members = slots[0].family.variants
+            strategies = (RandomStrategy(seed), RescanRandomStrategy(seed))
+            for slot in slots:
+                slot.selected = slot.family.template_variant
+            while slots[0].selected is not None:
+                roll = rng.random()
+                extra = rng.choice(members).text if roll < 0.2 else None
+                for slot in slots:
+                    if roll >= 0.05:  # else the selection is picked again unrefuted
+                        slot.refuted.add(slot.selected.text)
+                    if extra is not None:  # a refutation made outside re_select
+                        slot.refuted.add(extra)
+                kept, rescan = (strategy.pick(slot) for strategy, slot in zip(strategies, slots))
+                assert seen(kept) == seen(rescan)
+                for slot, variant in zip(slots, (kept, rescan)):
+                    slot.selected = variant
+                picks += 1
+                outside += extra is not None
+        assert picks > 1000 and outside > 100
+
+    def test_an_exhausted_family_draws_as_a_rescan_does(self):
+        program = make_program("a + b <= c && c + d <= n && a - 1 >= d && b < a")
+        results = [
+            mutation_based_gen(program, MockVerifier(truth=frozenset()), strategy)
+            for strategy in (RandomStrategy(11), RescanRandomStrategy(11))
+        ]
+        kept, rescan = (result.state for result in results)
+        size = len(enumerate_variants(program.clauses[0]))
+        assert size == 3456 and kept.verifier_calls == rescan.verifier_calls == 1 + size
+        assert kept.refuted_history == rescan.refuted_history
+
+
+class StaleBlame:
+    """:class:`~conftest.RandomizedVerifier`'s verdicts, now and then with a
+    timeout, or with a failure first that blames a template whose slot is not
+    selected (a stale id) or no clause at all; with ``one``, only the first
+    failure is reported."""
+
+    def __init__(self, seed, template_ids, one):
+        self.inner = RandomizedVerifier(random.Random(seed))
+        self.rng = random.Random(-seed)
+        self.template_ids = template_ids
+        self.one = one
+        self.calls = []
+
+    def verify(self, program):
+        self.calls.append(program)
+        verdict = self.inner.verify(program)
+        roll = self.rng.random()
+        if roll < 0.03:
+            return VerifierVerdict(Outcome.TIMEOUT, detail="slow")
+        if verdict.outcome is Outcome.PASS:
+            return verdict
+        failures = list(verdict.failures)
+        stale = [tid for tid in self.template_ids if tid not in {c.id for c in program.clauses}]
+        if roll < 0.15 and stale:
+            failures.insert(0, FailureReport("stale", FailureCategory.UNKNOWN, self.rng.choice(stale)))
+        elif roll < 0.25:
+            failures.insert(0, FailureReport("nowhere", FailureCategory.UNKNOWN))
+        return VerifierVerdict(Outcome.FAIL, tuple(failures[:1] if self.one else failures))
+
+
+class TestKeptSelection:
+    """The loop keeps its selection and changes only the refuted slots; the
+    oracle (``conftest.oracle_spec_selection``) rebuilds it from the slots on
+    every iteration, with a random strategy that rescans the family. Both
+    make the same calls and refutations, and end the same way."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), random_strategy=st.booleans(), one=st.booleans())
+    def test_the_kept_loop_matches_the_rebuilding_oracle(self, seed, random_strategy, one):
+        rng = random.Random(seed)
+        program = make_program(
+            *(render_expr(gen_mutation_clause(rng, max_sites=4)) for _ in range(rng.randrange(1, 5)))
+        )
+        cap = rng.choice((2, 8, 4096))
+        ids = [clause.id for clause in program.clauses]
+        kept_verifier, oracle_verifier = StaleBlame(seed, ids, one), StaleBlame(seed, ids, one)
+        if random_strategy:
+            strategies = RandomStrategy(seed), RescanRandomStrategy(seed)
+        else:
+            strategies = HeuristicStrategy(), HeuristicStrategy()
+        kept = mutation_based_gen(program, kept_verifier, strategies[0], cap=cap)
+        state = init_state(spec_mutation(program.clauses, cap=cap))
+        oracle = oracle_spec_selection(state, program.source, oracle_verifier, strategies[1])
+        assert (kept.outcome, kept.detail) == (oracle.outcome, oracle.detail)
+        assert kept.state.verifier_calls == oracle.state.verifier_calls
+        assert kept.state.refuted_history == oracle.state.refuted_history
+        assert kept.state.thrash_warnings == oracle.state.thrash_warnings
+        assert [tid for tid, slot in kept.state.slots.items() if slot.selected is None] == [
+            tid for tid, slot in oracle.state.slots.items() if slot.selected is None
+        ]
+        assert kept.program == oracle.program
+        assert kept_verifier.calls == oracle_verifier.calls
+        assert kept.state.selected_clauses() == rebuilt_selection(kept.state)
+
+    def test_one_re_select_per_refuting_iteration(self, monkeypatch):
+        """``spec_selection`` and ``re_select`` are looked up in the module
+        on every call, so a wrapper set there sees every call. Each refuting
+        iteration makes one ``re_select`` call with a list of ids, whose
+        slots hold their replacements when it returns."""
+        calls = []
+        real_selection, real_re_select = repair.spec_selection, repair.re_select
+
+        def counting_selection(*args, **kwargs):
+            calls.append("spec_selection")
+            return real_selection(*args, **kwargs)
+
+        def counting_re_select(state, refuted_ids, strategy, iteration):
+            assert type(refuted_ids) is list
+            real_re_select(state, refuted_ids, strategy, iteration)
+            replacements = [state.slots[cid].selected for cid in refuted_ids]
+            calls.append((iteration, len(replacements)))
+
+        monkeypatch.setattr(repair, "spec_selection", counting_selection)
+        monkeypatch.setattr(repair, "re_select", counting_re_select)
+        program = make_program("a <= b", "c == d && a < n")
+        for strategy in (HeuristicStrategy(), RandomStrategy(2)):
+            calls.clear()
+            result = mutation_based_gen(program, truth_verifier(program, "a < b", "c != d && a < n"), strategy)
+            assert result.outcome == "verified"
+            history = result.state.refuted_history
+            iterations = range(1, result.state.verifier_calls)
+            assert calls == ["spec_selection"] + [
+                (i, sum(event.iteration == i for event in history)) for i in iterations
+            ]

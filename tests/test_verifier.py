@@ -65,6 +65,55 @@ class TestVerdictInvariants:
         VerifierVerdict(Outcome.TIMEOUT, detail="slow")
         VerifierVerdict(Outcome.CRASH, detail="boom")
 
+    def test_replace_keeps_the_checks(self):
+        failure = FailureReport("boom", FailureCategory.UNKNOWN)
+        with pytest.raises(ValueError):
+            dataclasses.replace(VerifierVerdict(Outcome.FAIL, (failure,)), outcome=Outcome.PASS)
+        with pytest.raises(ValueError):
+            dataclasses.replace(VerifierVerdict(Outcome.CRASH), outcome=Outcome.FAIL)
+
+
+class TestValueTypes:
+    """Reports and verdicts are frozen values: they compare, hash and print
+    by their fields, however they were made, and refuse assignment."""
+
+    def test_reports_compare_hash_and_print_by_value(self):
+        made = [
+            FailureReport("no", FailureCategory.UNKNOWN, "c0", 7),
+            FailureReport(raw_message="no", category=FailureCategory.UNKNOWN, clause_id="c0", source_line=7),
+            dataclasses.replace(FailureReport("yes", FailureCategory.UNKNOWN), raw_message="no", clause_id="c0", source_line=7),
+        ]
+        for report in made:
+            assert report == made[0] and hash(report) == hash(("no", FailureCategory.UNKNOWN, "c0", 7))
+            assert repr(report) == (
+                "FailureReport(raw_message='no', category=<FailureCategory.UNKNOWN: 'unknown'>, "
+                "clause_id='c0', source_line=7)"
+            )
+        bare = FailureReport("no", FailureCategory.UNKNOWN)
+        assert (bare.clause_id, bare.source_line) == (None, None) and bare != made[0]
+        assert dataclasses.astuple(bare) == ("no", FailureCategory.UNKNOWN, None, None)
+
+    def test_verdicts_compare_hash_and_print_by_value(self):
+        failures = (FailureReport("no", FailureCategory.TYPE_ERROR, "c0"),)
+        verdict = VerifierVerdict(Outcome.FAIL, failures, coverage_caveat=True)
+        same = VerifierVerdict(outcome=Outcome.FAIL, failures=failures, detail="", coverage_caveat=True)
+        assert verdict == same and hash(verdict) == hash((Outcome.FAIL, failures, "", True))
+        assert verdict != VerifierVerdict(Outcome.FAIL, failures)
+        assert repr(VerifierVerdict(Outcome.TIMEOUT, detail="slow")) == (
+            "VerifierVerdict(outcome=<Outcome.TIMEOUT: 'timeout'>, failures=(), detail='slow', coverage_caveat=False)"
+        )
+
+    def test_assignment_is_refused(self):
+        report = FailureReport("no", FailureCategory.UNKNOWN, "c0")
+        verdict = VerifierVerdict(Outcome.FAIL, (report,))
+        for value in (report, verdict):
+            for field in dataclasses.fields(value):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(value, field.name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(value, field.name)
+        assert verdict.failures == (report,) and report.clause_id == "c0"
+
 
 class TestClassification:
     @pytest.mark.parametrize(
@@ -536,6 +585,25 @@ class TestMockVerifier:
         ]
         one = MockVerifier((), failures_per_call="one").verify(program)
         assert [f.clause_id for f in one.failures] == ["c0"]
+
+    def test_one_pass_reports_what_filtering_every_clause_would(self):
+        rng = random.Random(515)
+        lines = [f"//@ requires a < {n};" for n in range(6)]
+        for _ in range(200):
+            chosen = rng.sample(range(6), rng.randrange(0, 6))
+            program = AnnotatedProgram(
+                "class X {}", tuple(parse_clause(lines[n], Anchor("f"), f"c{n}") for n in chosen)
+            )
+            truth = frozenset(rng.sample(lines, rng.randrange(0, 6)))
+            rejected = [c for c in program.clauses if c.text not in truth]
+            for per_call in ("one", "all"):
+                verdict = MockVerifier(truth, failures_per_call=per_call).verify(program)
+                expected = rejected[:1] if per_call == "one" else rejected
+                assert verdict.outcome is (Outcome.FAIL if rejected else Outcome.PASS)
+                assert verdict.failures == tuple(
+                    FailureReport(f"clause not in the accepted set: {c.text}", FailureCategory.UNKNOWN, c.id)
+                    for c in expected
+                )
 
     def test_verify_keeps_no_per_call_state(self):
         # One mock serves a whole batch, so nothing may grow with its calls.
