@@ -232,12 +232,12 @@ def spec_selection(
     started = time.monotonic()
     selection = state.selection  # a selected clause's id is its template id
     while True:
-        program = AnnotatedProgram(source, tuple(selection.values()))
+        program = AnnotatedProgram(source, state.selected_clauses())
         if budget_seconds is not None and time.monotonic() - started >= budget_seconds:
             return RepairResult(program, state, "out-of-budget")
         verdict = verifier.verify(program)
         state.verifier_calls += 1
-        if not selection:
+        if not program.clauses:
             return RepairResult(program, state, "exhausted")
         if verdict.outcome is _PASS:
             return RepairResult(program, state, "verified")
@@ -255,7 +255,7 @@ def spec_selection(
             # Unattributable failure: refute everything currently selected
             # rather than loop forever on the same set.
             refuted = list(selection)
-        re_select(state, refuted, strategy, state.verifier_calls)
+        re_select(state, refuted, strategy, iteration=state.verifier_calls)
 
 
 def mutation_based_gen(

@@ -81,7 +81,9 @@ class TestValueTypes:
         made = [
             FailureReport("no", FailureCategory.UNKNOWN, "c0", 7),
             FailureReport(raw_message="no", category=FailureCategory.UNKNOWN, clause_id="c0", source_line=7),
-            dataclasses.replace(FailureReport("yes", FailureCategory.UNKNOWN), raw_message="no", clause_id="c0", source_line=7),
+            dataclasses.replace(
+                FailureReport("yes", FailureCategory.UNKNOWN), raw_message="no", clause_id="c0", source_line=7
+            ),
         ]
         for report in made:
             assert report == made[0] and hash(report) == hash(("no", FailureCategory.UNKNOWN, "c0", 7))
