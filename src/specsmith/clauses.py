@@ -240,46 +240,49 @@ def misplacement(kind: ClauseKind, above_loop: bool) -> str | None:
     return f"{kind.value} clauses belong above a loop, not a method header"
 
 
-def extract_annotations(source: str) -> AnnotatedProgram:
-    """Pull ``//@`` lines out of the text and anchor them by adjacency.
+# Annotation lines grouped by the line below them: (index of that line among
+# the lines left once every ``//@`` line is taken out, [(1-based line number,
+# stripped annotation)]). A trailing group's index is one past the last line.
+AnnotationBlocks = list[tuple[int, list[tuple[int, str]]]]
 
-    Annotation lines must sit immediately above a method header or a loop
-    line (other annotation lines in between are fine), each kind where
-    :func:`misplacement` allows it. Problems — parse errors, type
-    mismatches, orphaned or misplaced annotations — are collected per line
-    and raised together as one :class:`ExtractionError`.
 
-    Each line is parsed through :func:`clause_line`, and the anchors come
-    from :func:`program_anchors` of the returned source, which is the key a
-    verifier of that program looks up too. Every call places the parsed
-    clauses afresh: each gets its anchor and the id
-    ``<anchor key>/<kind>/<ordinal>``, numbered per anchor and kind in text
-    order, and shares the parsed clause's tree.
+def split_annotations(source: str) -> tuple[str, AnnotationBlocks]:
+    """``source`` with its ``//@`` lines taken out, and those lines grouped
+    by the line below them, in one pass over its lines.
+
+    A line is an annotation when it starts with ``//@`` once stripped. The
+    text keeps ``source``'s final newline. :func:`place_annotations` of the
+    two is :func:`extract_annotations` of ``source``.
     """
-    lines = source.splitlines()
     stripped_lines: list[str] = []
     pending: list[tuple[int, str]] = []
-    blocks: list[tuple[int, list[tuple[int, str]]]] = []
-    issues: list[tuple[int, str]] = []
-
-    for line_no, line in enumerate(lines, start=1):
-        annotation = line.strip()
-        if annotation.startswith("//@"):
-            pending.append((line_no, annotation))
-            continue
+    blocks: AnnotationBlocks = []
+    for line_no, line in enumerate(source.splitlines(), start=1):
+        if "//@" in line:  # only such a line can start with it once stripped
+            annotation = line.strip()
+            if annotation.startswith("//@"):
+                pending.append((line_no, annotation))
+                continue
         stripped_lines.append(line)
         if pending:
             blocks.append((len(stripped_lines) - 1, pending))
             pending = []
-    for line_no, _ in pending:
-        issues.append((line_no, _ORPHAN_MESSAGE))
-
+    if pending:
+        blocks.append((len(stripped_lines), pending))
     stripped = "\n".join(stripped_lines)
     if source.endswith("\n"):
         stripped += "\n"
+    return stripped, blocks
+
+
+def place_annotations(stripped: str, blocks: AnnotationBlocks) -> AnnotatedProgram:
+    """``stripped`` with the clauses of ``blocks`` placed at its anchors,
+    both as :func:`split_annotations` returns them; see
+    :func:`extract_annotations`."""
     anchors_by_line = program_anchors(stripped)[0]
     ordinals: dict[str, int] = {}  # by id prefix
     clauses: list[Clause] = []
+    issues: list[tuple[int, str]] = []
     for anchor_idx, block in blocks:
         anchor = anchors_by_line.get(anchor_idx)
         if anchor is None:
@@ -297,7 +300,7 @@ def extract_annotations(source: str) -> AnnotatedProgram:
             if issue is not None:
                 issues.append((line_no, issue))
                 continue
-            prefix = f"{key}/{kind.value}/"
+            prefix = f"{key}/{kind._value_}/"  # ``_value_`` skips the ``value`` descriptor
             ordinal = ordinals.get(prefix, 0)
             ordinals[prefix] = ordinal + 1
             clauses.append(entry.placed(anchor, f"{prefix}{ordinal}"))
@@ -305,6 +308,25 @@ def extract_annotations(source: str) -> AnnotatedProgram:
     if issues:
         raise ExtractionError(sorted(issues))
     return AnnotatedProgram(stripped, tuple(clauses))
+
+
+def extract_annotations(source: str) -> AnnotatedProgram:
+    """Pull ``//@`` lines out of the text and anchor them by adjacency.
+
+    Annotation lines must sit immediately above a method header or a loop
+    line (other annotation lines in between are fine), each kind where
+    :func:`misplacement` allows it. Problems — parse errors, type
+    mismatches, orphaned or misplaced annotations — are collected per line
+    and raised together as one :class:`ExtractionError`.
+
+    Each line is parsed through :func:`clause_line`, and the anchors come
+    from :func:`program_anchors` of the returned source, which is the key a
+    verifier of that program looks up too. Every call places the parsed
+    clauses afresh: each gets its anchor and the id
+    ``<anchor key>/<kind>/<ordinal>``, numbered per anchor and kind in text
+    order, and shares the parsed clause's tree.
+    """
+    return place_annotations(*split_annotations(source))
 
 
 def check_anchors(clauses: Iterable[Clause], line_counts: Mapping[Anchor, int]) -> None:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .clauses import AnnotatedProgram, extract_annotations, program_anchors
+from .clauses import AnnotatedProgram, place_annotations, program_anchors, split_annotations
 from .errors import (
     EndpointError,
     ExtractionError,
@@ -163,29 +163,38 @@ class ExtractionFailure:
     diagnostics: tuple[str, ...]
 
 
-_FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
+# An opening fence, its info string and newline, then the body up to the next
+# ```. The body is runs of non-backticks joined by backticks that do not start
+# a ```, so the closing fence is tried at backticks only, not at every
+# character as a lazy ``(.*?)``` would.
+_FENCE_RE = re.compile(r"```[^\n`]*\n([^`]*(?:`(?!``)[^`]*)*)```")
 _LOOP_CLAUSE_RE = re.compile(r"//@\s*(?:maintaining|decreases)\b")
 
 
 def extract_specs(response: str, program: str) -> AnnotatedProgram | ExtractionFailure:
     """Pull the clause set out of a model response.
 
-    Uses the last fenced code block (the whole response when there is none).
-    A block of bare ``//@`` lines is re-anchored onto the queried program,
-    but only when that is unambiguous: one method, and at most one loop if
-    loop clauses are present. All failures are returned as values.
+    A fenced block opens with ```` ``` ```` and an info string up to the end
+    of that line (no backtick in it), and ends at the next ```` ``` ````.
+    Blocks are found left to right, none inside another; the body of the
+    last one is used, and the whole response when none is closed.
+
+    A body whose every non-blank line is a ``//@`` line is a bare clause
+    block. It is re-anchored onto the queried program, but only when that
+    is unambiguous: one method, and at most one loop if loop clauses are
+    present. All failures are returned as values.
     """
     blocks = _FENCE_RE.findall(response)
-    body = blocks[-1] if blocks else response
-    lines = [line for line in map(str.strip, body.splitlines()) if line]
-    if not any(line.startswith("//@") for line in lines):
+    stripped, annotations = split_annotations(blocks[-1] if blocks else response)
+    if not annotations:
         return ExtractionFailure(("the response contains no //@ annotation lines",))
-    if all(line.startswith("//@") for line in lines):
-        body = _anchor_bare_clauses(lines, program)
+    if not stripped or stripped.isspace():
+        body = _anchor_bare_clauses([line for _, block in annotations for _, line in block], program)
         if isinstance(body, ExtractionFailure):
             return body
+        stripped, annotations = split_annotations(body)
     try:
-        return extract_annotations(body)
+        return place_annotations(stripped, annotations)
     except ExtractionError as exc:
         return ExtractionFailure(
             tuple(f"line {line}: {message}" for line, message in exc.issues)
@@ -311,20 +320,21 @@ class ConversationTranscript:
     verifier_calls: int = 0
 
 
-def _estimate_tokens(messages: Sequence[Message]) -> int:
-    return sum(len(m["content"]) for m in messages) // 4
+def _trim_history(
+    messages: list[Message], chars: int, budget: int, shot_pairs: int
+) -> tuple[int, int]:
+    """Drop oldest shot pairs while the estimate ``chars // 4`` is over
+    ``budget`` tokens; round messages are kept.
 
-
-def _trim_history(messages: list[Message], budget: int, shot_pairs: int) -> int:
-    """Drop oldest shot pairs while over budget; round messages are kept.
-
-    Returns how many shot pairs remain. The pairs sit at messages[1:3],
-    [3:5], ... directly after the system message.
+    ``chars`` is the length of every message's content. Returns how many shot
+    pairs remain and the length left. The pairs sit at messages[1:3], [3:5],
+    ... directly after the system message.
     """
-    while shot_pairs > 0 and _estimate_tokens(messages) > budget:
+    while shot_pairs > 0 and chars // 4 > budget:
+        chars -= len(messages[1]["content"]) + len(messages[2]["content"])
         del messages[1:3]
         shot_pairs -= 1
-    return shot_pairs
+    return shot_pairs, chars
 
 
 def run_conversation(
@@ -347,6 +357,7 @@ def run_conversation(
     """
     messages = _round_one(program, shots, cfg.shot_count)
     shot_pairs = cfg.shot_count
+    chars = sum(len(m["content"]) for m in messages)  # kept current as messages come and go
     transcript = ConversationTranscript()
     prompt_text = "\n\n".join(m["content"] for m in messages)
 
@@ -377,7 +388,8 @@ def run_conversation(
         prompt_text = build_feedback_prompt(feedback_source, guidance)
         messages.append({"role": "assistant", "content": response})
         messages.append({"role": "user", "content": prompt_text})
-        shot_pairs = _trim_history(messages, cfg.history_token_budget, shot_pairs)
+        chars += len(response) + len(prompt_text)
+        shot_pairs, chars = _trim_history(messages, chars, cfg.history_token_budget, shot_pairs)
 
     transcript.outcome = "exhausted"
     return transcript

@@ -320,16 +320,16 @@ class TraceVerifier:
 
     The records are indexed on the first ``verify``. Each distinct
     (kind, anchor, expression) is checked once; its outcome is kept, keyed by
-    the anchor and the clause's text, and re-stamped with the clause id of
-    every later clause that repeats it, so memory grows with the number of
-    distinct clauses seen.
+    the clause's text and its anchor's method and loop, and re-stamped with
+    the clause id of every later clause that repeats it, so memory grows with
+    the number of distinct clauses seen.
     """
 
     def __init__(self, traces: Sequence[TraceRecord], failures_per_call: str = "all"):
         self.traces = tuple(traces)
         self.failures_per_call = failures_per_call
         self._index: _TraceIndex | None = None
-        self._refutations: dict[tuple[Anchor | None, str], _Refutation | None] = {}
+        self._refutations: dict[str | tuple[str, str, int | None], _Refutation | None] = {}
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
         if self._index is None:
@@ -340,8 +340,11 @@ class TraceVerifier:
         failures: list[FailureReport] = []
         for clause in program.clauses:
             # A clause's tree is the parse of its text (rendering is exact:
-            # parse(render(e)) == e), and the text starts with the kind.
-            key = (clause.anchor, clause.text)
+            # parse(render(e)) == e), and the text starts with the kind. The
+            # key holds the anchor's fields, which hash in C, not the anchor,
+            # whose dataclass ``__hash__`` is Python code.
+            anchor = clause.anchor
+            key = clause.text if anchor is None else (clause.text, anchor.method, anchor.loop)
             refutation = self._refutations.get(key, _UNSEEN)
             if refutation is _UNSEEN:
                 refutation = self._refutations[key] = _refute(clause, self._index)

@@ -14,18 +14,22 @@ from operator import attrgetter
 import pytest
 from hypothesis import strategies as st
 
+from specsmith import clauses
 from specsmith.clauses import (
     Anchor,
     AnnotatedProgram,
     Clause,
     ClauseKind,
+    misplacement,
     parse_clause,
 )
+from specsmith.conversation import ExtractionFailure, _anchor_bare_clauses
 from specsmith.errors import (
     ClauseSyntaxError,
     DivisionByZero,
     EvalError,
     EvalTypeError,
+    ExtractionError,
     IndexOutOfRange,
     MissingOldSnapshot,
     ScriptExhausted,
@@ -225,6 +229,20 @@ def oracle_spec_selection(state, source: str, verifier, strategy) -> RepairResul
         if not refuted:
             refuted = [clause.id for clause in program.clauses]
         oracle_re_select(state, refuted, strategy, iteration=state.verifier_calls)
+
+
+# ---------------------------------------------------------------------------
+# History-trim oracle: the rule as it was before the conversation kept a
+# running total. Every round re-sums every message.
+
+
+def recount_trim_history(messages: list[dict], budget: int, shot_pairs: int) -> int:
+    """Drop the oldest shot pairs (messages[1:3]) while the summed content
+    length over 4 exceeds ``budget``; returns the pairs left."""
+    while shot_pairs > 0 and sum(len(m["content"]) for m in messages) // 4 > budget:
+        del messages[1:3]
+        shot_pairs -= 1
+    return shot_pairs
 
 
 class ScriptedVerifier:
@@ -677,6 +695,173 @@ def gen_trace_case(rng: random.Random) -> tuple[list[TraceRecord], list[Clause]]
         text = rng.choice(fixed) if rng.random() < 0.65 else render_expr(generated)
         clauses.append(parse_clause(f"{kind.value} {text};", anchor=anchor, clause_id=f"c{number}"))
     return traces, clauses
+
+
+# ---------------------------------------------------------------------------
+# Extraction oracle: response extraction as it was before one scan served it.
+# The fence pattern is lazy under DOTALL, so it tries the closing fence at
+# every character of a body; every line is stripped and filtered to decide
+# whether the body is annotated and whether it is a bare block, and then
+# stripped again to pull the annotations out.
+
+ORACLE_FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
+
+
+def oracle_extract_annotations(source: str) -> AnnotatedProgram:
+    lines = source.splitlines()
+    stripped_lines: list[str] = []
+    pending: list[tuple[int, str]] = []
+    blocks: list[tuple[int, list[tuple[int, str]]]] = []
+    issues: list[tuple[int, str]] = []
+    for line_no, line in enumerate(lines, start=1):
+        annotation = line.strip()
+        if annotation.startswith("//@"):
+            pending.append((line_no, annotation))
+            continue
+        stripped_lines.append(line)
+        if pending:
+            blocks.append((len(stripped_lines) - 1, pending))
+            pending = []
+    for line_no, _ in pending:
+        issues.append((line_no, clauses._ORPHAN_MESSAGE))
+    stripped = "\n".join(stripped_lines)
+    if source.endswith("\n"):
+        stripped += "\n"
+    anchors_by_line = clauses.program_anchors(stripped)[0]
+    ordinals: dict[str, int] = {}
+    placed: list[Clause] = []
+    for anchor_idx, block in blocks:
+        anchor = anchors_by_line.get(anchor_idx)
+        if anchor is None:
+            issues.extend((line_no, clauses._ORPHAN_MESSAGE) for line_no, _ in block)
+            continue
+        for line_no, line in block:
+            entry = clauses.clause_line(line)
+            if isinstance(entry, str):
+                issues.append((line_no, entry))
+                continue
+            issue = misplacement(entry.kind, anchor.loop is not None)
+            if issue is not None:
+                issues.append((line_no, issue))
+                continue
+            prefix = f"{anchor.key()}/{entry.kind.value}/"
+            ordinal = ordinals.get(prefix, 0)
+            ordinals[prefix] = ordinal + 1
+            placed.append(entry.placed(anchor, f"{prefix}{ordinal}"))
+    if issues:
+        raise ExtractionError(sorted(issues))
+    return AnnotatedProgram(stripped, tuple(placed))
+
+
+def oracle_extract_specs(response: str, program: str) -> AnnotatedProgram | ExtractionFailure:
+    blocks = ORACLE_FENCE_RE.findall(response)
+    body = blocks[-1] if blocks else response
+    lines = [line for line in map(str.strip, body.splitlines()) if line]
+    if not any(line.startswith("//@") for line in lines):
+        return ExtractionFailure(("the response contains no //@ annotation lines",))
+    if all(line.startswith("//@") for line in lines):
+        body = _anchor_bare_clauses(lines, program)
+        if isinstance(body, ExtractionFailure):
+            return body
+    try:
+        return oracle_extract_annotations(body)
+    except ExtractionError as exc:
+        return ExtractionFailure(tuple(f"line {line}: {message}" for line, message in exc.issues))
+
+
+def extraction_fields(result) -> tuple:
+    """What an extraction says: its diagnostics, or its source and each
+    clause's kind, text, tree, anchor and id."""
+    if isinstance(result, ExtractionFailure):
+        return ("failure", result.diagnostics)
+    return (
+        result.source,
+        tuple((c.kind, c.text, c.expr, c.anchor, c.id) for c in result.clauses),
+    )
+
+
+# Response strategy: programs with one method, one loop, two loops or two
+# methods; annotation lines of every kind above every kind of line,
+# malformed ones, and ``//@`` in mid-line; bare blocks; the body fenced,
+# unfenced, fenced twice, unclosed or with a fence inside; CRLF endings.
+EXTRACTION_PROGRAMS = (
+    "class A {\n    static int f(int x) {\n        return x;\n    }\n}\n",
+    "class B {\n    static int g(int n) {\n        int i = 0;\n        while (i < n) {\n"
+    "            i = i + 1;\n        }\n        return i;\n    }\n}\n",
+    "class C {\n    int h(int[] a) {\n        for (int i = 0; i < a.length; i++) {\n"
+    "            for (int j = 0; j < i; j++) { }\n        }\n        return 0;\n    }\n}",
+    "class D {\n    static int p(int x) { return x; }\n    static int q(int y) { return y; }\n}\n",
+)
+METHOD_ANNOTATIONS = (
+    "//@ requires x > 0;",
+    "//@ ensures \\result >= x;",
+    "//@ requires n >= 0 && n < 100;",
+    "//@ ensures \\result == 0 ==> (\\forall int k; 0 <= k && k < a.length; a[k] > 0);",
+    "//@requires y != 0;",
+)
+LOOP_ANNOTATIONS = (
+    "//@ maintaining 0 <= i && i <= n;",
+    "//@ decreases n - i;",
+    "//@  maintaining (\\exists int k; 0 <= k && k < i; a[k] == 0) || i == 0;",
+)
+ODD_ANNOTATIONS = (
+    "//@ requires a <;",  # syntax error
+    "//@ maintaining 1 + 2;",  # type mismatch
+    "//@ invariant x > 0;",  # unknown kind
+    "int z = 0; //@ requires z > 0;",  # //@ in mid-line: not an annotation
+    "// @ ensures x > 0;",
+)
+
+
+@st.composite
+def extraction_cases(draw) -> tuple[str, str]:
+    """A (response, queried program) pair."""
+    program = draw(st.sampled_from(EXTRACTION_PROGRAMS))
+    indent = st.sampled_from(("", " ", "    ", "\t", "  \t "))
+    tail = st.sampled_from(("", " ", "\t"))
+
+    def annotations(pool, max_size):
+        line = st.tuples(indent, st.sampled_from(pool), tail).map("".join)
+        return st.lists(line, max_size=max_size)
+
+    any_pool = METHOD_ANNOTATIONS + LOOP_ANNOTATIONS + ODD_ANNOTATIONS
+    odd = st.sampled_from((ODD_ANNOTATIONS,) + (any_pool,) * 2)
+    if draw(st.integers(0, 3)) == 0:  # a bare block, maybe with blank lines in it
+        pool = draw(st.sampled_from((METHOD_ANNOTATIONS, METHOD_ANNOTATIONS + LOOP_ANNOTATIONS, any_pool)))
+        lines = draw(
+            st.lists(st.one_of(annotations(pool, 1).map("".join), st.sampled_from(("", "   "))), max_size=6)
+        )
+    else:  # an annotated program: mostly the queried one, clauses mostly where they fit
+        text = draw(st.sampled_from(EXTRACTION_PROGRAMS + (program,) * 6))
+        anchors = clauses.program_anchors(text)[0]
+        lines = []
+        for idx, line in enumerate(text.splitlines()):
+            if idx in anchors:
+                fits = METHOD_ANNOTATIONS if anchors[idx].loop is None else LOOP_ANNOTATIONS
+                lines += draw(annotations(fits, 3))
+            if draw(st.integers(0, 9)) == 0:  # misplaced, malformed or orphaned
+                lines += draw(annotations(draw(odd), 1))
+            lines.append(line)
+        if draw(st.integers(0, 9)) == 0:
+            lines += draw(annotations(any_pool, 1))
+    body = "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n")))
+    fence = st.sampled_from(("```", "```java", "``` java ", "```j`s", "``"))
+    close = st.sampled_from(("```", "```", "``", "````", "`` `", ""))
+    shape = draw(st.sampled_from(("fenced", "fenced", "unfenced", "twice", "unclosed", "nested")))
+    if shape == "fenced":
+        response = f"Here you go.\n{draw(fence)}\n{body}{draw(close)}\ntrailing"
+    elif shape == "unfenced":
+        response = body
+    elif shape == "twice":  # the last block wins, even an empty one
+        last = draw(st.sampled_from(("", body, "//@ requires x > 0;\n")))
+        response = f"{draw(fence)}\n{body}```\n\n{draw(fence)}\n{last}{draw(close)}"
+    elif shape == "unclosed":
+        response = f"{draw(fence)}\n{body}"
+    else:
+        response = f"```\n{draw(fence)}\n{body}{draw(close)}\n{body}```"
+    if draw(st.booleans()):
+        response = response.replace("\n", "\r\n")
+    return response, program
 
 
 # ---------------------------------------------------------------------------

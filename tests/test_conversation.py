@@ -4,7 +4,17 @@ import sys
 import types
 
 import pytest
-from conftest import RecordingChatClient, ScriptedVerifier
+from conftest import (
+    ORACLE_FENCE_RE,
+    RecordingChatClient,
+    ScriptedVerifier,
+    extraction_cases,
+    extraction_fields,
+    oracle_extract_specs,
+    recount_trim_history,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specsmith.conversation import (
     DEFAULT_GUIDANCE,
@@ -14,6 +24,7 @@ from specsmith.conversation import (
     ExtractionFailure,
     HttpChatClient,
     ScriptedChatClient,
+    _FENCE_RE,
     _trim_history,
     build_feedback_prompt,
     extract_specs,
@@ -266,6 +277,25 @@ class TestExtractSpecs:
         assert "boolean" in result.diagnostics[0]
 
 
+class TestExtractionMatchesTheOracle:
+    """The linear fence scan and the one-pass extraction against the lazy
+    pattern and the two-pass extraction they replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(("`", "``", "```", "```java\n", "\n", "\r\n", "a", "b", " ")), max_size=24))
+    def test_the_fence_scan_finds_what_the_lazy_pattern_finds(self, parts):
+        text = "".join(parts)
+        assert _FENCE_RE.findall(text) == ORACLE_FENCE_RE.findall(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(extraction_cases())
+    def test_extraction_matches_the_two_pass_oracle(self, case):
+        response, program = case
+        assert extraction_fields(extract_specs(response, program)) == extraction_fields(
+            oracle_extract_specs(response, program)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Feedback prompts
 # ---------------------------------------------------------------------------
@@ -342,27 +372,72 @@ class TestHistoryTrimming:
             {"role": "user", "content": "the query" * 10},
         ]
 
+    @staticmethod
+    def trim(messages, budget, shot_pairs):
+        """Trim from the true total, and check the total handed back."""
+        remaining, chars = _trim_history(
+            messages, sum(len(m["content"]) for m in messages), budget, shot_pairs
+        )
+        assert chars == sum(len(m["content"]) for m in messages)
+        return remaining
+
     def test_under_budget_is_untouched(self):
         messages = self.messages_with_shots()
-        remaining = _trim_history(messages, budget=10_000, shot_pairs=2)
+        remaining = self.trim(messages, budget=10_000, shot_pairs=2)
         assert remaining == 2
         assert len(messages) == 6
 
     def test_drops_oldest_pair_first(self):
         messages = self.messages_with_shots()
-        # Six messages at ~480 chars is ~120 estimated tokens; a budget of
-        # 100 forces exactly one pair out.
-        remaining = _trim_history(messages, budget=100, shot_pairs=2)
+        # Six messages of 450 chars estimate 112 tokens; a budget of 100
+        # forces exactly one pair out.
+        remaining = self.trim(messages, budget=100, shot_pairs=2)
         assert remaining == 1
         assert "shot-1-q" not in json.dumps(messages)
         assert "shot-2-q" in json.dumps(messages)
 
     def test_never_drops_round_messages(self):
         messages = self.messages_with_shots()
-        remaining = _trim_history(messages, budget=1, shot_pairs=2)
+        remaining = self.trim(messages, budget=1, shot_pairs=2)
         assert remaining == 0
         assert [m["role"] for m in messages] == ["system", "user"]
         assert "the query" in messages[-1]["content"]
+
+    def test_a_history_at_the_exact_budget_is_kept(self):
+        # 450 chars estimate 112 tokens: a budget of 112 keeps both pairs and
+        # 111 drops one. The 290 chars left estimate 72: 72 keeps that pair.
+        chars = sum(len(m["content"]) for m in self.messages_with_shots())
+        assert chars == 450
+        for budget, pairs in ((112, 2), (111, 1), (72, 1), (71, 0)):
+            messages = self.messages_with_shots()
+            assert self.trim(messages, budget=budget, shot_pairs=2) == pairs
+            assert len(messages) == 2 + 2 * pairs
+
+    def test_the_running_total_trims_as_a_recount_would(self):
+        # Each round adds a reply and a feedback message. The loop keeps its
+        # total as they come and go; every call must carry the messages that
+        # re-summing the whole history each round would keep, at budgets on
+        # and beside each round's boundary.
+        shots = [(f"class S{i} {{}}" * (3 * i + 1), "//@ requires true;") for i in range(4)]
+        responses = [fenced(ABS_ANNOTATED)] * 4
+        verdicts = [fail_verdict("no " * 20 * i) for i in range(4)]
+
+        def calls(budget):
+            client = RecordingChatClient(ScriptedChatClient(responses))
+            cfg = EndpointConfig(shot_count=4, max_rounds=4, history_token_budget=budget)
+            run_conversation(ABS_PROGRAM, cfg, ScriptedVerifier(list(verdicts)), client, shots=shots)
+            assert len(client.calls) == 4
+            return client.calls
+
+        totals = [sum(len(m["content"]) for m in call) for call in calls(10**9)[1:]]  # nothing trimmed
+        budgets = {1, 10**9} | {t // 4 + d for t in totals for d in (-1, 0)}
+        for budget in sorted(budgets):
+            sent = calls(budget)
+            expected, pairs = list(sent[0]), 4
+            for call in sent[1:]:
+                expected += call[-2:]  # this round's reply and feedback
+                pairs = recount_trim_history(expected, budget, pairs)
+                assert call == expected
 
 
 # ---------------------------------------------------------------------------

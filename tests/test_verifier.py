@@ -744,3 +744,18 @@ class TestIndexedVerifierMatchesLinearScan:
         calls.clear()
         assert verifier.verify(loop_program) == first
         assert calls == []
+
+    def test_a_memo_hit_hashes_no_anchor(self, monkeypatch):
+        verifier = TraceVerifier(loop_trace([0, 1, 2], 3))
+        loop_program = extract_annotations(LOOP_SOURCE)
+        first = verifier.verify(loop_program)
+        hashed = []
+        real_hash = Anchor.__hash__
+
+        def counting_hash(anchor):
+            hashed.append(anchor)
+            return real_hash(anchor)
+
+        monkeypatch.setattr(Anchor, "__hash__", counting_hash)
+        assert verifier.verify(loop_program) == first
+        assert hashed == []
