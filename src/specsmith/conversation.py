@@ -101,10 +101,14 @@ class HttpChatClient:
                 last_error = f"endpoint returned HTTP {response.status_code}"
                 continue
             try:
-                return response.json()["choices"][0]["message"]["content"]
+                content = response.json()["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 last_error = f"malformed endpoint response: {exc}"
                 continue
+            if not isinstance(content, str):  # e.g. null for a refusal or a tool call
+                last_error = f"malformed endpoint response: message content is {type(content).__name__}, not text"
+                continue
+            return content
         raise EndpointError(f"chat endpoint failed after {cfg.retries + 1} attempts: {last_error}")
 
 

@@ -2,11 +2,15 @@
 
 Following Untch, Offutt & Harrold (ISSTA 1993), a family's members are not
 built by rewriting and re-rendering the template's tree. The template is
-compiled once into a render plan (:func:`render_plan`): its clause line as a
-format with one hole per mutation site, for the operator token, and a
-parenthesis hole on each operand whose parentheses the sites' options
-change. A member's text is the plan filled from its assignment. Nothing
-else is built per member: a member's tree is the parse of its text (see
+compiled once into a render plan (:func:`render_plan`): its clause line as
+constant parts around one hole per mutation site, for the operator token,
+and a parenthesis hole on each operand whose parentheses the sites' options
+change. The plan is a straight-line function that joins the parts and one
+table lookup per hole. It comes from a factory shared by every plan of the
+same layout, generated from placeholder names alone, so clause text is data
+and never code, and each layout costs one ``exec`` per process. A member's
+text is the plan applied to its assignment. Nothing else is built per
+member: a member's tree is the parse of its text (see
 :class:`specsmith.clauses.Clause`).
 """
 from __future__ import annotations
@@ -57,24 +61,48 @@ def render_plan(
 ) -> Callable[[tuple[int, ...]], str]:
     """The template's render plan: a function from a member's assignment (one
     option index per site, in site order) to its clause line. The plan is
-    compiled here, once; a member's text reads no other member."""
-    form, holes = _compile_plan(template, sites, options)
+    compiled here, once; a member's text reads no other member.
 
-    def render(assignment: tuple[int, ...]) -> str:
-        return form % tuple(
-            [
-                table[assignment[site]] if other is None else table[assignment[site]][assignment[other]]
-                for site, other, table in holes
-            ]
-        )
+    The function is straight-line code: it joins the constant parts and one
+    table lookup per hole, with no loop or branch. It is made by the factory
+    of the plan's layout (:func:`_factory`), and the plan's text, tables and
+    site indexes are the factory's arguments, never its code.
+    """
+    parts, holes = _compile_plan(template, sites, options)
+    values: list = []
+    for part, (site, other, table) in zip(parts, holes):
+        values += (part, table, site) if other is None else (part, table, site, other)
+    values.append(parts[-1])
+    return _factory(tuple([other is not None for _, other, _ in holes]))(*values)
 
-    return render
+
+@lru_cache(maxsize=1024)
+def _factory(layout: tuple[bool, ...]) -> Callable[..., Callable[[tuple[int, ...]], str]]:
+    """The factory of the render plans of one layout: whether each hole, in
+    text order, is read through one site or two.
+
+    Its source holds only generated names: ``c<i>`` for the constant part
+    before hole i (and ``c<n>`` for the part after the last hole), ``t<i>``
+    for the hole's table, ``s<i>`` and ``o<i>`` for its sites, and ``join``.
+    So no clause text is ever code, and each layout costs one ``exec`` per
+    process (while it stays among the last 1024 layouts asked for).
+    """
+    params, fills = [], []
+    for i, paired in enumerate(layout):
+        params += (f"c{i}", f"t{i}", f"s{i}", f"o{i}") if paired else (f"c{i}", f"t{i}", f"s{i}")
+        fills += (f"c{i}", f"t{i}[a[s{i}]][a[o{i}]]" if paired else f"t{i}[a[s{i}]]")
+    last = f"c{len(layout)}"
+    source = f"def make({', '.join(params + [last])}):\n    return lambda a: join(({', '.join(fills + [last])},))\n"
+    made: dict = {}
+    exec(source, {"__builtins__": {}, "join": "".join}, made)
+    return made["make"]
 
 
 def _compile_plan(
     template: Clause, sites: Sequence[MutationSite], options: list[Options]
-) -> tuple[str, list[_Hole]]:
-    """The template's line as a %-format and its holes, in text order.
+) -> tuple[list[str], list[_Hole]]:
+    """The template's line as its constant parts and its holes, in text
+    order: part i comes before hole i, and the last part after the last hole.
 
     Each site has one hole holding its operator token. An operand of a binary
     node gets parenthesis holes only when its parentheses differ across the
@@ -87,8 +115,8 @@ def _compile_plan(
     plan.text.append(f"//@ {template.kind.value} ")
     plan.emit(template.expr, ())
     plan.text.append(";")
-    plan.form.append("".join(plan.text).replace("%", "%%"))
-    return "%s".join(plan.form), plan.holes
+    plan.parts.append("".join(plan.text))
+    return plan.parts, plan.holes
 
 
 class _PlanBuilder:
@@ -96,13 +124,13 @@ class _PlanBuilder:
     not closures that call each other, so compiling leaves no reference
     cycle for the cycle collector."""
 
-    __slots__ = ("site_at", "above_sites", "replacements", "form", "text", "holes")
+    __slots__ = ("site_at", "above_sites", "replacements", "parts", "text", "holes")
 
     def __init__(self, sites: Sequence[MutationSite], options: list[Options]):
         self.site_at = {site.path: index for index, site in enumerate(sites)}
         self.above_sites = {site.path[:depth] for site in sites for depth in range(len(site.path))}
         self.replacements = [tuple([r for _, r in site_options]) for site_options in options]
-        self.form: list[str] = []  # the constant text before each hole
+        self.parts: list[str] = []  # the constant text before each hole
         self.text: list[str] = []  # constant text since the last hole
         self.holes: list[_Hole] = []
 
@@ -110,7 +138,7 @@ class _PlanBuilder:
         if isinstance(part, str):
             self.text.append(part)
         else:
-            self.form.append("".join(self.text).replace("%", "%%"))
+            self.parts.append("".join(self.text))
             self.text.clear()
             self.holes.append(part)
 

@@ -31,7 +31,9 @@ from specsmith.conversation import (
     run_conversation,
 )
 from specsmith.clauses import AnnotatedProgram
+from specsmith.config import config_from_dict
 from specsmith.errors import EndpointError, InsufficientShots, ScriptExhausted
+from specsmith.pipeline import PipelineContext, build_verifier, run_pipeline
 from specsmith.verifier import (
     FailureCategory,
     FailureReport,
@@ -581,6 +583,43 @@ class TestHttpChatClient:
         client = HttpChatClient(sleep=lambda _: None)
         with pytest.raises(EndpointError, match="malformed"):
             client.complete([], EndpointConfig(retries=0))
+
+    def test_null_content_is_retried(self, monkeypatch):
+        monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
+        recorded = install_fake_requests(monkeypatch, [good_response(None), good_response("ok")])
+        sleeps = []
+        client = HttpChatClient(sleep=sleeps.append)
+        assert client.complete([], EndpointConfig(retries=2, retry_backoff=0.5)) == "ok"
+        assert len(recorded) == 2
+        assert sleeps == [0.5]
+
+    @pytest.mark.parametrize("content", [None, 7, ["text"], {"text": "x"}])
+    def test_non_text_content_raises(self, monkeypatch, content):
+        monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
+        recorded = install_fake_requests(monkeypatch, [good_response(content)] * 3)
+        client = HttpChatClient(sleep=lambda _: None)
+        with pytest.raises(EndpointError) as excinfo:
+            client.complete([], EndpointConfig(retries=2))
+        assert len(recorded) == 3
+        assert str(excinfo.value) == (
+            "chat endpoint failed after 3 attempts: malformed endpoint response: "
+            f"message content is {type(content).__name__}, not text"
+        )
+
+    def test_null_content_is_an_aborted_entry(self, monkeypatch):
+        monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
+        recorded = install_fake_requests(monkeypatch, [good_response(None)] * 2)
+        config = config_from_dict(
+            {"endpoint": {"shot_count": 0, "retries": 1}, "verifier": {"adapter": "mock", "mock_truth": []}}
+        )
+        context = PipelineContext(config=config, verifier=build_verifier(config), shots=[])
+        client = HttpChatClient(sleep=lambda _: None)
+        entry = run_pipeline("Abs", ABS_PROGRAM, context, client)
+        assert len(recorded) == 2
+        assert entry["outcome"] == "aborted"
+        assert entry["rounds_used"] == 0
+        assert entry["verifier_calls_conversation"] == 0
+        assert "malformed endpoint response: message content is NoneType" in entry["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Design rules of the package, checked on its source with ``ast``.
 
-Two rules:
+Three rules:
 
 * every public top-level name a module defines is read in the package: by
   another module, or by its own module outside the name's own definition.
@@ -8,7 +8,10 @@ Two rules:
   read from outside alone are on the allowlist below, each with its reason;
 * the modules import one another at run time in one declared order, each
   only from modules before it, so the import graph has no cycle. Imports
-  under ``if TYPE_CHECKING:`` are not run and do not count.
+  under ``if TYPE_CHECKING:`` are not run and do not count;
+* ``exec``, ``eval`` and ``compile`` are called only in the functions on
+  the allowlist below, each with its reason, so no other code of the
+  package runs text as code.
 """
 from __future__ import annotations
 
@@ -27,6 +30,15 @@ UNREAD_ALLOWED = {
     ("__init__", "__version__"): "the package's version, read by tools that inspect the package",
     ("clauses", "render_clause"): "read only by the benchmark's tests; it goes when the benchmark next changes",
 }
+
+# (module, function) -> why it may call exec, eval or compile.
+DYNAMIC_CODE_ALLOWED = {
+    ("schemata", "_factory"): (
+        "makes the render factory of one plan layout from a source of generated names alone; "
+        "a plan's text, tables and sites are its arguments, never its code"
+    ),
+}
+DYNAMIC_CODE = frozenset({"exec", "eval", "compile"})
 
 
 def parse_modules(package: Path = PACKAGE) -> dict[str, ast.Module]:
@@ -157,6 +169,32 @@ def layering_breaches(modules: dict[str, ast.Module], layers=LAYERS) -> list[str
     return breaches
 
 
+def dynamic_code_calls(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """The (module, enclosing function) of every call of ``exec``, ``eval``
+    or ``compile``, by name or through ``builtins``. A method is named
+    ``Class.method``; a call outside any function has the name ``""``."""
+    found = set()
+
+    def visit(module: str, node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id in DYNAMIC_CODE) or (
+                isinstance(func, ast.Attribute)
+                and func.attr in DYNAMIC_CODE
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "builtins"
+            ):
+                found.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, where)
+
+    for module, tree in modules.items():
+        visit(module, tree, "")
+    return found
+
+
 class TestPublicNamesHaveAReader:
     def test_every_public_name_is_read_in_the_package(self):
         assert unread_public_names(parse_modules()) == set(UNREAD_ALLOWED)
@@ -167,3 +205,17 @@ class TestImportLayers:
         # schemata imports mutation for its annotations alone, under
         # TYPE_CHECKING, so that back edge does not count.
         assert layering_breaches(parse_modules()) == []
+
+
+class TestDynamicCode:
+    def test_only_allowlisted_functions_run_text_as_code(self):
+        assert dynamic_code_calls(parse_modules()) == set(DYNAMIC_CODE_ALLOWED)
+
+    def test_a_call_anywhere_else_breaks_the_rule(self):
+        modules = parse_modules()
+        modules["evaluate"].body += ast.parse("def _shortcut(text):\n    return eval(text)\n").body
+        modules["verifier"].body += ast.parse("class _Check:\n    def run(self, s):\n        builtins.exec(s)\n").body
+        assert dynamic_code_calls(modules) - set(DYNAMIC_CODE_ALLOWED) == {
+            ("evaluate", "_shortcut"),
+            ("verifier", "_Check.run"),
+        }

@@ -3,6 +3,7 @@ import gc
 import heapq
 import itertools
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -549,6 +550,55 @@ class TestDistinctAssignments:
             self.check(gen_mutation_clause(rng, max_sites=6))
 
 
+RENDER_CASES = STRUCTURAL_CASES + [
+    "a < b <= c",
+    "a >= b > c == d",
+    "a ==> b ==> c",
+    "(a ==> b) ==> c",
+    "a <== b <== c",
+    "a <== (b <== c)",
+    "a ==> (b <== c)",
+    "(a <== b) ==> c",
+    "a <==> b ==> c <==> d",
+    "((a <== b) ==> c) <==> ((c ==> d) <== e)",
+    "!(a < b) || -(x + y) >= a[i + 1] % 2",
+    "a % b + c <= d % 2",
+    "-(-a[i + 1]) <= -(-1) - x",
+    "\\old(x - y) <= (\\exists int k; k < n; a[k] != x)",
+]
+
+# Lines whose text holds every character class a clause may put in a plan's
+# constant parts: ``%``, ``\old``, ``\forall``, ``\result``.
+RENDER_LINES = [f"//@ requires {text};" for text in RENDER_CASES] + [
+    "//@ ensures (\\forall int k; 0 <= k && k < a.length; a[k] % 2 <= \\result + 1);",
+    "//@ ensures \\result % 100 == \\old(x % 100) ==> \\result >= 0;",
+]
+
+# A render factory's whole source: generated names (``c3``, ``t4``, ``s4``,
+# ``o4``, ``a``, ``make``), ``join``, the keywords, brackets, commas, spaces,
+# ``:`` and newlines. No quote, backslash or clause operator fits.
+FACTORY_SOURCE = re.compile(r"(?:\b(?:[ctso]\d+|a|make|join|def|return|lambda)\b|[\[\](),: \n])+")
+
+
+def generated_render_clauses():
+    rng = random.Random(5)
+    return [parse_clause(f"//@ requires {render_expr(gen_mutation_clause(rng, max_sites=6))};") for _ in range(300)]
+
+
+def capture_factory_sources(monkeypatch):
+    """Record the source of every render factory made from now on."""
+    sources = []
+
+    def capturing_exec(source, *namespaces):
+        sources.append(source)
+        return exec(source, *namespaces)
+
+    schemata._factory.cache_clear()
+    template_plan.cache_clear()
+    monkeypatch.setattr(schemata, "exec", capturing_exec, raising=False)
+    return sources
+
+
 class TestRenderPlan:
     """A member's text, filled in from the template's render plan, parses to
     the tree the oracle builds from its assignment on its own."""
@@ -565,32 +615,40 @@ class TestRenderPlan:
                     assert variant.clause.expr == oracle_variant_tree(family, variant.assignment)
 
     def test_generated_clauses(self):
-        rng = random.Random(5)
-        for _ in range(300):
-            self.check(parse_clause(f"//@ requires {render_expr(gen_mutation_clause(rng, max_sites=6))};"))
+        for clause in generated_render_clauses():
+            self.check(clause)
 
-    @pytest.mark.parametrize(
-        "text",
-        STRUCTURAL_CASES
-        + [
-            "a < b <= c",
-            "a >= b > c == d",
-            "a ==> b ==> c",
-            "(a ==> b) ==> c",
-            "a <== b <== c",
-            "a <== (b <== c)",
-            "a ==> (b <== c)",
-            "(a <== b) ==> c",
-            "a <==> b ==> c <==> d",
-            "((a <== b) ==> c) <==> ((c ==> d) <== e)",
-            "!(a < b) || -(x + y) >= a[i + 1] % 2",
-            "a % b + c <= d % 2",
-            "-(-a[i + 1]) <= -(-1) - x",
-            "\\old(x - y) <= (\\exists int k; k < n; a[k] != x)",
-        ],
-    )
+    @pytest.mark.parametrize("text", RENDER_CASES)
     def test_fixed_clauses(self, text):
         self.check(parse_clause(f"//@ requires {text};"))
+
+    def test_no_clause_text_in_factory_code(self, monkeypatch):
+        sources = capture_factory_sources(monkeypatch)
+        templates = [parse_clause(line) for line in RENDER_LINES] + generated_render_clauses()
+        for template in templates:
+            for kinds in KIND_SUBSETS:
+                enumerate_variants(template, kinds=kinds).get(1)  # compiles the render plan
+        assert len(sources) > 10
+        for source in sources:
+            assert FACTORY_SOURCE.fullmatch(source), source
+
+    def test_template_renders_as_its_own_text(self):
+        for template in [parse_clause(line) for line in RENDER_LINES] + generated_render_clauses():
+            for weights in self.WEIGHTS:
+                plan = enumerate_variants(template, weights=weights).plan
+                assert plan.render(plan.assignment) == template.text
+
+    def test_one_factory_per_layout(self, monkeypatch):
+        sources = capture_factory_sources(monkeypatch)
+        # One site each and no parenthesis hole: the layout of both is (False,).
+        first = enumerate_variants(parse_clause("//@ requires a < b;")).plan
+        second = enumerate_variants(parse_clause("//@ ensures x + y >= z;"), kinds=[MutationKind.COMPARATIVE]).plan
+        assert first.render(first.assignment) == "//@ requires a < b;"
+        assert second.render(second.assignment) == "//@ ensures x + y >= z;"
+        assert first.render.__code__ is second.render.__code__
+        assert len(sources) == 1
+        enumerate_variants(parse_clause("//@ requires a + b < c;")).get(1)  # two sites: a new layout
+        assert len(sources) == 2
 
     def test_compiled_plans_leave_no_reference_cycles(self):
         templates = [
