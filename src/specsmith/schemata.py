@@ -61,12 +61,9 @@ def render_plan(
 ) -> Callable[[tuple[int, ...]], str]:
     """The template's render plan: a function from a member's assignment (one
     option index per site, in site order) to its clause line. The plan is
-    compiled here, once; a member's text reads no other member.
-
-    The function is straight-line code: it joins the constant parts and one
-    table lookup per hole, with no loop or branch. It is made by the factory
-    of the plan's layout (:func:`_factory`), and the plan's text, tables and
-    site indexes are the factory's arguments, never its code.
+    compiled here, once; a member's text reads no other member. The function
+    is made by the factory of the plan's layout (:func:`_factory`) from the
+    plan's parts, tables and site indexes.
     """
     parts, holes = _compile_plan(template, sites, options)
     values: list = []
