@@ -17,7 +17,6 @@ from pathlib import Path
 from .clauses import extract_annotations, parse_clause
 from .config import PipelineConfig, load_config
 from .errors import ClauseSyntaxError, ConfigError, ExtractionError, SpecError, TypeMismatch
-from .evaluate import load_trace_file
 from .mutation import enumerate_variants
 from .pipeline import (
     aggregate_entries,
@@ -30,6 +29,7 @@ from .pipeline import (
     write_report,
 )
 from .repair import SelectionState, mutation_based_gen
+from .tracefile import load_trace_file
 from .verifier import Outcome, TraceVerifier, VerifierVerdict
 
 

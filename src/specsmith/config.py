@@ -210,9 +210,16 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("budgets.pipeline_seconds: must be positive")
 
 
+# libyaml's parser when PyYAML was built with it, the pure-Python one
+# otherwise. Both build values through SafeConstructor and Resolver, so a
+# file gives the same values either way; only the wording of a parse error
+# differs.
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _read_yaml(path: str) -> Any:
     try:
-        return yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        return yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_SAFE_LOADER)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
 

@@ -7,15 +7,12 @@ like ``i < a.length && a[i] > 0`` never fault on the guarded side.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
-from typing import Any, Iterator, Union
+from typing import Union
 
 from .clauses import Anchor
 from .errors import (
-    ConfigError,
     DivisionByZero,
     EvalTypeError,
     IndexOutOfRange,
@@ -306,94 +303,3 @@ def _extract_bounds(range_expr: Expr, var: str, env: _Env) -> tuple[int, int]:
             f"cannot extract a finite {missing} bound for {var!r}"
         )
     return max(lowers), min(uppers)
-
-
-# --- Trace file I/O -------------------------------------------------------
-#
-# One JSON object per line:
-#   {"anchor": "method:NAME" | "loop:NAME:ORDINAL",
-#    "phase": "pre" | "post" | "iter",
-#    "bindings": {name: value, ...},
-#    "result": value,          # optional; null encodes the Java null
-#    "old": {name: value, ...}}  # optional
-# Values are integers, booleans, arrays of integers, strings, or null.
-
-
-def _decode_value(raw: Any, context: str) -> Value:
-    if raw is None:
-        return NULL
-    if isinstance(raw, bool) or isinstance(raw, int):
-        return raw
-    if isinstance(raw, str):
-        return raw
-    if isinstance(raw, list):
-        for item in raw:
-            if isinstance(item, bool) or not isinstance(item, int):
-                raise ValueError(f"{context}: arrays may only hold integers, got {item!r}")
-        return list(raw)
-    raise ValueError(f"{context}: unsupported value {raw!r}")
-
-
-def record_from_dict(obj: dict[str, Any], context: str = "trace record") -> TraceRecord:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{context}: expected a JSON object")
-    known = {"anchor", "phase", "bindings", "result", "old"}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"{context}: unknown fields {sorted(unknown)}")
-    try:
-        anchor = Anchor.from_key(obj["anchor"])
-        phase = Phase(obj["phase"])
-    except (KeyError, ValueError, AttributeError) as exc:  # AttributeError: non-string anchor
-        raise ValueError(f"{context}: {exc}") from exc
-    bindings_raw = obj.get("bindings", {})
-    if not isinstance(bindings_raw, dict):
-        raise ValueError(f"{context}: bindings must be an object")
-    bindings = {
-        name: _decode_value(value, f"{context}, binding {name!r}")
-        for name, value in bindings_raw.items()
-    }
-    result = _decode_value(obj["result"], f"{context}, result") if "result" in obj else None
-    old = None
-    if "old" in obj and obj["old"] is not None:
-        old_raw = obj["old"]
-        if not isinstance(old_raw, dict):
-            raise ValueError(f"{context}: old must be an object")
-        old = {
-            name: _decode_value(value, f"{context}, old binding {name!r}")
-            for name, value in old_raw.items()
-        }
-    return TraceRecord(anchor=anchor, phase=phase, bindings=bindings, result=result, old=old)
-
-
-def read_json_lines(path: str | Path) -> Iterator[tuple[str, Any]]:
-    """(``path:line``, value) for each non-blank line of a JSON-lines file.
-
-    A line that is not UTF-8 or not JSON raises ConfigError naming it.
-    """
-    with open(path, "rb") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            context = f"{path}:{line_no}"
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{context}: not valid UTF-8: {exc}") from exc
-            if not line.strip():
-                continue
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{context}: bad JSON: {exc}") from exc
-            yield context, value
-
-
-def load_trace_file(path: str) -> list[TraceRecord]:
-    """One record per non-blank line; a bad line raises ConfigError naming it."""
-    records: list[TraceRecord] = []
-    for context, obj in read_json_lines(path):
-        try:
-            records.append(record_from_dict(obj, context=context))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return records
-

@@ -25,7 +25,6 @@ from .conversation import (
     run_conversation,
 )
 from .errors import ConfigError, SpecError
-from .evaluate import load_trace_file, read_json_lines
 from .repair import (
     HeuristicStrategy,
     RandomStrategy,
@@ -33,6 +32,7 @@ from .repair import (
     SelectionStrategy,
     mutation_based_gen,
 )
+from .tracefile import load_trace_file, read_json_lines
 from .verifier import ExecVerifier, MockVerifier, TraceVerifier, Verifier
 
 ENTRY_SCHEMA = "run-entry@1"
@@ -334,7 +334,8 @@ def load_entries(path: Path) -> list[dict[str, Any]]:
     """Entry records from a report's ``entries.jsonl``; a bad line raises
     ConfigError naming it."""
     entries: list[dict[str, Any]] = []
-    for context, entry in read_json_lines(path):
+    for line_no, entry in read_json_lines(path):
+        context = f"{path}:{line_no}"
         if not isinstance(entry, dict):
             raise ConfigError(f"{context}: expected a JSON object")
         for name, kind in _ENTRY_FIELDS.items():

@@ -51,7 +51,10 @@ class FamilySlot:
     family: Family
     selected: Variant | None  # None once the family runs dry: the slot is dropped
     refuted: set[str] = field(default_factory=set)  # texts, never selected again
-    cursor: int = 0  # heuristic: every family member before it is refuted
+    # heuristic: every family member before the cursor is refuted, and
+    # ``head`` is the member at it once read, so a pick reads each member once.
+    cursor: int = 0
+    head: Variant | None = field(default=None, repr=False)
     warned: bool = False
     size: int = field(init=False)  # the family's size, which the thrash check reads
     # random: the unrefuted members in family order, and the index of the
@@ -72,10 +75,13 @@ class HeuristicStrategy:
     the weighted mutation-count score, ties by text."""
 
     def pick(self, slot: FamilySlot) -> Variant | None:
-        get, refuted, cursor = slot.family.get, slot.refuted, slot.cursor
-        while (variant := get(cursor)) is not None and variant.text in refuted:
+        get, refuted, cursor, variant = slot.family.get, slot.refuted, slot.cursor, slot.head
+        if variant is None:
+            variant = get(cursor)
+        while variant is not None and variant.text in refuted:
             cursor += 1
-        slot.cursor = cursor
+            variant = get(cursor)
+        slot.cursor, slot.head = cursor, variant
         return variant
 
 

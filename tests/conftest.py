@@ -26,6 +26,7 @@ from specsmith.clauses import (
 from specsmith.conversation import ExtractionFailure, _anchor_bare_clauses
 from specsmith.errors import (
     ClauseSyntaxError,
+    ConfigError,
     DivisionByZero,
     EvalError,
     EvalTypeError,
@@ -865,7 +866,7 @@ def extraction_cases(draw) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Trace-file writer: the inverse of evaluate.record_from_dict, for tests that
+# Trace-file writer: the inverse of tracefile.record_from_dict, for tests that
 # round-trip records through a file.
 
 
@@ -886,10 +887,95 @@ def record_to_dict(record: TraceRecord) -> dict:
     return obj
 
 
+def typed(value):
+    """A value with the type of every part, for comparing values exactly:
+    True == 1 and 1 == 1.0, but their typed forms differ."""
+    if isinstance(value, dict):
+        return [(typed(key), typed(item)) for key, item in value.items()]
+    if isinstance(value, list):
+        return ["list", [typed(item) for item in value]]
+    return (type(value).__name__, value)
+
+
 def dump_trace_file(path: str, records: list[TraceRecord]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(record_to_dict(record), sort_keys=True) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Trace-file oracle: the decoder as it was before the lean one. It builds
+# each line's context up front, checks every array item, and decodes every
+# anchor key afresh.
+
+
+def _oracle_decode_value(raw, context):
+    if raw is None:
+        return NULL
+    if isinstance(raw, bool) or isinstance(raw, int):
+        return raw
+    if isinstance(raw, str):
+        return raw
+    if isinstance(raw, list):
+        for item in raw:
+            if isinstance(item, bool) or not isinstance(item, int):
+                raise ValueError(f"{context}: arrays may only hold integers, got {item!r}")
+        return list(raw)
+    raise ValueError(f"{context}: unsupported value {raw!r}")
+
+
+def _oracle_record(obj, context):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{context}: expected a JSON object")
+    known = {"anchor", "phase", "bindings", "result", "old"}
+    unknown = set(obj) - known
+    if unknown:
+        raise ValueError(f"{context}: unknown fields {sorted(unknown)}")
+    try:
+        anchor = Anchor.from_key(obj["anchor"])
+        phase = Phase(obj["phase"])
+    except (KeyError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{context}: {exc}") from exc
+    bindings_raw = obj.get("bindings", {})
+    if not isinstance(bindings_raw, dict):
+        raise ValueError(f"{context}: bindings must be an object")
+    bindings = {
+        name: _oracle_decode_value(value, f"{context}, binding {name!r}")
+        for name, value in bindings_raw.items()
+    }
+    result = _oracle_decode_value(obj["result"], f"{context}, result") if "result" in obj else None
+    old = None
+    if "old" in obj and obj["old"] is not None:
+        old_raw = obj["old"]
+        if not isinstance(old_raw, dict):
+            raise ValueError(f"{context}: old must be an object")
+        old = {
+            name: _oracle_decode_value(value, f"{context}, old binding {name!r}")
+            for name, value in old_raw.items()
+        }
+    return TraceRecord(anchor=anchor, phase=phase, bindings=bindings, result=result, old=old)
+
+
+def oracle_load_trace_file(path: str) -> list[TraceRecord]:
+    records = []
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            context = f"{path}:{line_no}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{context}: not valid UTF-8: {exc}") from exc
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{context}: bad JSON: {exc}") from exc
+            try:
+                records.append(_oracle_record(obj, context))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 """Tests for YAML configuration loading and validation."""
+import json
+import re
+from pathlib import Path
+
 import pytest
 import yaml
 
+from specsmith import config as config_module
 from specsmith.config import (
     PipelineConfig,
     VerifierSettings,
@@ -13,6 +18,8 @@ from specsmith.conversation import EndpointConfig
 from specsmith.errors import ConfigError
 from specsmith.mutation import ALL_KINDS, MutationKind
 from specsmith.verifier import DEFAULT_RULES, FailureCategory
+
+from conftest import typed
 
 
 def write_yaml(tmp_path, data, name="config.yaml"):
@@ -373,3 +380,154 @@ class TestGuidanceFile:
         path.write_text("- just\n- a\n- list\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="expected a mapping"):
             load_guidance_file(path)
+
+
+# ---------------------------------------------------------------------------
+# libyaml against the pure-Python parser: the same file gives the same values.
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML has no libyaml")
+PARSERS = [
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml", marks=needs_libyaml),
+    pytest.param(yaml.SafeLoader, id="pure-python"),
+]
+
+
+def _mock_config_text():
+    """A mock workload's config: JSON (valid YAML) holding thousands of
+    mock_truth lines, as the benchmark writes it."""
+    kinds = ("requires", "ensures", "maintaining")
+    truth = [
+        f"//@ {kinds[i % 3]} v{i}a + 1 >= v{i}b || v{i}c <= v{i}d - {i % 7}"
+        f" <==> (\\forall int k; 0 <= k && k < n; a[k] != {i});"
+        for i in range(3000)
+    ]
+    data = {
+        "endpoint": {"max_rounds": 3, "mode": "scripted", "shot_count": 4},
+        "mutation": {"variant_cap": 4096},
+        "verifier": {"adapter": "mock", "mock_truth": truth},
+    }
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def _readme_examples_yaml():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("where `examples.yaml` is:", 1)[1].split("```yaml\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
+CONFIG_TEXTS = {
+    "mock workload": _mock_config_text(),
+    "trace workload": (
+        '{\n "endpoint": {\n  "max_rounds": 10,\n  "mode": "scripted",\n  "shot_count": 4\n },\n'
+        ' "mutation": {\n  "variant_cap": 4096\n },\n'
+        ' "verifier": {\n  "adapter": "trace",\n  "trace_file": "trace.jsonl"\n }\n}\n'
+    ),
+    "exec workload": (
+        "# The exec adapter, with every kind of scalar a config holds.\n"
+        "endpoint:\n"
+        "  base_url: http://localhost:8000/v1\n"
+        "  model: coder-7b\n"
+        "  temperature: .5\n"
+        "  max_rounds: 0x0a\n"
+        "  api_key_env: MY_KEY\n"
+        "  shot_selection: random\n"
+        "  shot_seed: 1_000\n"
+        "verifier:\n"
+        "  adapter: exec\n"
+        "  command: \"openjml --esc '{file}' -timeout 30\"\n"
+        "  timeout_seconds: 1.5e+3\n"
+        "  failures_per_call: one\n"
+        "  rules: &rules\n"
+        "    - {pattern: 'cannot establish', category: unprovable-postcondition}\n"
+        "    - pattern: >-\n"
+        "        parse\n"
+        "        error\n"
+        "      category: syntax-error\n"
+        "weights: {comparative: -2, logical: -3, arithmetic: -4}\n"
+        "mutation:\n"
+        "  kinds: [comparative, logical]\n"
+        "  variant_cap: 99\n"
+        "strategy: {name: random, seed: 11}\n"
+        "budgets:\n"
+        "  pipeline_seconds: 30\n"
+        "paths:\n"
+        "  output_dir: \"runs/ä\\u00e9\"\n"
+        "  corpus_dir: ~\n"
+        "report:\n"
+        "  deterministic_clock: yes\n"
+    ),
+    "README examples.yaml": _readme_examples_yaml(),
+}
+
+GUIDANCE_TEXT = (
+    "unprovable-postcondition: |\n"
+    "  Weaken the claim.\n"
+    "  Keep what the trace shows.\n"
+    "'type-error': >\n"
+    "  check operand\n"
+    "  types\n"
+    "syntax-error: \"one line, with a \\\"quote\\\"\"\n"
+)
+
+MALFORMED_YAML = {
+    "unclosed flow sequence": "endpoint: [unclosed",
+    "mapping in a plain scalar": "endpoint: a: b\n",
+    "tab indentation": "endpoint:\n\tmode: live\n",
+    "unterminated quote": "endpoint:\n  model: 'coder\n",
+    "sequence then mapping": "- a\nb: c\n",
+    "two documents": "endpoint: {}\n---\nverifier: {}\n",
+    "undefined alias": "endpoint: *nothing\n",
+    "python tag": "endpoint: !!python/object:os.system {}\n",
+}
+
+
+class TestParsersAgree:
+    def _load(self, monkeypatch, parser, load, path):
+        monkeypatch.setattr(config_module, "_SAFE_LOADER", parser)
+        return typed(config_module._read_yaml(path)), load(path)
+
+    def test_libyaml_is_used_when_present(self):
+        assert config_module._SAFE_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+    @needs_libyaml
+    @pytest.mark.parametrize("name", sorted(CONFIG_TEXTS))
+    def test_configs_load_alike(self, tmp_path, monkeypatch, name):
+        path = tmp_path / "config.yaml"
+        path.write_text(CONFIG_TEXTS[name], encoding="utf-8")
+        data, config = self._load(monkeypatch, yaml.CSafeLoader, load_config, str(path))
+        assert self._load(monkeypatch, yaml.SafeLoader, load_config, str(path)) == (data, config)
+        assert config != PipelineConfig()
+
+    def test_the_mock_config_keeps_every_line(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(CONFIG_TEXTS["mock workload"], encoding="utf-8")
+        assert len(load_config(str(path)).verifier.mock_truth) == 3000
+
+    @needs_libyaml
+    def test_guidance_files_load_alike(self, tmp_path, monkeypatch):
+        path = tmp_path / "guidance.yaml"
+        path.write_text(GUIDANCE_TEXT, encoding="utf-8")
+        loaded = self._load(monkeypatch, yaml.CSafeLoader, load_guidance_file, str(path))
+        assert self._load(monkeypatch, yaml.SafeLoader, load_guidance_file, str(path)) == loaded
+        assert loaded[1][FailureCategory.TYPE_ERROR] == "check operand types\n"
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    @pytest.mark.parametrize("name", sorted(MALFORMED_YAML))
+    def test_malformed_yaml_is_not_valid_yaml(self, tmp_path, monkeypatch, parser, name):
+        monkeypatch.setattr(config_module, "_SAFE_LOADER", parser)
+        path = tmp_path / "bad.yaml"
+        path.write_text(MALFORMED_YAML[name], encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: not valid YAML: "):
+            load_config(str(path))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: not valid YAML: "):
+            load_guidance_file(str(path))
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    def test_non_utf8_file_is_not_valid_yaml(self, tmp_path, monkeypatch, parser):
+        monkeypatch.setattr(config_module, "_SAFE_LOADER", parser)
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(b"endpoint:\n  model: \xff\n")
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(str(path))

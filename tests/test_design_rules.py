@@ -21,8 +21,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specsmith"
 
 LAYERS = (
-    "errors", "expr", "parser", "clauses", "schemata", "evaluate", "mutation",
-    "verifier", "repair", "conversation", "config", "pipeline", "cli",
+    "errors", "expr", "parser", "clauses", "schemata", "evaluate", "tracefile",
+    "mutation", "verifier", "repair", "conversation", "config", "pipeline", "cli",
 )
 
 # (module, name) -> why nothing in the package reads it.

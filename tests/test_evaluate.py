@@ -14,15 +14,9 @@ from specsmith.errors import (
     UnboundVariable,
     UnboundedQuantifier,
 )
-from specsmith.evaluate import (
-    NULL,
-    Phase,
-    TraceRecord,
-    eval_expr,
-    load_trace_file,
-    record_from_dict,
-)
+from specsmith.evaluate import NULL, Phase, TraceRecord, eval_expr
 from specsmith.expr import Binary, Unary, walk
+from specsmith.tracefile import load_trace_file, record_from_dict
 
 from conftest import (
     REL_OPS,
@@ -30,8 +24,10 @@ from conftest import (
     eval_outcome,
     gen_eval_case,
     oracle_eval,
+    oracle_load_trace_file,
     parse_expr,
     record_to_dict,
+    typed,
 )
 
 
@@ -290,3 +286,186 @@ class TestTraceIO:
         rec = TraceRecord(Anchor("f"), Phase.POST, {"b": 2, "a": 1}, result=7, old={"a": 0})
         text = json.dumps(record_to_dict(rec), sort_keys=True)
         assert record_from_dict(json.loads(text)) == rec
+
+
+# ---------------------------------------------------------------------------
+# The trace decoder against the decoder it replaced (conftest's
+# oracle_load_trace_file), on generated JSON-lines files.
+
+_TRACE_ANCHORS = ["method:f", "method:g", "loop:f:0", "loop:f:1", "loop:g:0"]
+_TRACE_NAMES = ["a", "i", "n", "nums", "x_1", "ß"]
+_TRACE_BLANKS = ["", "   ", "\t", "\x1c", "\u3000"]  # all blank to str.strip
+
+
+def _gen_trace_value(rng):
+    kind = rng.randrange(7)
+    if kind == 0:
+        return rng.randint(-9, 9)
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice(["", "x", "héllo", "a\nb"])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.choice([-1, 1]) * 10**20
+    return [rng.randint(-99, 99) for _ in range(rng.randrange(6))]
+
+
+def _gen_trace_bindings(rng):
+    return {name: _gen_trace_value(rng) for name in rng.sample(_TRACE_NAMES, rng.randrange(5))}
+
+
+def _gen_trace_object(rng):
+    obj = {"anchor": rng.choice(_TRACE_ANCHORS), "phase": rng.choice(["pre", "post", "iter"])}
+    if rng.random() < 0.9:
+        obj["bindings"] = _gen_trace_bindings(rng)
+    if rng.random() < 0.3:
+        obj["result"] = _gen_trace_value(rng)
+    if rng.random() < 0.3:
+        obj["old"] = None if rng.random() < 0.25 else _gen_trace_bindings(rng)
+    return dict(rng.sample(list(obj.items()), len(obj)))
+
+
+def _gen_trace_lines(rng):
+    """Good lines: records in varied spacing and key order, among blank
+    and whitespace-only lines."""
+    lines = []
+    for _ in range(rng.randrange(1, 25)):
+        if rng.random() < 0.15:
+            lines.append(rng.choice(_TRACE_BLANKS))
+        separators = rng.choice([None, (",", ":"), (" , ", " : ")])
+        text = json.dumps(_gen_trace_object(rng), separators=separators, ensure_ascii=rng.random() < 0.5)
+        pad = rng.choice(["", "", "", " ", "\t"])
+        lines.append(pad + text + rng.choice(["", "", pad]))
+    return lines
+
+
+def _write_trace_lines(path, rng, lines, line_end=None):
+    line_end = line_end or rng.choice(["\n", "\n", "\r\n"])
+    text = line_end.join(lines) + rng.choice([line_end, ""])
+    path.write_bytes(text.encode("utf-8"))
+
+
+def _load_outcome(load, path):
+    try:
+        records = load(str(path))
+    except Exception as exc:  # the class and the text must match
+        return type(exc).__name__, str(exc)
+    return "ok", [
+        (r.anchor, r.phase, typed(r.bindings), typed(r.result), typed(r.old)) for r in records
+    ]
+
+
+_BAD_TRACE_LINES = {
+    "json array": "[1, 2]",
+    "json string": '"method:f"',
+    "unknown field": '{"anchor": "method:f", "phase": "pre", "bindings": {}, "bogus": 1}',
+    "two unknown fields": '{"zz": 1, "anchor": "method:f", "aa": 2}',
+    "missing anchor": '{"phase": "pre", "bindings": {}}',
+    "missing phase": '{"anchor": "method:f", "bindings": {}}',
+    "missing both": '{"bindings": {}}',
+    "int anchor": '{"anchor": 5, "phase": "pre", "bindings": {}}',
+    "null anchor": '{"anchor": null, "phase": "pre"}',
+    "list anchor": '{"anchor": ["method:f"], "phase": "pre"}',
+    "object anchor": '{"anchor": {"method": "f"}, "phase": "pre"}',
+    "anchor without method": '{"anchor": "method:", "phase": "pre"}',
+    "anchor without ordinal": '{"anchor": "loop:f", "phase": "iter"}',
+    "anchor with bad ordinal": '{"anchor": "loop:f:x", "phase": "iter"}',
+    "anchor of unknown kind": '{"anchor": "block:f", "phase": "pre"}',
+    "bad anchor and bad phase": '{"anchor": "bogus", "phase": "bogus"}',
+    "bad phase": '{"anchor": "method:f", "phase": "bogus", "bindings": {}}',
+    "upper-case phase": '{"anchor": "method:f", "phase": "PRE"}',
+    "null phase": '{"anchor": "method:f", "phase": null}',
+    "list phase": '{"anchor": "method:f", "phase": ["pre"]}',
+    "int phase": '{"anchor": "method:f", "phase": 1}',
+    "true inside an array": '{"anchor": "method:f", "phase": "pre", "bindings": {"a": [1, true]}}',
+    "nested array": '{"anchor": "method:f", "phase": "pre", "bindings": {"a": [1, [2]]}}',
+    "string inside an array": '{"anchor": "method:f", "phase": "pre", "bindings": {"i": 0, "a": ["x"]}}',
+    "null inside an array": '{"anchor": "method:f", "phase": "pre", "bindings": {"a": [null]}}',
+    "float value": '{"anchor": "method:f", "phase": "pre", "bindings": {"i": 1, "x": 1.5}}',
+    "NaN value": '{"anchor": "method:f", "phase": "pre", "bindings": {"x": NaN}}',
+    "object value": '{"anchor": "method:f", "phase": "pre", "bindings": {"x": {}}}',
+    "null then a bad value": '{"anchor": "method:f", "phase": "pre", "bindings": {"n": null, "x": 2.0}}',
+    "bindings not an object": '{"anchor": "method:f", "phase": "pre", "bindings": [1]}',
+    "null bindings": '{"anchor": "method:f", "phase": "pre", "bindings": null}',
+    "bad result": '{"anchor": "method:f", "phase": "post", "bindings": {}, "result": [1, false]}',
+    "object result": '{"anchor": "method:f", "phase": "post", "result": {"a": 1}}',
+    "non-object old": '{"anchor": "method:f", "phase": "post", "bindings": {}, "old": 3}',
+    "list old": '{"anchor": "method:f", "phase": "post", "old": [1]}',
+    "bad old binding": '{"anchor": "method:f", "phase": "post", "old": {"a": [1, true]}}',
+    "bad binding before bad old": '{"anchor": "method:f", "phase": "post", "bindings": {"a": 0.5}, "old": 1}',
+    "truncated JSON": '{"anchor": "method:f", "phase": ',
+    "trailing data": '{"anchor": "method:f", "phase": "pre"} x',
+    "two documents": '{"anchor": "method:f", "phase": "pre"}{}',
+    "vertical tab after the document": '{"anchor": "method:f", "phase": "pre"}\x0b',
+}
+
+_GOOD_TRACE_LINES = {
+    "null result": '{"anchor": "method:f", "phase": "post", "bindings": {}, "result": null}',
+    "null old": '{"anchor": "method:f", "phase": "post", "bindings": {"x": 1}, "old": null}',
+    "missing bindings": '{"anchor": "loop:f:0", "phase": "iter"}',
+    "empty array": '{"anchor": "method:f", "phase": "pre", "bindings": {"a": []}}',
+    "leading and trailing whitespace": ' \t{"anchor": "method:f", "phase": "pre"} \t',
+    "big integers": '{"anchor": "method:f", "phase": "pre", "bindings": {"a": [-100000000000000000000]}}',
+}
+
+
+class TestTraceDecoderMatchesOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_generated_good_files(self, tmp_path, seed):
+        rng = random.Random(seed)
+        path = tmp_path / "trace.jsonl"
+        _write_trace_lines(path, rng, _gen_trace_lines(rng))
+        expected = _load_outcome(oracle_load_trace_file, path)
+        assert expected[0] == "ok"
+        assert _load_outcome(load_trace_file, path) == expected
+
+    @pytest.mark.parametrize("case", sorted(_GOOD_TRACE_LINES))
+    def test_good_lines(self, tmp_path, case):
+        self._check_line(tmp_path, _GOOD_TRACE_LINES[case], "ok")
+
+    @pytest.mark.parametrize("case", sorted(_BAD_TRACE_LINES))
+    def test_malformed_lines(self, tmp_path, case):
+        self._check_line(tmp_path, _BAD_TRACE_LINES[case], "ConfigError")
+
+    def _check_line(self, tmp_path, line, outcome):
+        for seed in range(3):
+            rng = random.Random(seed)
+            lines = _gen_trace_lines(rng)
+            lines.insert(rng.randrange(1, len(lines) + 1), line)
+            path = tmp_path / f"trace{seed}.jsonl"
+            _write_trace_lines(path, rng, lines, line_end=["\n", "\r\n", "\n"][seed])
+            expected = _load_outcome(oracle_load_trace_file, path)
+            assert expected[0] == outcome
+            assert _load_outcome(load_trace_file, path) == expected
+
+    @pytest.mark.parametrize(
+        "case, lead, middle",
+        [
+            ("UTF-8 BOM on line 1", b"\xef\xbb\xbf", b""),
+            ("non-UTF-8 byte on a middle line", b"", b"\xff"),
+            ("overlong encoding on a middle line", b"", b"\xc0\xaf"),
+            ("whitespace-only middle line", b"", b" \t"),
+        ],
+    )
+    def test_byte_level_cases(self, tmp_path, case, lead, middle):
+        good = b'{"anchor": "method:f", "phase": "pre", "bindings": {"s": "ok"}}'
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(lead + good + b"\n" + good + b"\n" + middle + b"\n" + good + b"\n")
+        expected = _load_outcome(oracle_load_trace_file, path)
+        assert expected[0] == ("ok" if case.startswith("whitespace") else "ConfigError")
+        assert _load_outcome(load_trace_file, path) == expected
+
+    def test_records_of_one_anchor_share_one_anchor_within_a_load(self, tmp_path):
+        rng = random.Random(7)
+        path = tmp_path / "trace.jsonl"
+        _write_trace_lines(path, rng, [json.dumps(_gen_trace_object(rng)) for _ in range(60)])
+        records = load_trace_file(str(path))
+        by_key = {}
+        for rec in records:
+            by_key.setdefault(rec.anchor.key(), set()).add(id(rec.anchor))
+        assert len(by_key) > 1
+        assert all(len(ids) == 1 for ids in by_key.values())
+        # The memo is the load's own: a second load decodes afresh.
+        assert load_trace_file(str(path))[0].anchor is not records[0].anchor

@@ -32,6 +32,7 @@ from specsmith.evaluate import Phase, TraceRecord
 from specsmith.expr import render_expr
 from specsmith.mutation import (
     DEFAULT_WEIGHTS,
+    Family,
     MutationKind,
     WeightTable,
     enumerate_variants,
@@ -455,6 +456,19 @@ class TestLazySelection:
             assert result.outcome == ("verified" if verifier.calls[-1] else "exhausted")
             picks += strategy.picks
         assert picks > 300
+
+    def test_a_pick_reads_one_member_in_steady_state(self, monkeypatch):
+        # Refuting every member in family order: the first pick reads the
+        # refuted template and the member after it, each later pick reads
+        # only the next member, and the last one reads past the end.
+        reads = []
+        get = Family.get
+        monkeypatch.setattr(Family, "get", lambda family, index: reads.append(index) or get(family, index))
+        program = make_program("a + b <= c && c + d <= n")
+        result = mutation_based_gen(program, MockVerifier(truth=frozenset()), HeuristicStrategy())
+        picks = len(result.state.refuted_history)
+        assert result.outcome == "exhausted" and picks == len(enumerate_variants(program.clauses[0]))
+        assert reads == list(range(picks + 1))
 
     def test_repair_builds_only_the_levels_it_reads(self):
         # k picks read at most index k, so at most k + 1 members; the thrash

@@ -19,7 +19,8 @@ from specsmith.clauses import (
     program_anchors,
 )
 from specsmith.errors import AnchorNotFound, CommandNotFound, ConfigError, ExtractionError, ScriptExhausted
-from specsmith.evaluate import Phase, TraceRecord, eval_expr, load_trace_file
+from specsmith.evaluate import Phase, TraceRecord, eval_expr
+from specsmith.tracefile import load_trace_file
 from specsmith.verifier import (
     DEFAULT_RULES,
     ExecVerifier,
