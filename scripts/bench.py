@@ -14,9 +14,10 @@ import statistics
 from dataclasses import dataclass
 
 from specsmith.clauses import Anchor, AnnotatedProgram, parse_clause
-from specsmith.expr import Binary, Expr, IntLit, Quantifier, Var, render_expr
+from specsmith.expr import Binary, Expr, IntLit, Quantifier, Var
 from specsmith.mutation import Family, Variant, enumerate_variants
 from specsmith.repair import HeuristicStrategy, RandomStrategy, mutation_based_gen
+from specsmith.schemata import render_expr
 from specsmith.verifier import MockVerifier
 
 _SOURCE = """\

@@ -19,8 +19,9 @@ from .errors import (
     ExtractionError,
     TypeMismatch,
 )
-from .expr import Expr, infer_type, render_expr
+from .expr import Expr, infer_type
 from .parser import parse_clause_line
+from .schemata import render_expr
 
 
 class ClauseKind(Enum):

@@ -6,6 +6,7 @@ key, read at request time from the variable named by ``endpoint.api_key_env``.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -200,12 +201,16 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("verifier.adapter: must be exec, trace, or mock")
     if config.verifier.failures_per_call not in (None, "one", "all"):
         raise ConfigError("verifier.failures_per_call: must be one or all")
+    if not math.isfinite(config.verifier.timeout_seconds):
+        raise ConfigError("verifier.timeout_seconds: must be finite")
     if config.verifier.timeout_seconds <= 0:
         raise ConfigError("verifier.timeout_seconds: must be positive")
     if config.mutation.variant_cap < 1:
         raise ConfigError("mutation.variant_cap: must be at least 1")
     if config.strategy.name not in ("heuristic", "random"):
         raise ConfigError("strategy.name: must be heuristic or random")
+    if not math.isfinite(config.budgets.pipeline_seconds):
+        raise ConfigError("budgets.pipeline_seconds: must be finite")
     if config.budgets.pipeline_seconds <= 0:
         raise ConfigError("budgets.pipeline_seconds: must be positive")
 

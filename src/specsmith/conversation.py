@@ -8,6 +8,7 @@ last successfully extracted clause set is handed to the mutation phase.
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 import time
@@ -46,10 +47,14 @@ class EndpointConfig:
             raise ValueError("max_rounds must be at least 1")
         if self.shot_count < 0:
             raise ValueError("shot_count cannot be negative")
+        if not math.isfinite(self.request_timeout):
+            raise ValueError("request_timeout must be finite")
         if self.request_timeout <= 0:
             raise ValueError("request_timeout must be positive")
         if self.retries < 0:
             raise ValueError("retries cannot be negative")
+        if not math.isfinite(self.retry_backoff):
+            raise ValueError("retry_backoff must be finite")
         if self.retry_backoff < 0:
             raise ValueError("retry_backoff cannot be negative")
 

@@ -1,10 +1,11 @@
-"""Expression trees for the supported JML subset, plus the canonical renderer.
+"""Expression trees for the supported JML subset, and its operator table.
 
 The node set covers exactly what the pipeline mutates and evaluates:
 integer-typed quantifiers, the logical/comparison/arithmetic operators,
 variables, array indexing, ``.length``, ``\\result`` and ``\\old``.
-Rendering is canonical — one space around binary operators, minimal
-parentheses — so that equal trees always produce byte-identical text.
+The parser (:mod:`specsmith.parser`) and the renderer
+(:mod:`specsmith.schemata`) both read the binary operators' precedence and
+associativity from here.
 """
 from __future__ import annotations
 
@@ -114,9 +115,6 @@ LEVEL_EQUALITY = 5
 LEVEL_RELATIONAL = 6
 LEVEL_ADDITIVE = 7
 LEVEL_MULTIPLICATIVE = 8
-LEVEL_UNARY = 9
-LEVEL_POSTFIX = 10
-LEVEL_ATOM = 11
 
 BINARY_LEVEL = {
     "<==>": LEVEL_EQUIV,
@@ -140,65 +138,6 @@ BINARY_LEVEL = {
 RIGHT_ASSOC_OPS = {"==>"}
 
 BOOLEAN_OPS = {"<==>", "==>", "<==", "||", "&&", "==", "!=", "<", "<=", ">", ">="}
-
-
-def precedence(expr: Expr) -> int:
-    if isinstance(expr, Binary):
-        return BINARY_LEVEL[expr.op]
-    if isinstance(expr, Unary):
-        return LEVEL_UNARY
-    if isinstance(expr, (ArrayIndex, FieldAccess)):
-        return LEVEL_POSTFIX
-    return LEVEL_ATOM
-
-
-def render_expr(expr: Expr) -> str:
-    """Canonical text of an expression: minimal parentheses, single spaces."""
-    if isinstance(expr, Binary):
-        lhs = _render_side(expr.lhs, expr.op, is_rhs=False)
-        rhs = _render_side(expr.rhs, expr.op, is_rhs=True)
-        return f"{lhs} {expr.op} {rhs}"
-    if isinstance(expr, Unary):
-        inner = render_expr(expr.operand)
-        if precedence(expr.operand) < LEVEL_UNARY or inner.startswith("-"):
-            inner = f"({inner})"
-        return ("!" if expr.op == "!" else "-") + inner
-    if isinstance(expr, Quantifier):
-        return (
-            f"(\\{expr.kind} int {expr.var}; "
-            f"{render_expr(expr.range)}; {render_expr(expr.body)})"
-        )
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, NullLit):
-        return "null"
-    if isinstance(expr, ArrayIndex):
-        base = render_expr(expr.base)
-        if precedence(expr.base) < LEVEL_POSTFIX:
-            base = f"({base})"
-        return f"{base}[{render_expr(expr.index)}]"
-    if isinstance(expr, FieldAccess):
-        base = render_expr(expr.base)
-        if precedence(expr.base) < LEVEL_POSTFIX:
-            base = f"({base})"
-        return f"{base}.{expr.field}"
-    if isinstance(expr, ResultRef):
-        return "\\result"
-    if isinstance(expr, OldRef):
-        return f"\\old({render_expr(expr.inner)})"
-    raise TypeError(f"cannot render {type(expr).__name__}")
-
-
-def _render_side(child: Expr, parent_op: str, is_rhs: bool) -> str:
-    # Every other node binds tighter than any binary operator.
-    text = render_expr(child)
-    if isinstance(child, Binary) and side_needs_parens(child.op, parent_op, is_rhs):
-        return f"({text})"
-    return text
 
 
 def side_needs_parens(child_op: str, parent_op: str, is_rhs: bool) -> bool:

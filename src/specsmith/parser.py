@@ -4,12 +4,13 @@ One scan of ``_TOKEN_RE`` splits a line into (kind, text, offset) tuples,
 which the parser reads by position.
 
 Binary operators are parsed by precedence climbing over
-:data:`specsmith.expr.BINARY_LEVEL` and ``RIGHT_ASSOC_OPS``, the table the
-renderer uses, so precedence and associativity are written down once. After
-an operator, its right operand is parsed from the next level up; if the
-operator is right-associative and another of its level follows, that
-operand is extended by the rest of the chain. Unary operators, postfix
-indexing and field access, atoms and quantifiers are recursive descent.
+:data:`specsmith.expr.BINARY_LEVEL` and ``RIGHT_ASSOC_OPS``, the table
+:mod:`specsmith.schemata` renders by, so precedence and associativity are
+written down once. After an operator, its right operand is parsed from the
+next level up; if the operator is right-associative and another of its
+level follows, that operand is extended by the rest of the chain. Unary
+operators, postfix indexing and field access, atoms and quantifiers are
+recursive descent.
 
 ``parse_clause_line`` handles full annotation lines (``//@ <kind> <expr>;``
 or the same without the comment marker) and returns the raw (kind keyword,

@@ -341,9 +341,10 @@ def load_entries(path: Path) -> list[dict[str, Any]]:
         for name, kind in _ENTRY_FIELDS.items():
             if name not in entry:
                 raise ConfigError(f"{context}: entry has no {name!r} field")
-            if not isinstance(entry[name], kind):
+            value = entry[name]
+            if not isinstance(value, kind) or isinstance(value, bool):  # JSON true is no count
                 raise ConfigError(
-                    f"{context}: {name}: expected {kind.__name__}, got {entry[name]!r}"
+                    f"{context}: {name}: expected {kind.__name__}, got {value!r}"
                 )
         entries.append(entry)
     return entries

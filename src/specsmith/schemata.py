@@ -1,4 +1,10 @@
-"""Mutant schemata: a template compiled once, its variants made by substitution.
+"""Canonical clause text, and mutant schemata: a template compiled once, its
+variants made by substitution.
+
+:class:`_PlanBuilder` writes all expression text in the package. Run with
+no mutation sites (:func:`render_expr`), it writes the canonical text: one
+space around binary operators and only the parentheses the parse needs, so
+equal trees give equal text and every text parses back to its tree.
 
 Following Untch, Offutt & Harrold (ISSTA 1993), a family's members are not
 built by rewriting and re-rendering the template's tree. The template is
@@ -18,22 +24,24 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .clauses import Clause
 from .expr import (
-    LEVEL_POSTFIX,
     ArrayIndex,
     Binary,
+    BoolLit,
     Expr,
     FieldAccess,
+    IntLit,
+    NullLit,
     OldRef,
     Quantifier,
+    ResultRef,
     Unary,
-    precedence,
-    render_expr,
+    Var,
     side_needs_parens,
 )
 
 if TYPE_CHECKING:
+    from .clauses import Clause
     from .mutation import MutationSite
 
 # Structural rewrites: the replacement keeps the comparison operator but
@@ -54,6 +62,14 @@ Options = list[tuple[int, "str | None"]]
 # with table[a[site]], or table[a[site]][a[second]] for a parenthesis whose
 # presence depends on the sites at both ends of its edge.
 _Hole = tuple[int, "int | None", list]
+
+
+def render_expr(expr: Expr) -> str:
+    """Canonical text of an expression: the render plan of a line with no
+    sites, less the line's kind and semicolon."""
+    builder = _PlanBuilder((), [])
+    builder.emit(expr, ())
+    return "".join(builder.text)
 
 
 def render_plan(
@@ -100,13 +116,14 @@ def _compile_plan(
 ) -> tuple[list[str], list[_Hole]]:
     """The template's line as its constant parts and its holes, in text
     order: part i comes before hole i, and the last part after the last hole.
+    Only the template's kind and tree are read.
 
     Each site has one hole holding its operator token. An operand of a binary
     node gets parenthesis holes only when its parentheses differ across the
     options of the two nodes: a logical rewrite changes a node's level or
     associativity, and a structural rewrite puts the left operand under a
-    new ``-``/``+`` node. Text that no option changes is rendered once, as
-    ``render_expr`` renders it.
+    new ``-``/``+`` node. Text that no option changes is constant, as
+    :func:`render_expr` writes it.
     """
     plan = _PlanBuilder(sites, options)
     plan.text.append(f"//@ {template.kind.value} ")
@@ -117,19 +134,19 @@ def _compile_plan(
 
 
 class _PlanBuilder:
-    """The state of one :func:`_compile_plan` call. Its steps are methods,
-    not closures that call each other, so compiling leaves no reference
-    cycle for the cycle collector."""
+    """The state of one render: a plan's compile, or :func:`render_expr`
+    with no sites. Its steps are methods, not closures that call each other,
+    so rendering leaves no reference cycle for the cycle collector."""
 
-    __slots__ = ("site_at", "above_sites", "replacements", "parts", "text", "holes")
+    __slots__ = ("site_at", "replacements", "parts", "text", "holes", "after_minus")
 
     def __init__(self, sites: Sequence[MutationSite], options: list[Options]):
         self.site_at = {site.path: index for index, site in enumerate(sites)}
-        self.above_sites = {site.path[:depth] for site in sites for depth in range(len(site.path))}
         self.replacements = [tuple([r for _, r in site_options]) for site_options in options]
         self.parts: list[str] = []  # the constant text before each hole
         self.text: list[str] = []  # constant text since the last hole
         self.holes: list[_Hole] = []
+        self.after_minus: tuple[int, ...] | None = None  # the path of a literal right after a unary minus
 
     def put(self, part: str | _Hole) -> None:
         if isinstance(part, str):
@@ -160,13 +177,43 @@ class _PlanBuilder:
 
     def emit(self, node: Expr, path: tuple[int, ...]) -> None:
         text = self.text
-        if path not in self.site_at and path not in self.above_sites:
-            text.append(render_expr(node))
-        elif isinstance(node, Binary):
+        if isinstance(node, Binary):
             index, (tokens, shifts, ops) = self.forms(node, path)
             self.operand(node.lhs, path + (0,), index, shifts, is_rhs=False)
             self.put(tokens[0] if index is None else (index, None, tokens))
             self.operand(node.rhs, path + (1,), index, ops, is_rhs=True)
+        elif isinstance(node, Var):
+            text.append(node.name)
+        elif isinstance(node, IntLit):
+            # The parser folds a minus into the literal right after it.
+            text.append(f"({node.value})" if path == self.after_minus else str(node.value))
+        elif isinstance(node, (ArrayIndex, FieldAccess)):
+            wrap = _wrapped_base(node.base)
+            text.append("(" if wrap else "")
+            self.emit(node.base, path + (0,))
+            text.append(")" if wrap else "")
+            if isinstance(node, ArrayIndex):
+                text.append("[")
+                self.emit(node.index, path + (1,))
+                text.append("]")
+            else:
+                text.append(f".{node.field}")
+        elif isinstance(node, Unary):
+            # The node that writes the operand's first character: the operand,
+            # or the base under its bare postfixes. Sites are binary nodes and
+            # quantifiers, so it is the same in every member.
+            first, first_path = node.operand, path + (0,)
+            while isinstance(first, (ArrayIndex, FieldAccess)) and not _wrapped_base(first.base):
+                first, first_path = first.base, first_path + (0,)
+            # Parenthesized: a binary operand, or one whose text starts with a minus.
+            wrap = isinstance(node.operand, Binary) or (
+                isinstance(first, Unary) and first.op == "neg" or isinstance(first, IntLit) and first.value < 0
+            )
+            if node.op == "neg" and not wrap and isinstance(first, IntLit):
+                self.after_minus = first_path
+            text.append(("!" if node.op == "!" else "-") + ("(" if wrap else ""))
+            self.emit(node.operand, path + (0,))
+            text.append(")" if wrap else "")
         elif isinstance(node, Quantifier):
             index = self.site_at.get(path)
             text.append("(")
@@ -179,29 +226,25 @@ class _PlanBuilder:
             text.append("; ")
             self.emit(node.body, path + (1,))
             text.append(")")
-        elif isinstance(node, Unary):
-            # The operand's first character is the same in every member.
-            wrap = isinstance(node.operand, Binary) or render_expr(node.operand).startswith("-")
-            text.append(("!" if node.op == "!" else "-") + ("(" if wrap else ""))
-            self.emit(node.operand, path + (0,))
-            text.append(")" if wrap else "")
-        elif isinstance(node, (ArrayIndex, FieldAccess)):
-            wrap = precedence(node.base) < LEVEL_POSTFIX
-            text.append("(" if wrap else "")
-            self.emit(node.base, path + (0,))
-            text.append(")" if wrap else "")
-            if isinstance(node, ArrayIndex):
-                text.append("[")
-                self.emit(node.index, path + (1,))
-                text.append("]")
-            else:
-                text.append(f".{node.field}")
         elif isinstance(node, OldRef):
             text.append("\\old(")
             self.emit(node.inner, path + (0,))
             text.append(")")
+        elif isinstance(node, BoolLit):
+            text.append("true" if node.value else "false")
+        elif isinstance(node, NullLit):
+            text.append("null")
+        elif isinstance(node, ResultRef):
+            text.append("\\result")
         else:
-            raise TypeError(f"cannot compile {type(node).__name__}")
+            raise TypeError(f"cannot render {type(node).__name__}")
+
+
+def _wrapped_base(base: Expr) -> bool:
+    """Whether the base of an index or ``.length`` is parenthesized: an
+    operator binds looser than the postfix, and a negative literal's minus
+    would fold into the literal alone."""
+    return isinstance(base, (Binary, Unary)) or isinstance(base, IntLit) and base.value < 0
 
 
 @lru_cache(maxsize=None)

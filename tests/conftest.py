@@ -39,6 +39,8 @@ from specsmith.errors import (
 )
 from specsmith.evaluate import NULL, Phase, TraceRecord, eval_expr
 from specsmith.expr import (
+    BINARY_LEVEL,
+    RIGHT_ASSOC_OPS,
     ArrayIndex,
     Binary,
     BoolLit,
@@ -51,13 +53,12 @@ from specsmith.expr import (
     ResultRef,
     Unary,
     Var,
-    render_expr,
 )
 from specsmith import mutation
 from specsmith.mutation import MutationKind, Variant, WeightTable
 from specsmith.parser import MAX_NESTING, _check_depth, _check_end, _Parser, tokenize
 from specsmith.repair import RefutationEvent, RepairResult
-from specsmith.schemata import render_plan
+from specsmith.schemata import render_expr, render_plan
 from specsmith.verifier import FailureCategory, FailureReport, Outcome, VerifierVerdict
 
 
@@ -285,6 +286,82 @@ class RecordingChatClient:
 
 
 # ---------------------------------------------------------------------------
+# Rendering oracle: a plain recursive renderer, kept apart from the package's
+# plan builder so that the family and label oracles do not check the builder
+# against itself. It reads only the operator table the parser reads.
+
+_ORACLE_UNARY, _ORACLE_POSTFIX, _ORACLE_ATOM = 9, 10, 11
+
+
+def _oracle_precedence(expr: Expr) -> int:
+    if isinstance(expr, Binary):
+        return BINARY_LEVEL[expr.op]
+    if isinstance(expr, Unary):
+        return _ORACLE_UNARY
+    if isinstance(expr, (ArrayIndex, FieldAccess)):
+        return _ORACLE_POSTFIX
+    return _ORACLE_ATOM
+
+
+def _oracle_side(child: Expr, parent_op: str, is_rhs: bool) -> str:
+    text = oracle_render_expr(child)
+    if not isinstance(child, Binary):
+        return text
+    child_level, parent_level = BINARY_LEVEL[child.op], BINARY_LEVEL[parent_op]
+    if child_level != parent_level:
+        wrap = child_level < parent_level
+    else:
+        # Against the operator's associativity, or ==> meeting <==.
+        wrap = (parent_op in RIGHT_ASSOC_OPS) != is_rhs or (parent_op in ("==>", "<==") and child.op != parent_op)
+    return f"({text})" if wrap else text
+
+
+def _oracle_postfix_base(base: Expr) -> str:
+    text = oracle_render_expr(base)
+    # A negative literal's minus would fold into the literal alone.
+    return f"({text})" if _oracle_precedence(base) < _ORACLE_POSTFIX or text.startswith("-") else text
+
+
+def oracle_render_expr(expr: Expr) -> str:
+    """Canonical text of an expression: minimal parentheses, single spaces,
+    and a parse back to ``expr``."""
+    if isinstance(expr, Binary):
+        lhs = _oracle_side(expr.lhs, expr.op, is_rhs=False)
+        rhs = _oracle_side(expr.rhs, expr.op, is_rhs=True)
+        return f"{lhs} {expr.op} {rhs}"
+    if isinstance(expr, Unary):
+        inner = oracle_render_expr(expr.operand)
+        if _oracle_precedence(expr.operand) < _ORACLE_UNARY or inner.startswith("-"):
+            inner = f"({inner})"
+        elif expr.op == "neg":
+            # The parser folds a minus into the literal right after it.
+            inner = re.sub(r"^\d+", r"(\g<0>)", inner)
+        return ("!" if expr.op == "!" else "-") + inner
+    if isinstance(expr, Quantifier):
+        return (
+            f"(\\{expr.kind} int {expr.var}; "
+            f"{oracle_render_expr(expr.range)}; {oracle_render_expr(expr.body)})"
+        )
+    if isinstance(expr, Var):
+        return expr.name
+    if isinstance(expr, IntLit):
+        return str(expr.value)
+    if isinstance(expr, BoolLit):
+        return "true" if expr.value else "false"
+    if isinstance(expr, NullLit):
+        return "null"
+    if isinstance(expr, ArrayIndex):
+        return f"{_oracle_postfix_base(expr.base)}[{oracle_render_expr(expr.index)}]"
+    if isinstance(expr, FieldAccess):
+        return f"{_oracle_postfix_base(expr.base)}.{expr.field}"
+    if isinstance(expr, ResultRef):
+        return "\\result"
+    if isinstance(expr, OldRef):
+        return f"\\old({oracle_render_expr(expr.inner)})"
+    raise TypeError(f"cannot render {type(expr).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # Independent mutation-family oracle: its own operator table, its own
 # combination strategy (cartesian product applied deepest-path-first).
 
@@ -399,7 +476,7 @@ def oracle_family(
                 continue
             mutated = _oracle_apply(mutated, sites[i][0], replacement)
             score += delta
-        text = render_expr(mutated)
+        text = oracle_render_expr(mutated)
         if text not in best or score > best[text]:
             best[text] = score
     return best
@@ -534,7 +611,7 @@ _ORACLE_CATEGORY = {
 
 
 def _oracle_label(clause) -> str:
-    return f"{clause.kind.value} {render_expr(clause.expr)}"
+    return f"{clause.kind.value} {oracle_render_expr(clause.expr)}"
 
 
 def _oracle_report(clause, message, category=FailureCategory.TYPE_ERROR) -> FailureReport:
@@ -1319,11 +1396,10 @@ def _extend_int(children):
         st.builds(
             Binary, st.sampled_from(["+", "-", "*", "/", "%"]), children, children
         ),
-        st.builds(ArrayIndex, _names.map(Var), children),
+        st.builds(ArrayIndex, children, children),
+        st.builds(FieldAccess, children, st.just("length")),
         st.builds(OldRef, children),
-        # Negating an integer literal canonicalizes to the literal itself,
-        # so the identity property generates negation over variables only.
-        st.builds(Unary, st.just("neg"), _names.map(Var)),
+        st.builds(Unary, st.just("neg"), children),
     )
 
 

@@ -31,10 +31,10 @@ from specsmith.conversation import (
     run_conversation,
 )
 from specsmith.evaluate import eval_expr
-from specsmith.expr import render_expr
 from specsmith.mutation import DEFAULT_WEIGHTS, enumerate_variants
 from specsmith.pipeline import run_batch, write_report
 from specsmith.repair import HeuristicStrategy, RandomStrategy, mutation_based_gen
+from specsmith.schemata import render_expr
 from specsmith.verifier import (
     FailureCategory,
     FailureReport,

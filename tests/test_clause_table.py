@@ -31,9 +31,9 @@ from specsmith.conversation import (
     run_conversation,
 )
 from specsmith.errors import ClauseSyntaxError, TypeMismatch
-from specsmith.expr import render_expr
 from specsmith.mutation import enumerate_variants, template_plan
 from specsmith.pipeline import make_context, run_batch, run_pipeline, write_report
+from specsmith.schemata import render_expr
 from specsmith.verifier import ExecVerifier, MockVerifier
 
 from conftest import gen_bool_expr, gen_int_expr

@@ -17,8 +17,8 @@ from specsmith.clauses import (
     program_anchors,
 )
 from specsmith.errors import AnchorNotFound, ExtractionError, TypeMismatch
-from specsmith.expr import render_expr
 from specsmith.mutation import enumerate_variants
+from specsmith.schemata import render_expr
 
 SIMPLE = """\
 class Abs {

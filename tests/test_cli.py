@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 import itertools
+import math
 import json
 import sys
 from pathlib import Path
@@ -276,6 +277,16 @@ class TestGenerate:
             ("endpoint", "retry_backoff", -1, "endpoint: retry_backoff cannot be negative"),
             ("endpoint", "retries", -1, "endpoint: retries cannot be negative"),
             ("verifier", "timeout_seconds", -5, "verifier.timeout_seconds: must be positive"),
+            *(
+                (section, key, value, message)
+                for value in (math.nan, math.inf)
+                for section, key, message in (
+                    ("endpoint", "request_timeout", "endpoint: request_timeout must be finite"),
+                    ("endpoint", "retry_backoff", "endpoint: retry_backoff must be finite"),
+                    ("verifier", "timeout_seconds", "verifier.timeout_seconds: must be finite"),
+                    ("budgets", "pipeline_seconds", "budgets.pipeline_seconds: must be finite"),
+                )
+            ),
         ],
     )
     def test_out_of_range_timings_exit_two_before_any_chat(
@@ -283,7 +294,7 @@ class TestGenerate:
     ):
         config = workspace / "config.yaml"
         data = yaml.safe_load(config.read_text(encoding="utf-8"))
-        data[section][key] = value
+        data.setdefault(section, {})[key] = value
         config.write_text(yaml.safe_dump(data), encoding="utf-8")
         requests = []
         monkeypatch.setattr(
@@ -688,6 +699,20 @@ class TestReport:
                  '"verifier_calls_conversation": 1, "verifier_calls_repair": "2"}'],
                 1,
                 "verifier_calls_repair: expected int, got '2'",
+            ),
+            (
+                ['{"program": "a", "outcome": "failed", '
+                 '"verifier_calls_conversation": 1, "verifier_calls_repair": 2}',
+                 '{"program": "b", "outcome": "failed", '
+                 '"verifier_calls_conversation": true, "verifier_calls_repair": 2}'],
+                2,
+                "verifier_calls_conversation: expected int, got True",
+            ),
+            (
+                ['{"program": "a", "outcome": "failed", '
+                 '"verifier_calls_conversation": 1, "verifier_calls_repair": false}'],
+                1,
+                "verifier_calls_repair: expected int, got False",
             ),
         ],
     )

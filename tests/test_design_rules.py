@@ -21,7 +21,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specsmith"
 
 LAYERS = (
-    "errors", "expr", "parser", "clauses", "schemata", "evaluate", "tracefile",
+    "errors", "expr", "parser", "schemata", "clauses", "evaluate", "tracefile",
     "mutation", "verifier", "repair", "conversation", "config", "pipeline", "cli",
 )
 

@@ -7,9 +7,12 @@ import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
 from conftest import (
+    bool_exprs,
     gen_mutation_clause,
     oracle_family,
+    oracle_render_expr,
     oracle_variant_tree,
     parse_expr,
     scale_weights,
@@ -21,7 +24,6 @@ from conftest import (
 from specsmith import clauses, mutation, schemata
 from specsmith.clauses import Anchor, Clause, ClauseKind, clause_line, parse_clause
 from specsmith.errors import ClauseSyntaxError
-from specsmith.expr import render_expr
 from specsmith.mutation import (
     ALL_KINDS,
     DEFAULT_WEIGHTS,
@@ -34,6 +36,7 @@ from specsmith.mutation import (
     template_plan,
 )
 from specsmith.repair import FamilySlot, HeuristicStrategy, RandomStrategy
+from specsmith.schemata import render_expr
 
 
 def texts(clause_text, **kwargs):
@@ -637,6 +640,22 @@ class TestRenderPlan:
             for weights in self.WEIGHTS:
                 plan = enumerate_variants(template, weights=weights).plan
                 assert plan.render(plan.assignment) == template.text
+
+    @given(bool_exprs)
+    @settings(max_examples=150, deadline=None)
+    def test_renders_match_the_oracle_renderer(self, expr):
+        text = oracle_render_expr(expr)
+        assert render_expr(expr) == text
+        line = f"//@ requires {text};"
+        template = parse_clause(line)
+        for kinds in KIND_SUBSETS:
+            for weights in self.WEIGHTS:
+                plan = enumerate_variants(template, kinds=kinds, weights=weights).plan
+                assert plan.render(plan.assignment) == line
+        family = enumerate_variants(template, cap=64)
+        for variant in family.variants:
+            tree = oracle_variant_tree(family, variant.assignment)
+            assert variant.text == f"//@ requires {oracle_render_expr(tree)};"
 
     def test_one_factory_per_layout(self, monkeypatch):
         sources = capture_factory_sources(monkeypatch)

@@ -21,9 +21,9 @@ from specsmith.expr import (
     Unary,
     Var,
     infer_type,
-    render_expr,
 )
 from specsmith.parser import MAX_NESTING, parse_clause_line, tokenize
+from specsmith.schemata import render_expr
 
 from conftest import bool_exprs, gen_bool_expr, int_exprs, oracle_tokenize, parse_expr
 
@@ -39,6 +39,10 @@ _TOKEN_PIECES = (
     " ", "  ", "\t", "\n", "\u00a0",
     "?", "#", "@", "'", "\"", "é", "λ", "\u0663", "\u2264", "\U0001f600",
 )
+
+
+# The token pieces plus the shapes where a minus meets a literal.
+_ROUND_TRIP_PIECES = _TOKEN_PIECES + ("(-5)", "-(5)", ".length")
 
 
 def _outcome(tokenizer, text):
@@ -117,6 +121,13 @@ class TestPrecedence:
             ("x[0][1]", "x[0][1]"),
             ("\\old(x).length", "\\old(x).length"),
             ("x < y == true", "x < y == true"),
+            ("(-5)[i]", "(-5)[i]"),
+            ("(-5).length", "(-5).length"),
+            ("-(5)", "-(5)"),
+            ("-(5).length", "-(5).length"),
+            ("-(-5)[i]", "-(-5)[i]"),
+            ("!(-x)", "!(-x)"),
+            ("!-5", "!(-5)"),
         ],
     )
     def test_canonical_rendering(self, text, canonical):
@@ -297,6 +308,15 @@ class TestRoundTrip:
     @given(int_exprs)
     @settings(max_examples=150, deadline=None)
     def test_int_ast_round_trip_identity(self, expr):
+        assert parse_expr(render_expr(expr)) == expr
+
+    @given(st.lists(st.sampled_from(_ROUND_TRIP_PIECES), max_size=24).map("".join))
+    @settings(max_examples=1000, deadline=None)
+    def test_accepted_text_reads_back(self, text):
+        try:
+            expr = parse_expr(text)
+        except ClauseSyntaxError:
+            return
         assert parse_expr(render_expr(expr)) == expr
 
     def test_seeded_generator_round_trip(self):

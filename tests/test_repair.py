@@ -29,7 +29,6 @@ from specsmith.clauses import (
 from specsmith.errors import ClauseSyntaxError, SpecError, UnknownClause
 from specsmith import clauses, repair
 from specsmith.evaluate import Phase, TraceRecord
-from specsmith.expr import render_expr
 from specsmith.mutation import (
     DEFAULT_WEIGHTS,
     Family,
@@ -47,6 +46,7 @@ from specsmith.repair import (
     spec_mutation,
     spec_selection,
 )
+from specsmith.schemata import render_expr
 from specsmith.verifier import (
     FailureCategory,
     FailureReport,
