@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from .clauses import AnnotatedProgram, place_annotations, program_anchors, split_annotations
+from .clauses import AnnotatedProgram, AnnotationBlocks, place_annotations, program_anchors, split_annotations
 from .errors import (
     EndpointError,
     ExtractionError,
@@ -189,19 +189,21 @@ def extract_specs(response: str, program: str) -> AnnotatedProgram | ExtractionF
     last one is used, and the whole response when none is closed.
 
     A body whose every non-blank line is a ``//@`` line is a bare clause
-    block. It is re-anchored onto the queried program, but only when that
-    is unambiguous: one method, and at most one loop if loop clauses are
-    present. All failures are returned as values.
+    block. Its lines are placed on the queried program, after the program's
+    own ``//@`` lines there, but only when that is unambiguous: one method,
+    and at most one loop if loop clauses are present. Every diagnostic cites
+    a line as the model's block numbers it; the program's own ``//@`` lines
+    are numbered as in the program. All failures are returned as values.
     """
     blocks = _FENCE_RE.findall(response)
     stripped, annotations = split_annotations(blocks[-1] if blocks else response)
     if not annotations:
         return ExtractionFailure(("the response contains no //@ annotation lines",))
     if not stripped or stripped.isspace():
-        body = _anchor_bare_clauses([line for _, block in annotations for _, line in block], program)
-        if isinstance(body, ExtractionFailure):
-            return body
-        stripped, annotations = split_annotations(body)
+        placed = _place_bare_clauses([pair for _, block in annotations for pair in block], program)
+        if isinstance(placed, ExtractionFailure):
+            return placed
+        stripped, annotations = placed
     try:
         return place_annotations(stripped, annotations)
     except ExtractionError as exc:
@@ -210,14 +212,14 @@ def extract_specs(response: str, program: str) -> AnnotatedProgram | ExtractionF
         )
 
 
-def _anchor_bare_clauses(clause_lines: list[str], program: str) -> str | ExtractionFailure:
-    """``program`` with the clause lines placed above its one method header,
-    loop clauses above its one loop. Its lines are rejoined by newlines and
-    its final newline is kept, so extracting the result returns ``program``
-    itself as the source (when its lines end in newlines), and both look up
-    the anchors of one text."""
-    program_lines = program.splitlines()
-    anchors = program_anchors(program)[0]
+def _place_bare_clauses(
+    clause_lines: list[tuple[int, str]], program: str
+) -> tuple[str, AnnotationBlocks] | ExtractionFailure:
+    """``program``'s stripped text and its annotation blocks, with the
+    (line number, line) pairs added to the block above its one method
+    header, loop clauses to the block above its one loop."""
+    stripped, blocks = split_annotations(program)
+    anchors = program_anchors(stripped)[0]
     methods = [i for i, a in anchors.items() if a.loop is None]  # in line order
     loops = [i for i, a in anchors.items() if a.loop is not None]
     if len(methods) != 1:
@@ -229,8 +231,8 @@ def _anchor_bare_clauses(clause_lines: list[str], program: str) -> str | Extract
         )
     # Unrecognized keywords ride along with the method group so they reach
     # the parser and produce a proper diagnostic instead of vanishing.
-    loop_clauses = [line for line in clause_lines if _LOOP_CLAUSE_RE.match(line)]
-    method_clauses = [line for line in clause_lines if not _LOOP_CLAUSE_RE.match(line)]
+    loop_clauses = [pair for pair in clause_lines if _LOOP_CLAUSE_RE.match(pair[1])]
+    method_clauses = [pair for pair in clause_lines if not _LOOP_CLAUSE_RE.match(pair[1])]
     if loop_clauses and len(loops) != 1:
         return ExtractionFailure(
             (
@@ -238,16 +240,12 @@ def _anchor_bare_clauses(clause_lines: list[str], program: str) -> str | Extract
                 f"program has {len(loops)} loops; return the full annotated program",
             )
         )
-    rebuilt: list[str] = []
-    for idx, line in enumerate(program_lines):
-        if idx == methods[0]:
-            rebuilt.extend(method_clauses)
-        elif loops and idx == loops[0]:
-            rebuilt.extend(loop_clauses)
-        rebuilt.append(line)
-    if program.endswith("\n"):
-        rebuilt.append("")
-    return "\n".join(rebuilt)
+    by_line = dict(blocks)
+    if method_clauses:
+        by_line.setdefault(methods[0], []).extend(method_clauses)
+    if loop_clauses:
+        by_line.setdefault(loops[0], []).extend(loop_clauses)
+    return stripped, sorted(by_line.items())
 
 
 # Category -> guidance text inserted after the failure message. At most one

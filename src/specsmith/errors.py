@@ -78,7 +78,8 @@ class UnknownClause(SpecError):
 
 
 class CommandNotFound(SpecError):
-    """The exec adapter's command does not exist (as opposed to a verdict)."""
+    """The exec adapter's command cannot be started: it does not exist, is
+    not executable, or the OS refuses it (as opposed to a verdict)."""
 
 
 class ScriptExhausted(SpecError):

@@ -7,7 +7,7 @@ like ``i < a.length && a[i] > 0`` never fault on the guarded side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -54,9 +54,9 @@ NULL = _NullValue()
 
 Value = Union[int, bool, list, str, _NullValue]
 
-# Hard ceiling on quantifier domain width; anything wider is treated the same
-# as an unextractable bound rather than silently iterating forever.
-MAX_QUANTIFIER_WIDTH = 1_000_000
+# The evaluation budget: quantifier elements per evaluation, summed over every
+# quantifier it starts, nested ones included. Past it the evaluation fails.
+EVAL_BUDGET = 1_000_000
 
 
 class Phase(Enum):
@@ -81,12 +81,13 @@ class _Env:
     bindings: dict[str, Value]
     old: dict[str, Value] | None
     result: Value | None
-    overlay: dict[str, int] = field(default_factory=dict)
+    overlay: dict[str, int]
+    spent: list[int]  # quantifier elements started so far: one cell, shared by all of one evaluation
 
 
 def eval_expr(expr: Expr, record: TraceRecord) -> Value:
     """Evaluate an expression against one trace record."""
-    env = _Env(record.bindings, record.old, record.result)
+    env = _Env(record.bindings, record.old, record.result, {}, [0])
     return _eval(expr, env)
 
 
@@ -155,7 +156,7 @@ def _eval(expr: Expr, env: _Env) -> Value:
     if isinstance(expr, OldRef):
         if env.old is None:
             raise MissingOldSnapshot("\\old used but the record has no old-state snapshot")
-        inner_env = _Env(env.old, env.old, env.result, env.overlay)
+        inner_env = _Env(env.old, env.old, env.result, env.overlay, env.spent)
         return _eval(expr.inner, inner_env)
     if isinstance(expr, ArrayIndex):
         # As in Java, the index is evaluated before the base is checked.
@@ -240,13 +241,14 @@ def _eval_binary(expr: Binary, env: _Env) -> Value:
 
 def _eval_quantifier(expr: Quantifier, env: _Env) -> bool:
     lo, hi = _extract_bounds(expr.range, expr.var, env)
-    if hi - lo + 1 > MAX_QUANTIFIER_WIDTH:
+    env.spent[0] += max(0, hi - lo + 1)
+    if env.spent[0] > EVAL_BUDGET:
         raise UnboundedQuantifier(
-            f"quantifier domain [{lo}, {hi}] exceeds the width limit"
+            f"quantifier domain [{lo}, {hi}] takes the evaluation past its budget of {EVAL_BUDGET} elements"
         )
     is_forall = expr.kind == "forall"
     for value in range(lo, hi + 1):
-        inner = _Env(env.bindings, env.old, env.result, {**env.overlay, expr.var: value})
+        inner = _Env(env.bindings, env.old, env.result, {**env.overlay, expr.var: value}, env.spent)
         # The full range expression acts as the guard: the extracted interval
         # may over-approximate when extra conjuncts are present.
         if not _require_bool(_eval(expr.range, inner), "quantifier range"):

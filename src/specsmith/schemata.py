@@ -169,7 +169,7 @@ class _PlanBuilder:
         index, (_, _, ops) = self.forms(node, path)
         fixed, depends, opening, closing = _parens(parent_ops, ops, is_rhs)
         if not fixed:
-            sites = (parent, None) if depends == "parent" else (index, None) if depends == "child" else (parent, index)
+            sites = (parent, None) if depends == "parent" else (parent, index)
             opening, closing = (*sites, opening), (*sites, closing)
         self.put(opening)
         self.emit(node, path)
@@ -270,18 +270,18 @@ def _parens(
     its parent and its own: (fixed, which options decide, opening, closing).
 
     Fixed parentheses are the marks or nothing; otherwise the two tables are
-    indexed by the deciding option, ``"parent"`` or ``"child"``, or by the
-    parent's and then the child's for ``"both"``.
+    indexed by the parent's option for ``"parent"``, or by the parent's and
+    then the child's for ``"both"``. The child's option alone would decide
+    only for a logical child that is a site under a logical parent that is
+    not; sites are enabled by kind, so that never arises.
     """
     needed = [[side_needs_parens(op, parent_op, is_rhs) for op in child_ops] for parent_op in parent_ops]
 
     def marks(table, mark: str):
         return [mark if n else "" for n in table]
 
-    if all(row == needed[0] for row in needed):  # the parent's option does not matter
-        if len(set(needed[0])) == 1:
-            return (True, "", *(mark if needed[0][0] else "" for mark in "()"))
-        return (False, "child", marks(needed[0], "("), marks(needed[0], ")"))
+    if len({n for row in needed for n in row}) == 1:  # no option matters
+        return (True, "", *(mark if needed[0][0] else "" for mark in "()"))
     if all(len(set(row)) == 1 for row in needed):  # the child's option does not matter
         column = [row[0] for row in needed]
         return (False, "parent", marks(column, "("), marks(column, ")"))

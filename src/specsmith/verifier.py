@@ -177,8 +177,9 @@ class ExecVerifier:
 
     ``command`` is a template with a ``{file}`` placeholder. It is split
     into arguments once, here, and a command that does not split or has no
-    placeholder is a ConfigError. A diagnostic is attributed to the clause
-    instrumented nearest above its reported source line.
+    placeholder is a ConfigError; one that cannot be started is
+    CommandNotFound. A diagnostic is attributed to the clause instrumented
+    nearest above its reported source line.
     """
 
     def __init__(
@@ -220,6 +221,8 @@ class ExecVerifier:
                 )
             except FileNotFoundError as exc:
                 raise CommandNotFound(f"verifier command not found: {argv[0]}") from exc
+            except OSError as exc:  # not executable, not a program, ...
+                raise CommandNotFound(f"verifier command cannot be started: {argv[0]}: {exc.strerror or exc}") from exc
             with proc:
                 try:
                     stdout, stderr = proc.communicate(timeout=self.timeout_seconds)
@@ -308,10 +311,13 @@ class TraceVerifier:
     non-negative at every loop iteration and strictly decrease across
     consecutive iterations of one loop activation (an activation ends at a
     pre/post record of the enclosing method, or at an iteration of a loop
-    earlier in the method's text, such as an enclosing one). Evaluation
-    errors surface as type-error failures. A clause whose kind does not fit
-    its anchor (:func:`~specsmith.clauses.misplacement`) or whose line does
-    not parse (a family member nested past the parser's depth limit) is a
+    earlier in the method's text, such as an enclosing one); each measure
+    is checked as the walk meets it, so the first failing record in trace
+    order is cited whatever it fails. Evaluation errors, an evaluation past
+    its quantifier budget among them, surface as type-error failures. A
+    clause whose kind does not fit its anchor
+    (:func:`~specsmith.clauses.misplacement`) or whose line does not parse
+    (a family member nested past the parser's depth limit) is a
     syntax-error failure. A pass only means no counterexample appears in the
     given traces, hence the coverage caveat on every verdict. Records name a
     method only, so a clause above one of two same-name methods raises
@@ -404,36 +410,16 @@ def _check_decreases(
     clause: Clause, records: Iterator[tuple[int, TraceRecord]]
 ) -> _Refutation | None:
     """``records`` are the boundary and iter records of the clause's method,
-    whose anchor is a loop."""
+    whose anchor is a loop. Each iteration's measure is checked as the walk
+    meets it, against the one before it in the same activation."""
     loop = clause.anchor.loop
-    activation: list[tuple[int, int]] = []  # (record index, measure value)
-
-    def check_activation() -> _Refutation | None:
-        for position, (index, value) in enumerate(activation):
-            if value < 0:
-                return (
-                    f"{_clause_label(clause)} is negative ({value}) "
-                    f"at trace record {index}",
-                    FailureCategory.NONTERMINATION_DECREASES,
-                )
-            if position > 0 and value >= activation[position - 1][1]:
-                return (
-                    f"{_clause_label(clause)} fails to strictly decrease "
-                    f"({activation[position - 1][1]} then {value}) "
-                    f"at trace record {index}",
-                    FailureCategory.NONTERMINATION_DECREASES,
-                )
-        return None
-
+    previous = None  # the measure at the activation's last iteration so far
     for index, record in records:
         # A pre/post boundary of the method ends an activation, and so does
         # an iteration of a loop before this one in the text: an enclosing
         # loop precedes the loops nested in it.
         if record.phase is not Phase.ITER or record.anchor.loop < loop:
-            refutation = check_activation()
-            if refutation is not None:
-                return refutation
-            activation = []
+            previous = None
             continue
         if record.anchor.loop != loop:  # an iteration of a later loop
             continue
@@ -450,8 +436,19 @@ def _check_decreases(
                 f"got {value!r} at trace record {index}",
                 FailureCategory.TYPE_ERROR,
             )
-        activation.append((index, value))
-    return check_activation()
+        if value < 0:
+            return (
+                f"{_clause_label(clause)} is negative ({value}) at trace record {index}",
+                FailureCategory.NONTERMINATION_DECREASES,
+            )
+        if previous is not None and value >= previous:
+            return (
+                f"{_clause_label(clause)} fails to strictly decrease "
+                f"({previous} then {value}) at trace record {index}",
+                FailureCategory.NONTERMINATION_DECREASES,
+            )
+        previous = value
+    return None
 
 
 # --- Truth-set mock ---------------------------------------------------------

@@ -23,7 +23,7 @@ from specsmith.clauses import (
     misplacement,
     parse_clause,
 )
-from specsmith.conversation import ExtractionFailure, _anchor_bare_clauses
+from specsmith.conversation import ExtractionFailure
 from specsmith.errors import (
     ClauseSyntaxError,
     ConfigError,
@@ -655,27 +655,12 @@ def _oracle_pointwise(clause, traces):
 
 
 def _oracle_decreases(clause, traces):
+    """The first record in trace order that fails: its measure does not
+    evaluate, is not an integer, is negative, or is not below the measure
+    of the iteration before it in the same activation."""
     method = clause.anchor.method if clause.anchor is not None else None
     decreases = FailureCategory.NONTERMINATION_DECREASES
-    activation = []  # (record index, measure value)
-
-    def check_activation():
-        for position, (index, value) in enumerate(activation):
-            if value < 0:
-                return _oracle_report(
-                    clause,
-                    f"{_oracle_label(clause)} is negative ({value}) at trace record {index}",
-                    decreases,
-                )
-            if position > 0 and value >= activation[position - 1][1]:
-                return _oracle_report(
-                    clause,
-                    f"{_oracle_label(clause)} fails to strictly decrease "
-                    f"({activation[position - 1][1]} then {value}) at trace record {index}",
-                    decreases,
-                )
-        return None
-
+    activation = []  # the measures of the current activation so far
     loop = clause.anchor.loop if clause.anchor is not None else None
     for index, record in enumerate(traces):
         if record.anchor.method != method:
@@ -689,9 +674,6 @@ def _oracle_decreases(clause, traces):
             and record.anchor.loop < loop
         )
         if boundary or earlier_loop:
-            report = check_activation()
-            if report is not None:
-                return report
             activation = []
             continue
         if record.phase is Phase.ITER and record.anchor == clause.anchor:
@@ -708,8 +690,21 @@ def _oracle_decreases(clause, traces):
                     f"{_oracle_label(clause)} must be integer-valued, "
                     f"got {value!r} at trace record {index}",
                 )
-            activation.append((index, value))
-    return check_activation()
+            if value < 0:
+                return _oracle_report(
+                    clause,
+                    f"{_oracle_label(clause)} is negative ({value}) at trace record {index}",
+                    decreases,
+                )
+            if activation and value >= activation[-1]:
+                return _oracle_report(
+                    clause,
+                    f"{_oracle_label(clause)} fails to strictly decrease "
+                    f"({activation[-1]} then {value}) at trace record {index}",
+                    decreases,
+                )
+            activation.append(value)
+    return None
 
 
 def gen_trace_case(rng: random.Random) -> tuple[list[TraceRecord], list[Clause]]:
@@ -754,7 +749,8 @@ def gen_trace_case(rng: random.Random) -> tuple[list[TraceRecord], list[Clause]]
 
     method_anchors = (Anchor("f"), Anchor("g"), Anchor("h"))
     loop_anchors = (Anchor("f", 0), Anchor("f", 1), Anchor("g", 0), Anchor("f", 7))
-    measures = ("n - i", "n - i + 1", "i", "n - i - 2", "x")
+    # The last measure goes negative one iteration before it divides by zero.
+    measures = ("n - i", "n - i + 1", "i", "n - i - 2", "x", "n - i - 2 + 0 * (1 / (n - i))")
     conditions = ("i <= n", "0 <= i", "i < n", "n >= 0", "x < 7")
     clauses: list[Clause] = []
     for number in range(rng.randrange(2, 9)):
@@ -780,7 +776,8 @@ def gen_trace_case(rng: random.Random) -> tuple[list[TraceRecord], list[Clause]]
 # The fence pattern is lazy under DOTALL, so it tries the closing fence at
 # every character of a body; every line is stripped and filtered to decide
 # whether the body is annotated and whether it is a bare block, and then
-# stripped again to pull the annotations out.
+# stripped again to pull the annotations out. A bare block is written into
+# the program's text, which is extracted whole and its diagnostics renumbered.
 
 ORACLE_FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 
@@ -834,17 +831,58 @@ def oracle_extract_annotations(source: str) -> AnnotatedProgram:
 def oracle_extract_specs(response: str, program: str) -> AnnotatedProgram | ExtractionFailure:
     blocks = ORACLE_FENCE_RE.findall(response)
     body = blocks[-1] if blocks else response
-    lines = [line for line in map(str.strip, body.splitlines()) if line]
-    if not any(line.startswith("//@") for line in lines):
+    lines = [(number, line.strip()) for number, line in enumerate(body.splitlines(), start=1) if line.strip()]
+    if not any(line.startswith("//@") for _, line in lines):
         return ExtractionFailure(("the response contains no //@ annotation lines",))
-    if all(line.startswith("//@") for line in lines):
-        body = _anchor_bare_clauses(lines, program)
-        if isinstance(body, ExtractionFailure):
-            return body
+    numbers = None  # the line each line of ``body`` is reported as, when not its own
+    if all(line.startswith("//@") for _, line in lines):
+        bare = _oracle_write_in_bare_clauses(lines, program)
+        if isinstance(bare, ExtractionFailure):
+            return bare
+        body, numbers = bare
     try:
         return oracle_extract_annotations(body)
     except ExtractionError as exc:
-        return ExtractionFailure(tuple(f"line {line}: {message}" for line, message in exc.issues))
+        issues = exc.issues if numbers is None else sorted((numbers[line - 1], m) for line, m in exc.issues)
+        return ExtractionFailure(tuple(f"line {line}: {message}" for line, message in issues))
+
+
+_ORACLE_LOOP_CLAUSE_RE = re.compile(r"//@\s*(?:maintaining|decreases)\b")
+
+
+def _oracle_write_in_bare_clauses(lines, program):
+    """``program`` rewritten with the bare (line number, line) pairs written
+    in above its one method header, loop clauses above its one loop, and
+    the line each of its lines is reported as: a bare line's number in the
+    response, a program line's number in ``program``."""
+    anchors = clauses.program_anchors(program)[0]
+    methods = [i for i, a in anchors.items() if a.loop is None]
+    loops = [i for i, a in anchors.items() if a.loop is not None]
+    if len(methods) != 1:
+        return ExtractionFailure(
+            (
+                "the response contains bare clauses but the queried program "
+                f"has {len(methods)} methods; return the full annotated program",
+            )
+        )
+    at_loop = [bool(_ORACLE_LOOP_CLAUSE_RE.match(line)) for _, line in lines]
+    if any(at_loop) and len(loops) != 1:
+        return ExtractionFailure(
+            (
+                "the response contains bare loop clauses but the queried "
+                f"program has {len(loops)} loops; return the full annotated program",
+            )
+        )
+    written, numbers = [], []
+    for idx, line in enumerate(program.splitlines()):
+        if idx in methods or idx in loops[:1]:
+            for (number, clause), loop_clause in zip(lines, at_loop):
+                if loop_clause is (idx not in methods):
+                    written.append(clause)
+                    numbers.append(number)
+        written.append(line)
+        numbers.append(idx + 1)
+    return "\n".join(written) + ("\n" if program.endswith("\n") else ""), numbers
 
 
 def extraction_fields(result) -> tuple:
@@ -904,11 +942,16 @@ def extraction_cases(draw) -> tuple[str, str]:
 
     any_pool = METHOD_ANNOTATIONS + LOOP_ANNOTATIONS + ODD_ANNOTATIONS
     odd = st.sampled_from((ODD_ANNOTATIONS,) + (any_pool,) * 2)
-    if draw(st.integers(0, 3)) == 0:  # a bare block, maybe with blank lines in it
-        pool = draw(st.sampled_from((METHOD_ANNOTATIONS, METHOD_ANNOTATIONS + LOOP_ANNOTATIONS, any_pool)))
+    if draw(st.integers(0, 2)) == 0:  # a bare block, maybe with blank lines in it
+        pool = draw(st.sampled_from((METHOD_ANNOTATIONS, METHOD_ANNOTATIONS + LOOP_ANNOTATIONS, any_pool, any_pool)))
         lines = draw(
             st.lists(st.one_of(annotations(pool, 1).map("".join), st.sampled_from(("", "   "))), max_size=6)
         )
+        if draw(st.booleans()):  # the queried program holds lines of its own, maybe failing ones
+            own = program.splitlines()
+            at = draw(st.integers(0, len(own)))
+            own[at:at] = draw(annotations(draw(odd), 2))
+            program = "\n".join(own) + ("\n" if program.endswith("\n") else "")
     else:  # an annotated program: mostly the queried one, clauses mostly where they fit
         text = draw(st.sampled_from(EXTRACTION_PROGRAMS + (program,) * 6))
         anchors = clauses.program_anchors(text)[0]
@@ -940,6 +983,15 @@ def extraction_cases(draw) -> tuple[str, str]:
     if draw(st.booleans()):
         response = response.replace("\n", "\r\n")
     return response, program
+
+
+def nested_quantifier_clause(width: int) -> str:
+    """A requires line whose quantifier nests another, each over ``width``
+    elements, so checking it walks ``width`` squared elements."""
+    return (
+        f"//@ requires (\\forall int i; 0 <= i && i < {width}; "
+        f"(\\forall int j; 0 <= j && j < {width}; i + j >= 0));"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from specsmith import repair
 from specsmith.cli import main
 from specsmith.conversation import ScriptedChatClient
 
+from conftest import nested_quantifier_clause
+
 ABS_PROGRAM = """\
 class Abs {
     static int abs(int x) {
@@ -87,6 +89,19 @@ def workspace(tmp_path):
     return tmp_path
 
 
+def non_executable_checker(workspace):
+    """A checker script without its execute bit, and the workspace config
+    with an exec verifier that runs it."""
+    checker = workspace / "check.sh"
+    checker.write_text("#!/bin/sh\n", encoding="utf-8")
+    checker.chmod(0o644)
+    config = workspace / "config.yaml"
+    data = yaml.safe_load(config.read_text(encoding="utf-8"))
+    data["verifier"] = {"adapter": "exec", "command": f"{checker} {{file}}"}
+    config.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return checker, config
+
+
 class TestGenerate:
     def test_successful_run(self, workspace, capsys):
         out = workspace / "runs"
@@ -139,6 +154,16 @@ class TestGenerate:
         )
         assert code == 1
         assert "number of passes:        0" in capsys.readouterr().out
+
+    def test_exec_command_that_cannot_be_started_is_an_aborted_entry(self, workspace, capsys):
+        checker, config = non_executable_checker(workspace)
+        out = workspace / "runs"
+        code = main(["generate", str(workspace / "Abs.java"), "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert (out / "summary.json").exists()
+        [entry] = [json.loads(line) for line in (out / "entries.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert entry["outcome"] == "aborted"
+        assert entry["error"] == f"verifier command cannot be started: {checker}: Permission denied"
 
     def test_strategy_override_lands_in_summary(self, workspace, capsys):
         code = main(
@@ -432,6 +457,15 @@ class TestVerify:
             "error: verifier command template does not split into arguments: No closing quotation"
         ]
 
+    def test_exec_command_that_cannot_be_started_exits_one(self, workspace, capsys):
+        checker, config = non_executable_checker(workspace)
+        code = main(["verify", str(workspace / "AbsAnnotated.java"), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [
+            f"error: verifier command cannot be started: {checker}: Permission denied"
+        ]
+
     def test_null_config_value_is_one_error_line(self, workspace, capsys):
         config = workspace / "config.yaml"
         data = yaml.safe_load(config.read_text(encoding="utf-8"))
@@ -501,6 +535,19 @@ class TestEval:
                 "error: annotation extraction failed: line 5: "
                 "requires clauses belong above a method header, not a loop\n"
             )
+
+    def test_nested_quantifiers_fail_within_the_evaluation_budget(self, tmp_path, capsys):
+        fixtures = Path(__file__).parent / "fixtures"
+        source = (fixtures / "TwoSum.java").read_text(encoding="utf-8")
+        annotated = tmp_path / "TwoSum.java"
+        annotated.write_text(
+            source.replace("    static", f"    {nested_quantifier_clause(1_000_000)}\n    static", 1),
+            encoding="utf-8",
+        )
+        assert main(["eval", str(annotated), str(fixtures / "twosum_trace.jsonl")]) == 1
+        out = capsys.readouterr().out
+        assert "  type-error [method:twoSum/requires/0]: cannot evaluate" in out
+        assert out.endswith("past its budget of 1000000 elements\n")
 
     def test_missing_trace_file(self, workspace, capsys):
         code = main(

@@ -260,6 +260,21 @@ class TestExtractSpecs:
         assert isinstance(result, ExtractionFailure)
         assert "2 methods" in result.diagnostics[0]
 
+    def test_bare_clause_diagnostics_cite_the_lines_of_the_response(self):
+        # Cited where the model wrote it, not where it lands in the program.
+        response = "```\n//@ requires x >;\n//@ ensures \\result >= x;\n```"
+        result = extract_specs(response, ABS_PROGRAM)
+        assert isinstance(result, ExtractionFailure)
+        assert [d.split(":")[0] for d in result.diagnostics] == ["line 1"]
+        result = extract_specs(response.replace("```\n", "```\n\n\n", 1), ABS_PROGRAM)
+        assert [d.split(":")[0] for d in result.diagnostics] == ["line 3"]
+
+    def test_the_programs_own_lines_keep_their_line_numbers(self):
+        program = ABS_PROGRAM.replace("    static", "    //@ ensures \\result ? 0;\n    static")
+        result = extract_specs(fenced("\n\n\n//@ requires x >;\n"), program)
+        assert isinstance(result, ExtractionFailure)
+        assert [d.split(":")[0] for d in result.diagnostics] == ["line 2", "line 4"]
+
     def test_bare_loop_clauses_without_loop(self):
         result = extract_specs(fenced("//@ maintaining i <= n;\n"), ABS_PROGRAM)
         assert isinstance(result, ExtractionFailure)

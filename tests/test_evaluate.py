@@ -176,6 +176,24 @@ class TestQuantifiers:
         with pytest.raises(UnboundedQuantifier):
             ev("(\\exists int k; k < 10; k == 0)")
 
+    def test_nested_quantifiers_share_one_budget(self):
+        # Each quantifier charges its whole domain when it starts; \exists
+        # stops at its first element, so these run fast either way.
+        nested = "(\\exists int i; 0 <= i && i < 1000; (\\exists int j; 0 <= j && j < {}; true))"
+        assert ev(nested.format(999_000)) is True  # 1000 + 999000: at the budget
+        with pytest.raises(UnboundedQuantifier, match="past its budget of 1000000 elements"):
+            ev(nested.format(999_001))
+        under_old = "(\\exists int i; 0 <= i && i < 1000; \\old((\\exists int j; 0 <= j && j < 999001; true)))"
+        with pytest.raises(UnboundedQuantifier):
+            ev(under_old, old={})
+        # A lone quantifier may take the whole budget, and every evaluation
+        # has a budget of its own.
+        lone = "(\\exists int i; 0 <= i && i < {}; true)"
+        assert ev(lone.format(1_000_000)) is True
+        assert ev(lone.format(1_000_000)) is True
+        with pytest.raises(UnboundedQuantifier):
+            ev(lone.format(1_000_001))
+
     def test_shadowing_inner_variable(self):
         text = (
             "(\\forall int k; 0 <= k && k < 2;"

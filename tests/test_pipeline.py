@@ -5,7 +5,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from conftest import RecordingVerifier
+from conftest import RecordingVerifier, nested_quantifier_clause
 
 from specsmith.clauses import extract_annotations
 from specsmith.config import PipelineConfig, config_from_dict
@@ -702,6 +702,18 @@ class TestRunBatch:
         first = run_batch([("Abs", ABS_PROGRAM)], config, attempts=2)
         second = run_batch([("Abs", ABS_PROGRAM)], config, attempts=2)
         assert first == second
+
+    def test_nested_quantifiers_are_refuted_within_the_evaluation_budget(self, tmp_path):
+        """Every member of the clause's family fails at once as a type-error,
+        so the batch ends with the family exhausted."""
+        clause = nested_quantifier_clause(1_000_000)
+        annotated = TWOSUM_PROGRAM.replace("    static", f"    {clause}\n    static", 1)
+        trace = {"adapter": "trace", "trace_file": str(FIXTURES / "twosum_trace.jsonl")}
+        config = scripted_mock_config(tmp_path, [fenced(annotated)], verifier=trace, endpoint={"max_rounds": 1})
+        [entry], _ = run_batch([("TwoSum", TWOSUM_PROGRAM)], config)
+        assert entry["outcome"] == "failed"
+        assert entry["dropped_templates"] == ["method:twoSum/requires/0"]
+        assert entry["verifier_calls_repair"] == len(entry["refuted_history"]) + 1
 
     def test_each_template_line_compiles_once_per_batch(self, monkeypatch):
         compiled = []

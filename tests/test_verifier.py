@@ -35,7 +35,7 @@ from specsmith.verifier import (
     make_rules,
 )
 
-from conftest import ScriptedVerifier, gen_trace_case, oracle_verify_trace
+from conftest import ScriptedVerifier, gen_trace_case, nested_quantifier_clause, oracle_verify_trace
 
 ANNOTATED = """\
 class Abs {
@@ -265,6 +265,12 @@ class TestExecAdapter:
         with pytest.raises(CommandNotFound):
             verifier.verify(program())
 
+    def test_a_command_that_cannot_be_started(self, tmp_path):
+        stub = make_stub(tmp_path, "check.py", "print('never runs')\n")
+        Path(stub).chmod(0o644)
+        with pytest.raises(CommandNotFound, match=f"cannot be started: {stub}: Permission denied"):
+            ExecVerifier(f"{stub} {{file}}").verify(program())
+
     def test_command_without_placeholder_rejected(self):
         # Checked when the adapter is built, before any program is written.
         with pytest.raises(ConfigError, match=r"needs a \{file\} placeholder"):
@@ -463,6 +469,23 @@ class TestDecreases:
         assert any(f.category is FailureCategory.TYPE_ERROR for f in verdict.failures)
 
 
+    def test_the_first_failing_record_is_cited(self):
+        # Record 2's measure is negative before record 3's divides by zero.
+        program = extract_annotations(LOOP_SOURCE.replace("n - i;", "d + 0 * (1 / d);"))
+        loop = Anchor("count", 0)
+        records = [rec(Anchor("count"), Phase.PRE, {"n": 1})]
+        records += [rec(loop, Phase.ITER, {"n": 1, "i": 0, "d": d}) for d in (1, -1, 0)]
+        records.append(rec(Anchor("count"), Phase.POST, {"n": 1}, result=1))
+        verdict = TraceVerifier(records).verify(program)
+        assert verdict == oracle_verify_trace(program, records)
+        assert [(f.category, f.raw_message) for f in verdict.failures] == [
+            (
+                FailureCategory.NONTERMINATION_DECREASES,
+                "decreases d + 0 * (1 / d) is negative (-1) at trace record 2",
+            )
+        ]
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 TWOSUM = (FIXTURES / "TwoSum.java").read_text(encoding="utf-8")
 TWOSUM_OUTER = "        for (int i"
@@ -519,6 +542,27 @@ class TestNestedDecreases:
             if verdict.outcome is Outcome.PASS and program.clauses[0].anchor == inner:
                 inner_passes += 1
         assert inner_passes > 20
+
+
+class TestEvaluationBudget:
+    """Nested quantifiers share one budget per evaluation, so a clause that
+    would walk 10^12 elements fails at once as a type-error."""
+
+    @pytest.mark.parametrize("width, passes", [(100, True), (1_000_000, False)])
+    def test_nested_quantifiers_above_twosum(self, width, passes):
+        program = extract_annotations(twosum_with(nested_quantifier_clause(width), "    static"))
+        traces = load_trace_file(str(FIXTURES / "twosum_trace.jsonl"))
+        verdict = TraceVerifier(traces).verify(program)
+        assert verdict == oracle_verify_trace(program, traces)
+        if passes:
+            assert verdict.outcome is Outcome.PASS
+        else:
+            [failure] = verdict.failures
+            assert failure.category is FailureCategory.TYPE_ERROR
+            assert failure.raw_message.endswith(
+                "at trace record 0: quantifier domain [0, 999999] takes the evaluation "
+                "past its budget of 1000000 elements"
+            )
 
 
 class TestPlacement:
