@@ -8,18 +8,12 @@ Programs are treated as plain text with recognizable method headers and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
-from .errors import (
-    AnchorNotFound,
-    ClauseSyntaxError,
-    ExtractionError,
-    TypeMismatch,
-)
-from .expr import Expr, infer_type
+from .errors import AnchorNotFound, ClauseSyntaxError, ExtractionError, TypeMismatch
+from .expr import Expr, FrozenRecord, infer_type
 from .parser import parse_clause_line
 from .schemata import render_expr
 
@@ -31,12 +25,11 @@ class ClauseKind(Enum):
     DECREASES = "decreases"
 
 
-@dataclass(frozen=True)
-class Anchor:
+class Anchor(FrozenRecord):
     """A program location: a method header, or the loop-th loop inside it."""
 
-    method: str
-    loop: int | None = None
+    __slots__ = ("method", "loop")  # loop: int | None
+    _defaults = {"loop": None}
 
     def key(self) -> str:
         if self.loop is None:
@@ -53,21 +46,21 @@ class Anchor:
         raise ValueError(f"bad anchor key {key!r}")
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(FrozenRecord):
     """One annotation: its kind, its canonical line, and where it sits.
 
     A clause is its line. It compares, hashes and prints by (kind, text,
     anchor, id), so none of these parses. Its tree ``expr`` is the parse of
-    ``text``, made on first read and kept; a clause whose line does not parse
-    still compares, hashes and prints, and raises ClauseSyntaxError on every
-    read of ``expr``.
+    ``text``, made on first read and kept in its ``__dict__`` with the
+    fields; a clause whose line does not parse still compares, hashes and
+    prints, and raises ClauseSyntaxError on every read of ``expr``.
     """
 
-    kind: ClauseKind
-    text: str
-    anchor: Anchor | None = None
-    id: str = ""
+    _fields = ("kind", "text", "anchor", "id")
+    _defaults = {"anchor": None, "id": ""}
+
+    def __hash__(self) -> int:  # spelled out: every family looks its plan up by its template clause
+        return hash((self.kind, self.text, self.anchor, self.id))
 
     @cached_property
     def expr(self) -> Expr:
@@ -96,7 +89,7 @@ class Clause:
 
 
 # A repair iteration makes clauses, so the hot paths make one by storing its
-# whole ``__dict__`` at once, where the dataclass constructor makes one
+# whole ``__dict__`` at once, where the constructor makes one
 # ``object.__setattr__`` call per field.
 _new = object.__new__
 _set = object.__setattr__
@@ -111,12 +104,14 @@ def _clause(values: dict) -> Clause:
     return clause
 
 
-@dataclass(frozen=True)
-class AnnotatedProgram:
+class AnnotatedProgram(FrozenRecord):
     """Program text (annotations stripped) plus the clauses anchored into it."""
 
-    source: str
-    clauses: tuple[Clause, ...] = ()
+    __slots__ = ("source", "clauses")  # a repair iteration makes one, so it sets its fields itself
+
+    def __init__(self, source: str, clauses: tuple[Clause, ...] = ()):
+        _set(self, "source", source)
+        _set(self, "clauses", clauses)
 
 
 def render_clause(clause: Clause) -> str:

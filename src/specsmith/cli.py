@@ -9,7 +9,6 @@ input file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -65,10 +64,10 @@ def _load_pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config)
     strategy = config.strategy
     if getattr(args, "strategy", None):
-        strategy = dataclasses.replace(strategy, name=args.strategy)
+        strategy = strategy.replace(name=args.strategy)
     if getattr(args, "seed", None) is not None:
-        strategy = dataclasses.replace(strategy, seed=args.seed)
-    return dataclasses.replace(config, strategy=strategy)
+        strategy = strategy.replace(seed=args.seed)
+    return config.replace(strategy=strategy)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -1,4 +1,5 @@
-"""Pipeline configuration: dataclasses plus strict YAML loading.
+"""Pipeline configuration: records with a defaults table each, plus strict
+YAML loading.
 
 The file is a nested key-value document; unknown keys are rejected with the
 offending dotted path named. The only environment interaction is the API
@@ -8,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -16,30 +16,36 @@ import yaml
 
 from .conversation import EndpointConfig
 from .errors import ConfigError
+from .expr import FrozenRecord
 from .mutation import ALL_KINDS, MutationKind, WeightTable
 from .verifier import DEFAULT_RULES, FailureCategory, Rule, make_rules
 
 
-@dataclass(frozen=True)
 class EndpointSettings(EndpointConfig):
     """Endpoint block: the chat parameters plus how the client is built."""
 
-    mode: str = "live"  # "live" | "scripted"
-    script: str | None = None  # scripted mode: path to the response fixture
-    shot_selection: str = "corpus-order"  # "corpus-order" | "random"
-    shot_seed: int = 0  # only consulted when shot_selection is random
+    __slots__ = ("mode", "script", "shot_selection", "shot_seed")
+    _defaults = {
+        **EndpointConfig._defaults,
+        "mode": "live",  # "live" | "scripted"
+        "script": None,  # scripted mode: path to the response fixture
+        "shot_selection": "corpus-order",  # "corpus-order" | "random"
+        "shot_seed": 0,  # only consulted when shot_selection is random
+    }
 
 
-@dataclass(frozen=True)
-class VerifierSettings:
-    adapter: str = "trace"  # "exec" | "trace" | "mock"
-    command: str | None = None
-    timeout_seconds: float = 1800.0
-    # None picks the adapter default: one for exec, all for trace and mock.
-    failures_per_call: str | None = None
-    rules: tuple[Rule, ...] = DEFAULT_RULES
-    trace_file: str | None = None
-    mock_truth: tuple[str, ...] | None = None
+class VerifierSettings(FrozenRecord):
+    _defaults = {
+        "adapter": "trace",  # "exec" | "trace" | "mock"
+        "command": None,
+        "timeout_seconds": 1800.0,
+        # None picks the adapter default: one for exec, all for trace and mock.
+        "failures_per_call": None,
+        "rules": DEFAULT_RULES,
+        "trace_file": None,
+        "mock_truth": None,  # a tuple of clause texts
+    }
+    __slots__ = tuple(_defaults)
 
     def effective_failures_per_call(self) -> str:
         if self.failures_per_call is not None:
@@ -47,46 +53,47 @@ class VerifierSettings:
         return "one" if self.adapter == "exec" else "all"
 
 
-@dataclass(frozen=True)
-class MutationSettings:
-    kinds: frozenset[MutationKind] = ALL_KINDS
-    variant_cap: int = 4096
+class MutationSettings(FrozenRecord):
+    _defaults = {"kinds": ALL_KINDS, "variant_cap": 4096}
+    __slots__ = tuple(_defaults)
 
 
-@dataclass(frozen=True)
-class StrategySettings:
-    name: str = "heuristic"  # "heuristic" | "random"
-    seed: int = 0
+class StrategySettings(FrozenRecord):
+    _defaults = {"name": "heuristic", "seed": 0}  # name: "heuristic" | "random"
+    __slots__ = tuple(_defaults)
 
 
-@dataclass(frozen=True)
-class BudgetSettings:
-    pipeline_seconds: float = 1800.0
+class BudgetSettings(FrozenRecord):
+    _defaults = {"pipeline_seconds": 1800.0}
+    __slots__ = tuple(_defaults)
 
 
-@dataclass(frozen=True)
-class PathSettings:
-    corpus_dir: str | None = None  # None: the packaged example corpus
-    guidance_file: str | None = None
-    output_dir: str = "runs"
+class PathSettings(FrozenRecord):
+    # A corpus_dir of None names the packaged example corpus.
+    _defaults = {"corpus_dir": None, "guidance_file": None, "output_dir": "runs"}
+    __slots__ = tuple(_defaults)
 
 
-@dataclass(frozen=True)
-class ReportSettings:
+class ReportSettings(FrozenRecord):
     # Zero out wall-clock fields so two identical runs serialize identically.
-    deterministic_clock: bool = False
+    _defaults = {"deterministic_clock": False}
+    __slots__ = tuple(_defaults)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    endpoint: EndpointSettings = field(default_factory=EndpointSettings)
-    verifier: VerifierSettings = field(default_factory=VerifierSettings)
-    weights: WeightTable = field(default_factory=WeightTable)
-    mutation: MutationSettings = field(default_factory=MutationSettings)
-    strategy: StrategySettings = field(default_factory=StrategySettings)
-    budgets: BudgetSettings = field(default_factory=BudgetSettings)
-    paths: PathSettings = field(default_factory=PathSettings)
-    report: ReportSettings = field(default_factory=ReportSettings)
+class PipelineConfig(FrozenRecord):
+    """Every section of the file; a section the file leaves out is its class's defaults."""
+
+    _defaults = {
+        "endpoint": EndpointSettings(),
+        "verifier": VerifierSettings(),
+        "weights": WeightTable(),
+        "mutation": MutationSettings(),
+        "strategy": StrategySettings(),
+        "budgets": BudgetSettings(),
+        "paths": PathSettings(),
+        "report": ReportSettings(),
+    }
+    __slots__ = tuple(_defaults)
 
 
 def _parse_kinds(raw: Any) -> frozenset[MutationKind]:
@@ -157,37 +164,32 @@ def _load_value(default: Any, value: Any, path: str) -> Any:
     return value
 
 
-def _load_section(cls, data: Any, path: str):
+def _load_section(default: FrozenRecord, data: Any, path: str) -> FrozenRecord:
+    """The section at ``path`` of the file: ``default``, with the fields ``data`` gives."""
     if data is None:
-        return cls()
+        return default
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping")
-    defaults = cls()
-    unknown = set(data) - {f.name for f in fields(cls)}
+    cls = type(default)
+    defaults = cls._defaults  # every section field has a default
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown configuration key: {path}.{sorted(map(str, unknown))[0]}")
-    values = {
-        name: _load_value(getattr(defaults, name), value, f"{path}.{name}")
-        for name, value in data.items()
-    }
+    values = {name: _load_value(defaults[name], value, f"{path}.{name}") for name, value in data.items()}
     try:
-        return replace(defaults, **values)
+        return cls(**values)
     except ValueError as exc:  # a range check in the section's own constructor
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-_SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)}
 
 
 def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
-    unknown = set(data) - set(_SECTIONS)
+    sections = PipelineConfig._defaults
+    unknown = set(data) - set(sections)
     if unknown:
         raise ConfigError(f"unknown configuration key: {sorted(map(str, unknown))[0]}")
-    config = PipelineConfig(
-        **{name: _load_section(cls, data.get(name), name) for name, cls in _SECTIONS.items()}
-    )
+    config = PipelineConfig(*(_load_section(default, data.get(name), name) for name, default in sections.items()))
     _validate(config)
     return config
 

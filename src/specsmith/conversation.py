@@ -12,35 +12,33 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from .clauses import AnnotatedProgram, AnnotationBlocks, place_annotations, program_anchors, split_annotations
-from .errors import (
-    EndpointError,
-    ExtractionError,
-    InsufficientShots,
-    ScriptExhausted,
-)
+from .errors import EndpointError, ExtractionError, InsufficientShots, ScriptExhausted
+from .expr import FrozenRecord, Record
 from .verifier import FailureCategory, Outcome, Verifier, VerifierVerdict
 
 Message = dict[str, str]  # {"role": ..., "content": ...}
 
 
-@dataclass(frozen=True)
-class EndpointConfig:
-    base_url: str = "http://localhost:8000/v1"
-    model: str = "local-model"
-    temperature: float = 0.4
-    max_rounds: int = 10
-    shot_count: int = 4
-    api_key_env: str = "SPECSMITH_API_KEY"
-    request_timeout: float = 120.0
-    retries: int = 2
-    retry_backoff: float = 1.0
-    history_token_budget: int = 64000
+class EndpointConfig(FrozenRecord):
+    _defaults = {
+        "base_url": "http://localhost:8000/v1",
+        "model": "local-model",
+        "temperature": 0.4,
+        "max_rounds": 10,
+        "shot_count": 4,
+        "api_key_env": "SPECSMITH_API_KEY",
+        "request_timeout": 120.0,
+        "retries": 2,
+        "retry_backoff": 1.0,
+        "history_token_budget": 64000,
+    }
+    __slots__ = tuple(_defaults)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError("temperature must be within [0, 2]")
         if self.max_rounds < 1:
@@ -85,11 +83,7 @@ class HttpChatClient:
                 "it must hold the endpoint API key"
             )
         url = cfg.base_url.rstrip("/") + "/chat/completions"
-        payload = {
-            "model": cfg.model,
-            "temperature": cfg.temperature,
-            "messages": list(messages),
-        }
+        payload = {"model": cfg.model, "temperature": cfg.temperature, "messages": list(messages)}
         headers = {"Authorization": f"Bearer {api_key}"}
         last_error = "no attempts made"
         for attempt in range(cfg.retries + 1):
@@ -164,12 +158,11 @@ def _round_one(
     return messages
 
 
-@dataclass(frozen=True)
-class ExtractionFailure:
+class ExtractionFailure(FrozenRecord):
     """Extraction diagnostics (at least one), fed back to the model as a
     syntax failure."""
 
-    diagnostics: tuple[str, ...]
+    __slots__ = ("diagnostics",)
 
 
 # An opening fence, its info string and newline, then the body up to the next
@@ -309,22 +302,27 @@ def build_feedback_prompt(
     return "\n".join(parts)
 
 
-@dataclass
-class Round:
-    prompt: str  # round 1: full rendered initial prompt; later: feedback text
-    response: str
-    extracted: AnnotatedProgram | None
-    extraction_diagnostics: tuple[str, ...] = ()
-    verdict: VerifierVerdict | None = None
+class Round(Record):
+    # prompt: round 1's full rendered initial prompt; later, the feedback text.
+    __slots__ = ("prompt", "response", "extracted", "extraction_diagnostics", "verdict")
+
+    def __init__(self, prompt: str, response: str, extracted, extraction_diagnostics=(), verdict=None):
+        self.prompt = prompt
+        self.response = response
+        self.extracted = extracted
+        self.extraction_diagnostics = extraction_diagnostics
+        self.verdict = verdict
 
 
-@dataclass
-class ConversationTranscript:
-    rounds: list[Round] = field(default_factory=list)
-    outcome: str = "aborted"  # "verified" | "exhausted" | "aborted"
-    error: str = ""
-    last_extracted: AnnotatedProgram | None = None
-    verifier_calls: int = 0
+class ConversationTranscript(Record):
+    __slots__ = ("rounds", "outcome", "error", "last_extracted", "verifier_calls")
+
+    def __init__(self):
+        self.rounds: list[Round] = []
+        self.outcome = "aborted"  # "verified" | "exhausted" | "aborted"
+        self.error = ""
+        self.last_extracted: AnnotatedProgram | None = None
+        self.verifier_calls = 0
 
 
 def _trim_history(

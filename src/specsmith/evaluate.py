@@ -7,32 +7,15 @@ like ``i < a.length && a[i] > 0`` never fault on the guarded side.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
 from .clauses import Anchor
 from .errors import (
-    DivisionByZero,
-    EvalTypeError,
-    IndexOutOfRange,
-    MissingOldSnapshot,
-    UnboundedQuantifier,
-    UnboundVariable,
+    DivisionByZero, EvalTypeError, IndexOutOfRange, MissingOldSnapshot, UnboundedQuantifier, UnboundVariable
 )
 from .expr import (
-    ArrayIndex,
-    Binary,
-    BoolLit,
-    Expr,
-    FieldAccess,
-    IntLit,
-    NullLit,
-    OldRef,
-    Quantifier,
-    ResultRef,
-    Unary,
-    Var,
+    ArrayIndex, Binary, BoolLit, Expr, FieldAccess, IntLit, NullLit, OldRef, Quantifier, Record, ResultRef, Unary, Var
 )
 
 
@@ -65,24 +48,29 @@ class Phase(Enum):
     ITER = "iter"
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(Record):
     """One observation: variable bindings at an anchored program point."""
 
-    anchor: Anchor
-    phase: Phase
-    bindings: dict[str, Value]
-    result: Value | None = None  # None means "not recorded"
-    old: dict[str, Value] | None = None
+    __slots__ = ("anchor", "phase", "bindings", "result", "old")
+
+    def __init__(self, anchor: Anchor, phase: Phase, bindings: dict[str, Value], result=None, old=None):
+        self.anchor = anchor
+        self.phase = phase
+        self.bindings = bindings
+        self.result = result  # None means "not recorded"
+        self.old = old
 
 
-@dataclass
 class _Env:
-    bindings: dict[str, Value]
-    old: dict[str, Value] | None
-    result: Value | None
-    overlay: dict[str, int]
-    spent: list[int]  # quantifier elements started so far: one cell, shared by all of one evaluation
+    # spent: the quantifier elements started so far, one cell shared by all of one evaluation.
+    __slots__ = ("bindings", "old", "result", "overlay", "spent")
+
+    def __init__(self, bindings, old, result, overlay: dict[str, int], spent: list[int]):
+        self.bindings = bindings
+        self.old = old
+        self.result = result
+        self.overlay = overlay
+        self.spent = spent
 
 
 def eval_expr(expr: Expr, record: TraceRecord) -> Value:

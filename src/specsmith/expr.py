@@ -9,95 +9,147 @@ associativity from here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Expr:
+class Record:
+    """A class of named fields: the ``__slots__`` of the class and of its
+    bases, in that order, or the ``_fields`` of a class without slots, which
+    keeps them in its ``__dict__``.
+
+    A record is made from its fields by position or by name; those in its
+    class's ``_defaults`` table may be left out, and a class with its own
+    ``__init__`` makes its records faster. A record equals a record of its
+    own class with equal fields and prints as ``Class(field=value, ...)``;
+    :meth:`replace` makes a copy with some fields changed.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._fields += cls.__dict__.get("__slots__", ())
+        fields = cls._fields
+        # The fields as a tuple, read in C where there are two or more.
+        cls._key = staticmethod(
+            attrgetter(*fields) if len(fields) > 1 else lambda record: tuple(getattr(record, f) for f in fields)
+        )
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Every field's value in order: ``args``, then ``kwargs``, then the defaults."""
+        rest = cls._fields[len(args) :]
+        if len(args) > len(cls._fields) or set(kwargs) - set(rest) or set(rest) - set(kwargs) - set(cls._defaults):
+            raise TypeError(f"{cls.__name__} takes {cls._fields}, got {len(args)} values and {sorted(kwargs)}")
+        return [*args, *(kwargs[name] if name in kwargs else cls._defaults[name] for name in rest)]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """This record with the fields named in ``changes`` changed."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+
+class FrozenRecord(Record):
+    """A record that hashes as the tuple of its fields and refuses assignment and deletion."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Expr(FrozenRecord):
     """Base class for all expression nodes. Immutable and hashable."""
+
+    __slots__ = ()
 
     def children(self) -> tuple[Expr, ...]:
         return ()
 
 
-@dataclass(frozen=True)
 class Quantifier(Expr):
     """Three-part JML quantifier ``(\\forall int v; R; B)`` over one int var."""
 
-    kind: str  # "forall" | "exists"
-    var: str
-    range: Expr
-    body: Expr
+    __slots__ = ("kind", "var", "range", "body")  # kind: "forall" | "exists"
 
     def children(self) -> tuple[Expr, ...]:
         return (self.range, self.body)
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("op", "lhs", "rhs")
 
     def children(self) -> tuple[Expr, ...]:
         return (self.lhs, self.rhs)
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str  # "!" | "neg"
-    operand: Expr
+    __slots__ = ("op", "operand")  # op: "!" | "neg"
 
     def children(self) -> tuple[Expr, ...]:
         return (self.operand,)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class IntLit(Expr):
-    value: int
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class BoolLit(Expr):
-    value: bool
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
 class NullLit(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class ArrayIndex(Expr):
-    base: Expr
-    index: Expr
+    __slots__ = ("base", "index")
 
     def children(self) -> tuple[Expr, ...]:
         return (self.base, self.index)
 
 
-@dataclass(frozen=True)
 class FieldAccess(Expr):
-    base: Expr
-    field: str
+    __slots__ = ("base", "field")
 
     def children(self) -> tuple[Expr, ...]:
         return (self.base,)
 
 
-@dataclass(frozen=True)
 class ResultRef(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class OldRef(Expr):
-    inner: Expr
+    __slots__ = ("inner",)
 
     def children(self) -> tuple[Expr, ...]:
         return (self.inner,)

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .clauses import Clause, _clause
-from .expr import Binary, Expr, Quantifier, walk
+from .expr import Binary, Expr, FrozenRecord, Quantifier, walk
 from .schemata import DEC_LHS, INC_LHS, Options, render_plan
 
 
@@ -69,27 +68,24 @@ REPLACEMENTS: dict[str, tuple[MutationKind, tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(FrozenRecord):
     """Per-kind mutation weights for the selection score."""
 
-    comparative: int = -1
-    logical: int = -2
-    arithmetic: int = -4
-    predicative: int = -4
+    _defaults = {"comparative": -1, "logical": -2, "arithmetic": -4, "predicative": -4}
+    __slots__ = tuple(_defaults)
 
     def __getitem__(self, kind: MutationKind) -> int:
         return getattr(self, kind.value)
+
+    def __hash__(self) -> int:  # spelled out: every family's plan lookup hashes the table
+        return hash((self.comparative, self.logical, self.arithmetic, self.predicative))
 
 
 DEFAULT_WEIGHTS = WeightTable()
 
 
-@dataclass(frozen=True)
-class MutationSite:
-    path: tuple[int, ...]
-    kind: MutationKind
-    original_op: str
+class MutationSite(FrozenRecord):
+    __slots__ = ("path", "kind", "original_op")
 
 
 class Variant:

@@ -9,29 +9,17 @@ from __future__ import annotations
 
 import json
 import random
-import statistics
 import time
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .clauses import extract_annotations
 from .config import PipelineConfig, load_guidance_file
-from .conversation import (
-    ChatClient,
-    HttpChatClient,
-    ScriptedChatClient,
-    run_conversation,
-)
+from .conversation import ChatClient, HttpChatClient, ScriptedChatClient, run_conversation
 from .errors import ConfigError, SpecError
-from .repair import (
-    HeuristicStrategy,
-    RandomStrategy,
-    SelectionState,
-    SelectionStrategy,
-    mutation_based_gen,
-)
+from .expr import Record
+from .repair import HeuristicStrategy, RandomStrategy, SelectionState, SelectionStrategy, mutation_based_gen
 from .tracefile import load_trace_file, read_json_lines
 from .verifier import ExecVerifier, MockVerifier, TraceVerifier, Verifier
 
@@ -45,11 +33,7 @@ def load_corpus(corpus_dir: str | None = None) -> list[tuple[str, str]]:
     Reads ``*.java`` files (each stored annotated) in filename order;
     the bare program is recovered by stripping the annotations.
     """
-    root = (
-        resources.files("specsmith").joinpath("corpus")
-        if corpus_dir is None
-        else Path(corpus_dir)
-    )
+    root = resources.files("specsmith").joinpath("corpus") if corpus_dir is None else Path(corpus_dir)
     pairs: list[tuple[str, str]] = []
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if not entry.name.endswith(".java"):
@@ -119,8 +103,7 @@ def build_strategy(config: PipelineConfig, attempt: int = 0) -> SelectionStrateg
     return HeuristicStrategy()
 
 
-@dataclass
-class PipelineContext:
+class PipelineContext(Record):
     """Shared collaborators, overridable in tests.
 
     A context holds no per-line state: parsed clause lines and mutation
@@ -130,27 +113,16 @@ class PipelineContext:
     context in the process.
     """
 
-    config: PipelineConfig
-    verifier: Verifier
-    shots: list[tuple[str, str]]
-    guidance: dict | None = None
+    __slots__ = ("config", "verifier", "shots", "guidance")
+    _defaults = {"guidance": None}
 
 
 def make_context(config: PipelineConfig) -> PipelineContext:
-    guidance = (
-        load_guidance_file(config.paths.guidance_file)
-        if config.paths.guidance_file
-        else None
-    )
+    guidance = load_guidance_file(config.paths.guidance_file) if config.paths.guidance_file else None
     shots = load_corpus(config.paths.corpus_dir)
     if config.endpoint.shot_selection == "random":
         random.Random(config.endpoint.shot_seed).shuffle(shots)
-    return PipelineContext(
-        config=config,
-        verifier=build_verifier(config),
-        shots=shots,
-        guidance=guidance,
-    )
+    return PipelineContext(config, build_verifier(config), shots, guidance)
 
 
 def run_pipeline(
@@ -291,6 +263,18 @@ def run_batch(
     return entries, summary
 
 
+def _mean(values: Sequence[int | float]) -> int | float:
+    """``statistics.mean`` of ints and floats, to the last bit: the exact sum
+    over the largest denominator (float denominators are powers of two),
+    divided once. Ints whose mean is whole give an int."""
+    ratios = [value.as_integer_ratio() for value in values]
+    denominator = max(d for _, d in ratios)
+    total = sum(n * (denominator // d) for n, d in ratios)
+    if all(type(v) is int for v in values) and total % len(ratios) == 0:
+        return total // len(ratios)
+    return total / (denominator * len(ratios))
+
+
 def aggregate_entries(entries: Sequence[dict[str, Any]]) -> dict[str, Any]:
     """Recompute the batch aggregates from entry records alone."""
     verified = ("verified-by-conversation", "verified-by-mutation")
@@ -314,9 +298,9 @@ def aggregate_entries(entries: Sequence[dict[str, Any]]) -> dict[str, Any]:
         ),
         "success_probability": success_probability,
         "mean_success_probability": (
-            statistics.mean(success_probability.values()) if success_probability else 0.0
+            _mean(list(success_probability.values())) if success_probability else 0.0
         ),
-        "mean_verifier_calls": statistics.mean(total_calls) if total_calls else 0.0,
+        "mean_verifier_calls": _mean(total_calls) if total_calls else 0.0,
         "variant_dedup": True,
     }
 

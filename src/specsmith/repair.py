@@ -28,42 +28,34 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
 from .clauses import AnnotatedProgram, Clause
 from .errors import SpecError, UnknownClause
-from .mutation import (
-    ALL_KINDS,
-    Family,
-    MutationKind,
-    Variant,
-    WeightTable,
-    enumerate_variants,
-)
+from .expr import Record
+from .mutation import ALL_KINDS, Family, MutationKind, Variant, WeightTable, enumerate_variants
 from .verifier import Outcome, Verifier
 
 _PASS = Outcome.PASS  # a module name reads faster than an Enum member
 
 
-@dataclass
-class FamilySlot:
-    family: Family
-    selected: Variant | None  # None once the family runs dry: the slot is dropped
-    refuted: set[str] = field(default_factory=set)  # texts, never selected again
-    # heuristic: every family member before the cursor is refuted, and
-    # ``head`` is the member at it once read, so a pick reads each member once.
-    cursor: int = 0
-    head: Variant | None = field(default=None, repr=False)
-    warned: bool = False
-    size: int = field(init=False)  # the family's size, which the thrash check reads
-    # random: the unrefuted members in family order, and the index of the
-    # last pick among them; kept from one pick to the next.
-    live: list[Variant] | None = field(default=None, repr=False)
-    live_at: int = 0
+class FamilySlot(Record):
+    __slots__ = ("family", "selected", "refuted", "cursor", "head", "warned", "size", "live", "live_at")
 
-    def __post_init__(self):
-        self.size = len(self.family)
+    def __init__(self, family: Family, selected: Variant | None, refuted: set[str] | None = None):
+        self.family = family
+        self.selected = selected  # None once the family runs dry: the slot is dropped
+        self.refuted = set() if refuted is None else refuted  # texts, never selected again
+        # heuristic: every family member before the cursor is refuted, and
+        # ``head`` is the member at it once read, so a pick reads each member once.
+        self.cursor = 0
+        self.head: Variant | None = None
+        self.warned = False
+        self.size = len(family)  # the family's size, which the thrash check reads
+        # random: the unrefuted members in family order, and the index of the
+        # last pick among them; kept from one pick to the next.
+        self.live: list[Variant] | None = None
+        self.live_at = 0
 
 
 class SelectionStrategy(Protocol):
@@ -113,25 +105,26 @@ class RandomStrategy:
         return live[at]
 
 
-@dataclass
-class RefutationEvent:
-    iteration: int
-    clause_id: str
-    text: str
+class RefutationEvent(Record):
+    __slots__ = ("iteration", "clause_id", "text")  # the refuting call, the slot's template id, the variant's text
+
+    def __init__(self, iteration: int, clause_id: str, text: str):
+        self.iteration = iteration
+        self.clause_id = clause_id
+        self.text = text
 
 
-@dataclass
-class SelectionState:
-    slots: dict[str, FamilySlot]  # template id -> slot, in template order
-    refuted_history: list[RefutationEvent] = field(default_factory=list)
-    verifier_calls: int = 0
-    thrash_warnings: list[str] = field(default_factory=list)
-    # Template id -> the clause of its selected variant, in template order;
-    # a dropped slot has none. :func:`re_select` keeps it current.
-    selection: dict[str, Clause] = field(init=False, repr=False)
+class SelectionState(Record):
+    __slots__ = ("slots", "refuted_history", "verifier_calls", "thrash_warnings", "selection")
 
-    def __post_init__(self):
-        self.selection = {
+    def __init__(self, slots: dict[str, FamilySlot]):
+        self.slots = slots  # template id -> slot, in template order
+        self.refuted_history: list[RefutationEvent] = []
+        self.verifier_calls = 0
+        self.thrash_warnings: list[str] = []
+        # Template id -> the clause of its selected variant, in template order;
+        # a dropped slot has none. :func:`re_select` keeps it current.
+        self.selection: dict[str, Clause] = {
             template_id: slot.selected.clause
             for template_id, slot in self.slots.items()
             if slot.selected is not None
@@ -141,12 +134,14 @@ class SelectionState:
         return tuple(self.selection.values())
 
 
-@dataclass
-class RepairResult:
-    program: AnnotatedProgram  # the last selection; verified only on "verified"
-    state: SelectionState
-    outcome: str  # "verified" | "exhausted" | "out-of-budget" | "no-verdict"
-    detail: str = ""  # on "no-verdict": the verifier's outcome and detail
+class RepairResult(Record):
+    __slots__ = ("program", "state", "outcome", "detail")
+
+    def __init__(self, program: AnnotatedProgram, state: SelectionState, outcome: str, detail: str = ""):
+        self.program = program  # the last selection; verified only on "verified"
+        self.state = state
+        self.outcome = outcome  # "verified" | "exhausted" | "out-of-budget" | "no-verdict"
+        self.detail = detail  # on "no-verdict": the verifier's outcome and detail
 
 
 def spec_mutation(

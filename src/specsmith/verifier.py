@@ -11,13 +11,8 @@ from __future__ import annotations
 import contextlib
 import os
 import re
-import shlex
-import signal
-import subprocess
-import tempfile
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol, Sequence
@@ -34,6 +29,7 @@ from .clauses import (
 )
 from .errors import ClauseSyntaxError, CommandNotFound, ConfigError, EvalError
 from .evaluate import Phase, TraceRecord, eval_expr
+from .expr import FrozenRecord
 
 
 class Outcome(Enum):
@@ -54,18 +50,14 @@ class FailureCategory(Enum):
 
 
 # Every verifier call makes a verdict and its failures, so each stores its
-# whole ``__dict__`` at once, where a frozen dataclass's own constructor
-# makes one ``object.__setattr__`` call per field.
+# whole ``__dict__`` at once, where a record's own constructor makes one
+# ``object.__setattr__`` call per field.
 _set = object.__setattr__
 _PASS, _FAIL = Outcome.PASS, Outcome.FAIL
 
 
-@dataclass(frozen=True, init=False)
-class FailureReport:
-    raw_message: str
-    category: FailureCategory
-    clause_id: str | None = None
-    source_line: int | None = None
+class FailureReport(FrozenRecord):
+    _fields = ("raw_message", "category", "clause_id", "source_line")  # the last two may be None
 
     def __init__(self, raw_message, category, clause_id=None, source_line=None):
         _set(
@@ -75,14 +67,11 @@ class FailureReport:
         )
 
 
-@dataclass(frozen=True, init=False)
-class VerifierVerdict:
+class VerifierVerdict(FrozenRecord):
     """A PASS carries no failures, and a FAIL at least one."""
 
-    outcome: Outcome
-    failures: tuple[FailureReport, ...] = ()
-    detail: str = ""  # context for crash/timeout outcomes
-    coverage_caveat: bool = False  # True when the check only covers the traces seen
+    # detail: context for crash and timeout outcomes; coverage_caveat: True when only the traces seen are covered.
+    _fields = ("outcome", "failures", "detail", "coverage_caveat")
 
     def __init__(self, outcome, failures=(), detail="", coverage_caveat=False):
         if failures:
@@ -101,10 +90,8 @@ class Verifier(Protocol):
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict: ...
 
 
-@dataclass(frozen=True)
-class Rule:
-    pattern: re.Pattern
-    category: FailureCategory
+class Rule(FrozenRecord):
+    __slots__ = ("pattern", "category")
 
 
 def make_rules(entries: Sequence[tuple[str, FailureCategory]]) -> tuple[Rule, ...]:
@@ -160,14 +147,7 @@ def _parse_diagnostics(
             above = bisect_right(clause_lines, source_line, key=lambda pair: pair[0])
             if above:
                 clause_id = clause_lines[above - 1][1]
-        failures.append(
-            FailureReport(
-                raw_message=line.strip(),
-                category=category,
-                clause_id=clause_id,
-                source_line=source_line,
-            )
-        )
+        failures.append(FailureReport(line.strip(), category, clause_id, source_line))
     return failures
 
 
@@ -191,6 +171,8 @@ class ExecVerifier:
     ):
         if "{file}" not in command:
             raise ConfigError("verifier command template needs a {file} placeholder")
+        import shlex  # only this adapter runs a command, so only it imports the modules for that
+
         try:
             self._argv = shlex.split(command)
         except ValueError as exc:
@@ -201,6 +183,10 @@ class ExecVerifier:
         self.rules = rules
 
     def verify(self, program: AnnotatedProgram) -> VerifierVerdict:
+        import signal
+        import subprocess
+        import tempfile
+
         text, clause_lines = instrument_with_lines(program)
         tmp = tempfile.NamedTemporaryFile(
             mode="w", suffix=".java", prefix="specsmith_", delete=False, encoding="utf-8"
@@ -348,7 +334,7 @@ class TraceVerifier:
             # A clause's tree is the parse of its text (rendering is exact:
             # parse(render(e)) == e), and the text starts with the kind. The
             # key holds the anchor's fields, which hash in C, not the anchor,
-            # whose dataclass ``__hash__`` is Python code.
+            # whose record ``__hash__`` is Python code.
             anchor = clause.anchor
             key = clause.text if anchor is None else (clause.text, anchor.method, anchor.loop)
             refutation = self._refutations.get(key, _UNSEEN)

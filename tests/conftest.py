@@ -12,6 +12,7 @@ import re
 from operator import attrgetter
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from specsmith import clauses
@@ -23,7 +24,8 @@ from specsmith.clauses import (
     misplacement,
     parse_clause,
 )
-from specsmith.conversation import ExtractionFailure
+from specsmith import config as config_module
+from specsmith.conversation import EndpointConfig, ExtractionFailure, Round
 from specsmith.errors import (
     ClauseSyntaxError,
     ConfigError,
@@ -55,11 +57,12 @@ from specsmith.expr import (
     Var,
 )
 from specsmith import mutation
-from specsmith.mutation import MutationKind, Variant, WeightTable
+from specsmith.mutation import ALL_KINDS, MutationKind, MutationSite, Variant, WeightTable
 from specsmith.parser import MAX_NESTING, _check_depth, _check_end, _Parser, tokenize
+from specsmith.pipeline import PipelineContext
 from specsmith.repair import RefutationEvent, RepairResult
 from specsmith.schemata import render_expr, render_plan
-from specsmith.verifier import FailureCategory, FailureReport, Outcome, VerifierVerdict
+from specsmith.verifier import DEFAULT_RULES, FailureCategory, FailureReport, Outcome, Rule, VerifierVerdict
 
 
 def parse_expr(text: str) -> Expr:
@@ -422,10 +425,143 @@ def _oracle_apply_one(node: Expr, replacement: str) -> Expr:
     return Binary(replacement, node.lhs, node.rhs)
 
 
+# --- Records and their dataclass twins ------------------------------------
+
+# Every record class, and the dataclass it was defined as before it became a
+# plain class: the same name, fields and defaults, frozen where it was. The
+# twins are the oracle for how a record compares, hashes and prints.
+RECORD_TWINS: dict[type, type] = {}
+
+
+def _twin(cls, *fields, frozen=True, base=None):
+    """Define ``cls``'s twin: each field a name, or a (name, default) pair."""
+    spec = [f if isinstance(f, str) else (f[0], object, dataclasses.field(default=f[1])) for f in fields]
+    bases = (RECORD_TWINS[base],) if base else ()
+    RECORD_TWINS[cls] = dataclasses.make_dataclass(cls.__name__, spec, bases=bases, frozen=frozen)
+
+
+_twin(Expr)
+_twin(Quantifier, "kind", "var", "range", "body")
+_twin(Binary, "op", "lhs", "rhs")
+_twin(Unary, "op", "operand")
+_twin(Var, "name")
+_twin(IntLit, "value")
+_twin(BoolLit, "value")
+_twin(NullLit)
+_twin(ArrayIndex, "base", "index")
+_twin(FieldAccess, "base", "field")
+_twin(ResultRef)
+_twin(OldRef, "inner")
+_twin(Anchor, "method", ("loop", None))
+_twin(Clause, "kind", "text", ("anchor", None), ("id", ""))
+_twin(AnnotatedProgram, "source", ("clauses", ()))
+_twin(TraceRecord, "anchor", "phase", "bindings", ("result", None), ("old", None), frozen=False)
+_twin(MutationSite, "path", "kind", "original_op")
+_twin(WeightTable, ("comparative", -1), ("logical", -2), ("arithmetic", -4), ("predicative", -4))
+_twin(FailureReport, "raw_message", "category", ("clause_id", None), ("source_line", None))
+_twin(VerifierVerdict, "outcome", ("failures", ()), ("detail", ""), ("coverage_caveat", False))
+_twin(Rule, "pattern", "category")
+_twin(RefutationEvent, "iteration", "clause_id", "text", frozen=False)
+_twin(RepairResult, "program", "state", "outcome", ("detail", ""), frozen=False)
+_twin(PipelineContext, "config", "verifier", "shots", ("guidance", None), frozen=False)
+_twin(
+    EndpointConfig,
+    ("base_url", "http://localhost:8000/v1"),
+    ("model", "local-model"),
+    ("temperature", 0.4),
+    ("max_rounds", 10),
+    ("shot_count", 4),
+    ("api_key_env", "SPECSMITH_API_KEY"),
+    ("request_timeout", 120.0),
+    ("retries", 2),
+    ("retry_backoff", 1.0),
+    ("history_token_budget", 64000),
+)
+_twin(ExtractionFailure, "diagnostics")
+_twin(Round, "prompt", "response", "extracted", ("extraction_diagnostics", ()), ("verdict", None), frozen=False)
+_twin(
+    config_module.EndpointSettings,
+    ("mode", "live"),
+    ("script", None),
+    ("shot_selection", "corpus-order"),
+    ("shot_seed", 0),
+    base=EndpointConfig,
+)
+_twin(
+    config_module.VerifierSettings,
+    ("adapter", "trace"),
+    ("command", None),
+    ("timeout_seconds", 1800.0),
+    ("failures_per_call", None),
+    ("rules", DEFAULT_RULES),
+    ("trace_file", None),
+    ("mock_truth", None),
+)
+_twin(config_module.MutationSettings, ("kinds", ALL_KINDS), ("variant_cap", 4096))
+_twin(config_module.StrategySettings, ("name", "heuristic"), ("seed", 0))
+_twin(config_module.BudgetSettings, ("pipeline_seconds", 1800.0))
+_twin(config_module.PathSettings, ("corpus_dir", None), ("guidance_file", None), ("output_dir", "runs"))
+_twin(config_module.ReportSettings, ("deterministic_clock", False))
+_twin(
+    config_module.PipelineConfig,
+    ("endpoint", config_module.EndpointSettings()),
+    ("verifier", config_module.VerifierSettings()),
+    ("weights", WeightTable()),
+    ("mutation", config_module.MutationSettings()),
+    ("strategy", config_module.StrategySettings()),
+    ("budgets", config_module.BudgetSettings()),
+    ("paths", config_module.PathSettings()),
+    ("report", config_module.ReportSettings()),
+)
+
+# Field values for fields without a default: hashable, and few, so that
+# equal records come up often.
+_FIELD_POOL = [None, 0, 1, "a", "b", (), ("a",), True, Outcome.FAIL, ClauseKind.REQUIRES, Anchor("f"), Var("a")]
+
+
+def _other_than(default):
+    """A value of a default's kind that a record's own checks accept."""
+    if isinstance(default, bool):
+        return not default
+    if isinstance(default, (int, float)):
+        return default + 1
+    if isinstance(default, str):
+        return default + "x"
+    if default is None:
+        return "x"
+    if isinstance(default, tuple):
+        return ("x",)
+    return default  # a set of kinds or a config section: kept
+
+
+@st.composite
+def record_and_twin(draw, cls=None):
+    """A record and its twin, made from the same field values; records
+    whose own checks refuse the values are not drawn."""
+    if cls is None:
+        cls = draw(st.sampled_from(list(RECORD_TWINS)))
+    values = []
+    for field in dataclasses.fields(RECORD_TWINS[cls]):
+        has_default = field.default is not dataclasses.MISSING
+        choices = [field.default, _other_than(field.default)] if has_default else _FIELD_POOL
+        values.append(draw(st.sampled_from(choices)))
+    try:
+        record = cls(*values)
+    except ValueError:  # e.g. a failing verdict without failures
+        assume(False)
+    return record, RECORD_TWINS[cls](*values)
+
+
+def record_fields(record) -> tuple:
+    """A record's fields in order, as ``dataclasses.astuple`` gave a
+    dataclass's (without recursing into nested values)."""
+    return tuple(getattr(record, name) for name in record._fields)
+
+
 def with_child(node: Expr, index: int, child: Expr) -> Expr:
     """``node`` with its ``index``-th child (in ``children()`` order) replaced."""
-    names = [f.name for f in dataclasses.fields(node) if isinstance(getattr(node, f.name), Expr)]
-    return dataclasses.replace(node, **{names[index]: child})
+    names = [name for name in node._fields if isinstance(getattr(node, name), Expr)]
+    return node.replace(**{names[index]: child})
 
 
 def _oracle_apply(expr: Expr, path: tuple[int, ...], replacement: str) -> Expr:

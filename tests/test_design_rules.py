@@ -1,6 +1,6 @@
 """Design rules of the package, checked on its source with ``ast``.
 
-Three rules:
+Four rules:
 
 * every public top-level name a module defines is read in the package: by
   another module, or by its own module outside the name's own definition.
@@ -11,11 +11,17 @@ Three rules:
   under ``if TYPE_CHECKING:`` are not run and do not count;
 * ``exec``, ``eval`` and ``compile`` are called only in the functions on
   the allowlist below, each with its reason, so no other code of the
-  package runs text as code.
+  package runs text as code;
+* importing the pipeline and the command line loads none of the standard
+  modules in ``SLOW_IMPORTS``, which cost milliseconds each at start-up and
+  which the package needs only where it runs an external command.
 """
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specsmith"
@@ -39,6 +45,8 @@ DYNAMIC_CODE_ALLOWED = {
     ),
 }
 DYNAMIC_CODE = frozenset({"exec", "eval", "compile"})
+
+SLOW_IMPORTS = ("dataclasses", "inspect", "statistics", "subprocess")
 
 
 def parse_modules(package: Path = PACKAGE) -> dict[str, ast.Module]:
@@ -219,3 +227,16 @@ class TestDynamicCode:
             ("evaluate", "_shortcut"),
             ("verifier", "_Check.run"),
         }
+
+
+class TestImportCost:
+    def test_the_entry_points_import_no_slow_module(self):
+        # A fresh interpreter; a module it loads before the package does is not the package's cost.
+        code = (
+            "import sys; before = set(sys.modules); import specsmith.pipeline, specsmith.cli; "
+            f"print(*[m for m in {SLOW_IMPORTS!r} if m in sys.modules and m not in before])"
+        )
+        path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.split() == []

@@ -1,11 +1,14 @@
 """Tests for corpus loading, component wiring, runs, and report output."""
 import json
 import random
+import statistics
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from conftest import RecordingVerifier, nested_quantifier_clause
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from specsmith.clauses import extract_annotations
 from specsmith.config import PipelineConfig, config_from_dict
@@ -658,6 +661,42 @@ class TestAggregation:
         assert summary["number_of_passes"] == 0
         assert summary["mean_success_probability"] == 0.0
         assert summary["mean_verifier_calls"] == 0.0
+
+    # Programs, each a list of attempts: (verified, conversation calls, repair calls).
+    BATCHES = st.lists(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 10), st.integers(0, 400)), min_size=1, max_size=7),
+        min_size=1,
+        max_size=12,
+    )
+
+    @given(BATCHES)
+    @example([[(True, 2, 0), (False, 4, 0)]])  # calls 2 and 4: the mean is the int 3
+    @example([[(True, 1, 0)]])  # one entry
+    @example([[(True, 1, 0), (False, 1, 0), (False, 1, 0)], [(True, 1, 1)] * 7])  # ratios 1/3 and 1
+    def test_means_are_the_statistics_means_to_the_byte(self, programs):
+        entries = [
+            entry_stub(f"P{p}", "verified-by-mutation" if verified else "failed", conversation, repair)
+            for p, attempts in enumerate(programs)
+            for verified, conversation, repair in attempts
+        ]
+        summary = aggregate_entries(entries)
+        probabilities = statistics.mean(summary["success_probability"].values())
+        calls = statistics.mean(e["verifier_calls_conversation"] + e["verifier_calls_repair"] for e in entries)
+        assert json.dumps(summary["mean_success_probability"]) == json.dumps(probabilities)
+        assert json.dumps(summary["mean_verifier_calls"]) == json.dumps(calls)
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(-(10**20), 10**20), st.floats(-1e300, 1e300, allow_nan=False)), min_size=1
+        )
+    )
+    @example([2, 4])
+    @example([2, 4.0])
+    @example([7])
+    @example([0.1, 0.2, 0.3])
+    def test_mean_matches_statistics_mean(self, values):
+        got, want = pipeline._mean(values), statistics.mean(values)
+        assert type(got) is type(want) and got == want
 
 
 class TestRunBatch:

@@ -1,5 +1,4 @@
 """The verify-and-replace loop: refutation, replacement, drop-out, bounds."""
-import dataclasses
 import random
 
 import pytest
@@ -340,7 +339,7 @@ class TestStateMechanics:
     def test_repeated_ids_are_rejected(self):
         clause = make_program("a <= b").clauses[0]
         with pytest.raises(SpecError, match="'method:check/requires/0' is repeated"):
-            spec_mutation([clause, dataclasses.replace(clause, text="//@ requires b <= c;")])
+            spec_mutation([clause, clause.replace(text="//@ requires b <= c;")])
 
     def test_kind_filter_threads_through(self):
         program = make_program("a + 1 <= b")

@@ -1,6 +1,6 @@
 """Verdicts, failure classification, and the three verifier adapters."""
-import dataclasses
 import random
+import shlex
 import sys
 import textwrap
 import time
@@ -35,7 +35,7 @@ from specsmith.verifier import (
     make_rules,
 )
 
-from conftest import ScriptedVerifier, gen_trace_case, nested_quantifier_clause, oracle_verify_trace
+from conftest import ScriptedVerifier, gen_trace_case, nested_quantifier_clause, oracle_verify_trace, record_fields
 
 ANNOTATED = """\
 class Abs {
@@ -69,9 +69,9 @@ class TestVerdictInvariants:
     def test_replace_keeps_the_checks(self):
         failure = FailureReport("boom", FailureCategory.UNKNOWN)
         with pytest.raises(ValueError):
-            dataclasses.replace(VerifierVerdict(Outcome.FAIL, (failure,)), outcome=Outcome.PASS)
+            VerifierVerdict(Outcome.FAIL, (failure,)).replace(outcome=Outcome.PASS)
         with pytest.raises(ValueError):
-            dataclasses.replace(VerifierVerdict(Outcome.CRASH), outcome=Outcome.FAIL)
+            VerifierVerdict(Outcome.CRASH).replace(outcome=Outcome.FAIL)
 
 
 class TestValueTypes:
@@ -82,9 +82,7 @@ class TestValueTypes:
         made = [
             FailureReport("no", FailureCategory.UNKNOWN, "c0", 7),
             FailureReport(raw_message="no", category=FailureCategory.UNKNOWN, clause_id="c0", source_line=7),
-            dataclasses.replace(
-                FailureReport("yes", FailureCategory.UNKNOWN), raw_message="no", clause_id="c0", source_line=7
-            ),
+            FailureReport("yes", FailureCategory.UNKNOWN).replace(raw_message="no", clause_id="c0", source_line=7),
         ]
         for report in made:
             assert report == made[0] and hash(report) == hash(("no", FailureCategory.UNKNOWN, "c0", 7))
@@ -94,7 +92,7 @@ class TestValueTypes:
             )
         bare = FailureReport("no", FailureCategory.UNKNOWN)
         assert (bare.clause_id, bare.source_line) == (None, None) and bare != made[0]
-        assert dataclasses.astuple(bare) == ("no", FailureCategory.UNKNOWN, None, None)
+        assert record_fields(bare) == ("no", FailureCategory.UNKNOWN, None, None)
 
     def test_verdicts_compare_hash_and_print_by_value(self):
         failures = (FailureReport("no", FailureCategory.TYPE_ERROR, "c0"),)
@@ -110,11 +108,11 @@ class TestValueTypes:
         report = FailureReport("no", FailureCategory.UNKNOWN, "c0")
         verdict = VerifierVerdict(Outcome.FAIL, (report,))
         for value in (report, verdict):
-            for field in dataclasses.fields(value):
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    setattr(value, field.name, None)
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    delattr(value, field.name)
+            for name in value._fields:
+                with pytest.raises(AttributeError, match="cannot assign"):
+                    setattr(value, name, None)
+                with pytest.raises(AttributeError, match="cannot delete"):
+                    delattr(value, name)
         assert verdict.failures == (report,) and report.clause_id == "c0"
 
 
@@ -288,7 +286,7 @@ class TestExecAdapter:
         def fail(*args):
             raise AssertionError("split the command again")
 
-        monkeypatch.setattr(verifier_module.shlex, "split", fail)
+        monkeypatch.setattr(shlex, "split", fail)  # the module ExecVerifier imports when it is made
         for _ in range(3):
             assert verifier.verify(program()).outcome is Outcome.PASS
 
@@ -693,7 +691,7 @@ def renumbered(clauses, rng, prefix):
     """The same clauses in a shuffled order under fresh ids."""
     picked = rng.sample(clauses, rng.randrange(1, len(clauses) + 1))
     return tuple(
-        dataclasses.replace(clause, id=f"{prefix}{number}") for number, clause in enumerate(picked)
+        clause.replace(id=f"{prefix}{number}") for number, clause in enumerate(picked)
     )
 
 
@@ -769,7 +767,7 @@ class TestIndexedVerifierMatchesLinearScan:
         verifier = TraceVerifier(trace_for_abs(2, -1))
         clause = program().clauses[1]
         for clause_id in ("first", "second"):
-            renamed = AnnotatedProgram("", (dataclasses.replace(clause, id=clause_id),))
+            renamed = AnnotatedProgram("", (clause.replace(id=clause_id),))
             assert [f.clause_id for f in verifier.verify(renamed).failures] == [clause_id]
 
     def test_second_verify_evaluates_nothing(self, monkeypatch):
