@@ -11,8 +11,7 @@ import math
 import re
 from pathlib import Path
 from typing import Any
-
-import yaml
+from urllib.parse import urlsplit
 
 from .conversation import EndpointConfig
 from .errors import ConfigError
@@ -194,7 +193,22 @@ def config_from_dict(data: dict[str, Any]) -> PipelineConfig:
     return config
 
 
+def _is_endpoint_url(url: str) -> bool:
+    """An http or https URL with a host and a valid port, if any, and no user name or password."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError for a port that is not a number in range
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname) and "@" not in parts.netloc
+
+
 def _validate(config: PipelineConfig) -> None:
+    # The URL is not echoed: it may carry credentials.
+    if not _is_endpoint_url(config.endpoint.base_url):
+        raise ConfigError(
+            "endpoint.base_url: must be an http:// or https:// URL with a host and no user name or password"
+        )
     if config.endpoint.mode not in ("live", "scripted"):
         raise ConfigError("endpoint.mode: must be live or scripted")
     if config.endpoint.shot_selection not in ("corpus-order", "random"):
@@ -217,16 +231,17 @@ def _validate(config: PipelineConfig) -> None:
         raise ConfigError("budgets.pipeline_seconds: must be positive")
 
 
-# libyaml's parser when PyYAML was built with it, the pure-Python one
-# otherwise. Both build values through SafeConstructor and Resolver, so a
-# file gives the same values either way; only the wording of a parse error
-# differs.
-_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def _read_yaml(path: str) -> Any:
+    # Imported here, so a command that reads no file does not pay for it.
+    import yaml
+
+    # libyaml's parser when PyYAML was built with it, the pure-Python one
+    # otherwise. Both build values through SafeConstructor and Resolver, so
+    # a file gives the same values either way; only the wording of a parse
+    # error differs.
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        return yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_SAFE_LOADER)
+        return yaml.load(Path(path).read_text(encoding="utf-8"), Loader=loader)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
 

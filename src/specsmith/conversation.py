@@ -64,17 +64,25 @@ class ChatClient(Protocol):
 class HttpChatClient:
     """Minimal chat-completions HTTP client with retry and backoff.
 
-    POSTs ``{"model", "temperature", "messages"}`` to
+    POSTs ``{"model", "temperature", "messages"}`` as JSON to
     ``{base_url}/chat/completions`` with a bearer token read from the
     environment variable named in the config; the key value is never logged
-    or echoed into errors.
+    or echoed into errors. Redirects are not followed, so the key goes to
+    the configured host only, and no ``.netrc`` is read.
     """
 
     def __init__(self, sleep=time.sleep):
         self._sleep = sleep
 
     def complete(self, messages: Sequence[Message], cfg: EndpointConfig) -> str:
-        import requests
+        import http.client
+        import json
+        import urllib.error
+        import urllib.request
+
+        class DeclineRedirects(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args):
+                return None  # the 3xx is raised as an HTTPError
 
         api_key = os.environ.get(cfg.api_key_env)
         if not api_key:
@@ -82,25 +90,39 @@ class HttpChatClient:
                 f"environment variable {cfg.api_key_env} is not set; "
                 "it must hold the endpoint API key"
             )
+        if not (api_key.isascii() and api_key.isprintable()):
+            # http.client would quote a header value it refuses in its error.
+            raise EndpointError(
+                f"environment variable {cfg.api_key_env} holds characters an HTTP header cannot carry"
+            )
         url = cfg.base_url.rstrip("/") + "/chat/completions"
         payload = {"model": cfg.model, "temperature": cfg.temperature, "messages": list(messages)}
-        headers = {"Authorization": f"Bearer {api_key}"}
+        body = json.dumps(payload).encode("utf-8")
+        headers = {
+            "Content-Type": "application/json",
+            "User-Agent": "specsmith",
+            "Authorization": f"Bearer {api_key}",
+        }
+        opener = urllib.request.build_opener(DeclineRedirects)
         last_error = "no attempts made"
         for attempt in range(cfg.retries + 1):
             if attempt:
                 self._sleep(cfg.retry_backoff * 2 ** (attempt - 1))
             try:
-                response = requests.post(
-                    url, json=payload, headers=headers, timeout=cfg.request_timeout
-                )
-            except requests.RequestException as exc:
+                request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+                with opener.open(request, timeout=cfg.request_timeout) as response:
+                    status, raw = response.status, response.read()
+            except urllib.error.HTTPError as exc:  # any status outside 2xx, 3xx included
+                exc.close()
+                status, raw = exc.code, b""
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 last_error = f"request failed: {exc}"
                 continue
-            if response.status_code != 200:
-                last_error = f"endpoint returned HTTP {response.status_code}"
+            if status != 200:
+                last_error = f"endpoint returned HTTP {status}"
                 continue
             try:
-                content = response.json()["choices"][0]["message"]["content"]
+                content = json.loads(raw)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 last_error = f"malformed endpoint response: {exc}"
                 continue

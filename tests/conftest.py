@@ -9,6 +9,9 @@ import itertools
 import json
 import random
 import re
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from operator import attrgetter
 
 import pytest
@@ -286,6 +289,103 @@ class RecordingChatClient:
     def complete(self, messages, cfg):
         self.calls.append([dict(m) for m in messages])
         return self.inner.complete(messages, cfg)
+
+
+# ---------------------------------------------------------------------------
+# A chat-completions endpoint on the loopback interface, for tests that send
+# real HTTP requests.
+
+
+class ChatServer:
+    """A ``ThreadingHTTPServer`` on ``127.0.0.1`` that answers each request
+    with the next scripted ``(status, body, delay)`` of ``outcomes`` and
+    records in ``requests`` each request's method, path, headers (the
+    case-insensitive ``HTTPMessage``) and body, decoded from JSON where it
+    parses.
+
+    The answer waits ``delay`` seconds. A ``body`` that is not ``str`` or
+    ``bytes`` is sent as JSON. A status of None hangs up without an answer,
+    a 3xx answer names ``/moved`` on this server as its ``Location``, and a
+    request past the last outcome gets a 500.
+    """
+
+    def __init__(self):
+        self.outcomes: list[tuple[int | None, object, float]] = []
+        self.requests: list[dict] = []
+        closing = threading.Event()
+        server = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def answer(self):
+                raw = self.rfile.read(int(self.headers.get("Content-Length") or 0))
+                try:
+                    body = json.loads(raw)
+                except ValueError:
+                    body = raw
+                server.requests.append(
+                    {"method": self.command, "path": self.path, "headers": self.headers, "body": body}
+                )
+                status, payload, delay = server.outcomes.pop(0) if server.outcomes else (500, "", 0.0)
+                if closing.wait(delay) or status is None:
+                    self.close_connection = True
+                    return
+                if not isinstance(payload, (str, bytes)):
+                    payload = json.dumps(payload)
+                if isinstance(payload, str):
+                    payload = payload.encode("utf-8")
+                try:
+                    self.send_response(status)
+                    if 300 <= status < 400:
+                        self.send_header("Location", "/moved")
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(payload)))
+                    self.end_headers()
+                    self.wfile.write(payload)
+                except (BrokenPipeError, ConnectionResetError):  # the client gave up waiting
+                    self.close_connection = True
+
+            do_GET = do_POST = answer
+
+            def log_message(self, format, *args):
+                pass
+
+        self._closing = closing
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = True
+        # A short poll keeps ``shutdown``, which waits for the loop's next poll, quick.
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.02,), daemon=True)
+        self._thread.start()
+
+    @property
+    def base_url(self) -> str:
+        return f"http://127.0.0.1:{self._server.server_address[1]}/v1"
+
+    def close(self) -> None:
+        self._closing.set()  # ends every delay still running
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+
+
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """A running ``ChatServer``, reached directly: the proxy variables are cleared."""
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    server = ChatServer()
+    yield server
+    server.close()
+
+
+def unused_port() -> int:
+    """A loopback port that nothing listens on, so a connection to it is refused."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 # ---------------------------------------------------------------------------

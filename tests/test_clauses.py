@@ -218,6 +218,11 @@ class TestParseClause:
         with pytest.raises(TypeMismatch):
             parse_clause("requires a + b;")
 
+    @pytest.mark.parametrize("text", ["requires a.length;", "ensures \\old(n + 1);"])
+    def test_non_boolean_shapes_are_refused(self, text):
+        with pytest.raises(TypeMismatch, match="clauses need a boolean expression"):
+            parse_clause(text)
+
     def test_unknown_type_passes_both_ways(self):
         parse_clause("requires a;")
         parse_clause("decreases a;")

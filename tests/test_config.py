@@ -237,6 +237,14 @@ class TestRejection:
         )
         assert config == PipelineConfig()
 
+    def test_rules_must_be_a_list(self):
+        with pytest.raises(ConfigError, match=r"^verifier.rules: expected a list"):
+            config_from_dict({"verifier": {"rules": 5}})
+
+    def test_root_must_be_a_mapping(self):
+        with pytest.raises(ConfigError, match="^configuration root must be a mapping$"):
+            config_from_dict([])
+
     def test_mock_truth_must_be_string_list(self):
         with pytest.raises(ConfigError, match="mock_truth: expected a list"):
             config_from_dict({"verifier": {"adapter": "mock", "mock_truth": [1]}})
@@ -316,6 +324,42 @@ class TestValidation:
             {"endpoint": {"request_timeout": 0.5, "retries": 0, "retry_backoff": 0}}
         ).endpoint
         assert (endpoint.request_timeout, endpoint.retries, endpoint.retry_backoff) == (0.5, 0, 0.0)
+
+    @pytest.mark.parametrize(
+        "base_url",
+        [
+            "localhost:8000/v1",
+            "127.0.0.1:8000/v1",
+            "/v1",
+            "",
+            "ftp://api.example.test/v1",
+            "http:///v1",
+            "http://u:pw@api.example.test/v1",
+            "https://token@api.example.test/v1",
+            "http://@api.example.test/v1",
+            "http://api.example.test:port/v1",
+            "http://api.example.test:70000/v1",
+            "http://[::1/v1",
+        ],
+    )
+    def test_base_url_must_be_an_http_url_without_credentials(self, base_url):
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict({"endpoint": {"base_url": base_url}})
+        message = str(excinfo.value)
+        assert message.startswith("endpoint.base_url: must be an http:// or https:// URL")
+        assert "pw" not in message and "token" not in message and "example" not in message
+
+    @pytest.mark.parametrize(
+        "base_url",
+        [
+            EndpointConfig().base_url,
+            "https://api.example.test/v1",
+            "http://10.0.0.5:9000/v1/",
+            "HTTP://[::1]:8000",
+        ],
+    )
+    def test_base_url_forms_that_load(self, base_url):
+        assert config_from_dict({"endpoint": {"base_url": base_url}}).endpoint.base_url == base_url
 
     @pytest.mark.parametrize("value", [0, -5])
     def test_exec_timeout_positive(self, value):
@@ -483,13 +527,25 @@ MALFORMED_YAML = {
 }
 
 
+def use_parser(monkeypatch, parser):
+    """Make ``config._read_yaml`` parse with ``parser``: it takes whatever
+    loader ``yaml.CSafeLoader`` names, when PyYAML has that name."""
+    monkeypatch.setattr(yaml, "CSafeLoader", parser, raising=False)
+
+
 class TestParsersAgree:
     def _load(self, monkeypatch, parser, load, path):
-        monkeypatch.setattr(config_module, "_SAFE_LOADER", parser)
+        use_parser(monkeypatch, parser)
         return typed(config_module._read_yaml(path)), load(path)
 
-    def test_libyaml_is_used_when_present(self):
-        assert config_module._SAFE_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    def test_libyaml_is_used_when_present(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.yaml"
+        path.write_text("endpoint: {model: m}\n", encoding="utf-8")
+        loaders = []
+        load = yaml.load
+        monkeypatch.setattr(yaml, "load", lambda stream, Loader: loaders.append(Loader) or load(stream, Loader))
+        assert load_config(str(path)).endpoint.model == "m"
+        assert loaders == [getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
 
     @needs_libyaml
     @pytest.mark.parametrize("name", sorted(CONFIG_TEXTS))
@@ -516,7 +572,7 @@ class TestParsersAgree:
     @pytest.mark.parametrize("parser", PARSERS)
     @pytest.mark.parametrize("name", sorted(MALFORMED_YAML))
     def test_malformed_yaml_is_not_valid_yaml(self, tmp_path, monkeypatch, parser, name):
-        monkeypatch.setattr(config_module, "_SAFE_LOADER", parser)
+        use_parser(monkeypatch, parser)
         path = tmp_path / "bad.yaml"
         path.write_text(MALFORMED_YAML[name], encoding="utf-8")
         with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: not valid YAML: "):
@@ -526,7 +582,7 @@ class TestParsersAgree:
 
     @pytest.mark.parametrize("parser", PARSERS)
     def test_non_utf8_file_is_not_valid_yaml(self, tmp_path, monkeypatch, parser):
-        monkeypatch.setattr(config_module, "_SAFE_LOADER", parser)
+        use_parser(monkeypatch, parser)
         path = tmp_path / "bad.yaml"
         path.write_bytes(b"endpoint:\n  model: \xff\n")
         with pytest.raises(ConfigError, match="not valid YAML"):

@@ -1,7 +1,6 @@
 """Tests for prompt assembly, response extraction, and the chat loop."""
 import json
 import sys
-import types
 
 import pytest
 from conftest import (
@@ -12,6 +11,7 @@ from conftest import (
     extraction_fields,
     oracle_extract_specs,
     recount_trim_history,
+    unused_port,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -485,152 +485,178 @@ class TestScriptedChatClient:
 
 
 # ---------------------------------------------------------------------------
-# HTTP client (network faked through a stub requests module)
-# ---------------------------------------------------------------------------
+# HTTP client, against a loopback chat server (``chat_server`` in conftest)
 
 
-class FakeRequestException(Exception):
-    pass
-
-
-class FakeResponse:
-    def __init__(self, status_code=200, body=None, bad_json=False):
-        self.status_code = status_code
-        self._body = body
-        self._bad_json = bad_json
-
-    def json(self):
-        if self._bad_json:
-            raise ValueError("not json")
-        return self._body
-
-
-def install_fake_requests(monkeypatch, outcomes):
-    """Stub the requests module; outcomes is a list of FakeResponse or
-    exceptions consumed one per post() call."""
-    recorded = []
-
-    def post(url, json=None, headers=None, timeout=None):
-        recorded.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
-        outcome = outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    fake = types.SimpleNamespace(post=post, RequestException=FakeRequestException)
-    monkeypatch.setitem(sys.modules, "requests", fake)
-    return recorded
-
-
-def good_response(content="annotated program here"):
-    return FakeResponse(body={"choices": [{"message": {"content": content}}]})
+def chat_reply(content="annotated program here", status=200, delay=0.0):
+    return (status, {"choices": [{"message": {"content": content}}]}, delay)
 
 
 class TestHttpChatClient:
+    @pytest.fixture(autouse=True)
+    def no_requests(self, monkeypatch):
+        # The client needs the standard library alone.
+        monkeypatch.setitem(sys.modules, "requests", None)
+
     def test_missing_api_key(self, monkeypatch):
         monkeypatch.delenv("SPECSMITH_API_KEY", raising=False)
         client = HttpChatClient()
         with pytest.raises(EndpointError, match="SPECSMITH_API_KEY"):
             client.complete([], EndpointConfig())
 
-    def test_successful_request_shape(self, monkeypatch):
+    def test_a_key_no_header_can_carry_is_refused_unsent_and_unechoed(self, monkeypatch, chat_server):
+        monkeypatch.setenv("SPECSMITH_API_KEY", "sk-very-secret\nX-Injected: 1")
+        with pytest.raises(EndpointError, match="SPECSMITH_API_KEY holds characters") as excinfo:
+            HttpChatClient(sleep=lambda _: None).complete([], EndpointConfig(base_url=chat_server.base_url))
+        assert "sk-very-secret" not in str(excinfo.value)
+        assert chat_server.requests == []
+
+    def test_successful_request_shape(self, monkeypatch, chat_server):
         monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
-        recorded = install_fake_requests(monkeypatch, [good_response("hello")])
-        cfg = EndpointConfig(base_url="http://example.test/v1/", model="m7",
+        chat_server.outcomes = [chat_reply("hello")]
+        cfg = EndpointConfig(base_url=chat_server.base_url + "/", model="m7",
                              temperature=0.4, request_timeout=9.0)
         messages = [{"role": "user", "content": "hi"}]
         assert HttpChatClient().complete(messages, cfg) == "hello"
-        call = recorded[0]
-        assert call["url"] == "http://example.test/v1/chat/completions"
-        assert call["json"] == {"model": "m7", "temperature": 0.4, "messages": messages}
-        assert call["headers"] == {"Authorization": "Bearer sk-test-123"}
-        assert call["timeout"] == 9.0
+        [call] = chat_server.requests
+        assert (call["method"], call["path"]) == ("POST", "/v1/chat/completions")
+        assert call["body"] == {"model": "m7", "temperature": 0.4, "messages": messages}
+        headers = call["headers"]
+        assert headers.get_all("Authorization") == ["Bearer sk-test-123"]
+        assert headers.get_all("Content-Type") == ["application/json"]
+        assert headers.get_all("User-Agent") == ["specsmith"]
 
-    def test_retries_after_connection_error(self, monkeypatch):
+    def test_netrc_never_replaces_the_bearer_key(self, monkeypatch, tmp_path, chat_server):
+        netrc = tmp_path / ".netrc"
+        netrc.write_text("machine 127.0.0.1 login someone password hunter2\n", encoding="utf-8")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("NETRC", raising=False)
         monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
-        recorded = install_fake_requests(
-            monkeypatch, [FakeRequestException("refused"), good_response("ok")]
-        )
+        chat_server.outcomes = [chat_reply("ok")]
+        assert HttpChatClient().complete([], EndpointConfig(base_url=chat_server.base_url)) == "ok"
+        assert chat_server.requests[0]["headers"].get_all("Authorization") == ["Bearer sk-test-123"]
+
+    def test_retries_after_connection_error(self, monkeypatch, chat_server):
+        monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
+        chat_server.outcomes = [(None, "", 0.0), chat_reply("ok")]  # hang up, then answer
         sleeps = []
         client = HttpChatClient(sleep=sleeps.append)
-        cfg = EndpointConfig(retries=2, retry_backoff=0.5)
+        cfg = EndpointConfig(base_url=chat_server.base_url, retries=2, retry_backoff=0.5)
         assert client.complete([], cfg) == "ok"
-        assert len(recorded) == 2
+        assert len(chat_server.requests) == 2
         assert sleeps == [0.5]
 
-    def test_backoff_doubles(self, monkeypatch):
+    def test_backoff_doubles(self, monkeypatch, chat_server):
         monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
-        install_fake_requests(
-            monkeypatch,
-            [FakeResponse(status_code=500)] * 2 + [good_response("ok")],
-        )
+        chat_server.outcomes = [(500, "", 0.0)] * 2 + [chat_reply("ok")]
         sleeps = []
         client = HttpChatClient(sleep=sleeps.append)
-        cfg = EndpointConfig(retries=2, retry_backoff=1.0)
+        cfg = EndpointConfig(base_url=chat_server.base_url, retries=2, retry_backoff=1.0)
         assert client.complete([], cfg) == "ok"
         assert sleeps == [1.0, 2.0]
 
-    def test_persistent_http_error_raises(self, monkeypatch):
+    def test_persistent_http_error_raises(self, monkeypatch, chat_server):
         monkeypatch.setenv("SPECSMITH_API_KEY", "sk-very-secret")
-        recorded = install_fake_requests(
-            monkeypatch, [FakeResponse(status_code=503)] * 3
-        )
+        chat_server.outcomes = [(503, "", 0.0)] * 3
         client = HttpChatClient(sleep=lambda _: None)
         with pytest.raises(EndpointError) as excinfo:
-            client.complete([], EndpointConfig(retries=2))
+            client.complete([], EndpointConfig(base_url=chat_server.base_url, retries=2))
         assert "HTTP 503" in str(excinfo.value)
         assert "3 attempts" in str(excinfo.value)
-        assert len(recorded) == 3
+        assert len(chat_server.requests) == 3
         assert "sk-very-secret" not in str(excinfo.value)
 
-    def test_malformed_body_raises(self, monkeypatch):
+    def test_malformed_body_raises(self, monkeypatch, chat_server):
         monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
-        install_fake_requests(
-            monkeypatch, [FakeResponse(body={"choices": []})] * 1
-        )
+        chat_server.outcomes = [(200, {"choices": []}, 0.0)]
         client = HttpChatClient(sleep=lambda _: None)
         with pytest.raises(EndpointError, match="malformed endpoint response"):
-            client.complete([], EndpointConfig(retries=0))
+            client.complete([], EndpointConfig(base_url=chat_server.base_url, retries=0))
 
-    def test_unparseable_json_raises(self, monkeypatch):
+    def test_unparseable_json_raises(self, monkeypatch, chat_server):
         monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
-        install_fake_requests(monkeypatch, [FakeResponse(bad_json=True)])
+        chat_server.outcomes = [(200, "not json", 0.0)]
         client = HttpChatClient(sleep=lambda _: None)
         with pytest.raises(EndpointError, match="malformed"):
-            client.complete([], EndpointConfig(retries=0))
+            client.complete([], EndpointConfig(base_url=chat_server.base_url, retries=0))
 
-    def test_null_content_is_retried(self, monkeypatch):
+    def test_null_content_is_retried(self, monkeypatch, chat_server):
         monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
-        recorded = install_fake_requests(monkeypatch, [good_response(None), good_response("ok")])
+        chat_server.outcomes = [chat_reply(None), chat_reply("ok")]
         sleeps = []
         client = HttpChatClient(sleep=sleeps.append)
-        assert client.complete([], EndpointConfig(retries=2, retry_backoff=0.5)) == "ok"
-        assert len(recorded) == 2
+        cfg = EndpointConfig(base_url=chat_server.base_url, retries=2, retry_backoff=0.5)
+        assert client.complete([], cfg) == "ok"
+        assert len(chat_server.requests) == 2
         assert sleeps == [0.5]
 
     @pytest.mark.parametrize("content", [None, 7, ["text"], {"text": "x"}])
-    def test_non_text_content_raises(self, monkeypatch, content):
+    def test_non_text_content_raises(self, monkeypatch, chat_server, content):
         monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
-        recorded = install_fake_requests(monkeypatch, [good_response(content)] * 3)
+        chat_server.outcomes = [chat_reply(content)] * 3
         client = HttpChatClient(sleep=lambda _: None)
         with pytest.raises(EndpointError) as excinfo:
-            client.complete([], EndpointConfig(retries=2))
-        assert len(recorded) == 3
+            client.complete([], EndpointConfig(base_url=chat_server.base_url, retries=2))
+        assert len(chat_server.requests) == 3
         assert str(excinfo.value) == (
             "chat endpoint failed after 3 attempts: malformed endpoint response: "
             f"message content is {type(content).__name__}, not text"
         )
 
-    def test_null_content_is_an_aborted_entry(self, monkeypatch):
+    def test_a_reply_slower_than_the_timeout_is_retried_then_raised(self, monkeypatch, chat_server):
         monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
-        recorded = install_fake_requests(monkeypatch, [good_response(None)] * 2)
-        config = config_from_dict(
-            {"endpoint": {"shot_count": 0, "retries": 1}, "verifier": {"adapter": "mock", "mock_truth": []}}
-        )
+        chat_server.outcomes = [chat_reply("late", delay=2.0)] * 2
+        sleeps = []
+        cfg = EndpointConfig(base_url=chat_server.base_url, request_timeout=0.2, retries=1, retry_backoff=0.5)
+        with pytest.raises(EndpointError, match=r"^chat endpoint failed after 2 attempts: request failed: .*timed out"):
+            HttpChatClient(sleep=sleeps.append).complete([], cfg)
+        assert len(chat_server.requests) == 2
+        assert sleeps == [0.5]
+
+    def test_a_refused_connection_is_retried_then_raised(self, monkeypatch):
+        monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
+        sleeps = []
+        cfg = EndpointConfig(base_url=f"http://127.0.0.1:{unused_port()}/v1", retries=2, retry_backoff=0.5)
+        with pytest.raises(EndpointError, match=r"^chat endpoint failed after 3 attempts: request failed: "):
+            HttpChatClient(sleep=sleeps.append).complete([], cfg)
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_a_redirect_is_not_followed(self, monkeypatch, chat_server, status):
+        monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
+        chat_server.outcomes = [(status, "", 0.0)] * 2
+        sleeps = []
+        cfg = EndpointConfig(base_url=chat_server.base_url, retries=1, retry_backoff=0.5)
+        with pytest.raises(EndpointError) as excinfo:
+            HttpChatClient(sleep=sleeps.append).complete([], cfg)
+        assert str(excinfo.value) == f"chat endpoint failed after 2 attempts: endpoint returned HTTP {status}"
+        assert [call["path"] for call in chat_server.requests] == ["/v1/chat/completions"] * 2
+        assert sleeps == [0.5]
+
+    @pytest.mark.parametrize(
+        "base_url",
+        ["localhost:8000/v1", "127.0.0.1/v1", "http://127.0.0.1:port/v1", "ftp://127.0.0.1/v1"],
+    )
+    def test_a_url_that_cannot_be_sent_is_retried_then_raised(self, monkeypatch, base_url):
+        monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
+        sleeps = []
+        cfg = EndpointConfig(base_url=base_url, retries=1, retry_backoff=0.5)
+        with pytest.raises(EndpointError, match=r"^chat endpoint failed after 2 attempts: request failed: "):
+            HttpChatClient(sleep=sleeps.append).complete([], cfg)
+        assert sleeps == [0.5]
+
+    def test_null_content_is_an_aborted_entry(self, monkeypatch, chat_server):
+        monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
+        chat_server.outcomes = [chat_reply(None)] * 2
+        config = config_from_dict({
+            "endpoint": {"base_url": chat_server.base_url, "shot_count": 0, "retries": 1},
+            "verifier": {"adapter": "mock", "mock_truth": []},
+        })
         context = PipelineContext(config=config, verifier=build_verifier(config), shots=[])
         client = HttpChatClient(sleep=lambda _: None)
         entry = run_pipeline("Abs", ABS_PROGRAM, context, client)
-        assert len(recorded) == 2
+        assert len(chat_server.requests) == 2
         assert entry["outcome"] == "aborted"
         assert entry["rounds_used"] == 0
         assert entry["verifier_calls_conversation"] == 0

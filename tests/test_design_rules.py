@@ -1,6 +1,6 @@
 """Design rules of the package, checked on its source with ``ast``.
 
-Four rules:
+Five rules:
 
 * every public top-level name a module defines is read in the package: by
   another module, or by its own module outside the name's own definition.
@@ -12,19 +12,24 @@ Four rules:
 * ``exec``, ``eval`` and ``compile`` are called only in the functions on
   the allowlist below, each with its reason, so no other code of the
   package runs text as code;
-* importing the pipeline and the command line loads none of the standard
-  modules in ``SLOW_IMPORTS``, which cost milliseconds each at start-up and
-  which the package needs only where it runs an external command.
+* importing the pipeline and the command line loads none of the modules in
+  ``SLOW_IMPORTS``, which cost milliseconds each at start-up and which the
+  package needs only where it runs an external command or reads a YAML
+  file;
+* the package imports nothing outside the standard library but PyYAML, and
+  ``pyproject.toml`` declares PyYAML as its one dependency.
 """
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specsmith"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "specsmith"
 
 LAYERS = (
     "errors", "expr", "parser", "schemata", "clauses", "evaluate", "tracefile",
@@ -46,7 +51,11 @@ DYNAMIC_CODE_ALLOWED = {
 }
 DYNAMIC_CODE = frozenset({"exec", "eval", "compile"})
 
-SLOW_IMPORTS = ("dataclasses", "inspect", "statistics", "subprocess")
+SLOW_IMPORTS = ("dataclasses", "inspect", "statistics", "subprocess", "yaml")
+
+# The top-level packages the package may import besides the standard library.
+THIRD_PARTY_ALLOWED = frozenset({"yaml"})
+DEPENDENCIES = ["pyyaml>=6.0"]
 
 
 def parse_modules(package: Path = PACKAGE) -> dict[str, ast.Module]:
@@ -203,6 +212,31 @@ def dynamic_code_calls(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
     return found
 
 
+def foreign_imports(modules: dict[str, ast.Module]) -> set[tuple[str, str]]:
+    """The (module, top-level package) of every absolute import, at any depth
+    and ``if TYPE_CHECKING:`` included, of a package outside the standard
+    library, specsmith and ``THIRD_PARTY_ALLOWED``."""
+    known = sys.stdlib_module_names | THIRD_PARTY_ALLOWED | {"specsmith"}
+    found = set()
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update((module, top) for top in (name.split(".")[0] for name in names) if top not in known)
+    return found
+
+
+def declared_dependencies(pyproject: str) -> list[str]:
+    """The strings of the ``dependencies`` list of ``pyproject.toml``'s text
+    (a regular expression, as Python 3.10 has no TOML reader)."""
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.MULTILINE | re.DOTALL)
+    return re.findall(r'"([^"]*)"', block.group(1)) if block else []
+
+
 class TestPublicNamesHaveAReader:
     def test_every_public_name_is_read_in_the_package(self):
         assert unread_public_names(parse_modules()) == set(UNREAD_ALLOWED)
@@ -240,3 +274,18 @@ class TestImportCost:
         env = dict(os.environ, PYTHONPATH=path)
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert run.stdout.split() == []
+
+
+class TestDependencies:
+    def test_the_package_imports_only_the_standard_library_and_yaml(self):
+        assert foreign_imports(parse_modules()) == set()
+
+    def test_an_import_of_another_package_breaks_the_rule(self):
+        modules = parse_modules()
+        modules["conversation"].body += ast.parse("def _post():\n    import requests.adapters\n").body
+        modules["config"].body += ast.parse("from toml import loads\n").body
+        assert foreign_imports(modules) == {("conversation", "requests"), ("config", "toml")}
+
+    def test_pyyaml_is_the_one_declared_dependency(self):
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        assert declared_dependencies(pyproject) == DEPENDENCIES

@@ -135,6 +135,20 @@ class TestSpecialForms:
         out = ev("a == b", bindings={"a": [1, 2], "b": [1, 2]})
         assert out is True
 
+    def test_string_equality(self):
+        assert ev("s == t", bindings={"s": "ab", "t": "ab"}) is True
+        assert ev("s != t", bindings={"s": "ab", "t": "ac"}) is True
+
+    def test_values_of_different_kinds_do_not_compare(self):
+        with pytest.raises(EvalTypeError, match=r"^cannot compare \[1\] with 1$"):
+            ev("a == 1", bindings={"a": [1]})
+        with pytest.raises(EvalTypeError, match="cannot compare 'ab' with 1"):
+            ev("s == 1", bindings={"s": "ab"})
+
+    def test_fields_other_than_length_are_unsupported(self):
+        with pytest.raises(EvalTypeError, match=r"^unsupported field access \.foo$"):
+            ev("a.foo == 1", bindings={"a": [1]})
+
 
 def overwide_domain(range_text):
     """The interval a quantifier over ``range_text`` would walk, read from
@@ -175,6 +189,12 @@ class TestQuantifiers:
             ev("(\\forall int k; 0 <= k; k >= 0)")
         with pytest.raises(UnboundedQuantifier):
             ev("(\\exists int k; k < 10; k == 0)")
+
+    def test_a_bound_that_mentions_the_variable_is_no_bound(self):
+        with pytest.raises(UnboundedQuantifier, match="finite upper bound for 'k'"):
+            ev("(\\forall int k; 0 <= k && k < k + 1; true)")
+        with pytest.raises(UnboundedQuantifier, match="finite lower bound for 'k'"):
+            ev("(\\forall int k; k - 1 < k && k < 3; true)")
 
     def test_nested_quantifiers_share_one_budget(self):
         # Each quantifier charges its whole domain when it starts; \exists

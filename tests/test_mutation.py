@@ -225,6 +225,10 @@ class TestEnumerationOrder:
         assert [body(v.text) for v in family.variants] == ["a <= b"]
         assert family.truncated
 
+    def test_cap_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^cap must be at least 1$"):
+            enumerate_variants(parse_clause("//@ requires a <= b;"), cap=0)
+
     def test_uncapped_family_not_truncated(self):
         family = enumerate_variants(parse_clause("//@ requires a <= b && c >= d;"))
         assert not family.truncated

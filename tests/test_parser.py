@@ -230,6 +230,11 @@ class TestAtoms:
         with pytest.raises(ClauseSyntaxError):
             parse_expr("int + 1")
 
+    @pytest.mark.parametrize("name", ["true", "false", "null", "int"])
+    def test_reserved_names_rejected_as_quantified_variables(self, name):
+        with pytest.raises(ClauseSyntaxError, match=f"unexpected '{name}'"):
+            parse_expr(f"(\\forall int {name}; 0 <= {name} && {name} < 3; true)")
+
     @pytest.mark.parametrize(
         "text",
         ["", "a +", "(a", "a)", "a b", "\\old x", "a ==>", "x[1", "x.", "1 2"],

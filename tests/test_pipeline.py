@@ -176,6 +176,11 @@ class TestLoadCorpus:
     def test_empty_directory(self, tmp_path):
         assert load_corpus(str(tmp_path)) == []
 
+    def test_files_other_than_java_are_skipped(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("//@ requires x + ;\n", encoding="utf-8")
+        (tmp_path / "Abs.java.bak").write_bytes(b"\xff")
+        assert load_corpus(str(tmp_path)) == []
+
 
 # ---------------------------------------------------------------------------
 # Component builders

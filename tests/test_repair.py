@@ -321,6 +321,15 @@ class TestStateMechanics:
         with pytest.raises(UnknownClause):
             re_select(state, ["method:check/ensures/0"], HeuristicStrategy(), iteration=1)
 
+    def test_re_select_dropped_slot(self):
+        program = make_program("a <= b")
+        state = init_state(spec_mutation(program.clauses))
+        [clause_id] = state.slots
+        while clause_id in state.selection:
+            re_select(state, [clause_id], HeuristicStrategy(), iteration=1)
+        with pytest.raises(UnknownClause, match="has no selected variant"):
+            re_select(state, [clause_id], HeuristicStrategy(), iteration=2)
+
     def test_id_less_templates_are_rejected(self):
         # Both used to land in one family keyed "unanchored/requires/0".
         templates = [parse_clause("requires a < b;"), parse_clause("requires b < c;")]
