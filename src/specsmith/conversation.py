@@ -108,10 +108,13 @@ class HttpChatClient:
         for attempt in range(cfg.retries + 1):
             if attempt:
                 self._sleep(cfg.retry_backoff * 2 ** (attempt - 1))
+            # ``timeout`` bounds each socket operation; the deadline bounds the
+            # body, which an endpoint may trickle a byte at a time.
+            deadline = time.monotonic() + cfg.request_timeout
             try:
                 request = urllib.request.Request(url, data=body, headers=headers, method="POST")
                 with opener.open(request, timeout=cfg.request_timeout) as response:
-                    status, raw = response.status, response.read()
+                    status, raw = response.status, _read_by(response, deadline)
             except urllib.error.HTTPError as exc:  # any status outside 2xx, 3xx included
                 exc.close()
                 status, raw = exc.code, b""
@@ -131,6 +134,17 @@ class HttpChatClient:
                 continue
             return content
         raise EndpointError(f"chat endpoint failed after {cfg.retries + 1} attempts: {last_error}")
+
+
+def _read_by(response, deadline: float) -> bytes:
+    """The body of ``response``, read a chunk at a time until the monotonic
+    ``deadline``; a TimeoutError once it has passed."""
+    chunks = []
+    while chunk := response.read1(65536):
+        if time.monotonic() > deadline:
+            raise TimeoutError("the reply took longer than request_timeout")
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 class ScriptedChatClient:

@@ -22,17 +22,21 @@ compiled only when a reader asks for a member past the template.
 
 Everything a family needs that depends only on the template's line, the
 enabled kinds and the weight table is a :class:`TemplatePlan`: the sites,
-their options, the walk's tables and the render plan. :func:`template_plan`
-makes each one once and shares it between every family of that line; a
-family adds its template clause, with its anchor and id, and its cap.
+their options, the walk's tables, the render plan and, per cap, the family
+order walked so far, kept as assignments of one byte per site.
+:func:`template_plan` makes each one once and shares it between every
+family of that line. A family adds its template clause, with its anchor and
+id, and its cap, and makes its own members; it walks only the levels no
+earlier family of the line has, so a line that recurs walks no heap.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import threading
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .clauses import Clause, _clause
 from .expr import Binary, Expr, FrozenRecord, Quantifier, walk
@@ -90,7 +94,8 @@ class MutationSite(FrozenRecord):
 
 class Variant:
     """One family member: its template, its assignment (one option index per
-    enabled site, in site order), its canonical clause line and its score.
+    enabled site, in site order, one byte each), its canonical clause line
+    and its score.
 
     Its clause is built on first read.
     """
@@ -100,7 +105,7 @@ class Variant:
     def __init__(
         self,
         template: Clause,
-        assignment: tuple[int, ...],
+        assignment: bytes,
         text: str,
         score: int,
         clause: Clause | None = None,
@@ -131,12 +136,15 @@ class TemplatePlan:
     """What every family of one template line shares, for one set of enabled
     kinds and one weight table: the enabled sites, their options (best
     score first), the raw combination count, the template's assignment,
-    the walk's per-site tables, and the render plan, compiled the first time
-    a family needs a member past its template.
+    the walk's per-site tables, the render plan, compiled the first time a
+    family needs a member past its template, and per cap the walk so far.
 
     ``template`` has no anchor or id, so the families of every clause with
-    that line can share the plan. Two threads that race on the compile only
-    do the work twice.
+    that line can share the plan. It holds no member and no member text: a
+    walk keeps assignments, one byte per site, and its heap until it ends.
+    Walks advance under ``lock``, so families in several threads can share
+    the plan; two threads that race on the render compile only do the work
+    twice.
     """
 
     __slots__ = (
@@ -148,8 +156,10 @@ class TemplatePlan:
         "tails",
         "first_steps",
         "top",
+        "lock",
         "_template",
         "_render",
+        "_walks",
     )
 
     def __init__(self, template: Clause, enabled: frozenset[MutationKind], weights: WeightTable):
@@ -163,24 +173,147 @@ class TemplatePlan:
             site_options.sort(key=lambda pair: -pair[0])
             self.options.append(site_options)
         self.raw_count = math.prod(len(site_options) for site_options in self.options)
-        self.assignment = tuple([r for _, r in site_options].index(None) for site_options in self.options)
+        self.assignment = bytes([r for _, r in site_options].index(None) for site_options in self.options)
         self.deltas = [[delta for delta, _ in site_options] for site_options in self.options]
         n = len(self.deltas)
         # Bumping a site i past the last bumped one: the assignment's first i
         # indexes, then ``tails[i]``, at a cost of ``first_steps[i]``.
-        self.tails = [(1,) + (0,) * (n - i - 1) for i in range(n)]
+        head = b"\x01" + bytes(n)
+        self.tails = [head[: n - i] for i in range(n)]
         self.first_steps = [site[0] - site[1] for site in self.deltas]
         self.top = sum(site[0] for site in self.deltas)  # the best score
+        self.lock = threading.Lock()
         self._template = template
-        self._render: Callable[[tuple[int, ...]], str] | None = None
+        self._render: Callable[[bytes], str] | None = None
+        self._walks: dict[int, _Walk] = {}
 
     @property
-    def render(self) -> Callable[[tuple[int, ...]], str]:
+    def render(self) -> Callable[[bytes], str]:
         """The render plan (:func:`~specsmith.schemata.render_plan`)."""
         render = self._render
         if render is None:
             render = self._render = render_plan(self._template, self.sites, self.options)
         return render
+
+    def walk(self, cap: int) -> _Walk:
+        """The walk of the family order under ``cap``, made on first use."""
+        walk = self._walks.get(cap)
+        # Of two threads that race here, both get the walk made first.
+        return walk if walk is not None else self._walks.setdefault(cap, _Walk(self, cap))
+
+
+class _Walk:
+    """The family order of one plan under one cap, walked one score level at
+    a time and recorded as it goes: the kept members' assignments joined in
+    family order (``order``), and each level's score and end, the member
+    count up to it.
+
+    Levels are only appended, so a family reads a recorded level without a
+    lock. :meth:`step` walks the next one, under the plan's lock.
+    """
+
+    __slots__ = ("order", "scores", "ends", "_heap", "_room", "_cap")
+
+    def __init__(self, plan: TemplatePlan, cap: int):
+        self.order = bytearray()
+        self.scores: list[int] = []
+        self.ends: list[int] = []
+        # (negated score, assignment, last bumped site or -1); None once over.
+        self._heap: list[tuple[int, bytes, int]] | None = [(-plan.top, bytes(len(plan.deltas)), -1)]
+        self._room = cap - 1  # places for members other than the template
+        self._cap = cap
+
+    def step(self, plan: TemplatePlan) -> list[tuple[str, bytes]] | None:
+        """Walk and record the next score level: its kept members' texts and
+        assignments in family order, or None past the family's end.
+
+        The template is a member even where its place would miss the cap, so
+        while it is unemitted the other members fill at most ``cap - 1``
+        places; if the walk ends without it, it is the last level. An
+        unemitted template follows every member walked so far in family
+        order, so no recorded member moves.
+        """
+        heap, cap = self._heap, self._cap
+        if heap is None:
+            return None
+        template_text, template_assignment = plan._template.text, plan.assignment
+        if not heap:  # the walk has ended
+            self._heap = None
+            return None if self._room == cap else self._record(0, [(template_text, template_assignment)])
+        # Best-first walk over assignments: pop everything at one score, order
+        # that batch by text and keep it up to the cap; the next step descends
+        # to the next score.
+        #
+        # Each assignment is pushed once, by its canonical parent: the same
+        # assignment with its last bumped site stepped back one option
+        # (reverse search; Avis & Fukuda, 1996). So a popped assignment bumps
+        # only its last bumped site and the sites after it, which are all
+        # still at option 0, and no visited set is needed.
+        #
+        # The pop order is that of a walk over every neighbor with a visited
+        # set. A bump never raises the score, so scores pop in non-increasing
+        # order. A parent is lexicographically smaller than its child.
+        # Suppose a level popped b while an assignment a < b of the same
+        # score was still unpopped. On the parent path from a, the child of
+        # a's nearest popped ancestor would be on the heap, at that score (no
+        # higher, or it would have popped in an earlier level; no lower, as a
+        # descends from it) and no greater than a, so it would have popped
+        # before b. Each level thus pops in lexicographic order of
+        # assignment, zero-delta bumps included, and the batch-limit cut and
+        # the cap get the same inputs as in the visited-set walk.
+        heappush, heappop = heapq.heappush, heapq.heappop
+        deltas, tails, first_steps = plan.deltas, plan.tails, plan.first_steps
+        n = len(deltas)
+        batch_limit = max(4 * cap, 16384)
+        batch_cost = heap[0][0]
+        batch: list[bytes] = []
+        while heap and heap[0][0] == batch_cost:
+            _, assignment, last = heappop(heap)
+            batch.append(assignment)
+            if len(batch) >= batch_limit:
+                # Pathologically wide score level; the family is about to be
+                # truncated anyway, so give up on full-level text ordering
+                # (the partial order is still deterministic).
+                heap.clear()
+                break
+            if last >= 0:
+                site = deltas[last]
+                index = assignment[last] + 1
+                if index < len(site):
+                    cost = batch_cost + site[index - 1] - site[index]
+                    heappush(heap, (cost, assignment[:last] + bytes((index,)) + assignment[last + 1 :], last))
+            for i in range(last + 1, n):
+                heappush(heap, (batch_cost + first_steps[i], assignment[:i] + tails[i], i))
+        # The level in family order (distinct assignments render distinct
+        # texts, so the texts decide it), cut at the cap.
+        if batch == [template_assignment]:
+            level = [(template_text, template_assignment)]
+        else:
+            render = plan.render
+            level = [
+                (template_text if assignment == template_assignment else render(assignment), assignment)
+                for assignment in batch
+            ]
+            level.sort()
+        room, walked = self._room, len(self.ends) and self.ends[-1]
+        if walked + len(level) > room:  # the cap cuts this level
+            for place, (_, assignment) in enumerate(level):
+                if assignment == template_assignment:
+                    room = cap
+                elif walked + place >= room:
+                    del level[place:]
+                    heap.clear()
+                    break
+        elif room < cap and template_assignment in batch:
+            room = cap
+        self._room = room
+        return self._record(-batch_cost, level)
+
+    def _record(self, score: int, level: list) -> list:
+        self.order += b"".join([assignment for _, assignment in level])
+        self.scores.append(score)
+        self.ends.append((len(self.ends) and self.ends[-1]) + len(level))  # last: readers check it
+        return level
 
 
 @lru_cache(maxsize=1024)
@@ -202,10 +335,13 @@ class Family:
     ``plan`` is the template's :class:`TemplatePlan`. Members are ordered by
     score (descending), then text (ascending), except that the template, a
     member by definition, takes the last place within the cap when it would
-    miss it. The enumeration advances one score level at a time and only as
-    far as a reader asks: ``get(i)`` builds just enough levels, ``variants``
-    builds the whole family, and ``len()`` and ``truncated`` build nothing,
-    since every raw combination is a distinct member up to the cap.
+    miss it. A family is a view of the plan's walk under its cap: it makes
+    its own members, with its template's anchor and id, one score level at
+    a time and only as far as a reader asks. ``get(i)`` builds just enough
+    levels, ``variants`` builds the whole family, and ``len()`` and
+    ``truncated`` build nothing, since every raw combination is a distinct
+    member up to the cap. The first family to reach a level walks it and
+    keeps the texts its sort rendered; a later one renders the record.
     """
 
     def __init__(self, template: Clause, plan: TemplatePlan, cap: int):
@@ -214,19 +350,20 @@ class Family:
         self.raw_count = plan.raw_count
         self.cap = cap
         self.template_variant = Variant(template, plan.assignment, template.text, 0, template)
-        self._built: list[Variant] = []
-        # Each step appends a score level to ``_built``.
-        self._levels = _walk_levels(self.template_variant, plan, cap, self._built)
+        self._built: list[Variant] = []  # the members of the levels read so far
+        self._walk: _Walk | None = None  # the plan's walk under the cap, from the first read
+        self._levels = 0  # the levels read so far
 
     def get(self, index: int) -> Variant | None:
         """The member at ``index`` in family order, or None past the end."""
-        while index >= len(self._built) and next(self._levels, False):
+        built = self._built
+        while index >= len(built) and self._read_level():
             pass
-        return self._built[index] if index < len(self._built) else None
+        return built[index] if index < len(built) else None
 
     @property
     def variants(self) -> list[Variant]:
-        while next(self._levels, False):
+        while self._read_level():
             pass
         return self._built
 
@@ -236,6 +373,38 @@ class Family:
 
     def __len__(self) -> int:
         return min(self.raw_count, self.cap)
+
+    def _read_level(self) -> bool:
+        """Build the members of the next level; False past the family's end."""
+        plan, walk, k = self.plan, self._walk, self._levels
+        if walk is None:
+            walk = self._walk = plan.walk(self.cap)
+        level = None
+        if k == len(walk.ends):
+            with plan.lock:
+                if k == len(walk.ends):  # no other family walked it meanwhile
+                    level = walk.step(plan)
+                    if level is None:
+                        return False
+        self._levels = k + 1
+        template, template_assignment, score = self.template, plan.assignment, walk.scores[k]
+        built, template_variant = self._built, self.template_variant
+        if level is not None:  # walked just now: its sort rendered the texts
+            for text, assignment in level:
+                is_template = assignment == template_assignment
+                built.append(template_variant if is_template else Variant(template, assignment, text, score))
+            return True
+        # Recorded: n bytes per member; a line with no site has its template alone.
+        n, start, end = len(template_assignment), walk.ends[k - 1] if k else 0, walk.ends[k]
+        packed = bytes(walk.order[start * n : end * n])
+        render = None
+        for assignment in [packed[i : i + n] for i in range(0, len(packed), n)] if n else [packed]:
+            if assignment == template_assignment:
+                built.append(template_variant)
+            else:
+                render = render or plan.render
+                built.append(Variant(template, assignment, render(assignment), score))
+        return True
 
 
 def _site_for(node: Expr) -> tuple[MutationKind, str] | None:
@@ -277,88 +446,3 @@ def enumerate_variants(
         raise ValueError("cap must be at least 1")
     plan = template_plan(template.unplaced, frozenset(kinds), weights or DEFAULT_WEIGHTS)
     return Family(template, plan, cap)
-
-
-def _walk_levels(template_variant: Variant, plan: TemplatePlan, cap: int, built: list[Variant]) -> Iterator[bool]:
-    """Append one score level to ``built`` per step (each yields True).
-
-    The template is a member even where its place would miss the cap, so
-    while it is unemitted the other members fill at most ``cap - 1`` places;
-    if the walk ends without it, it is appended last. An unemitted template follows
-    every member built so far in family order, so no built member moves.
-    """
-    template, template_assignment = template_variant.template, template_variant.assignment
-    template_text = template_variant.text
-    render = None  # the render plan, compiled for the first member past the template
-    deltas, tails, first_steps = plan.deltas, plan.tails, plan.first_steps
-    # Best-first walk over assignments: pop everything at one score, order
-    # that batch by text, emit, then descend to the next score. Heap entries
-    # hold the negated score, the assignment and its last bumped site (-1
-    # for the all-zeros start).
-    #
-    # Each assignment is pushed once, by its canonical parent: the same
-    # assignment with its last bumped site stepped back one option (reverse
-    # search; Avis & Fukuda, 1996). So a popped assignment bumps only its
-    # last bumped site and the sites after it, which are all still at
-    # option 0, and no visited set is needed.
-    #
-    # The pop order is that of a walk over every neighbor with a visited
-    # set. A bump never raises the score, so scores pop in non-increasing
-    # order. A parent is lexicographically smaller than its child. Suppose a
-    # level popped b while an assignment a < b of the same score was still
-    # unpopped. On the parent path from a, the child of a's nearest popped
-    # ancestor would be on the heap, at that score (no higher, or it would
-    # have popped in an earlier level; no lower, as a descends from it)
-    # and no greater than a, so it would have popped before b. Each level
-    # thus pops in lexicographic order of assignment, zero-delta bumps
-    # included, and the batch-limit cut and the cap get the same inputs as
-    # in the visited-set walk.
-    heappush, heappop = heapq.heappush, heapq.heappop
-    n = len(deltas)
-    start = (0,) * n
-    heap: list[tuple[int, tuple[int, ...], int]] = [(-plan.top, start, -1)]
-    batch_limit = max(4 * cap, 16384)
-    room = cap - 1  # places for members other than the template
-    stopped_early = False
-    while heap and not stopped_early:
-        batch_cost = heap[0][0]
-        batch: list[tuple[int, ...]] = []
-        while heap and heap[0][0] == batch_cost:
-            _, assignment, last = heappop(heap)
-            batch.append(assignment)
-            if len(batch) >= batch_limit:
-                # Pathologically wide score level; the family is about to be
-                # truncated anyway, so give up on full-level text ordering
-                # (the partial order is still deterministic).
-                stopped_early = True
-                break
-            if last >= 0:
-                site = deltas[last]
-                index = assignment[last]
-                if index + 1 < len(site):
-                    cost = batch_cost + site[index] - site[index + 1]
-                    heappush(heap, (cost, assignment[:last] + (index + 1,) + start[last + 1 :], last))
-            for i in range(last + 1, n):
-                heappush(heap, (batch_cost + first_steps[i], assignment[:i] + tails[i], i))
-        if render is None and batch != [template_assignment]:
-            render = plan.render
-        # The level in family order (distinct assignments render distinct
-        # texts, so the texts decide it); a member is made only once kept.
-        level = [
-            (template_text if assignment == template_assignment else render(assignment), assignment)
-            for assignment in batch
-        ]
-        level.sort()
-        for text, assignment in level:
-            if assignment == template_assignment:
-                room = cap
-                built.append(template_variant)
-            elif len(built) >= room:
-                stopped_early = True
-                break
-            else:
-                built.append(Variant(template, assignment, text, -batch_cost))
-        yield True
-
-    if room < cap:
-        built.append(template_variant)

@@ -74,7 +74,7 @@ def render_expr(expr: Expr) -> str:
 
 def render_plan(
     template: Clause, sites: Sequence[MutationSite], options: list[Options]
-) -> Callable[[tuple[int, ...]], str]:
+) -> Callable[[bytes], str]:
     """The template's render plan: a function from a member's assignment (one
     option index per site, in site order) to its clause line. The plan is
     compiled here, once; a member's text reads no other member. The function
@@ -90,7 +90,7 @@ def render_plan(
 
 
 @lru_cache(maxsize=1024)
-def _factory(layout: tuple[bool, ...]) -> Callable[..., Callable[[tuple[int, ...]], str]]:
+def _factory(layout: tuple[bool, ...]) -> Callable[..., Callable[[bytes], str]]:
     """The factory of the render plans of one layout: whether each hole, in
     text order, is read through one site or two.
 

@@ -12,7 +12,6 @@ import re
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from operator import attrgetter
 
 import pytest
 from hypothesis import assume
@@ -306,12 +305,14 @@ class ChatServer:
     The answer waits ``delay`` seconds. A ``body`` that is not ``str`` or
     ``bytes`` is sent as JSON. A status of None hangs up without an answer,
     a 3xx answer names ``/moved`` on this server as its ``Location``, and a
-    request past the last outcome gets a 500.
+    request past the last outcome gets a 500. With ``trickle`` set, the
+    body goes out one byte at a time, ``trickle`` seconds apart.
     """
 
     def __init__(self):
         self.outcomes: list[tuple[int | None, object, float]] = []
         self.requests: list[dict] = []
+        self.trickle: float | None = None
         closing = threading.Event()
         server = self
 
@@ -340,7 +341,13 @@ class ChatServer:
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(payload)))
                     self.end_headers()
-                    self.wfile.write(payload)
+                    if server.trickle is None:
+                        self.wfile.write(payload)
+                    else:
+                        for index in range(len(payload)):
+                            self.wfile.write(payload[index : index + 1])
+                            if closing.wait(server.trickle):
+                                break
                 except (BrokenPipeError, ConnectionResetError):  # the client gave up waiting
                     self.close_connection = True
 
@@ -674,7 +681,7 @@ def _oracle_apply(expr: Expr, path: tuple[int, ...], replacement: str) -> Expr:
 _ORACLE_TOKEN = {"\\forall": "forall", "\\exists": "exists", "- 1 <=": DEC, "+ 1 >=": INC}
 
 
-def oracle_variant_tree(family, assignment: tuple[int, ...]) -> Expr:
+def oracle_variant_tree(family, assignment: bytes) -> Expr:
     """The tree of the family member at ``assignment``, rebuilt from the
     template by the oracle's own rewrites, deepest site first."""
     chosen = [
@@ -743,17 +750,20 @@ def scale_weights(weights: WeightTable, factor: int) -> WeightTable:
 # whichever neighbor reaches it first.
 
 
-def visited_set_walk_levels(template_variant, plan, cap, built):
-    """Drop-in for ``mutation._walk_levels``: one score level per step, and
-    a template that misses the cap evicts the worst member at the end."""
-    template = template_variant.template
-    render = render_plan(template, plan.sites, plan.options)
+def visited_set_walk_levels(plan, cap):
+    """The family order of ``plan`` under ``cap`` as ``mutation._Walk``
+    records it: (score, [(text, assignment), ...]) per score level. Built
+    whole by the visited-set walk, where a template that misses the cap
+    evicts the worst member at the end."""
+    template_text, template_assignment = plan._template.text, tuple(plan.assignment)
+    render = render_plan(plan._template, plan.sites, plan.options)
     deltas = [[delta for delta, _ in site_options] for site_options in plan.options]
     start = tuple(0 for _ in deltas)
     heap = [(-sum(site[0] for site in deltas), start)]
     visited = {start}
     batch_limit = max(4 * cap, 16384)
-    stopped_early = template_emitted = False
+    built = []  # (score, text, assignment) in family order
+    stopped_early = False
     while heap and not stopped_early:
         batch_cost = heap[0][0]
         batch = []
@@ -771,39 +781,56 @@ def visited_set_walk_levels(template_variant, plan, cap, built):
                         visited.add(neighbor)
                         cost = batch_cost + site[index] - site[index + 1]
                         heapq.heappush(heap, (cost, neighbor))
-        members = [
-            template_variant
-            if assignment == template_variant.assignment
-            else Variant(template, assignment, render(assignment), -batch_cost)
+        members = sorted(
+            (-batch_cost, template_text if assignment == template_assignment else render(assignment), assignment)
             for assignment in batch
-        ]
-        members.sort(key=attrgetter("text"))
-        for variant in members:
+        )
+        for member in members:
             if len(built) >= cap:
                 stopped_early = True
                 break
-            built.append(variant)
-            template_emitted = template_emitted or variant is template_variant
-        yield True
+            built.append(member)
 
-    if not template_emitted:
+    if all(assignment != template_assignment for _, _, assignment in built):
         if len(built) >= cap:
             built.pop()
-        bisect.insort(built, template_variant, key=lambda v: (-v.score, v.text))
+        bisect.insort(built, (0, template_text, template_assignment), key=lambda m: (-m[0], m[1]))
+    return [
+        (score, [(text, bytes(assignment)) for _, text, assignment in run])
+        for score, run in itertools.groupby(built, key=lambda m: m[0])
+    ]
 
 
-def visited_set_family(template, **kwargs):
-    """``enumerate_variants`` with the visited-set walk in place of the
-    canonical-parent one, built whole: its end-of-walk eviction can still
-    move a member."""
-    walk = mutation._walk_levels
-    mutation._walk_levels = visited_set_walk_levels
+class VisitedSetWalk:
+    """Drop-in for ``mutation._Walk`` that records the levels of
+    :func:`visited_set_walk_levels` one step at a time."""
+
+    def __init__(self, plan, cap):
+        self.order, self.scores, self.ends = bytearray(), [], []
+        self._levels = iter(visited_set_walk_levels(plan, cap))
+
+    def step(self, plan):
+        score, level = next(self._levels, (None, None))
+        if level is not None:
+            for _, assignment in level:
+                self.order.extend(assignment)
+            self.scores.append(score)
+            self.ends.append((self.ends[-1] if self.ends else 0) + len(level))
+        return level
+
+
+def visited_set_family(template, kinds=ALL_KINDS, cap=4096, weights=None):
+    """``enumerate_variants`` on a fresh plan whose walk is the visited-set
+    one, built whole."""
+    plan_walk = mutation._Walk
+    mutation._Walk = VisitedSetWalk
     try:
-        family = mutation.enumerate_variants(template, **kwargs)
+        plan = mutation.TemplatePlan(template.unplaced, frozenset(kinds), weights or mutation.DEFAULT_WEIGHTS)
+        family = mutation.Family(template, plan, cap)
         family.variants
         return family
     finally:
-        mutation._walk_levels = walk
+        mutation._Walk = plan_walk
 
 
 def select_by_heuristic(variants, weights):

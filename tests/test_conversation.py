@@ -1,6 +1,7 @@
 """Tests for prompt assembly, response extraction, and the chat loop."""
 import json
 import sys
+import time
 
 import pytest
 from conftest import (
@@ -613,6 +614,31 @@ class TestHttpChatClient:
             HttpChatClient(sleep=sleeps.append).complete([], cfg)
         assert len(chat_server.requests) == 2
         assert sleeps == [0.5]
+
+    def test_a_trickled_reply_is_cut_at_the_timeout_then_retried(self, monkeypatch, chat_server):
+        # Each byte comes well within the timeout, so only a bound on the
+        # whole reply ends an attempt: two attempts of 0.5 s.
+        monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
+        chat_server.trickle = 0.15
+        chat_server.outcomes = [chat_reply("slow")] * 2
+        sleeps = []
+        cfg = EndpointConfig(base_url=chat_server.base_url, request_timeout=0.5, retries=1, retry_backoff=0.5)
+        started = time.monotonic()
+        with pytest.raises(EndpointError) as excinfo:
+            HttpChatClient(sleep=sleeps.append).complete([], cfg)
+        assert 0.9 < time.monotonic() - started < 1.6
+        assert str(excinfo.value) == (
+            "chat endpoint failed after 2 attempts: request failed: the reply took longer than request_timeout"
+        )
+        assert len(chat_server.requests) == 2
+        assert sleeps == [0.5]
+
+    def test_a_trickled_reply_within_the_timeout_is_read_whole(self, monkeypatch, chat_server):
+        monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")
+        chat_server.trickle = 0.001
+        chat_server.outcomes = [chat_reply("quick")]
+        cfg = EndpointConfig(base_url=chat_server.base_url, request_timeout=5.0, retries=0)
+        assert HttpChatClient().complete([], cfg) == "quick"
 
     def test_a_refused_connection_is_retried_then_raised(self, monkeypatch):
         monkeypatch.setenv("SPECSMITH_API_KEY", "sk-test-123")

@@ -4,10 +4,13 @@ import heapq
 import itertools
 import random
 import re
+import sys
+import threading
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     bool_exprs,
     gen_mutation_clause,
@@ -367,6 +370,8 @@ class TestCanonicalParentWalk:
                 assert family.truncated == oracle.truncated
 
     def test_one_push_per_assignment(self, monkeypatch):
+        # Once per (plan, cap): a second family of the line, at another
+        # anchor and id, reads the recorded walk and pushes nothing.
         pushed = []
 
         def heappush(heap, entry):
@@ -377,17 +382,22 @@ class TestCanonicalParentWalk:
         rng = random.Random(9)
         for _ in range(40):
             clause = parse_clause(f"//@ requires {render_expr(gen_mutation_clause(rng, max_sites=6))};")
-            for weights, cap in itertools.product(WALK_WEIGHTS, (8, 4096)):
-                pushed.clear()
-                family = enumerate_variants(clause, cap=cap, weights=weights)
-                start = (0,) * len(family.template_variant.assignment)
-                built = {v.assignment for v in family.variants} - {start}
-                assert len(pushed) == len(set(pushed))
-                if family.truncated:
-                    # The template may join without being popped.
-                    assert built - {family.template_variant.assignment} <= set(pushed)
-                else:
-                    assert sorted(pushed) == sorted(built)
+            for weights in WALK_WEIGHTS:
+                plan = TemplatePlan(clause.unplaced, ALL_KINDS, weights)
+                for cap in (8, 4096):
+                    pushed.clear()
+                    family = Family(clause, plan, cap)
+                    start = bytes(len(family.template_variant.assignment))
+                    built = {v.assignment for v in family.variants} - {start}
+                    assert len(pushed) == len(set(pushed))
+                    if family.truncated:
+                        # The template may join without being popped.
+                        assert built - {family.template_variant.assignment} <= set(pushed)
+                    else:
+                        assert sorted(pushed) == sorted(built)
+                    pushed.clear()
+                    again = Family(clause.placed(Anchor("g"), "g"), plan, cap)
+                    assert read(again.variants) == read(family.variants) and pushed == []
 
 
 KIND_SUBSETS = [
@@ -396,7 +406,9 @@ KIND_SUBSETS = [
 
 
 class TestKeptMembersOnly:
-    """The level the cap cuts makes a member only for the places it keeps."""
+    """A family makes one member for each place it reads: the level the cap
+    cuts makes none for the places it drops, and a family that reads a
+    recorded walk makes only its own."""
 
     @pytest.mark.parametrize("cap", [64, 4096])
     def test_full_read_makes_one_variant_per_member(self, cap, monkeypatch):
@@ -410,10 +422,98 @@ class TestKeptMembersOnly:
                 super().__init__(*args)
 
         monkeypatch.setattr(mutation, "Variant", CountedVariant)
-        family = enumerate_variants(parse_clause(WIDE_CLAUSE), cap=cap)
-        members = family.variants
-        assert family.truncated and len(members) == cap
-        assert sorted(made) == sorted(v.assignment for v in members)  # the template included
+        clause = parse_clause(WIDE_CLAUSE)
+        plan = TemplatePlan(clause.unplaced, ALL_KINDS, DEFAULT_WEIGHTS)  # the first family walks
+        for method in ("f", "g"):
+            made.clear()
+            family = Family(clause.placed(Anchor(method), method), plan, cap)
+            family.get(cap // 2)
+            assert sorted(made) == sorted(v.assignment for v in family._built)  # the template included
+            members = family.variants
+            assert family.truncated and len(members) == cap
+            assert sorted(made) == sorted(v.assignment for v in members)
+
+
+def member_fields(members):
+    """Everything a member carries: text, score, assignment, anchor and id."""
+    return [
+        None if v is None else (v.text, v.score, v.assignment, v.clause.anchor, v.clause.id) for v in members
+    ]
+
+
+class TestSharedWalk:
+    """The families of one line read one walk per cap, recorded as the first
+    of them reaches each level. Read in any interleaving, or from several
+    threads, each is the family a fresh plan builds, with its own template's
+    anchor and id."""
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_interleaved_reads_match_fresh_families(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        expr = gen_mutation_clause(rng, max_sites=6)
+        weights = data.draw(st.sampled_from(WALK_WEIGHTS), label="weights")
+        caps = data.draw(st.lists(st.sampled_from([1, 64, 4096]), min_size=2, max_size=4), label="caps")
+        line = f"//@ requires {render_expr(expr)};"
+        shared = TemplatePlan(parse_clause(line), ALL_KINDS, weights)
+        templates = [parse_clause(line, Anchor(f"m{i}"), f"id{i}") for i in range(len(caps))]
+        families = [Family(template, shared, cap) for template, cap in zip(templates, caps)]
+        fresh = [
+            Family(template, TemplatePlan(parse_clause(line), ALL_KINDS, weights), cap).variants
+            for template, cap in zip(templates, caps)
+        ]
+        # get(i) forward and back, families in turn as drawn.
+        for _ in range(data.draw(st.integers(0, 12), label="reads")):
+            which = data.draw(st.integers(0, len(families) - 1))
+            index = data.draw(st.integers(0, len(fresh[which]) + 1))
+            expected = fresh[which][index] if index < len(fresh[which]) else None
+            assert member_fields([families[which].get(index)]) == member_fields([expected])
+        for which in data.draw(st.permutations(range(len(families)))):
+            assert member_fields(families[which].variants) == member_fields(fresh[which])
+            assert ([v.text for v in fresh[which]], families[which].truncated) == oracle_members(
+                expr, caps[which], weights
+            )
+
+    def test_threads_reading_one_line_match_fresh_families(self):
+        # A positive weight puts the template last: its level is walked only
+        # at the end of a truncated family.
+        cases = [
+            (WIDE_CLAUSE, DEFAULT_WEIGHTS, 4096),
+            ("//@ requires a <= b && c >= d && e < f;", WeightTable(comparative=1), 8),
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for line, weights, cap in cases:
+                shared = TemplatePlan(parse_clause(line), ALL_KINDS, weights)
+                count = 8
+                ready = threading.Barrier(count)
+                read_back: list = [None] * count
+                errors = []
+
+                def reader(number):
+                    try:
+                        family = Family(parse_clause(line, Anchor(f"m{number}"), f"id{number}"), shared, cap)
+                        ready.wait(timeout=10)
+                        # Staggered: each thread starts at its own offset, then reads the rest.
+                        family.get(number * len(family) // count)
+                        read_back[number] = family.variants
+                    except Exception as exc:  # reported below with the thread's number
+                        errors.append((number, exc))
+
+                threads = [threading.Thread(target=reader, args=(number,)) for number in range(count)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                for number, members in enumerate(read_back):
+                    clause = parse_clause(line, Anchor(f"m{number}"), f"id{number}")
+                    fresh = Family(clause, TemplatePlan(parse_clause(line), ALL_KINDS, weights), cap)
+                    assert member_fields(members) == member_fields(fresh.variants)
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestTemplatePlans:
